@@ -25,7 +25,6 @@ from .certify import (
     CertifyOptions,
     Flag,
     Verdict,
-    addition_deletion_step,
     certify,
     certify_flag,
     certify_locally_heavy,

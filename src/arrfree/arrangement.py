@@ -151,9 +151,6 @@ class Flat:
     members: frozenset[int]
     basis: tuple[Vec, ...]
 
-    def matrix(self) -> Matrix:
-        return Matrix(self.basis)
-
     def sorted_members(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
 
@@ -313,10 +310,6 @@ class Restriction:
     chart: Matrix
     chart_inv: Matrix
     h0: int
-
-    @property
-    def multiplicities(self) -> dict[int, int]:
-        return dict(enumerate(self.arrangement.mult))
 
 
 def euler_ziegler_multiplicity(a: Multiarrangement, h0: Hyperplane | int) -> Restriction:

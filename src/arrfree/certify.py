@@ -1,15 +1,15 @@
 """Freeness and nonfreeness certification with machine-checkable proof trees.
 
-Rules implemented, in dispatch order: rank-2 base case, flag equality for
+Rules, in the order of the table RULES: rank-2 base case, flag equality for
 simple arrangements, locally-heavy restriction recursion, the generic
 totally-nonfree rule, the two-locally-heavy rule, and (opt-in) the
-brute-force oracle.  Verdicts are three-valued; the engine never guesses
-where no rule applies.
+brute-force oracle.  The same table, in the same order, certifies the input
+and every Euler-Ziegler restriction the locally-heavy rule recurses into.
+Verdicts are three-valued; the engine never guesses where no rule applies.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,7 +19,6 @@ from .arrangement import (
     essentialize,
     euler_ziegler_multiplicity,
     intersection_lattice,
-    is_heavy,
     is_locally_heavy,
     localization,
     locally_heavy_indices,
@@ -36,12 +35,8 @@ RULE_LOCALLY_HEAVY = "LocallyHeavyRestriction"
 RULE_FLAG = "FlagEquality"
 RULE_GENERIC = "GenericTotallyNonfree"
 RULE_TWO_LH = "TwoLocallyHeavy"
-RULE_ADD_DEL = "AdditionDeletion"
 RULE_SAITO = "SaitoBasis"
 RULE_HILBERT = "HilbertObstruction"
-RULE_SHIFT = "MultiplicityShift"
-
-DISPATCH_ORDER = ("rank2", "flag", "locally-heavy", "generic", "two-locally-heavy", "oracle")
 
 
 class CertificateError(ValueError):
@@ -134,10 +129,6 @@ class Flag:
             tuple(frozenset(m) for m in data["members_chain"]),
             tuple(data["values"]),
         )
-
-
-# is_heavy / is_locally_heavy are implemented in the arrangement layer and
-# re-exported here; they are part of this module's public predicate surface.
 
 
 def is_generic_hyperplane(a: Multiarrangement, h: Hyperplane | int) -> bool:
@@ -276,6 +267,15 @@ def _rank2_base(a: Multiarrangement) -> Verdict:
     return Verdict("Free", exps, certificate=node)
 
 
+def _locally_heavy_step(a: Multiarrangement, i0: int) -> tuple[Multiarrangement, dict]:
+    """The Euler-Ziegler restriction onto hyperplane i0 and the numbers the
+    restriction criterion compares: m(H0), the away-b2 and the restriction's b2."""
+    restr = euler_ziegler_multiplicity(a, i0).arrangement
+    numbers = {"m0": a.mult[i0], "away_b2": b2_away(a, i0), "restriction_b2": b2_multi(restr).total}
+    assert numbers["away_b2"] >= numbers["restriction_b2"], "away-b2 inequality violated"
+    return restr, numbers
+
+
 def certify_locally_heavy(
     a: Multiarrangement, h0: Hyperplane | int, opts: CertifyOptions = CertifyOptions()
 ) -> Verdict:
@@ -283,23 +283,19 @@ def certify_locally_heavy(
 
     Freeness is equivalent to the Euler-Ziegler restriction being free with
     the away-b2 equal to the restriction's b2; the restriction is certified
-    recursively (rank-2 base case, then further locally heavy hyperplanes,
-    then the flag rule, then the oracle when enabled).
+    recursively by the whole rule table, in the same order as the input
+    (`opts.only_rule` does not apply below the top level).
     """
     i0 = a.index_of(h0)
     if not is_locally_heavy(a, i0):
         raise ValueError(f"hyperplane {a.label(i0)} is not locally heavy")
-    m0 = a.mult[i0]
-    restr = euler_ziegler_multiplicity(a, i0)
-    away = b2_away(a, i0)
-    rb2 = b2_multi(restr.arrangement).total
-    assert away >= rb2, "away-b2 inequality violated"
+    restr, numbers = _locally_heavy_step(a, i0)
+    away, rb2 = numbers["away_b2"], numbers["restriction_b2"]
     inputs = {
         "h0": i0,
         "h0_form": a.hyperplanes[i0].form_str(),
-        "restriction": restr.arrangement.to_dict(),
+        "restriction": restr.to_dict(),
     }
-    numbers = {"m0": m0, "away_b2": away, "restriction_b2": rb2}
     if away != rb2:
         node = CertNode(RULE_LOCALLY_HEAVY, inputs, numbers)
         return Verdict(
@@ -307,7 +303,7 @@ def certify_locally_heavy(
             witness={"away_b2": away, "restriction_b2": rb2, "h0": i0},
             certificate=node,
         )
-    sub = _certify_core(restr.arrangement, opts)
+    sub = _dispatch(restr, opts, RULES)
     node = CertNode(
         RULE_LOCALLY_HEAVY,
         inputs,
@@ -315,7 +311,7 @@ def certify_locally_heavy(
         (sub.certificate,) if sub.certificate else (),
     )
     if sub.kind == "Free":
-        exps = tuple(sorted((m0,) + tuple(sub.exponents)))
+        exps = tuple(sorted((numbers["m0"],) + tuple(sub.exponents)))
         return Verdict("Free", exps, certificate=node)
     if sub.kind == "NonFree":
         return Verdict(
@@ -328,32 +324,6 @@ def certify_locally_heavy(
         reason=f"restriction undecided: {sub.reason}",
         certificate=node,
     )
-
-
-def _certify_core(a: Multiarrangement, opts: CertifyOptions) -> Verdict:
-    """Recursive certifier used on restrictions."""
-    if rank(a) <= 2:
-        return _rank2_base(a)
-    reasons = []
-    lh = sorted(locally_heavy_indices(a), key=lambda i: (-a.mult[i], i))
-    for i in lh:
-        v = certify_locally_heavy(a, i, opts)
-        if v.decisive:
-            return v
-        reasons.append(v.reason or "")
-    if not lh:
-        reasons.append("no locally heavy hyperplane")
-    if a.is_simple():
-        flags = find_locally_heavy_flags(a)
-        if flags:
-            return certify_flag(a, flags[0])
-        reasons.append("no locally heavy flag")
-    if opts.use_oracle:
-        v = _oracle_rule(a, opts)
-        if v.decisive:
-            return v
-        reasons.append(v.reason or "oracle undetermined")
-    return Verdict("Inconclusive", reason="; ".join(r for r in reasons if r))
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +406,7 @@ def nonfree_two_locally_heavy(a: Multiarrangement) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# multiplicity shifts and addition-deletion bookkeeping
+# multiplicity shifts
 
 
 def normalize_multiplicity_shift(
@@ -457,72 +427,51 @@ def normalize_multiplicity_shift(
     return shifted
 
 
-def addition_deletion_step(known: dict[str, Sequence[int]]) -> tuple[str, tuple[int, ...]]:
-    """Infer the third exponent statement from two of full/deletion/restriction.
-
-    Patterns (as multisets): full = (d_1..d_l), deletion = full with one
-    entry lowered by 1, restriction = full minus that entry.
-    """
-    names = {"full", "deletion", "restriction"}
-    if set(known) - names or len(known) != 2:
-        raise ValueError("give exactly two of full, deletion, restriction")
-    data = {k: Counter(int(x) for x in v) for k, v in known.items()}
-    sizes = {k: sum(c.values()) for k, c in data.items()}
-
-    def as_tuple(c: Counter) -> tuple[int, ...]:
-        return tuple(sorted(c.elements()))
-
-    if "full" in data and "restriction" in data:
-        full, restr = data["full"], data["restriction"]
-        if sizes["full"] != sizes["restriction"] + 1 or restr - full:
-            raise ValueError("exponent patterns incompatible")
-        leftover = full - restr
-        if sum(leftover.values()) != 1:
-            raise ValueError("exponent patterns incompatible")
-        (dl,) = leftover.elements()
-        deletion = restr.copy()
-        deletion[dl - 1] += 1
-        return "deletion", as_tuple(deletion)
-    if "full" in data and "deletion" in data:
-        full, dele = data["full"], data["deletion"]
-        if sizes["full"] != sizes["deletion"]:
-            raise ValueError("exponent patterns incompatible")
-        for dl in sorted(full):
-            rest = full.copy()
-            rest[dl] -= 1
-            rest += Counter()
-            cand = rest.copy()
-            cand[dl - 1] += 1
-            if cand == dele:
-                return "restriction", as_tuple(rest)
-        raise ValueError("exponent patterns incompatible")
-    dele, restr = data["deletion"], data["restriction"]
-    if sizes["deletion"] != sizes["restriction"] + 1 or restr - dele:
-        raise ValueError("exponent patterns incompatible")
-    leftover = dele - restr
-    if sum(leftover.values()) != 1:
-        raise ValueError("exponent patterns incompatible")
-    (dm,) = leftover.elements()
-    full = restr.copy()
-    full[dm + 1] += 1
-    return "full", as_tuple(full)
-
-
-def addition_deletion_node(known: dict[str, Sequence[int]]) -> CertNode:
-    """Certificate node recording one addition-deletion inference."""
-    name, exps = addition_deletion_step(known)
-    return CertNode(
-        RULE_ADD_DEL,
-        {"known": {k: list(v) for k, v in known.items()}},
-        {"inferred": name, "exponents": list(exps)},
-    )
-
-
 # ---------------------------------------------------------------------------
-# oracle bridge and top-level dispatch
+# the rule table: each rule's attempt returns a decisive verdict, or else why
+# it did not decide (None when it has nothing to say).  The attempts call the
+# rule functions through this module's globals, so that a rebinding is seen.
 
 
-def _oracle_rule(a: Multiarrangement, opts: CertifyOptions) -> Verdict:
+def _attempt_rank2(a: Multiarrangement, opts: CertifyOptions) -> Verdict | str | None:
+    return _rank2_base(a) if rank(a) <= 2 else None
+
+
+def _attempt_flag(a: Multiarrangement, opts: CertifyOptions) -> Verdict | str | None:
+    if not a.is_simple():
+        return "flag: input not simple"
+    flags = find_locally_heavy_flags(a)
+    return certify_flag(a, flags[0]) if flags else "flag: no locally heavy flag"
+
+
+def _attempt_locally_heavy(a: Multiarrangement, opts: CertifyOptions) -> Verdict | str | None:
+    reasons = []
+    for i in sorted(locally_heavy_indices(a), key=lambda i: (-a.mult[i], i)):
+        v = certify_locally_heavy(a, i, opts)
+        if v.decisive:
+            return v
+        reasons.append(f"locally-heavy[{a.label(i)}]: {v.reason}")
+    return "; ".join(reasons) or "locally-heavy: no locally heavy hyperplane"
+
+
+def _attempt_generic(a: Multiarrangement, opts: CertifyOptions) -> Verdict | str | None:
+    for i in range(a.size):
+        v = nonfree_generic(a, i)
+        if v.decisive:
+            return v
+    return "generic: no irreducible generic-hyperplane witness"
+
+
+def _attempt_two_locally_heavy(a: Multiarrangement, opts: CertifyOptions) -> Verdict | str | None:
+    if len(locally_heavy_indices(a)) < 2:
+        return "two-locally-heavy: fewer than two locally heavy hyperplanes"
+    v = nonfree_two_locally_heavy(a)
+    return v if v.decisive else f"two-locally-heavy: {v.reason}"
+
+
+def _attempt_oracle(a: Multiarrangement, opts: CertifyOptions) -> Verdict | str | None:
+    if not opts.use_oracle:
+        return None
     from . import oracle
 
     ess, dropped = essentialize(a)
@@ -544,55 +493,35 @@ def _oracle_rule(a: Multiarrangement, opts: CertifyOptions) -> Verdict:
             {"graded_dims": list(res.dims), "total_mult": ess.total_mult},
         )
         return Verdict("NonFree", witness={"graded_dims": list(res.dims)}, certificate=node)
-    return Verdict("Inconclusive", reason="oracle undetermined")
+    return "oracle: undetermined"
+
+
+RULES = (
+    ("rank2", _attempt_rank2),
+    ("flag", _attempt_flag),
+    ("locally-heavy", _attempt_locally_heavy),
+    ("generic", _attempt_generic),
+    ("two-locally-heavy", _attempt_two_locally_heavy),
+    ("oracle", _attempt_oracle),
+)
+DISPATCH_ORDER = tuple(name for name, _ in RULES)
+
+
+def _dispatch(a: Multiarrangement, opts: CertifyOptions, rules: Sequence) -> Verdict:
+    reasons = []
+    for _, attempt in rules:
+        got = attempt(a, opts)
+        if isinstance(got, Verdict):
+            return got
+        if got:
+            reasons.append(got)
+    return Verdict("Inconclusive", reason="; ".join(reasons) or "no applicable rule")
 
 
 def certify(a: Multiarrangement, opts: CertifyOptions = CertifyOptions()) -> Verdict:
-    """Run the rules in the documented dispatch order; first decision wins."""
-    attempts: list[str] = []
-
-    def enabled(rule: str) -> bool:
-        return opts.only_rule is None or opts.only_rule == rule
-
-    if enabled("rank2") and rank(a) <= 2:
-        return _rank2_base(a)
-    if enabled("flag") and a.is_simple():
-        flags = find_locally_heavy_flags(a)
-        if flags:
-            return certify_flag(a, flags[0])
-        attempts.append("flag: no locally heavy flag")
-    elif enabled("flag"):
-        attempts.append("flag: input not simple")
-    if enabled("locally-heavy"):
-        lh = sorted(locally_heavy_indices(a), key=lambda i: (-a.mult[i], i))
-        if not lh:
-            attempts.append("locally-heavy: no locally heavy hyperplane")
-        for i in lh:
-            v = certify_locally_heavy(a, i, opts)
-            if v.decisive:
-                return v
-            attempts.append(f"locally-heavy[{a.label(i)}]: {v.reason}")
-    if enabled("generic"):
-        for i in range(a.size):
-            v = nonfree_generic(a, i)
-            if v.decisive:
-                return v
-        attempts.append("generic: no irreducible generic-hyperplane witness")
-    if enabled("two-locally-heavy"):
-        lh = locally_heavy_indices(a)
-        if len(lh) >= 2:
-            v = nonfree_two_locally_heavy(a)
-            if v.decisive:
-                return v
-            attempts.append(f"two-locally-heavy: {v.reason}")
-        else:
-            attempts.append("two-locally-heavy: fewer than two locally heavy hyperplanes")
-    if enabled("oracle") and opts.use_oracle:
-        v = _oracle_rule(a, opts)
-        if v.decisive:
-            return v
-        attempts.append("oracle: undetermined")
-    return Verdict("Inconclusive", reason="; ".join(attempts) or "no applicable rule")
+    """Run the rules in dispatch order; first decision wins.  `opts.only_rule`
+    keeps only the named rule, at this level only."""
+    return _dispatch(a, opts, [r for r in RULES if opts.only_rule in (None, r[0])])
 
 
 # ---------------------------------------------------------------------------
@@ -614,20 +543,18 @@ def _reverify_node(a: Multiarrangement, node: CertNode) -> Verdict:
             raise CertificateError("flag numbers do not re-verify")
         return v
     if node.rule == RULE_LOCALLY_HEAVY:
-        i0 = node.inputs["h0"]
+        i0 = a.index_of(node.inputs["h0"])
         if not is_locally_heavy(a, i0):
             raise CertificateError("cited hyperplane is not locally heavy")
-        restr = euler_ziegler_multiplicity(a, i0)
-        away = b2_away(a, i0)
-        rb2 = b2_multi(restr.arrangement).total
-        want = {"m0": a.mult[i0], "away_b2": away, "restriction_b2": rb2}
-        if want != node.numbers:
+        restr, numbers = _locally_heavy_step(a, i0)
+        if numbers != node.numbers:
             raise CertificateError("locally-heavy numbers do not re-verify")
+        away, rb2 = numbers["away_b2"], numbers["restriction_b2"]
         if away != rb2:
             return Verdict("NonFree", witness={"away_b2": away, "restriction_b2": rb2})
         if not node.children:
             raise CertificateError("equality case needs a restriction certificate")
-        sub = _reverify_node(restr.arrangement, node.children[0])
+        sub = _reverify_node(restr, node.children[0])
         if sub.kind == "Free":
             return Verdict("Free", tuple(sorted((a.mult[i0],) + tuple(sub.exponents))))
         return sub
@@ -652,21 +579,13 @@ def _reverify_node(a: Multiarrangement, node: CertNode) -> Verdict:
         return Verdict("Free", tuple(sorted(t.pdeg for t in thetas)))
     if node.rule == RULE_HILBERT:
         ess, _ = essentialize(a)
-        res = oracle.hilbert_freeness_test(
-            ess, degree_cap=node.inputs["degree_cap"], seed=0, trials=0
-        )
+        cap = node.inputs["degree_cap"]
+        if cap < 1 or not oracle.cap_is_reasonable(ess.dim, cap):
+            raise CertificateError(f"degree cap {cap} is out of range")
+        res = oracle.hilbert_freeness_test(ess, degree_cap=cap, seed=0, trials=0)
         if res.kind != "NonFreeProven":
             raise CertificateError("Hilbert obstruction does not re-verify")
         return Verdict("NonFree", witness={"graded_dims": list(res.dims)})
-    if node.rule == RULE_SHIFT:
-        shifted = normalize_multiplicity_shift(a, node.inputs["h0"], node.inputs["k"])
-        return _reverify_node(shifted, node.children[0])
-    if node.rule == RULE_ADD_DEL:
-        known = {k: tuple(v) for k, v in node.inputs["known"].items()}
-        name, exps = addition_deletion_step(known)
-        if name != node.numbers["inferred"] or list(exps) != node.numbers["exponents"]:
-            raise CertificateError("addition-deletion inference does not re-verify")
-        return Verdict("Free", exps)
     raise CertificateError(f"unknown certificate rule {node.rule}")
 
 
@@ -674,18 +593,24 @@ def verify_certificate(a: Multiarrangement, payload: dict) -> Verdict:
     """Re-verify a certificate JSON payload against an arrangement.
 
     Recomputes every number each node cites and returns the re-derived
-    verdict; raises CertificateError when anything fails to match.
+    verdict; raises CertificateError when anything fails to match or the
+    payload is malformed.
     """
-    kind = payload.get("kind")
-    cert = payload.get("certificate")
-    if kind == "Inconclusive":
-        return Verdict("Inconclusive", reason=payload.get("reason"))
-    if cert is None:
-        raise CertificateError("decisive verdict without certificate")
-    v = _reverify_node(a, CertNode.from_dict(cert))
-    if v.kind != kind:
-        raise CertificateError(f"certificate yields {v.kind}, payload says {kind}")
-    if kind == "Free" and payload.get("exponents") is not None:
-        if list(v.exponents) != list(payload["exponents"]):
-            raise CertificateError("exponents do not re-verify")
-    return v
+    try:
+        kind = payload.get("kind")
+        cert = payload.get("certificate")
+        if kind == "Inconclusive":
+            return Verdict("Inconclusive", reason=payload.get("reason"))
+        if cert is None:
+            raise CertificateError("decisive verdict without certificate")
+        v = _reverify_node(a, CertNode.from_dict(cert))
+        if v.kind != kind:
+            raise CertificateError(f"certificate yields {v.kind}, payload says {kind}")
+        if kind == "Free" and payload.get("exponents") is not None:
+            if list(v.exponents) != list(payload["exponents"]):
+                raise CertificateError("exponents do not re-verify")
+        return v
+    except CertificateError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError) as e:
+        raise CertificateError(f"malformed certificate: {type(e).__name__}: {e}") from e

@@ -1,7 +1,8 @@
 """Command-line surface: lattice, b2, certify, sweep, oracle.
 
 Exit codes: 0 success / Free verdict, 10 NonFree, 20 Inconclusive,
-2 parse or usage errors, 3 oversized oracle degree cap.  JSON output is
+2 parse or usage errors (an oracle degree cap below 1, a sweep grid of more
+than MAX_SWEEP_ROWS rows), 3 oversized oracle degree cap.  JSON output is
 deterministic for fixed input and seed.
 """
 
@@ -17,6 +18,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from math import prod
 
 from . import oracle as oracle_mod
 from .arrangement import (
@@ -36,6 +38,8 @@ EXIT_CAP = 3
 EXIT_NONFREE = 10
 EXIT_INCONCLUSIVE = 20
 
+MAX_SWEEP_ROWS = 10_000
+
 CERT_FORMAT = "arrfree-certificate/1"
 
 
@@ -51,6 +55,21 @@ def _load(path: str) -> Multiarrangement:
 
 def _emit_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2))
+
+
+def _cap_too_large(cap: int | None, dim: int) -> bool:
+    """Reject an oracle degree cap below 1; report one too large for the rank."""
+    if cap is None:
+        return False
+    if cap < 1:
+        raise ParseError(f"degree cap must be at least 1, got {cap}")
+    if oracle_mod.cap_is_reasonable(dim, cap):
+        return False
+    print(
+        f"error: degree cap {cap} too large for rank {dim}; this would be a very large exact solve",
+        file=sys.stderr,
+    )
+    return True
 
 
 def _default_seed() -> int:
@@ -202,6 +221,8 @@ def _certificate_payload(v: Verdict, seed: int, digest: str) -> dict:
 def cmd_certify(args) -> int:
     t0 = time.perf_counter()
     a = _load(args.file)
+    if args.oracle and _cap_too_large(args.max_degree, a.dim):
+        return EXIT_CAP
     seed = args.seed if args.seed is not None else _default_seed()
     opts = CertifyOptions(
         use_oracle=args.oracle,
@@ -266,6 +287,11 @@ def cmd_sweep(args) -> int:
     exprs = [(n, v) for n, v in params if not isinstance(v, range)]
     if not grid:
         raise ParseError("sweep needs at least one ranged --param NAME=LO..HI")
+    size = prod(len(v) for _, v in grid)
+    if size > MAX_SWEEP_ROWS:
+        raise ParseError(f"sweep grid has {size} rows; the limit is {MAX_SWEEP_ROWS}")
+    if args.oracle and isinstance(template.get("dim"), int) and _cap_too_large(args.max_degree, template["dim"]):
+        return EXIT_CAP
     seed = args.seed if args.seed is not None else _default_seed()
     opts = CertifyOptions(use_oracle=args.oracle, oracle_cap=args.max_degree, seed=seed)
     require = template.get("require", [])
@@ -357,11 +383,7 @@ def cmd_oracle(args) -> int:
             print(f"dim D(A,m)_{args.degree} = {dim}")
         return EXIT_OK
     cap = args.cap if args.cap is not None else oracle_mod.default_degree_cap(a)
-    if not oracle_mod.cap_is_reasonable(a.dim, cap):
-        print(
-            f"error: degree cap {cap} too large for rank {a.dim}; this would be a very large exact solve",
-            file=sys.stderr,
-        )
+    if _cap_too_large(cap, a.dim):
         return EXIT_CAP
     res = oracle_mod.hilbert_freeness_test(a, degree_cap=cap, seed=seed)
     out["hilbert"] = {

@@ -15,38 +15,14 @@ from typing import Sequence
 
 from .exactalg import (
     Matrix,
-    Monomial,
     Polynomial,
     Vec,
     linear_change_to_coordinate,
     monomials,
     rank_and_kernel,
+    substitute_monomials,
     vec,
 )
-
-
-def _substitution_table(tinv: Matrix, nvars: int, degree: int) -> dict[Monomial, Polynomial]:
-    """Images of every degree-d monomial under x_i -> row_i(tinv) . y."""
-    images = [Polynomial.linear_form(row) for row in tinv.entries]
-    powers: dict[tuple[int, int], Polynomial] = {}
-
-    def power(i: int, k: int) -> Polynomial:
-        if k == 0:
-            return Polynomial.constant(nvars, 1)
-        got = powers.get((i, k))
-        if got is None:
-            got = power(i, k - 1) * images[i]
-            powers[(i, k)] = got
-        return got
-
-    table: dict[Monomial, Polynomial] = {}
-    for mono in monomials(nvars, degree):
-        p = Polynomial.constant(nvars, 1)
-        for i, e in enumerate(mono):
-            if e:
-                p = p * power(i, e)
-        table[mono] = p
-    return table
 
 
 def derivation_basis(
@@ -83,7 +59,7 @@ def derivation_basis(
                 rows.append(row)
             continue
         _, tinv = linear_change_to_coordinate(form)
-        table = _substitution_table(tinv, nvars, degree)
+        table = substitute_monomials(tinv.entries, monos)
         constrained = [m for m in monos if m[0] < mult]
         # coefficient of each constrained chart monomial, as a functional of
         # the unknown coefficients of theta(form)
@@ -122,7 +98,3 @@ def derivation_basis(
         )
         basis.append(coeffs)
     return basis
-
-
-def derivation_dim(forms: Sequence[Sequence], mults: Sequence[int], degree: int) -> int:
-    return len(derivation_basis(forms, mults, degree))

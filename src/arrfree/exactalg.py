@@ -59,19 +59,6 @@ class Matrix:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"Matrix[{body}]"
 
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        return Matrix(
-            [
-                [
-                    sum((self.entries[i][k] * other.entries[k][j] for k in range(self.cols)), Fraction(0))
-                    for j in range(other.cols)
-                ]
-                for i in range(self.rows)
-            ]
-        )
-
     def apply(self, v: Sequence) -> Vec:
         w = vec(v)
         if len(w) != self.cols:
@@ -333,28 +320,10 @@ class Polynomial:
         """Substitute x_i -> linear form images[i] (over possibly new variables)."""
         if len(images) != self.nvars:
             raise ValueError("need one image per variable")
-        forms = [Polynomial.linear_form(im) for im in images]
-        if forms and any(f.nvars != forms[0].nvars for f in forms):
-            raise ValueError("images must share variable count")
-        new_n = forms[0].nvars if forms else 0
-        powers: dict[tuple[int, int], Polynomial] = {}
-
-        def power(i: int, k: int) -> Polynomial:
-            if k == 0:
-                return Polynomial.constant(new_n, 1)
-            got = powers.get((i, k))
-            if got is None:
-                got = power(i, k - 1) * forms[i]
-                powers[(i, k)] = got
-            return got
-
-        out = Polynomial.zero(new_n)
+        table = substitute_monomials(images, self.terms)
+        out = Polynomial.zero(len(images[0]) if images else 0)
         for mono, c in sorted(self.terms.items()):
-            term = Polynomial.constant(new_n, c)
-            for i, e in enumerate(mono):
-                if e:
-                    term = term * power(i, e)
-            out = out + term
+            out = out + table[mono] * c
         return out
 
     def set_var_zero(self, i: int) -> "Polynomial":
@@ -391,9 +360,32 @@ class Polynomial:
         return "Poly(" + " + ".join(bits) + ")"
 
 
-def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Exact product; raises on variable-count mismatch."""
-    return a * b
+def substitute_monomials(images: Sequence[Sequence], monos: Iterable[Monomial]) -> dict[Monomial, Polynomial]:
+    """Image of each monomial under x_i -> linear form images[i], built
+    left to right from cached powers of the images."""
+    forms = [Polynomial.linear_form(im) for im in images]
+    if forms and any(f.nvars != forms[0].nvars for f in forms):
+        raise ValueError("images must share variable count")
+    new_n = forms[0].nvars if forms else 0
+    powers: dict[tuple[int, int], Polynomial] = {}
+
+    def power(i: int, k: int) -> Polynomial:
+        if k == 0:
+            return Polynomial.constant(new_n, 1)
+        got = powers.get((i, k))
+        if got is None:
+            got = power(i, k - 1) * forms[i]
+            powers[(i, k)] = got
+        return got
+
+    table: dict[Monomial, Polynomial] = {}
+    for mono in monos:
+        p = Polynomial.constant(new_n, 1)
+        for i, e in enumerate(mono):
+            if e:
+                p = p * power(i, e)
+        table[mono] = p
+    return table
 
 
 def _cofactor_det(grid: list[list[Polynomial]], nvars: int) -> Polynomial:

@@ -83,9 +83,6 @@ class Derivation:
         return cls(coeffs)
 
 
-EULER = lambda n: Derivation(tuple(Polynomial.variable(n, i) for i in range(n)))  # noqa: E731
-
-
 def is_log_derivation(a: Multiarrangement, theta: Derivation) -> bool:
     """Membership test: theta(alpha_H) divisible by alpha_H^{m(H)} for all H."""
     if theta.nvars != a.dim:

@@ -1,14 +1,16 @@
+import copy
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrfree.arrangement import is_heavy, is_locally_heavy, parse, rank
 from arrfree.certify import (
     CertificateError,
     CertifyOptions,
     Flag,
-    addition_deletion_step,
     certify,
     certify_flag,
     certify_locally_heavy,
@@ -25,6 +27,7 @@ from arrfree.fixtures import (
     example52,
     example_a3,
     generic4,
+    load,
     rank4_flag_example,
 )
 
@@ -285,34 +288,6 @@ def test_two_locally_heavy_needs_two():
 
 
 # ---------------------------------------------------------------------------
-# addition-deletion patterns
-
-
-def test_addition_deletion_infers_full():
-    assert addition_deletion_step({"deletion": (2, 2, 2), "restriction": (2, 2)}) == (
-        "full",
-        (2, 2, 3),
-    )
-
-
-def test_addition_deletion_infers_deletion():
-    name, exps = addition_deletion_step({"full": (2, 3, 5), "restriction": (2, 3)})
-    assert name == "deletion" and exps == (2, 3, 4)
-
-
-def test_addition_deletion_infers_restriction():
-    name, exps = addition_deletion_step({"full": (2, 2, 3), "deletion": (2, 2, 2)})
-    assert name == "restriction" and exps == (2, 2)
-
-
-def test_addition_deletion_incompatible():
-    with pytest.raises(ValueError):
-        addition_deletion_step({"deletion": (2, 2, 2), "restriction": (1, 3)})
-    with pytest.raises(ValueError):
-        addition_deletion_step({"full": (2, 2, 3)})
-
-
-# ---------------------------------------------------------------------------
 # dispatch
 
 
@@ -398,30 +373,158 @@ def test_certificate_wrong_kind_detected():
         verify_certificate(a, payload)
 
 
-def test_certificate_shift_node_reverifies():
-    from arrfree.certify import CertNode, RULE_SHIFT
+def _malformed(name):
+    """An (arrangement, payload) pair that must not verify: a malformed
+    payload, an out-of-range oracle cap, or a proof by a rule the prover
+    never emits."""
+    a = example_a3(1, 2)
+    payload = certify(a).to_dict()  # proved by LocallyHeavyRestriction
+    node = payload["certificate"]
+    if name == "h0 out of range":
+        node["inputs"]["h0"] = 99
+    elif name == "h0 not an index":
+        node["inputs"]["h0"] = "x"
+    elif name == "certificate is a list":
+        payload["certificate"] = []
+    elif name == "rule missing":
+        del node["rule"]
+    elif name == "payload is a list":
+        payload = []
+    elif name == "flag missing":
+        a = boolean3()
+        payload = certify(a).to_dict()  # proved by FlagEquality
+        del payload["certificate"]["inputs"]["flag"]
+    elif name in ("cap below 1", "cap too large"):
+        node = {"rule": "HilbertObstruction", "inputs": {"degree_cap": 0 if name == "cap below 1" else 30}, "numbers": {}}
+        a, payload = example52(), {"kind": "NonFree", "certificate": node}
+    elif name == "forged addition-deletion":
+        # Example 5.2 is NonFree; this node once verified it as Free (1, 2, 2)
+        node = {
+            "rule": "AdditionDeletion",
+            "inputs": {"known": {"deletion": [1, 1, 2], "restriction": [1, 2]}},
+            "numbers": {"inferred": "full", "exponents": [1, 2, 2]},
+        }
+        a, payload = example52(), {"kind": "Free", "exponents": [1, 2, 2], "certificate": node}
+    elif name == "forged multiplicity shift":
+        # example_a3(1, 2) has exponents (2, 2, 3); this node once verified (2, 3, 4)
+        inner = certify(normalize_multiplicity_shift(a, 5, 2))
+        node = {"rule": "MultiplicityShift", "inputs": {"h0": 5, "k": 2}, "numbers": {}, "children": [inner.certificate.to_dict()]}
+        payload = {"kind": "Free", "exponents": list(inner.exponents), "certificate": node}
+    return a, payload
 
-    base = example_a3(1, 2)
-    shifted = normalize_multiplicity_shift(base, 5, 2)
-    inner = certify(shifted)
-    node = CertNode(RULE_SHIFT, {"h0": 5, "k": 2}, {}, (inner.certificate,))
-    payload = {"kind": "Free", "exponents": [2, 3, 4], "certificate": node.to_dict()}
-    v = verify_certificate(base, json.loads(json.dumps(payload)))
-    assert v.kind == "Free" and v.exponents == (2, 3, 4)
 
-
-def test_certificate_addition_deletion_node():
-    from arrfree.certify import addition_deletion_node, _reverify_node, CertNode
-
-    node = addition_deletion_node({"deletion": (2, 2, 2), "restriction": (2, 2)})
-    assert node.rule == "AdditionDeletion"
-    assert node.numbers == {"inferred": "full", "exponents": [2, 2, 3]}
-    rebuilt = CertNode.from_dict(json.loads(json.dumps(node.to_dict())))
-    v = _reverify_node(boolean3(), rebuilt)  # arrangement-independent pattern check
-    assert v.exponents == (2, 2, 3)
-    tampered = CertNode(node.rule, node.inputs, {"inferred": "full", "exponents": [2, 2, 4]})
+@pytest.mark.parametrize(
+    "name",
+    [
+        "h0 out of range",
+        "h0 not an index",
+        "flag missing",
+        "certificate is a list",
+        "rule missing",
+        "payload is a list",
+        "cap below 1",
+        "cap too large",
+        "forged addition-deletion",
+        "forged multiplicity shift",
+    ],
+)
+def test_verifier_rejects_with_certificate_error(name):
+    a, payload = _malformed(name)
     with pytest.raises(CertificateError):
-        _reverify_node(boolean3(), tampered)
+        verify_certificate(a, json.loads(json.dumps(payload)))
+
+
+EMITTED_RULES = (
+    "Rank2Base",
+    "FlagEquality",
+    "LocallyHeavyRestriction",
+    "GenericTotallyNonfree",
+    "TwoLocallyHeavy",
+    "SaitoBasis",
+    "HilbertObstruction",
+)
+FIXTURES = (
+    "boolean.json",
+    "boolean_234.json",
+    "braid.json",
+    "example1_a1_m0_2.json",
+    "example52.json",
+    "generic4.json",
+    "rank4_flag.json",
+)
+_PAYLOADS: dict = {}
+
+
+def _decisive_payload(name):
+    """The fixture, its certified verdict and that verdict's JSON payload."""
+    if name not in _PAYLOADS:
+        a = load(name)
+        v = certify(a, CertifyOptions(use_oracle=True))
+        assert v.decisive
+        _PAYLOADS[name] = (a, v, json.loads(json.dumps(v.to_dict())))
+    return _PAYLOADS[name]
+
+
+def _slots(tree, path=()):
+    """(path, value) of every value below the root of a JSON tree."""
+    items = tree.items() if isinstance(tree, dict) else enumerate(tree) if isinstance(tree, list) else ()
+    for key, value in items:
+        yield path + (key,), value
+        yield from _slots(value, path + (key,))
+
+
+def _mutations(payload):
+    """(kind, path, value) of every single mutation that applies to the payload."""
+    for path, value in _slots(payload):
+        key = path[-1]
+        if isinstance(key, str):
+            yield "delete", path, value
+            yield "rename", path, value
+        if isinstance(value, int) and not isinstance(value, bool):
+            yield "perturb", path, value
+        if key == "rule":
+            yield "swap rule", path, value
+        if key == "children" and value:
+            yield "child", path, value
+        yield "wrong type", path, value
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(FIXTURES), st.data())
+def test_verifier_mutation_fuzz(name, data):
+    # a mutated payload either fails to verify or re-derives the same verdict
+    a, verdict, payload = _decisive_payload(name)
+    mutated = copy.deepcopy(payload)
+    targets: dict = {}
+    for kind, path, value in _mutations(mutated):
+        targets.setdefault(kind, []).append((path, value))
+    kind = data.draw(st.sampled_from(sorted(targets)))
+    path, value = data.draw(st.sampled_from(targets[kind]))
+    holder = mutated
+    for key in path[:-1]:
+        holder = holder[key]
+    key = path[-1]
+    if kind == "delete":
+        del holder[key]
+    elif kind == "rename":
+        holder[key + "_renamed"] = holder.pop(key)
+    elif kind == "perturb":
+        holder[key] = value + data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    elif kind == "swap rule":
+        holder[key] = data.draw(st.sampled_from([r for r in EMITTED_RULES if r != value]))
+    elif kind == "child":
+        j = data.draw(st.integers(0, len(value) - 1))
+        if data.draw(st.booleans()):
+            del value[j]
+        else:
+            value.insert(j, copy.deepcopy(value[j]))
+    else:
+        holder[key] = data.draw(st.sampled_from([w for w in (None, True, 7, "x", [], {}) if type(w) is not type(value)]))
+    try:
+        got = verify_certificate(a, mutated)
+    except CertificateError:
+        return
+    assert (got.kind, got.exponents) == (verdict.kind, verdict.exponents)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,8 @@ EX1 = fixture_path("example1_a1_m0_2.json")
 EX1_TEMPLATE = fixture_path("example1_template.json")
 EX52 = fixture_path("example52.json")
 RANK4 = fixture_path("rank4_flag.json")
+CERTIFIABLE = (BOOLEAN, BOOLEAN234, BRAID, EX1, EX52, fixture_path("generic4.json"), RANK4)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -132,6 +135,16 @@ def test_certify_only_rule(capsys):
     assert verdict["certificate"]["rule"] == "TwoLocallyHeavy"
 
 
+@pytest.mark.parametrize("oracle", [False, True])
+@pytest.mark.parametrize("path", CERTIFIABLE, ids=lambda p: Path(p).stem)
+def test_certify_json_golden(capsys, monkeypatch, path, oracle):
+    # stdout of `certify --json` on every certifiable fixture, byte for byte
+    monkeypatch.delenv("ARRFREE_SEED", raising=False)
+    _, out, _ = run(capsys, "certify", path, "--json", *(["--oracle"] if oracle else []))
+    golden = GOLDEN / (Path(path).stem + (".oracle.json" if oracle else ".json"))
+    assert out == golden.read_text(encoding="utf-8")
+
+
 def test_certify_seed_env_default(capsys, monkeypatch):
     monkeypatch.setenv("ARRFREE_SEED", "42")
     code, out, _ = run(capsys, "certify", EX1, "--json")
@@ -203,6 +216,28 @@ def test_oracle_cap_too_large(capsys):
     code, _, err = run(capsys, "oracle", EX52, "--hilbert", "--cap", "30")
     assert code == 3
     assert "too large" in err
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["certify", EX52, "--oracle", "--max-degree", "0"], 2),
+        (["oracle", EX52, "--hilbert", "--cap", "0"], 2),
+        (["certify", EX52, "--oracle", "--max-degree", "30"], 3),
+        (["sweep", EX1_TEMPLATE, "--param", "a=1", "--param", "m0=2", "--oracle", "--max-degree", "30"], 3),
+    ],
+)
+def test_oracle_cap_rejected_before_work(capsys, argv, code):
+    got, out, err = run(capsys, *argv)
+    assert got == code and out == ""
+    assert ("too large" if code == 3 else "at least 1") in err
+
+
+def test_sweep_grid_limit(capsys):
+    # 101 * 100 rows exceed the 10,000-row limit
+    code, out, err = run(capsys, "sweep", EX1_TEMPLATE, "--param", "a=1..101", "--param", "m0=1..100")
+    assert code == 2 and out == ""
+    assert "10100 rows" in err
 
 
 def test_oracle_nonessential_needs_flag(tmp_path, capsys):

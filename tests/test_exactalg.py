@@ -11,7 +11,6 @@ from arrfree.exactalg import (
     linear_change_to_coordinate,
     monomials,
     poly_matrix_det,
-    poly_mul,
     rank_and_kernel,
 )
 
@@ -86,15 +85,15 @@ def test_rank_nullity_and_kernel_membership(nrows, ncols, data):
 
 
 def test_poly_mul_basic():
-    assert poly_mul(x2, y2) == P(2, {(1, 1): 1})
+    assert x2 * y2 == P(2, {(1, 1): 1})
     diff = x2 - y2
     total = x2 + y2
-    assert poly_mul(diff, total) == P(2, {(2, 0): 1, (0, 2): -1})
+    assert diff * total == P(2, {(2, 0): 1, (0, 2): -1})
 
 
 def test_poly_mul_var_mismatch():
     with pytest.raises(ValueError):
-        poly_mul(x2, Polynomial.variable(3, 0))
+        x2 * Polynomial.variable(3, 0)
 
 
 def test_defining_polynomial_example_product():
@@ -111,7 +110,7 @@ def test_defining_polynomial_example_product():
     ]
     q = Polynomial.constant(3, 1)
     for f in factors:
-        q = poly_mul(q, f)
+        q = q * f
     assert q.degree() == 7
     assert q.is_homogeneous()
     lead_mono, lead_coeff = q.leading()
@@ -138,8 +137,8 @@ def test_poly_mul_homogeneous_degree_additive(data):
 
     a = hom(data.draw(st.integers(0, 3)))
     b = hom(data.draw(st.integers(0, 3)))
-    prod = poly_mul(a, b)
-    assert prod == poly_mul(b, a)
+    prod = a * b
+    assert prod == b * a
     if not a.is_zero() and not b.is_zero():
         assert prod.degree() == a.degree() + b.degree()
 
@@ -149,7 +148,7 @@ def test_divmod_exact_roundtrip():
     g = x2 - y2
     q, r = f.divmod_by(g)
     assert r.is_zero()
-    assert poly_mul(q, g) == f
+    assert q * g == f
     assert not (f + Polynomial.constant(2, 1)).divisible_by(g)
 
 
@@ -240,7 +239,7 @@ def test_change_permutation():
 def test_change_general_form():
     form = [1, -1, 0]
     t, tinv = linear_change_to_coordinate(form)
-    assert (t @ tinv) == Matrix.identity(3)
+    assert all(t.apply(tinv.apply(e)) == e for e in Matrix.identity(3).entries)
     image = tinv.transpose().apply(form)
     assert image == (F(1), F(0), F(0))
 
