@@ -3,6 +3,14 @@
 Hyperplanes are stored as canonicalized rational normals (first nonzero
 entry scaled to 1) so equality of hyperplanes is equality of tuples.  All
 objects are immutable values.
+
+A flat is named by the hyperplanes containing it and carries the RREF basis
+of the span of their normals.  The codimension-2 flats -- the elements of
+each restriction A^H, which local heaviness, the Euler-Ziegler restriction
+and b2 all read -- come from one table per tuple of hyperplanes
+(`_codim2_table`, lru-cached): one grouping pass per hyperplane, in integer
+arithmetic.  Flats of codimension 3 and more, and the check of a given flat
+in `localization`, span normals and test every hyperplane against the span.
 """
 
 from __future__ import annotations
@@ -10,6 +18,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm
 from typing import Sequence
 
 from .exactalg import Matrix, Vec, linear_change_to_coordinate, vec
@@ -156,7 +166,10 @@ class Flat:
 
 
 def parse(text: str | dict) -> Multiarrangement:
-    """Parse the arrangement JSON schema; duplicates are an error, never merged."""
+    """Parse the arrangement JSON schema; duplicates are an error, never merged.
+
+    The multiplicities, and their count against the hyperplanes, are checked
+    by the Multiarrangement constructor."""
     if isinstance(text, str):
         try:
             data = json.loads(text)
@@ -176,8 +189,6 @@ def parse(text: str | dict) -> Multiarrangement:
         raise ParseError("dim must be an integer")
     if not isinstance(normals, list) or not isinstance(mult, list):
         raise ParseError("hyperplanes and mult must be lists")
-    if len(normals) != len(mult):
-        raise ParseError("hyperplanes and mult must have equal length")
     planes = []
     for row in normals:
         if not isinstance(row, list) or len(row) != dim:
@@ -188,9 +199,6 @@ def parse(text: str | dict) -> Multiarrangement:
             if isinstance(e, ParseError):
                 raise
             raise ParseError(f"bad rational in normal {row}: {e}") from None
-    for m in mult:
-        if not isinstance(m, int) or m < 1:
-            raise ParseError(f"nonpositive multiplicity {m}")
     labels = data.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
@@ -238,19 +246,88 @@ def rank(a: Multiarrangement) -> int:
     return a.normal_matrix().rank()
 
 
+def _pivot(v: Sequence) -> int:
+    return next(j for j, x in enumerate(v) if x != 0)
+
+
+def _integer_normal(n: Vec) -> tuple[int, ...]:
+    d = lcm(*(x.denominator for x in n))
+    return tuple(x.numerator * (d // x.denominator) for x in n)
+
+
+def _plane_basis(n: Vec, p: int, c: Sequence[int]) -> tuple[Vec, Vec]:
+    """RREF of the span of n (pivot p, n[p] = 1) and a nonzero integer vector
+    c with c[p] = 0, without elimination: c scaled to a leading 1 is already
+    reduced at p, the row with the earlier pivot comes first, and only n can
+    need clearing at the pivot of c."""
+    q = _pivot(c)
+    w = tuple(Fraction(x, c[q]) for x in c)
+    if q < p:
+        return w, n
+    return tuple(x - n[q] * y for x, y in zip(n, w)), w
+
+
+@lru_cache(maxsize=1024)
+def _codim2_table(
+    hyperplanes: tuple[Hyperplane, ...],
+) -> tuple[tuple[Flat, ...], tuple[tuple[Flat, ...], ...]]:
+    """All codimension-2 flats in member order, and per hyperplane i the
+    flats that contain i, in member order.
+
+    One grouping pass per hyperplane i, in integers: every other normal v is
+    reduced against the normal u of i (pivot p) to u[p]*v - v[p]*u, which
+    vanishes at p.  Two hyperplanes lie on one codim-2 flat with i exactly
+    when their residues are proportional, so the residue divided by the gcd
+    of its entries, with a positive first nonzero entry, is the group key.
+    Groups open in increasing order of their least member other than i,
+    which is member order.  A flat is built in the row of its least member
+    and shared by its other members' rows.  Keyed on the hyperplanes alone,
+    so that arrangements differing only in multiplicities share one table.
+    """
+    ints = [_integer_normal(h.normal) for h in hyperplanes]
+    built: dict[frozenset[int], Flat] = {}
+    rows = []
+    for i, u in enumerate(ints):
+        p = _pivot(u)
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for k, v in enumerate(ints):
+            if k == i:
+                continue
+            r = [u[p] * y - v[p] * x for x, y in zip(u, v)]
+            g = gcd(*r)
+            if r[_pivot(r)] < 0:
+                g = -g
+            groups.setdefault(tuple(x // g for x in r), [i]).append(k)
+        n = hyperplanes[i].normal
+        if n[p] != 1:
+            n = tuple(x / n[p] for x in n)
+        row = []
+        for key, ks in groups.items():
+            members = frozenset(ks)
+            if ks[1] > i:
+                built[members] = Flat(2, members, _plane_basis(n, p, key))
+            row.append(built[members])
+        rows.append(tuple(row))
+    return tuple(built.values()), tuple(rows)
+
+
 def intersection_lattice(a: Multiarrangement, max_codim: int) -> dict[int, tuple[Flat, ...]]:
-    """Flats of codimension 1..max_codim, each listed once, in member order."""
+    """Flats of codimension 1..max_codim, each listed once, in member order.
+
+    Codimension 2 comes from the grouping table of `_codim2_table`; each
+    higher level extends the flats of the level below by one hyperplane at a
+    time and keeps the spans that grow by one.
+    """
     if max_codim > a.dim:
         raise ValueError("max_codim exceeds dimension")
     levels: dict[int, tuple[Flat, ...]] = {}
-    current: dict[tuple[Vec, ...], Flat] = {}
-    for i, h in enumerate(a.hyperplanes):
-        f = Flat(1, frozenset({i}), _rref_rows([h.normal])[0])
-        current[f.basis] = f
-    for r in range(1, max_codim + 1):
-        levels[r] = tuple(sorted(current.values(), key=lambda f: f.sorted_members()))
-        if r == max_codim:
-            break
+    if max_codim >= 1:
+        levels[1] = tuple(
+            Flat(1, frozenset({i}), _rref_rows([h.normal])[0]) for i, h in enumerate(a.hyperplanes)
+        )
+    if max_codim >= 2:
+        levels[2] = codim2_flats(a)
+    for r in range(2, max_codim):
         nxt: dict[tuple[Vec, ...], Flat] = {}
         for f in levels[r]:
             for k, h in enumerate(a.hyperplanes):
@@ -259,14 +336,13 @@ def intersection_lattice(a: Multiarrangement, max_codim: int) -> dict[int, tuple
                 g = _span_flat(a, list(f.basis) + [h.normal])
                 if g.codim == r + 1:
                     nxt.setdefault(g.basis, g)
-        current = nxt
+        levels[r + 1] = tuple(sorted(nxt.values(), key=Flat.sorted_members))
     return levels
 
 
 def codim2_flats(a: Multiarrangement) -> tuple[Flat, ...]:
-    if a.dim < 2:
-        return ()
-    return intersection_lattice(a, 2).get(2, ())
+    """Every codimension-2 flat once, in member order."""
+    return _codim2_table(a.hyperplanes)[0]
 
 
 def localization(a: Multiarrangement, x: Flat) -> Multiarrangement:
@@ -284,15 +360,9 @@ def localization(a: Multiarrangement, x: Flat) -> Multiarrangement:
 
 
 def restriction_flats(a: Multiarrangement, h0: Hyperplane | int) -> list[Flat]:
-    """Codimension-2 flats lying inside h0, i.e. the elements of A^{h0}."""
-    i0 = a.index_of(h0)
-    flats: dict[tuple[Vec, ...], Flat] = {}
-    for k in range(a.size):
-        if k == i0:
-            continue
-        f = _span_flat(a, [a.hyperplanes[i0].normal, a.hyperplanes[k].normal])
-        flats.setdefault(f.basis, f)
-    return sorted(flats.values(), key=lambda f: f.sorted_members())
+    """Codimension-2 flats lying inside h0, i.e. the elements of A^{h0}, in
+    member order (row h0 of the grouping table of `_codim2_table`)."""
+    return list(_codim2_table(a.hyperplanes)[1][a.index_of(h0)])
 
 
 @dataclass(frozen=True)
@@ -322,29 +392,18 @@ def euler_ziegler_multiplicity(a: Multiarrangement, h0: Hyperplane | int) -> Res
     if a.dim < 2:
         raise ValueError("restriction needs ambient dimension >= 2")
     t, tinv = linear_change_to_coordinate(a.hyperplanes[i0].normal)
-    groups: dict[Vec, tuple[list[int], int]] = {}
-    for k in range(a.size):
-        if k == i0:
-            continue
-        alpha = a.hyperplanes[k].normal
-        full = tuple(
-            sum((alpha[i] * tinv.entries[i][j] for i in range(a.dim)), Fraction(0))
-            for j in range(a.dim)
-        )
-        trace = full[1:]
-        canon = Hyperplane.from_coeffs(trace).normal
-        got = groups.get(canon)
-        if got is None:
-            groups[canon] = ([k], a.mult[k])
-        else:
-            got[0].append(k)
-            groups[canon] = (got[0], got[1] + a.mult[k])
-    order = sorted(groups, key=lambda c: min(groups[c][0]))
-    planes = tuple(Hyperplane(c) for c in order)
-    mults = tuple(groups[c][1] for c in order)
-    members = tuple(frozenset(groups[c][0]) | {i0} for c in order)
-    restricted = Multiarrangement(a.dim - 1, planes, mults)
-    return Restriction(restricted, members, t, tinv, i0)
+    flats = _codim2_table(a.hyperplanes)[1][i0]
+    planes = []
+    for f in flats:
+        # the members of a flat through h0 restrict to one hyperplane of h0,
+        # so one representative gives its trace
+        alpha = a.hyperplanes[next(k for k in f.members if k != i0)].normal
+        terms = [(x, row) for x, row in zip(alpha, tinv.entries) if x]
+        trace = tuple(sum((x * row[j] for x, row in terms), Fraction(0)) for j in range(1, a.dim))
+        planes.append(Hyperplane.from_coeffs(trace))
+    mults = tuple(sum(a.mult[k] for k in f.members) - a.mult[i0] for f in flats)
+    restricted = Multiarrangement(a.dim - 1, tuple(planes), mults)
+    return Restriction(restricted, tuple(f.members for f in flats), t, tinv, i0)
 
 
 def deletion(a: Multiarrangement, h0: Hyperplane | int) -> Multiarrangement:
@@ -471,17 +530,17 @@ def is_heavy(a: Multiarrangement, h0: Hyperplane | int) -> bool:
     return a.mult[i0] >= a.total_mult - a.mult[i0]
 
 
+def _heavy_in(a: Multiarrangement, i0: int, flats: Sequence[Flat]) -> bool:
+    m0 = a.mult[i0]
+    return all(m0 >= sum(a.mult[k] for k in f.members) - m0 for f in flats if len(f.members) >= 3)
+
+
 def is_locally_heavy(a: Multiarrangement, h0: Hyperplane | int) -> bool:
     """Heavy inside every codim-2 localization through h0 with >= 3 members."""
     i0 = a.index_of(h0)
-    for f in restriction_flats(a, i0):
-        if len(f.members) < 3:
-            continue
-        others = sum(a.mult[k] for k in f.members if k != i0)
-        if a.mult[i0] < others:
-            return False
-    return True
+    return _heavy_in(a, i0, _codim2_table(a.hyperplanes)[1][i0])
 
 
 def locally_heavy_indices(a: Multiarrangement) -> list[int]:
-    return [i for i in range(a.size) if is_locally_heavy(a, i)]
+    table = _codim2_table(a.hyperplanes)[1]
+    return [i for i in range(a.size) if _heavy_in(a, i, table[i])]

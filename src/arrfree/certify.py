@@ -475,6 +475,10 @@ def _attempt_oracle(a: Multiarrangement, opts: CertifyOptions) -> Verdict | str 
     from . import oracle
 
     ess, dropped = essentialize(a)
+    if opts.oracle_cap is None:
+        cap = oracle.default_degree_cap(ess)
+        if not oracle.cap_is_reasonable(ess.dim, cap):
+            return f"oracle: default degree cap {cap} is out of range"
     res = oracle.hilbert_freeness_test(ess, degree_cap=opts.oracle_cap, seed=opts.seed)
     if res.kind == "FreeProven":
         node = CertNode(
@@ -518,10 +522,19 @@ def _dispatch(a: Multiarrangement, opts: CertifyOptions, rules: Sequence) -> Ver
     return Verdict("Inconclusive", reason="; ".join(reasons) or "no applicable rule")
 
 
+def _free_exponents_fit(a: Multiarrangement, exps: Sequence[int]) -> bool:
+    """A free multiarrangement has rank-many exponents summing to |m|."""
+    return len(exps) == rank(a) and sum(exps) == a.total_mult
+
+
 def certify(a: Multiarrangement, opts: CertifyOptions = CertifyOptions()) -> Verdict:
     """Run the rules in dispatch order; first decision wins.  `opts.only_rule`
     keeps only the named rule, at this level only."""
-    return _dispatch(a, opts, [r for r in RULES if opts.only_rule in (None, r[0])])
+    v = _dispatch(a, opts, [r for r in RULES if opts.only_rule in (None, r[0])])
+    assert v.kind != "Free" or _free_exponents_fit(a, v.exponents), (
+        f"Free exponents {v.exponents} are not rank-many or do not sum to |m|"
+    )
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -593,8 +606,9 @@ def verify_certificate(a: Multiarrangement, payload: dict) -> Verdict:
     """Re-verify a certificate JSON payload against an arrangement.
 
     Recomputes every number each node cites and returns the re-derived
-    verdict; raises CertificateError when anything fails to match or the
-    payload is malformed.
+    verdict; raises CertificateError when anything fails to match, when a
+    re-derived Free verdict does not have rank-many exponents summing to
+    |m|, or when the payload is malformed.
     """
     try:
         kind = payload.get("kind")
@@ -606,8 +620,13 @@ def verify_certificate(a: Multiarrangement, payload: dict) -> Verdict:
         v = _reverify_node(a, CertNode.from_dict(cert))
         if v.kind != kind:
             raise CertificateError(f"certificate yields {v.kind}, payload says {kind}")
-        if kind == "Free" and payload.get("exponents") is not None:
-            if list(v.exponents) != list(payload["exponents"]):
+        if kind == "Free":
+            if not _free_exponents_fit(a, v.exponents):
+                raise CertificateError(
+                    f"re-derived exponents {list(v.exponents)} are not "
+                    f"{rank(a)} numbers summing to {a.total_mult}"
+                )
+            if payload.get("exponents") is not None and list(v.exponents) != list(payload["exponents"]):
                 raise CertificateError("exponents do not re-verify")
         return v
     except CertificateError:

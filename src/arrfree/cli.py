@@ -259,15 +259,18 @@ def cmd_certify(args) -> int:
 
 def _parse_param(spec: str) -> tuple[str, object]:
     if "=" not in spec:
-        raise ValueError(f"--param needs NAME=SPEC, got {spec!r}")
+        raise ParseError(f"--param needs NAME=SPEC, got {spec!r}")
     name, rhs = spec.split("=", 1)
     name = name.strip()
     rhs = rhs.strip()
     if not name.isidentifier():
-        raise ValueError(f"bad parameter name {name!r}")
+        raise ParseError(f"bad parameter name {name!r}")
     if ".." in rhs:
         lo, hi = rhs.split("..", 1)
-        return name, range(int(lo), int(hi) + 1)
+        try:
+            return name, range(int(lo), int(hi) + 1)
+        except ValueError:
+            raise ParseError(f"--param bounds must be integers, got {rhs!r}") from None
     try:
         return name, range(int(rhs), int(rhs) + 1)
     except ValueError:

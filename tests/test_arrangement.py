@@ -62,6 +62,10 @@ def test_parse_rational_strings():
         {"dim": 2, "hyperplanes": [[1, 0]], "mult": [0]},
         {"dim": 2, "hyperplanes": [[1, 0]], "mult": [1, 2]},
         {"dim": 2, "hyperplanes": [[1, 0, 0]], "mult": [1]},
+        {"dim": 2, "hyperplanes": [[1, 0]], "mult": []},
+        {"dim": 2, "hyperplanes": [[1, 0]], "mult": [True]},
+        {"dim": 2, "hyperplanes": [[1, 0]], "mult": ["2"]},
+        {"dim": 2, "hyperplanes": [[1, 0]], "mult": [-1]},
     ],
 )
 def test_parse_rejects(payload):

@@ -1,4 +1,5 @@
 import copy
+import importlib
 import json
 import random
 
@@ -321,6 +322,38 @@ def test_free_exponents_sum_to_total_multiplicity():
         v = certify(a)
         assert v.kind == "Free"
         assert sum(v.exponents) == a.total_mult
+
+
+@pytest.mark.parametrize("forged", [(1, 3), (3,)])
+def test_free_invariant_rejects_forged_exponents(monkeypatch, forged):
+    # boolean (x, y) with m = (1, 2): the rank-2 solver is forged to claim
+    # exponents that do not sum to |m| = 3, or are not rank-many
+    certify_mod = importlib.import_module("arrfree.certify")
+
+    a = parse({"dim": 2, "hyperplanes": [[1, 0], [0, 1]], "mult": [1, 2]})
+    monkeypatch.setattr(certify_mod, "rank2_exponents", lambda inst: forged)
+    with pytest.raises(AssertionError, match="rank-many"):
+        certify(a)
+    forged_verdict = certify_mod._dispatch(a, CertifyOptions(), certify_mod.RULES)
+    assert forged_verdict.kind == "Free" and forged_verdict.exponents == forged
+    with pytest.raises(CertificateError, match="summing to 3"):
+        verify_certificate(a, forged_verdict.to_dict())
+
+
+def test_oracle_default_cap_bounded(monkeypatch):
+    # braid3 with every multiplicity 8 is undecided by the rules; the
+    # default cap |m| - rank + 1 = 46 is refused before any solve
+    import arrfree.oracle as oracle_mod
+
+    def never(*args, **kwargs):
+        raise AssertionError("hilbert_freeness_test must not run")
+
+    monkeypatch.setattr(oracle_mod, "hilbert_freeness_test", never)
+    b = braid3()
+    a = b.__class__(b.dim, b.hyperplanes, (8,) * b.size, b.labels)
+    v = certify(a, CertifyOptions(use_oracle=True))
+    assert v.kind == "Inconclusive"
+    assert "oracle: default degree cap 46 is out of range" in v.reason
 
 
 def test_verdict_kind_validation():

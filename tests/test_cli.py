@@ -240,6 +240,29 @@ def test_sweep_grid_limit(capsys):
     assert "10100 rows" in err
 
 
+@pytest.mark.parametrize("spec", ["a=1..10**9", "a=x..3", "a=1..2.5", "a"])
+def test_sweep_bad_param_exits_2(capsys, spec):
+    code, out, err = run(capsys, "sweep", EX1_TEMPLATE, "--param", spec, "--param", "m0=2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"dim": 2, "hyperplanes": [[1, 0], [0, 1]], "mult": [1]}, "one multiplicity per hyperplane required"),
+        ({"dim": 2, "hyperplanes": [[1, 0], [0, 1]], "mult": [1, 0]}, "bad multiplicity 0"),
+        ({"dim": 2, "hyperplanes": [[1, 0], [0, 1]], "mult": [1, 1.5]}, "bad multiplicity 1.5"),
+    ],
+)
+def test_certify_bad_multiplicities_exit_2(tmp_path, capsys, payload, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    code, out, err = run(capsys, "certify", str(bad))
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_oracle_nonessential_needs_flag(tmp_path, capsys):
     p = tmp_path / "noness.json"
     p.write_text(
