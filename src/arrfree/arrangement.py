@@ -185,7 +185,7 @@ def parse(text: str | dict) -> Multiarrangement:
         mult = data["mult"]
     except KeyError as e:
         raise ParseError(f"missing field {e}") from None
-    if not isinstance(dim, int):
+    if isinstance(dim, bool) or not isinstance(dim, int):
         raise ParseError("dim must be an integer")
     if not isinstance(normals, list) or not isinstance(mult, list):
         raise ParseError("hyperplanes and mult must be lists")
@@ -442,14 +442,15 @@ class Reducibility:
 def reducibility(a: Multiarrangement) -> Reducibility:
     """Finest split of the hyperplanes into groups with independent spans.
 
-    Components are read off the fundamental circuits of the normals with
-    respect to a greedy basis; two hyperplanes land in one block exactly
-    when they are linked through such circuits.
+    One RREF of the matrix whose columns are the normals: its pivot columns
+    are the greedy basis (each normal independent of the ones before it),
+    and non-pivot column j holds the coordinates of normal j in that basis.
+    Normal j and the basis normals with a nonzero coordinate form its
+    fundamental circuit; two hyperplanes land in one block exactly when
+    they are linked through such circuits.  A pivot column holds a single
+    1, in its own row, so it links its hyperplane only to itself.
     """
-    n = a.size
-    if n == 0:
-        return Reducibility((), a.dim)
-    parent = list(range(n))
+    parent = list(range(a.size))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -457,68 +458,38 @@ def reducibility(a: Multiarrangement) -> Reducibility:
             i = parent[i]
         return i
 
-    def union(i: int, j: int):
-        parent[find(i)] = find(j)
-
-    basis_idx: list[int] = []
-    rows: tuple[Vec, ...] = ()
-    pivots: tuple[int, ...] = ()
-    for i, h in enumerate(a.hyperplanes):
-        rem = _reduce_against(rows, pivots, h.normal)
-        if any(x != 0 for x in rem):
-            basis_idx.append(i)
-            rows, pivots = _rref_rows([*(a.hyperplanes[b].normal for b in basis_idx)])
-        else:
-            # fundamental circuit: i together with the basis elements whose
-            # coefficients in the dependence are nonzero
-            bmat = Matrix([a.hyperplanes[b].normal for b in basis_idx]).transpose()
-            target = a.hyperplanes[i].normal
-            aug = Matrix([list(r) + [t] for r, t in zip(bmat.entries, target)])
-            red, piv = aug.rref()
-            coeffs = [Fraction(0)] * len(basis_idx)
-            for r, p in enumerate(piv):
-                coeffs[p] = red.entries[r][len(basis_idx)]
-            for b, c in zip(basis_idx, coeffs):
-                if c != 0:
-                    union(i, b)
+    red, pivots = a.normal_matrix().transpose().rref()
+    for row, p in zip(red.entries, pivots):
+        for j, x in enumerate(row):
+            if x != 0:
+                parent[find(j)] = find(p)
     groups: dict[int, list[int]] = {}
-    for i in range(n):
+    for i in range(a.size):
         groups.setdefault(find(i), []).append(i)
     blocks = tuple(sorted((tuple(sorted(g)) for g in groups.values()), key=lambda b: b[0]))
-    return Reducibility(blocks, a.dim - rank(a))
+    return Reducibility(blocks, a.dim - len(pivots))
 
 
 def essentialize(a: Multiarrangement) -> tuple[Multiarrangement, int]:
     """Quotient away the common center; returns the essential arrangement and
-    the number of dropped (non-essential) dimensions."""
-    r = rank(a)
-    drop = a.dim - r
+    the number of dropped (non-essential) dimensions.
+
+    With p_1 < ... < p_r the pivot columns of the RREF of the normals, the
+    unit vectors at the pivots complete the common center to a basis, so
+    each normal h maps to (h[p_1], ..., h[p_r]).
+    """
+    red, pivots = a.normal_matrix().rref()
+    drop = a.dim - len(pivots)
     if drop == 0:
         return a, 0
-    from .exactalg import rank_and_kernel
-
-    _, kernel = rank_and_kernel(a.normal_matrix())
-    cols: list[Vec] = []
-    have = 0
-    kernel_mat_cols = [list(v) for v in kernel]
-    for i in range(a.dim):
-        if have == r:
-            break
-        e = tuple(Fraction(j == i) for j in range(a.dim))
-        cand = Matrix([list(c) for c in cols] + [list(e)] + kernel_mat_cols)
-        if cand.rank() > have + len(kernel):
-            cols.append(e)
-            have += 1
-    u = Matrix([[col[i] for col in cols] + [v[i] for v in kernel] for i in range(a.dim)])
     planes = []
     for h in a.hyperplanes:
-        image = tuple(
-            sum((h.normal[i] * u.entries[i][j] for i in range(a.dim)), Fraction(0))
-            for j in range(a.dim)
-        )
-        assert all(x == 0 for x in image[r:]), "kernel columns must annihilate normals"
-        planes.append(Hyperplane.from_coeffs(image[:r]))
-    return Multiarrangement(r, tuple(planes), a.mult, a.labels), drop
+        image = tuple(h.normal[p] for p in pivots)
+        assert h.normal == tuple(
+            sum((c * row[k] for c, row in zip(image, red.entries)), Fraction(0)) for k in range(a.dim)
+        ), "each normal must be its pivot entries times the RREF rows"
+        planes.append(Hyperplane.from_coeffs(image))
+    return Multiarrangement(len(pivots), tuple(planes), a.mult, a.labels), drop
 
 
 # ---------------------------------------------------------------------------

@@ -335,7 +335,8 @@ def nonfree_generic(a: Multiarrangement, h: Hyperplane | int) -> Verdict:
     totally nonfree, so the given multiarrangement is nonfree."""
     s = a.underlying_simple()
     i = a.index_of(h)
-    if rank(s) <= 2:
+    r = rank(s)
+    if r <= 2:
         return Verdict("Inconclusive", reason="rank must exceed 2 for the generic rule")
     if not is_generic_hyperplane(s, i):
         return Verdict("Inconclusive", reason=f"{a.label(i)} is not generic")
@@ -345,7 +346,7 @@ def nonfree_generic(a: Multiarrangement, h: Hyperplane | int) -> Verdict:
     node = CertNode(
         RULE_GENERIC,
         {"h": i, "h_form": a.hyperplanes[i].form_str()},
-        {"rank": rank(s), "blocks": len(red.blocks)},
+        {"rank": r, "blocks": len(red.blocks)},
     )
     return Verdict("NonFree", witness={"generic_hyperplane": i}, certificate=node)
 
@@ -455,7 +456,11 @@ def _attempt_locally_heavy(a: Multiarrangement, opts: CertifyOptions) -> Verdict
 
 
 def _attempt_generic(a: Multiarrangement, opts: CertifyOptions) -> Verdict | str | None:
-    for i in range(a.size):
+    # rank and irreducibility do not depend on the hyperplane, so the first
+    # generic hyperplane is a witness if any is
+    s = a.underlying_simple()
+    i = next((i for i in range(a.size) if is_generic_hyperplane(s, i)), None)
+    if i is not None:
         v = nonfree_generic(a, i)
         if v.decisive:
             return v

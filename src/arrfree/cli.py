@@ -1,8 +1,9 @@
 """Command-line surface: lattice, b2, certify, sweep, oracle.
 
 Exit codes: 0 success / Free verdict, 10 NonFree, 20 Inconclusive,
-2 parse or usage errors (an oracle degree cap below 1, a sweep grid of more
-than MAX_SWEEP_ROWS rows), 3 oversized oracle degree cap.  JSON output is
+2 parse or usage errors (an oracle degree cap below 1, a negative
+`oracle --degree`, a sweep grid of more than MAX_SWEEP_ROWS rows),
+3 oversized oracle degree cap or `oracle --degree`.  JSON output is
 deterministic for fixed input and seed.
 """
 
@@ -57,12 +58,13 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2))
 
 
-def _cap_too_large(cap: int | None, dim: int) -> bool:
-    """Reject an oracle degree cap below 1; report one too large for the rank."""
+def _cap_too_large(cap: int | None, dim: int, least: int = 1) -> bool:
+    """Reject an oracle degree cap below `least`; report one too large for
+    the rank."""
     if cap is None:
         return False
-    if cap < 1:
-        raise ParseError(f"degree cap must be at least 1, got {cap}")
+    if cap < least:
+        raise ParseError(f"degree cap must be at least {least}, got {cap}")
     if oracle_mod.cap_is_reasonable(dim, cap):
         return False
     print(
@@ -111,7 +113,10 @@ def eval_expr(expr: str, env: dict[str, Fraction]):
                 raise ValueError(f"unknown parameter {n.id!r} in {expr!r}")
             return env[n.id]
         if isinstance(n, ast.BinOp) and type(n.op) in _BINOPS:
-            return _BINOPS[type(n.op)](ev(n.left), ev(n.right))
+            try:
+                return _BINOPS[type(n.op)](ev(n.left), ev(n.right))
+            except ZeroDivisionError:
+                raise ValueError(f"division by zero in {expr!r}") from None
         if isinstance(n, ast.UnaryOp) and isinstance(n.op, (ast.USub, ast.UAdd)):
             v = ev(n.operand)
             return -v if isinstance(n.op, ast.USub) else v
@@ -375,6 +380,8 @@ def cmd_oracle(args) -> int:
         "nonessential_dims": dropped,
     }
     if args.degree is not None:
+        if _cap_too_large(args.degree, a.dim, least=0):
+            return EXIT_CAP
         dim, _ = oracle_mod.derivation_space_dim(a, args.degree)
         out["degree"] = args.degree
         out["dimension"] = dim

@@ -101,16 +101,6 @@ class Matrix:
         red, pivots = self.rref()
         return tuple(red.entries[i] for i in range(len(pivots)))
 
-    def inverse(self) -> "Matrix":
-        if self.rows != self.cols:
-            raise ValueError("not square")
-        n = self.rows
-        aug = Matrix([list(self.entries[i]) + [Fraction(i == j) for j in range(n)] for i in range(n)])
-        red, pivots = aug.rref()
-        if pivots != list(range(n)):
-            raise ValueError("singular matrix")
-        return Matrix([row[n:] for row in red.entries])
-
 
 def rank_and_kernel(m: Matrix) -> tuple[int, list[Vec]]:
     """Rank and a deterministic reduced-echelon kernel basis.
@@ -135,26 +125,26 @@ def linear_change_to_coordinate(form: Sequence) -> tuple[Matrix, Matrix]:
     """Invertible T whose first row is the form, plus its inverse.
 
     In the new coordinates y = T x the functional `form` is y_1, so the
-    hyperplane `form = 0` becomes {y_1 = 0}.  Rows after the first are
-    standard basis vectors chosen greedily, which makes the chart
-    deterministic.
+    hyperplane `form = 0` becomes {y_1 = 0}.  With q the last index where
+    the form f is nonzero, the rows after the first are the unit vectors
+    e_j for every j != q, in increasing j.  The inverse is written down
+    directly: for j != q its row j is the unit vector at the index of
+    e_j's row in T, and its row q is (1/f_q, -f_j/f_q for each j != q in
+    order), since x_q = (y_1 - sum_{j != q} f_j x_j) / f_q.
     """
     f = vec(form)
-    if all(x == 0 for x in f):
-        raise ValueError("zero form")
     n = len(f)
-    rows: list[Vec] = [f]
-    rank = 1
-    for i in range(n):
-        if rank == n:
-            break
-        e = tuple(Fraction(j == i) for j in range(n))
-        cand = Matrix(rows + [e])
-        if cand.rank() > rank:
-            rows.append(e)
-            rank += 1
-    t = Matrix(rows)
-    return t, t.inverse()
+    q = next((j for j in reversed(range(n)) if f[j] != 0), None)
+    if q is None:
+        raise ValueError("zero form")
+    others = [j for j in range(n) if j != q]
+
+    def unit(k: int) -> list[Fraction]:
+        return [Fraction(k == c) for c in range(n)]
+
+    inv = [unit(j + 1 if j < q else j) for j in range(n)]
+    inv[q] = [1 / f[q]] + [-f[j] / f[q] for j in others]
+    return Matrix([f] + [unit(j) for j in others]), Matrix(inv)
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,7 @@ def test_parse_rational_strings():
         {"dim": 2, "hyperplanes": [[1, 0]], "mult": [True]},
         {"dim": 2, "hyperplanes": [[1, 0]], "mult": ["2"]},
         {"dim": 2, "hyperplanes": [[1, 0]], "mult": [-1]},
+        {"dim": True, "hyperplanes": [[1]], "mult": [1]},
     ],
 )
 def test_parse_rejects(payload):

@@ -189,6 +189,26 @@ def test_sweep_rejects_row(capsys):
     assert "m0 >= 2*a" in rows[0]["note"]
 
 
+@pytest.mark.parametrize("param", ["m0=a/0", "m0=a//(a-1)", "m0=a%0"])
+def test_sweep_division_by_zero_rejects_row(capsys, param):
+    code, out, _ = run(capsys, "sweep", EX1_TEMPLATE, "--param", "a=1", "--param", param, "--json")
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert row["status"] == "rejected" and "division by zero" in row["note"]
+
+
+def test_sweep_division_by_zero_in_require(tmp_path, capsys):
+    template = json.loads(Path(EX1_TEMPLATE).read_text(encoding="utf-8"))
+    template["require"] = ["m0 / (a - 1) >= 2"]
+    p = tmp_path / "template.json"
+    p.write_text(json.dumps(template), encoding="utf-8")
+    code, out, _ = run(capsys, "sweep", str(p), "--param", "a=1..2", "--param", "m0=4", "--json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert rows[0]["status"] == "rejected" and "division by zero" in rows[0]["note"]
+    assert rows[1]["status"] == "ok"
+
+
 # ---------------------------------------------------------------------------
 # oracle
 
@@ -231,6 +251,19 @@ def test_oracle_cap_rejected_before_work(capsys, argv, code):
     got, out, err = run(capsys, *argv)
     assert got == code and out == ""
     assert ("too large" if code == 3 else "at least 1") in err
+
+
+@pytest.mark.parametrize("degree,code,message", [("-1", 2, "at least 0"), ("60", 3, "too large")])
+def test_oracle_degree_rejected_before_work(capsys, degree, code, message):
+    got, out, err = run(capsys, "oracle", BRAID, "--degree", degree)
+    assert got == code and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_oracle_degree_zero(capsys):
+    code, out, _ = run(capsys, "oracle", BRAID, "--degree", "0", "--json")
+    assert code == 0
+    assert json.loads(out)["degree"] == 0
 
 
 def test_sweep_grid_limit(capsys):
