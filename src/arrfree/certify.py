@@ -6,13 +6,20 @@ totally-nonfree rule, the two-locally-heavy rule, and (opt-in) the
 brute-force oracle.  The same table, in the same order, certifies the input
 and every Euler-Ziegler restriction the locally-heavy rule recurses into.
 Verdicts are three-valued; the engine never guesses where no rule applies.
+
+The verifier keeps no second copy of the rules: RECHECKS maps each
+certificate rule to the function that proved it, which re-derives the node
+from the arrangement and the choices the node cites (a flag, a hyperplane,
+a Saito basis, a degree cap); the re-derived node must equal the cited one.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
+from . import oracle
 from .arrangement import (
     Hyperplane,
     Multiarrangement,
@@ -267,35 +274,32 @@ def _rank2_base(a: Multiarrangement) -> Verdict:
     return Verdict("Free", exps, certificate=node)
 
 
-def _locally_heavy_step(a: Multiarrangement, i0: int) -> tuple[Multiarrangement, dict]:
-    """The Euler-Ziegler restriction onto hyperplane i0 and the numbers the
-    restriction criterion compares: m(H0), the away-b2 and the restriction's b2."""
-    restr = euler_ziegler_multiplicity(a, i0).arrangement
-    numbers = {"m0": a.mult[i0], "away_b2": b2_away(a, i0), "restriction_b2": b2_multi(restr).total}
-    assert numbers["away_b2"] >= numbers["restriction_b2"], "away-b2 inequality violated"
-    return restr, numbers
-
-
 def certify_locally_heavy(
-    a: Multiarrangement, h0: Hyperplane | int, opts: CertifyOptions = CertifyOptions()
+    a: Multiarrangement,
+    h0: Hyperplane | int,
+    opts: CertifyOptions = CertifyOptions(),
+    *,
+    decide: Callable[[Multiarrangement], Verdict] | None = None,
 ) -> Verdict:
     """Apply the restriction criterion at a locally heavy hyperplane.
 
     Freeness is equivalent to the Euler-Ziegler restriction being free with
-    the away-b2 equal to the restriction's b2; the restriction is certified
-    recursively by the whole rule table, in the same order as the input
-    (`opts.only_rule` does not apply below the top level).
+    the away-b2 equal to the restriction's b2.  `decide` settles the
+    restriction; by default it is the whole rule table, in the same order as
+    the input (`opts.only_rule` does not apply below the top level).
     """
     i0 = a.index_of(h0)
     if not is_locally_heavy(a, i0):
         raise ValueError(f"hyperplane {a.label(i0)} is not locally heavy")
-    restr, numbers = _locally_heavy_step(a, i0)
-    away, rb2 = numbers["away_b2"], numbers["restriction_b2"]
+    restr = euler_ziegler_multiplicity(a, i0).arrangement
+    away, rb2 = b2_away(a, i0), b2_multi(restr).total
+    assert away >= rb2, "away-b2 inequality violated"
     inputs = {
         "h0": i0,
         "h0_form": a.hyperplanes[i0].form_str(),
         "restriction": restr.to_dict(),
     }
+    numbers = {"m0": a.mult[i0], "away_b2": away, "restriction_b2": rb2}
     if away != rb2:
         node = CertNode(RULE_LOCALLY_HEAVY, inputs, numbers)
         return Verdict(
@@ -303,7 +307,7 @@ def certify_locally_heavy(
             witness={"away_b2": away, "restriction_b2": rb2, "h0": i0},
             certificate=node,
         )
-    sub = _dispatch(restr, opts, RULES)
+    sub = decide(restr) if decide else _dispatch(restr, opts, RULES)
     node = CertNode(
         RULE_LOCALLY_HEAVY,
         inputs,
@@ -474,11 +478,21 @@ def _attempt_two_locally_heavy(a: Multiarrangement, opts: CertifyOptions) -> Ver
     return v if v.decisive else f"two-locally-heavy: {v.reason}"
 
 
+def _saito_verdict(a: Multiarrangement, dropped, basis, exponents, seed) -> Verdict:
+    inputs = {"derivations": [t.to_dict() for t in basis], "essentialized_from_dim": a.dim if dropped else None}
+    node = CertNode(RULE_SAITO, inputs, {"exponents": list(exponents), "seed": seed})
+    return Verdict("Free", tuple(exponents), certificate=node)
+
+
+def _hilbert_verdict(a: Multiarrangement, ess: Multiarrangement, dropped, res) -> Verdict:
+    inputs = {"degree_cap": res.degree_cap, "essentialized_from_dim": a.dim if dropped else None}
+    node = CertNode(RULE_HILBERT, inputs, {"graded_dims": list(res.dims), "total_mult": ess.total_mult})
+    return Verdict("NonFree", witness={"graded_dims": list(res.dims)}, certificate=node)
+
+
 def _attempt_oracle(a: Multiarrangement, opts: CertifyOptions) -> Verdict | str | None:
     if not opts.use_oracle:
         return None
-    from . import oracle
-
     ess, dropped = essentialize(a)
     if opts.oracle_cap is None:
         cap = oracle.default_degree_cap(ess)
@@ -486,23 +500,34 @@ def _attempt_oracle(a: Multiarrangement, opts: CertifyOptions) -> Verdict | str 
             return f"oracle: default degree cap {cap} is out of range"
     res = oracle.hilbert_freeness_test(ess, degree_cap=opts.oracle_cap, seed=opts.seed)
     if res.kind == "FreeProven":
-        node = CertNode(
-            RULE_SAITO,
-            {
-                "derivations": [t.to_dict() for t in res.basis],
-                "essentialized_from_dim": a.dim if dropped else None,
-            },
-            {"exponents": list(res.exponents), "seed": opts.seed},
-        )
-        return Verdict("Free", res.exponents, certificate=node)
+        return _saito_verdict(a, dropped, res.basis, res.exponents, opts.seed)
     if res.kind == "NonFreeProven":
-        node = CertNode(
-            RULE_HILBERT,
-            {"degree_cap": res.degree_cap, "essentialized_from_dim": a.dim if dropped else None},
-            {"graded_dims": list(res.dims), "total_mult": ess.total_mult},
-        )
-        return Verdict("NonFree", witness={"graded_dims": list(res.dims)}, certificate=node)
+        return _hilbert_verdict(a, ess, dropped, res)
     return "oracle: undetermined"
+
+
+def _recheck_saito(a: Multiarrangement, node: CertNode) -> Verdict:
+    ess, dropped = essentialize(a)
+    thetas = [oracle.Derivation.from_dict(d) for d in node.inputs["derivations"]]
+    # Saito's criterion needs deg det = |m|, so a basis of dim derivations
+    # has degrees summing to |m|; checked before any polynomial work
+    if len(thetas) != ess.dim or sum(t.pdeg for t in thetas) != ess.total_mult:
+        raise CertificateError(f"need {ess.dim} derivations with degrees summing to {ess.total_mult}")
+    res = oracle.saito_check(ess, thetas)
+    if res.kind != "Basis":
+        raise CertificateError("cited derivations are not a basis")
+    return _saito_verdict(a, dropped, thetas, res.exponents, node.numbers["seed"])
+
+
+def _recheck_hilbert(a: Multiarrangement, node: CertNode) -> Verdict:
+    ess, dropped = essentialize(a)
+    cap = node.inputs["degree_cap"]
+    if cap < 1 or not oracle.cap_is_reasonable(ess.dim, cap):
+        raise CertificateError(f"degree cap {cap} is out of range")
+    res = oracle.hilbert_freeness_test(ess, degree_cap=cap, seed=0, trials=0)
+    if res.kind != "NonFreeProven":
+        raise CertificateError("Hilbert obstruction does not re-verify")
+    return _hilbert_verdict(a, ess, dropped, res)
 
 
 RULES = (
@@ -513,6 +538,21 @@ RULES = (
     ("two-locally-heavy", _attempt_two_locally_heavy),
     ("oracle", _attempt_oracle),
 )
+
+# Certificate rule -> re-derivation of a node from the arrangement and the
+# choices the node cites, by the function that proved it; the verifier
+# requires the re-derived node to equal the cited one.
+RECHECKS = {
+    RULE_RANK2: lambda a, node: _rank2_base(a),
+    RULE_FLAG: lambda a, node: certify_flag(a, Flag.from_dict(node.inputs["flag"])),
+    RULE_LOCALLY_HEAVY: lambda a, node: certify_locally_heavy(
+        a, node.inputs["h0"], decide=lambda r: _reverify_node(r, node.children[0])
+    ),
+    RULE_GENERIC: lambda a, node: nonfree_generic(a, node.inputs["h"]),
+    RULE_TWO_LH: lambda a, node: nonfree_two_locally_heavy(a),
+    RULE_SAITO: _recheck_saito,
+    RULE_HILBERT: _recheck_hilbert,
+}
 DISPATCH_ORDER = tuple(name for name, _ in RULES)
 
 
@@ -546,72 +586,25 @@ def certify(a: Multiarrangement, opts: CertifyOptions = CertifyOptions()) -> Ver
 # certificate re-verification
 
 
-def _reverify_node(a: Multiarrangement, node: CertNode) -> Verdict:
-    from . import oracle
+def _as_json(node: CertNode) -> str:
+    return json.dumps(node.to_dict(), sort_keys=True)
 
-    if node.rule == RULE_RANK2:
-        v = _rank2_base(a)
-        if list(v.exponents) != node.numbers.get("exponents"):
-            raise CertificateError("rank-2 exponents do not re-verify")
-        return v
-    if node.rule == RULE_FLAG:
-        flag = Flag.from_dict(node.inputs["flag"])
-        v = certify_flag(a, flag)
-        if v.certificate.numbers != node.numbers:
-            raise CertificateError("flag numbers do not re-verify")
-        return v
-    if node.rule == RULE_LOCALLY_HEAVY:
-        i0 = a.index_of(node.inputs["h0"])
-        if not is_locally_heavy(a, i0):
-            raise CertificateError("cited hyperplane is not locally heavy")
-        restr, numbers = _locally_heavy_step(a, i0)
-        if numbers != node.numbers:
-            raise CertificateError("locally-heavy numbers do not re-verify")
-        away, rb2 = numbers["away_b2"], numbers["restriction_b2"]
-        if away != rb2:
-            return Verdict("NonFree", witness={"away_b2": away, "restriction_b2": rb2})
-        if not node.children:
-            raise CertificateError("equality case needs a restriction certificate")
-        sub = _reverify_node(restr, node.children[0])
-        if sub.kind == "Free":
-            return Verdict("Free", tuple(sorted((a.mult[i0],) + tuple(sub.exponents))))
-        return sub
-    if node.rule == RULE_GENERIC:
-        v = nonfree_generic(a, node.inputs["h"])
-        if not v.decisive:
-            raise CertificateError("generic rule preconditions do not re-verify")
-        return v
-    if node.rule == RULE_TWO_LH:
-        v = nonfree_two_locally_heavy(a)
-        if not v.decisive:
-            raise CertificateError("two-locally-heavy rule does not re-verify")
-        return v
-    if node.rule == RULE_SAITO:
-        thetas = [oracle.Derivation.from_dict(d) for d in node.inputs["derivations"]]
-        ess, _ = essentialize(a)
-        res = oracle.saito_check(ess, thetas)
-        if res.kind != "Basis":
-            raise CertificateError("cited derivations are not a basis")
-        if sorted(t.pdeg for t in thetas) != node.numbers.get("exponents"):
-            raise CertificateError("basis degrees do not match cited exponents")
-        return Verdict("Free", tuple(sorted(t.pdeg for t in thetas)))
-    if node.rule == RULE_HILBERT:
-        ess, _ = essentialize(a)
-        cap = node.inputs["degree_cap"]
-        if cap < 1 or not oracle.cap_is_reasonable(ess.dim, cap):
-            raise CertificateError(f"degree cap {cap} is out of range")
-        res = oracle.hilbert_freeness_test(ess, degree_cap=cap, seed=0, trials=0)
-        if res.kind != "NonFreeProven":
-            raise CertificateError("Hilbert obstruction does not re-verify")
-        return Verdict("NonFree", witness={"graded_dims": list(res.dims)})
-    raise CertificateError(f"unknown certificate rule {node.rule}")
+
+def _reverify_node(a: Multiarrangement, node: CertNode) -> Verdict:
+    if node.rule not in RECHECKS:
+        raise CertificateError(f"unknown certificate rule {node.rule}")
+    v = RECHECKS[node.rule](a, node)
+    if v.certificate is None or _as_json(v.certificate) != _as_json(node):
+        raise CertificateError(f"{node.rule} node does not re-derive from the arrangement")
+    return v
 
 
 def verify_certificate(a: Multiarrangement, payload: dict) -> Verdict:
     """Re-verify a certificate JSON payload against an arrangement.
 
-    Recomputes every number each node cites and returns the re-derived
-    verdict; raises CertificateError when anything fails to match, when a
+    Re-derives every node with the rule that proved it and returns the
+    re-derived verdict; raises CertificateError when a re-derived node
+    differs from the cited one in any rule, input, number or child, when a
     re-derived Free verdict does not have rank-many exponents summing to
     |m|, or when the payload is malformed.
     """

@@ -157,8 +157,8 @@ def _as_int(value, what: str) -> int:
 def cmd_lattice(args) -> int:
     a = _load(args.file)
     max_codim = args.max_codim if args.max_codim is not None else min(3, a.dim)
-    if max_codim > a.dim:
-        print(f"error: --max-codim {max_codim} exceeds dimension {a.dim}", file=sys.stderr)
+    if not 1 <= max_codim <= a.dim:
+        print(f"error: --max-codim {max_codim} is not between 1 and dimension {a.dim}", file=sys.stderr)
         return EXIT_PARSE
     levels = intersection_lattice(a, max_codim)
     if args.json:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from arrfree.arrangement import is_heavy, is_locally_heavy, parse, rank
 from arrfree.certify import (
+    RECHECKS,
     CertificateError,
     CertifyOptions,
     Flag,
@@ -408,7 +409,8 @@ def test_certificate_wrong_kind_detected():
 
 def _malformed(name):
     """An (arrangement, payload) pair that must not verify: a malformed
-    payload, an out-of-range oracle cap, or a proof by a rule the prover
+    payload, an out-of-range oracle cap, a node whose cited numbers or
+    inputs differ from the re-derived ones, or a proof by a rule the prover
     never emits."""
     a = example_a3(1, 2)
     payload = certify(a).to_dict()  # proved by LocallyHeavyRestriction
@@ -438,6 +440,22 @@ def _malformed(name):
             "numbers": {"inferred": "full", "exponents": [1, 2, 2]},
         }
         a, payload = example52(), {"kind": "Free", "exponents": [1, 2, 2], "certificate": node}
+    elif name in ("generic rank", "generic h_form"):
+        a = generic4()
+        payload = certify(a, CertifyOptions(only_rule="generic")).to_dict()
+        node = payload["certificate"]
+        if name == "generic rank":
+            node["numbers"]["rank"] = 99
+        else:
+            node["inputs"]["h_form"] = "junk"
+    elif name in ("two-locally-heavy rank", "two-locally-heavy indices"):
+        a = example52()
+        payload = certify(a, CertifyOptions(only_rule="two-locally-heavy")).to_dict()
+        node = payload["certificate"]
+        if name == "two-locally-heavy rank":
+            node["numbers"]["rank"] = 99
+        else:
+            node["inputs"]["locally_heavy"] = [0, 0]
     elif name == "forged multiplicity shift":
         # example_a3(1, 2) has exponents (2, 2, 3); this node once verified (2, 3, 4)
         inner = certify(normalize_multiplicity_shift(a, 5, 2))
@@ -459,6 +477,10 @@ def _malformed(name):
         "cap too large",
         "forged addition-deletion",
         "forged multiplicity shift",
+        "generic rank",
+        "generic h_form",
+        "two-locally-heavy rank",
+        "two-locally-heavy indices",
     ],
 )
 def test_verifier_rejects_with_certificate_error(name):
@@ -496,6 +518,44 @@ def _decisive_payload(name):
         assert v.decisive
         _PAYLOADS[name] = (a, v, json.loads(json.dumps(v.to_dict())))
     return _PAYLOADS[name]
+
+
+def _node_rules(node):
+    yield node.rule
+    for child in node.children:
+        yield from _node_rules(child)
+
+
+def test_rechecks_cover_exactly_the_emitted_rules():
+    assert set(RECHECKS) == set(EMITTED_RULES)
+    for name in FIXTURES:
+        _, verdict, _ = _decisive_payload(name)
+        assert set(_node_rules(verdict.certificate)) <= set(RECHECKS)
+
+
+def test_saito_recheck_bounds_degrees_before_polynomial_work(monkeypatch):
+    # boolean3 has |m| = 3: three degree-2 derivations, or two derivations,
+    # cannot be a Saito basis, and are refused before saito_check runs
+    import arrfree.oracle as oracle_mod
+
+    def never(*args, **kwargs):
+        raise AssertionError("saito_check must not run")
+
+    monkeypatch.setattr(oracle_mod, "saito_check", never)
+
+    def derivation(i, degree):  # x_i^degree d/dx_i
+        mono = [degree if j == i else 0 for j in range(3)]
+        return {"nvars": 3, "coeffs": [[[mono, "1"]] if j == i else [] for j in range(3)]}
+
+    for degrees in ([2, 2, 2], [1, 2]):
+        node = {
+            "rule": "SaitoBasis",
+            "inputs": {"derivations": [derivation(i, d) for i, d in enumerate(degrees)], "essentialized_from_dim": None},
+            "numbers": {"exponents": degrees, "seed": 0},
+        }
+        payload = {"kind": "Free", "exponents": degrees, "certificate": node}
+        with pytest.raises(CertificateError, match="degrees summing to 3"):
+            verify_certificate(boolean3(), payload)
 
 
 def _slots(tree, path=()):

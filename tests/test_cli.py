@@ -54,6 +54,13 @@ def test_lattice_bad_codim(capsys):
     assert "max-codim" in err
 
 
+@pytest.mark.parametrize("codim", ["0", "-1"])
+def test_lattice_codim_below_one(capsys, codim):
+    code, out, err = run(capsys, "lattice", BOOLEAN, "--json", "--max-codim", codim)
+    assert code == 2 and out == ""
+    assert "max-codim" in err
+
+
 def test_lattice_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not valid", encoding="utf-8")
