@@ -35,7 +35,7 @@ from .arrangement import (
     shifted_mult,
 )
 from .betti import b2_away, b2_multi, b2_simple
-from .rank2 import instance_from_rank2_arrangement, rank2_exponents
+from .rank2 import Rank2Instance, rank2_exponents
 
 RULE_RANK2 = "Rank2Base"
 RULE_LOCALLY_HEAVY = "LocallyHeavyRestriction"
@@ -265,7 +265,8 @@ def _rank2_base(a: Multiarrangement) -> Verdict:
     elif r == 1:
         exps = (a.total_mult,)
     else:
-        exps = rank2_exponents(instance_from_rank2_arrangement(a))
+        ess, _ = essentialize(a)
+        exps = rank2_exponents(Rank2Instance(tuple(h.normal for h in ess.hyperplanes), ess.mult))
     node = CertNode(
         RULE_RANK2,
         {"arrangement": a.to_dict()},

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / Free verdict, 10 NonFree, 20 Inconclusive,
 2 parse or usage errors (an oracle degree cap below 1, a negative
-`oracle --degree`, a sweep grid of more than MAX_SWEEP_ROWS rows),
+`oracle --degree`, a sweep grid of more than MAX_SWEEP_ROWS rows, an
+ARRFREE_SEED that is not an integer),
 3 oversized oracle degree cap or `oracle --degree`.  JSON output is
 deterministic for fixed input and seed.
 """
@@ -23,11 +24,11 @@ from math import prod
 
 from . import oracle as oracle_mod
 from .arrangement import (
-    Multiarrangement,
     ParseError,
     essentialize,
     intersection_lattice,
     parse,
+    parse_file,
     rank,
 )
 from .betti import b2_multi
@@ -47,11 +48,6 @@ CERT_FORMAT = "arrfree-certificate/1"
 def _digest(path: str) -> str:
     with open(path, "rb") as fh:
         return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
-
-
-def _load(path: str) -> Multiarrangement:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
 
 
 def _emit_json(obj) -> None:
@@ -75,10 +71,11 @@ def _cap_too_large(cap: int | None, dim: int, least: int = 1) -> bool:
 
 
 def _default_seed() -> int:
+    raw = os.environ.get("ARRFREE_SEED", "0")
     try:
-        return int(os.environ.get("ARRFREE_SEED", "0"))
+        return int(raw)
     except ValueError:
-        return 0
+        raise ParseError(f"ARRFREE_SEED must be an integer, got {raw!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +152,7 @@ def _as_int(value, what: str) -> int:
 
 
 def cmd_lattice(args) -> int:
-    a = _load(args.file)
+    a = parse_file(args.file)
     max_codim = args.max_codim if args.max_codim is not None else min(3, a.dim)
     if not 1 <= max_codim <= a.dim:
         print(f"error: --max-codim {max_codim} is not between 1 and dimension {a.dim}", file=sys.stderr)
@@ -190,7 +187,7 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_b2(args) -> int:
-    a = _load(args.file)
+    a = parse_file(args.file)
     report = b2_multi(a)
     if args.json:
         _emit_json(
@@ -225,7 +222,7 @@ def _certificate_payload(v: Verdict, seed: int, digest: str) -> dict:
 
 def cmd_certify(args) -> int:
     t0 = time.perf_counter()
-    a = _load(args.file)
+    a = parse_file(args.file)
     if args.oracle and _cap_too_large(args.max_degree, a.dim):
         return EXIT_CAP
     seed = args.seed if args.seed is not None else _default_seed()
@@ -362,7 +359,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    a = _load(args.file)
+    a = parse_file(args.file)
     dropped = 0
     if rank(a) != a.dim:
         if not args.essentialize:

@@ -96,11 +96,6 @@ class Matrix:
     def rank(self) -> int:
         return len(self.rref()[1])
 
-    def row_space(self) -> tuple[Vec, ...]:
-        """Canonical basis of the row space: nonzero RREF rows."""
-        red, pivots = self.rref()
-        return tuple(red.entries[i] for i in range(len(pivots)))
-
 
 def rank_and_kernel(m: Matrix) -> tuple[int, list[Vec]]:
     """Rank and a deterministic reduced-echelon kernel basis.

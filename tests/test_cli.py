@@ -159,6 +159,22 @@ def test_certify_seed_env_default(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 42
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("certify", EX1, "--json"),
+        ("sweep", EX1_TEMPLATE, "--param", "a=1..2", "--param", "m0=2*a", "--json"),
+        ("oracle", BRAID, "--degree", "1", "--json"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_malformed_seed_env_exits_2(capsys, monkeypatch, argv):
+    monkeypatch.setenv("ARRFREE_SEED", "abc")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: ARRFREE_SEED must be an integer, got 'abc'\n"
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

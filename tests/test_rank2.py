@@ -5,7 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import arrfree.rank2 as rank2_mod
 from arrfree.arrangement import codim2_flats
+from arrfree.dspace import derivation_basis
 from arrfree.fixtures import boolean3, braid3, example_a3
 from arrfree.rank2 import (
     Rank2Instance,
@@ -145,6 +147,73 @@ def test_exponents_invariant_under_gl2(seed, g):
 
 
 # ---------------------------------------------------------------------------
+# one graded solve against the degree-by-degree search
+
+
+def _reference_exponents(i):
+    """The smallest degree with a nonzero derivation, searched upward."""
+    total = i.total_mult
+    d1 = next(d for d in range(total // 2 + 1) if derivation_basis(i.forms, i.mult, d))
+    return d1, total - d1
+
+
+# (forms, multiplicities, exponents)
+EDGE_CASES = [
+    ([X, Y], (3, 5), (3, 5)),  # two forms
+    ([X, XMY], (7, 2), (2, 7)),
+    ([X, Y, XMY], (7, 2, 2), (4, 7)),  # strictly heavy: |m| - max m is the binding term
+    ([X, Y, XMY, (F(1), F(1))], (9, 1, 2, 1), (4, 9)),
+    ([X, Y, XMY], (3, 1, 1), (2, 3)),  # 2 max m = |m| + 1: both terms equal
+    ([X, Y, XMY], (4, 2, 2), (4, 4)),  # max m = |m|/2 exactly
+    ([X, Y, XMY, (F(1), F(2))], (5, 1, 2, 2), (5, 5)),
+    ([X, Y, XMY], (2, 2, 2), (3, 3)),  # even |m| with d1 = d2
+    ([X, Y, XMY, (F(1), F(1))], (2, 2, 2, 2), (4, 4)),  # B2, constant multiplicity 2
+] + [
+    ([(F(1), F(k)) for k in range(n - 1)] + [Y], (1,) * n, (1, n - 1))  # simple lines
+    for n in range(5, 9)
+]
+
+
+@pytest.mark.parametrize("forms, mult, exps", EDGE_CASES)
+def test_one_solve_matches_search_on_edge_cases(forms, mult, exps):
+    i = inst(forms, mult)
+    assert rank2_exponents(i) == _reference_exponents(i) == exps
+
+
+_forms_strategy = st.lists(
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(lambda f: f != (0, 0)),
+    min_size=2,
+    max_size=6,
+    unique_by=lambda f: (F(f[0], f[1]) if f[1] else None),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_forms_strategy, st.data())
+def test_one_solve_matches_search(forms, data):
+    mult = data.draw(st.tuples(*[st.integers(1, 12) for _ in forms]))
+    i = inst(forms, mult)
+    assert rank2_exponents(i) == _reference_exponents(i)
+
+
+@pytest.mark.parametrize("forms, mult, exps", EDGE_CASES)
+def test_exponents_from_one_solve(monkeypatch, forms, mult, exps):
+    # one derivation_basis call; an instance with 2 max m > |m| solves at d1
+    degrees = []
+
+    def recording(fs, ms, degree):
+        degrees.append(degree)
+        return derivation_basis(fs, ms, degree)
+
+    monkeypatch.setattr(rank2_mod, "derivation_basis", recording)
+    rank2_mod._min_degree_basis.cache_clear()
+    assert rank2_exponents(inst(forms, mult)) == exps
+    assert len(degrees) == 1
+    if 2 * max(mult) > sum(mult):
+        assert degrees == [exps[0]]
+
+
+# ---------------------------------------------------------------------------
 # Euler multiplicity
 
 
@@ -185,3 +254,6 @@ def test_instance_validation():
         Rank2Instance((X,), (1,))
     with pytest.raises(ValueError):
         Rank2Instance((X, (F(2), F(0))), (1, 1))
+    for mult in [(2, -1), (0, 1), (1, F(3, 2)), (True, 1), (1.0, 1)]:
+        with pytest.raises(ValueError):
+            Rank2Instance((X, Y), mult)
