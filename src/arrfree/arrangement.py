@@ -4,13 +4,15 @@ Hyperplanes are stored as canonicalized rational normals (first nonzero
 entry scaled to 1) so equality of hyperplanes is equality of tuples.  All
 objects are immutable values.
 
-A flat is named by the hyperplanes containing it and carries the RREF basis
-of the span of their normals.  The codimension-2 flats -- the elements of
-each restriction A^H, which local heaviness, the Euler-Ziegler restriction
-and b2 all read -- come from one table per tuple of hyperplanes
-(`_codim2_table`, lru-cached): one grouping pass per hyperplane, in integer
-arithmetic.  Flats of codimension 3 and more, and the check of a given flat
-in `localization`, span normals and test every hyperplane against the span.
+A flat is its codimension and the set of hyperplanes containing it; every
+criterion reads a flat only through its members and their multiplicities.
+The codimension-2 flats -- the elements of each restriction A^H, which local
+heaviness, the Euler-Ziegler restriction and b2 all read -- come from one
+table per tuple of hyperplanes (`_codim2_table`, lru-cached): one grouping
+pass per hyperplane, in integer arithmetic.  Flats of codimension 3 and
+more, and the check of a given flat in `localization`, take the kernel of
+some member normals (`Matrix.rref`, the one exact elimination) and collect
+the hyperplanes whose normals vanish on it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Sequence
 
-from .exactalg import Matrix, Vec, linear_change_to_coordinate, vec
+from .exactalg import Matrix, Vec, linear_change_to_coordinate, rank_and_kernel, vec
 
 VAR_NAMES = ["x", "y", "z", "w"]
 
@@ -154,12 +156,11 @@ class Multiarrangement:
 
 @dataclass(frozen=True)
 class Flat:
-    """An intersection subspace: codimension, containing hyperplanes, and the
-    canonical (RREF) basis of the span of their normals."""
+    """An intersection subspace, named by its codimension and the indices of
+    the hyperplanes containing it."""
 
     codim: int
     members: frozenset[int]
-    basis: tuple[Vec, ...]
 
     def sorted_members(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
@@ -216,28 +217,17 @@ def parse_file(path: str) -> Multiarrangement:
 # lattice machinery
 
 
-def _reduce_against(rows: tuple[Vec, ...], pivots: tuple[int, ...], v: Vec) -> Vec:
-    w = list(v)
-    for row, p in zip(rows, pivots):
-        if w[p] != 0:
-            f = w[p]
-            w = [a - f * b for a, b in zip(w, row)]
-    return tuple(w)
-
-
-def _rref_rows(vectors: Sequence[Vec]) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
-    red, pivots = Matrix(vectors).rref()
-    return tuple(red.entries[i] for i in range(len(pivots))), tuple(pivots)
-
-
 def _span_flat(a: Multiarrangement, seed_normals: Sequence[Vec]) -> Flat:
-    rows, pivots = _rref_rows(seed_normals)
+    """The flat cut out by the seed normals.  Their span is the annihilator
+    of their kernel, so a hyperplane contains the flat exactly when its
+    normal vanishes on every kernel vector."""
+    r, kernel = rank_and_kernel(Matrix(seed_normals))
     members = frozenset(
         k
         for k, h in enumerate(a.hyperplanes)
-        if all(x == 0 for x in _reduce_against(rows, pivots, h.normal))
+        if all(sum(x * y for x, y in zip(h.normal, v) if y) == 0 for v in kernel)
     )
-    return Flat(len(rows), members, rows)
+    return Flat(r, members)
 
 
 def rank(a: Multiarrangement) -> int:
@@ -253,18 +243,6 @@ def _pivot(v: Sequence) -> int:
 def _integer_normal(n: Vec) -> tuple[int, ...]:
     d = lcm(*(x.denominator for x in n))
     return tuple(x.numerator * (d // x.denominator) for x in n)
-
-
-def _plane_basis(n: Vec, p: int, c: Sequence[int]) -> tuple[Vec, Vec]:
-    """RREF of the span of n (pivot p, n[p] = 1) and a nonzero integer vector
-    c with c[p] = 0, without elimination: c scaled to a leading 1 is already
-    reduced at p, the row with the earlier pivot comes first, and only n can
-    need clearing at the pivot of c."""
-    q = _pivot(c)
-    w = tuple(Fraction(x, c[q]) for x in c)
-    if q < p:
-        return w, n
-    return tuple(x - n[q] * y for x, y in zip(n, w)), w
 
 
 @lru_cache(maxsize=1024)
@@ -298,14 +276,11 @@ def _codim2_table(
             if r[_pivot(r)] < 0:
                 g = -g
             groups.setdefault(tuple(x // g for x in r), [i]).append(k)
-        n = hyperplanes[i].normal
-        if n[p] != 1:
-            n = tuple(x / n[p] for x in n)
         row = []
-        for key, ks in groups.items():
+        for ks in groups.values():
             members = frozenset(ks)
             if ks[1] > i:
-                built[members] = Flat(2, members, _plane_basis(n, p, key))
+                built[members] = Flat(2, members)
             row.append(built[members])
         rows.append(tuple(row))
     return tuple(built.values()), tuple(rows)
@@ -315,27 +290,28 @@ def intersection_lattice(a: Multiarrangement, max_codim: int) -> dict[int, tuple
     """Flats of codimension 1..max_codim, each listed once, in member order.
 
     Codimension 2 comes from the grouping table of `_codim2_table`; each
-    higher level extends the flats of the level below by one hyperplane at a
-    time and keeps the spans that grow by one.
+    higher level spans the member normals of a flat of the level below with
+    one hyperplane outside it.  The members of a flat are closed under the
+    span, so every such span grows by one; a hyperplane already in a flat
+    found from the same lower flat spans that flat again and is skipped.
     """
     if max_codim > a.dim:
         raise ValueError("max_codim exceeds dimension")
     levels: dict[int, tuple[Flat, ...]] = {}
     if max_codim >= 1:
-        levels[1] = tuple(
-            Flat(1, frozenset({i}), _rref_rows([h.normal])[0]) for i, h in enumerate(a.hyperplanes)
-        )
+        levels[1] = tuple(Flat(1, frozenset({i})) for i in range(a.size))
     if max_codim >= 2:
         levels[2] = codim2_flats(a)
     for r in range(2, max_codim):
-        nxt: dict[tuple[Vec, ...], Flat] = {}
+        nxt: dict[frozenset[int], Flat] = {}
         for f in levels[r]:
+            seeds = [a.hyperplanes[k].normal for k in f.sorted_members()]
+            covered = set(f.members)
             for k, h in enumerate(a.hyperplanes):
-                if k in f.members:
-                    continue
-                g = _span_flat(a, list(f.basis) + [h.normal])
-                if g.codim == r + 1:
-                    nxt.setdefault(g.basis, g)
+                if k not in covered:
+                    g = _span_flat(a, seeds + [h.normal])
+                    covered |= g.members
+                    nxt.setdefault(g.members, g)
         levels[r + 1] = tuple(sorted(nxt.values(), key=Flat.sorted_members))
     return levels
 
@@ -346,11 +322,17 @@ def codim2_flats(a: Multiarrangement) -> tuple[Flat, ...]:
 
 
 def localization(a: Multiarrangement, x: Flat) -> Multiarrangement:
-    """(A_X, m_X): the members of x with inherited multiplicities."""
-    recomputed = _span_flat(a, x.basis)
-    if recomputed.members != x.members or recomputed.codim != x.codim:
-        raise ValueError("not a flat of this arrangement")
+    """(A_X, m_X): the members of x with inherited multiplicities.
+
+    Raises ValueError unless x names a flat of a: in-range members that are
+    exactly the hyperplanes containing the span of their normals, which has
+    codimension x.codim."""
     idx = x.sorted_members()
+    if idx and (idx[0] < 0 or idx[-1] >= a.size):
+        raise ValueError("not a flat of this arrangement")
+    span = _span_flat(a, [a.hyperplanes[k].normal for k in idx]) if idx else Flat(0, frozenset())
+    if span != x:
+        raise ValueError("not a flat of this arrangement")
     return Multiarrangement(
         a.dim,
         tuple(a.hyperplanes[i] for i in idx),
@@ -367,18 +349,17 @@ def restriction_flats(a: Multiarrangement, h0: Hyperplane | int) -> list[Flat]:
 
 @dataclass(frozen=True)
 class Restriction:
-    """Euler-Ziegler restriction onto a hyperplane, in an explicit chart.
+    """Euler-Ziegler restriction onto the hyperplane h0.
 
-    The chart is y = T x with the restricted space {y_1 = 0}; restricted
-    hyperplanes live in coordinates (y_2, ..., y_l).  trace_members[k] is
-    the set of input-arrangement indices of hyperplanes containing the k-th
-    restricted hyperplane (including h0 itself).
+    Restricted hyperplanes live in the coordinates (y_2, ..., y_l) of the
+    chart y = T x given by `linear_change_to_coordinate` of the normal of
+    h0, in which h0 is {y_1 = 0}.  trace_members[k] is the set of
+    input-arrangement indices of hyperplanes containing the k-th restricted
+    hyperplane (including h0 itself).
     """
 
     arrangement: Multiarrangement
     trace_members: tuple[frozenset[int], ...]
-    chart: Matrix
-    chart_inv: Matrix
     h0: int
 
 
@@ -391,7 +372,7 @@ def euler_ziegler_multiplicity(a: Multiarrangement, h0: Hyperplane | int) -> Res
     i0 = a.index_of(h0)
     if a.dim < 2:
         raise ValueError("restriction needs ambient dimension >= 2")
-    t, tinv = linear_change_to_coordinate(a.hyperplanes[i0].normal)
+    _, tinv = linear_change_to_coordinate(a.hyperplanes[i0].normal)
     flats = _codim2_table(a.hyperplanes)[1][i0]
     planes = []
     for f in flats:
@@ -403,7 +384,7 @@ def euler_ziegler_multiplicity(a: Multiarrangement, h0: Hyperplane | int) -> Res
         planes.append(Hyperplane.from_coeffs(trace))
     mults = tuple(sum(a.mult[k] for k in f.members) - a.mult[i0] for f in flats)
     restricted = Multiarrangement(a.dim - 1, tuple(planes), mults)
-    return Restriction(restricted, tuple(f.members for f in flats), t, tinv, i0)
+    return Restriction(restricted, tuple(f.members for f in flats), i0)
 
 
 def deletion(a: Multiarrangement, h0: Hyperplane | int) -> Multiarrangement:

@@ -21,6 +21,7 @@ from typing import Callable, Sequence
 
 from . import oracle
 from .arrangement import (
+    Flat,
     Hyperplane,
     Multiarrangement,
     essentialize,
@@ -35,7 +36,7 @@ from .arrangement import (
     shifted_mult,
 )
 from .betti import b2_away, b2_multi, b2_simple
-from .rank2 import Rank2Instance, rank2_exponents
+from .rank2 import project_to_rank2, rank2_exponents
 
 RULE_RANK2 = "Rank2Base"
 RULE_LOCALLY_HEAVY = "LocallyHeavyRestriction"
@@ -265,8 +266,7 @@ def _rank2_base(a: Multiarrangement) -> Verdict:
     elif r == 1:
         exps = (a.total_mult,)
     else:
-        ess, _ = essentialize(a)
-        exps = rank2_exponents(Rank2Instance(tuple(h.normal for h in ess.hyperplanes), ess.mult))
+        exps = rank2_exponents(project_to_rank2(a, Flat(2, frozenset(range(a.size)))))
     node = CertNode(
         RULE_RANK2,
         {"arrangement": a.to_dict()},

@@ -21,7 +21,7 @@ from .arrangement import (
     rank,
 )
 from .dspace import derivation_basis
-from .exactalg import Polynomial, frac, monomials, poly_matrix_det
+from .exactalg import Polynomial, frac, linear_change_to_coordinate, monomials, poly_matrix_det
 
 
 @dataclass(frozen=True)
@@ -323,7 +323,7 @@ def restrict_derivation(a: Multiarrangement, h0: Hyperplane | int, theta: Deriva
     if not theta.apply_form(a.hyperplanes[i0].normal).is_zero():
         raise ValueError("derivation does not annihilate the hyperplane form")
     restr = euler_ziegler_multiplicity(a, i0)
-    t, tinv = restr.chart, restr.chart_inv
+    t, tinv = linear_change_to_coordinate(a.hyperplanes[i0].normal)
     images = [tuple(row) for row in tinv.entries]
     new_coeffs = []
     for i in range(1, a.dim):

@@ -48,23 +48,34 @@ class Rank2Instance:
         return sum(self.mult)
 
 
+def _pivot(v) -> int:
+    return next(j for j, c in enumerate(v) if c != 0)
+
+
 def project_to_rank2(a: Multiarrangement, x: Flat) -> Rank2Instance:
     """Quotient the members of a codim-2 flat down to two variables.
 
-    The flat's RREF basis rows (w1, w2) span the normals of all members, so
-    each member normal n is n[p1]*w1 + n[p2]*w2 with p1 < p2 the pivot
-    columns; (n[p1], n[p2]) is its projected form.
+    The member normals span a plane whose RREF basis (w1, w2) has pivot
+    columns p1 < p2, and each member normal n is n[p1]*w1 + n[p2]*w2, so
+    (n[p1], n[p2]) is its projected form.  Two member normals u, v give the
+    pivots: the residue u[p1]*v - v[p1]*u, with p1 the earlier of their
+    pivots, vanishes up to p1 and has pivot p2.  When the pivots of u and v
+    differ, that is the later one.  The members are trusted to be a flat of
+    a; only their indices and count are checked.
     """
     if x.codim != 2:
         raise ValueError("flat must have codimension 2")
-    rows = x.basis
-    pivots = [next(i for i, c in enumerate(r) if c != 0) for r in rows]
-    forms = []
     idx = x.sorted_members()
-    for k in idx:
-        n = a.hyperplanes[k].normal
-        forms.append(vec((n[pivots[0]], n[pivots[1]])))
-    return Rank2Instance(tuple(forms), tuple(a.mult[k] for k in idx), idx)
+    if len(idx) < 2:
+        raise ValueError("a codimension-2 flat has at least two members")
+    if idx[0] < 0 or idx[-1] >= a.size:
+        raise ValueError("flat member out of range")
+    u, v = (a.hyperplanes[k].normal for k in idx[:2])
+    p1, p2 = sorted((_pivot(u), _pivot(v)))
+    if p1 == p2:
+        p2 = next(j for j in range(p1 + 1, len(u)) if u[p1] * v[j] != v[p1] * u[j])
+    forms = tuple(vec((n[p1], n[p2])) for n in (a.hyperplanes[k].normal for k in idx))
+    return Rank2Instance(forms, tuple(a.mult[k] for k in idx), idx)
 
 
 # perfbench looks this cache up by name (run.COLD_CACHES, tracing) to clear it

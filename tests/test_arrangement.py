@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from arrfree.arrangement import (
+    Flat,
     Hyperplane,
     Multiarrangement,
     ParseError,
@@ -161,6 +162,28 @@ def test_localization_foreign_flat():
     with pytest.raises(ValueError):
         localization(a, foreign)
     del f
+
+
+# braid3: x, y, z, x-y, x-z, y-z; {0, 1} is not closed, since x-y lies in
+# the span of x and y
+FOREIGN_FLATS = {
+    "index past the end": Flat(2, frozenset({0, 9})),
+    "negative index": Flat(2, frozenset({-1, 0})),
+    "wrong codim": Flat(3, frozenset({0, 1, 3})),
+    "not closed": Flat(2, frozenset({0, 1})),
+    "single member": Flat(2, frozenset({0})),
+}
+
+
+@pytest.mark.parametrize("flat", FOREIGN_FLATS.values(), ids=FOREIGN_FLATS.keys())
+def test_localization_rejects_foreign_flat(flat):
+    with pytest.raises(ValueError):
+        localization(braid3(), flat)
+
+
+def test_localization_of_the_whole_space_is_empty():
+    loc = localization(braid3(), Flat(0, frozenset()))
+    assert loc.size == 0 and loc.dim == 3
 
 
 def test_restriction_flats_boolean():

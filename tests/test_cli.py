@@ -26,6 +26,25 @@ def run(capsys, *argv):
 
 
 # ---------------------------------------------------------------------------
+# unreadable input
+
+SUBCOMMAND_ARGS = {"lattice": [], "b2": [], "certify": [], "sweep": [], "oracle": ["--hilbert"]}
+
+
+@pytest.mark.parametrize("kind", ["directory", "latin-1"])
+@pytest.mark.parametrize("command", SUBCOMMAND_ARGS)
+def test_unreadable_input_exits_2(tmp_path, capsys, command, kind):
+    if kind == "directory":
+        path = tmp_path
+    else:
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"dim": 2, "labels": ["caf\u00e9"]}'.encode("latin-1"))
+    code, out, err = run(capsys, command, str(path), *SUBCOMMAND_ARGS[command])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
 # lattice
 
 

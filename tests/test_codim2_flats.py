@@ -1,13 +1,17 @@
-"""Differential tests of the codimension-2 flat table against the pairwise
-construction it replaced.
+"""Differential tests of the flats against the Fraction-basis construction
+they replaced.
 
-The reference spans the normals of every hyperplane pair with a Fraction
-RREF and reduces every normal against each span, exactly as `arrangement`
-did before the grouping table; it is kept here only as the reference.
+The reference spans normals with a Fraction RREF and reduces every normal
+against the span's rows, exactly as `arrangement` did when each flat carried
+the RREF basis of its span: codimension-2 flats pairwise, higher ones by
+extending a lower flat's basis by one normal, and rank-2 projections from
+the pivot columns of that basis.  It is kept here only as the reference.
 """
 
+import importlib
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,18 +22,24 @@ from arrfree.arrangement import (
     Hyperplane,
     Multiarrangement,
     codim2_flats,
+    essentialize,
     euler_ziegler_multiplicity,
     intersection_lattice,
     is_locally_heavy,
+    localization,
     locally_heavy_indices,
     rank,
     restriction_flats,
 )
 from arrfree.exactalg import Matrix, linear_change_to_coordinate
 from arrfree.fixtures import load
+from arrfree.rank2 import Rank2Instance, project_to_rank2
+
+# the module, not the `certify` function the package exports under its name
+certify_mod = importlib.import_module("arrfree.certify")
 
 # ---------------------------------------------------------------------------
-# the pairwise reference
+# the Fraction-basis reference
 
 
 def _reduce_against(rows, pivots, v):
@@ -41,7 +51,8 @@ def _reduce_against(rows, pivots, v):
     return w
 
 
-def ref_span_flat(a, seed_normals):
+def ref_span(a, seed_normals):
+    """The flat cut out by the seed normals and the RREF rows of their span."""
     red, pivots = Matrix(seed_normals).rref()
     rows = tuple(red.entries[i] for i in range(len(pivots)))
     members = frozenset(
@@ -49,24 +60,67 @@ def ref_span_flat(a, seed_normals):
         for k, h in enumerate(a.hyperplanes)
         if all(x == 0 for x in _reduce_against(rows, pivots, h.normal))
     )
-    return Flat(len(rows), members, rows)
+    return Flat(len(rows), members), rows
 
 
-def ref_restriction_flats(a, i0):
-    flats = {}
-    for k in range(a.size):
-        if k != i0:
-            f = ref_span_flat(a, [a.hyperplanes[i0].normal, a.hyperplanes[k].normal])
-            flats.setdefault(f.basis, f)
-    return sorted(flats.values(), key=lambda f: f.sorted_members())
+def ref_codim2_bases(a):
+    """Members of every codim-2 flat -> RREF rows of its span, from every
+    hyperplane pair."""
+    bases = {}
+    for i, k in itertools.combinations(range(a.size), 2):
+        f, rows = ref_span(a, [a.hyperplanes[i].normal, a.hyperplanes[k].normal])
+        bases.setdefault(f.members, rows)
+    return bases
+
+
+def _flats(codim, members):
+    return tuple(Flat(codim, m) for m in sorted(members, key=sorted))
 
 
 def ref_codim2_flats(a):
-    flats = {}
-    for i, k in itertools.combinations(range(a.size), 2):
-        f = ref_span_flat(a, [a.hyperplanes[i].normal, a.hyperplanes[k].normal])
-        flats.setdefault(f.basis, f)
-    return tuple(sorted(flats.values(), key=lambda f: f.sorted_members()))
+    return _flats(2, ref_codim2_bases(a))
+
+
+def ref_restriction_flats(a, i0):
+    return list(_flats(2, [m for m in ref_codim2_bases(a) if i0 in m]))
+
+
+def ref_lattice(a, max_codim):
+    """Each level extends the bases of the level below by one normal and
+    keeps the spans that grow by one."""
+    levels = {1: {frozenset({i}): ref_span(a, [h.normal])[1] for i, h in enumerate(a.hyperplanes)}}
+    if max_codim >= 2:
+        levels[2] = ref_codim2_bases(a)
+    for r in range(2, max_codim):
+        nxt = {}
+        for members, rows in levels[r].items():
+            for k, h in enumerate(a.hyperplanes):
+                if k not in members:
+                    g, g_rows = ref_span(a, list(rows) + [h.normal])
+                    if g.codim == r + 1:
+                        nxt.setdefault(g.members, g_rows)
+        levels[r + 1] = nxt
+    return {r: _flats(r, level) for r, level in levels.items() if r <= max_codim}
+
+
+def ref_localization(a, x):
+    idx = sorted(x.members)
+    span, _ = ref_span(a, [a.hyperplanes[k].normal for k in idx])
+    if span != x:
+        raise ValueError("not a flat of this arrangement")
+    return Multiarrangement(
+        a.dim,
+        tuple(a.hyperplanes[i] for i in idx),
+        tuple(a.mult[i] for i in idx),
+        tuple(a.label(i) for i in idx),
+    )
+
+
+def ref_projection(a, members, rows):
+    """(forms, mult) of a codim-2 flat, read at the pivot columns of its basis."""
+    p1, p2 = (next(j for j, c in enumerate(r) if c != 0) for r in rows)
+    idx = sorted(members)
+    return tuple((a.hyperplanes[k].normal[p1], a.hyperplanes[k].normal[p2]) for k in idx), tuple(a.mult[k] for k in idx)
 
 
 def ref_locally_heavy_indices(a):
@@ -117,6 +171,33 @@ def assert_matches_reference(a):
         assert (r.arrangement, r.trace_members) == ref_euler_ziegler(a, i)
 
 
+def assert_projections_match_reference(a):
+    for members, rows in ref_codim2_bases(a).items():
+        inst = project_to_rank2(a, Flat(2, members))
+        assert (inst.forms, inst.mult) == ref_projection(a, members, rows)
+        assert inst.source == tuple(sorted(members))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+def assert_lattice_matches_reference(a):
+    levels = intersection_lattice(a, a.dim)
+    assert levels == ref_lattice(a, a.dim)
+    for flats in levels.values():
+        for f in flats:
+            assert localization(a, f) == ref_localization(a, f)
+            # the members less the least one: a flat only when it is closed
+            # under the span, which both constructions decide alike
+            if len(f.members) > 1:
+                sub = Flat(f.codim, f.members - {min(f.members)})
+                assert _outcome(localization, a, sub) == _outcome(ref_localization, a, sub)
+
+
 # ---------------------------------------------------------------------------
 # generated arrangements
 
@@ -156,6 +237,56 @@ def test_flat_table_matches_pairwise_reference(a):
     assert_matches_reference(a)
 
 
+@settings(max_examples=80, deadline=None)
+@given(arrangements())
+def test_projection_matches_basis_pivots(a):
+    assert_projections_match_reference(a)
+
+
+@settings(max_examples=20, deadline=None)
+@given(arrangements())
+def test_lattice_and_localization_match_reference(a):
+    assert_lattice_matches_reference(a)
+
+
+@st.composite
+def rank2_arrangements(draw):
+    """Rank-2 multiarrangements in dimension 2 to 4: combinations of two
+    independent drawn vectors."""
+    dim = draw(st.integers(2, 4))
+    base = draw(st.lists(st.lists(ENTRIES, min_size=dim, max_size=dim), min_size=2, max_size=2))
+    assume(Matrix(base).rank() == 2)
+    coeffs = draw(st.lists(st.lists(ENTRIES, min_size=2, max_size=2), min_size=2, max_size=7))
+    planes = {}
+    for c in coeffs:
+        row = [c[0] * x + c[1] * y for x, y in zip(*base)]
+        if any(x != 0 for x in row):
+            h = Hyperplane.from_coeffs(row)
+            planes.setdefault(h.normal, h)
+    assume(len(planes) >= 2)
+    mult = draw(st.lists(st.integers(1, 6), min_size=len(planes), max_size=len(planes)))
+    a = Multiarrangement(dim, tuple(planes.values()), tuple(mult))
+    assume(rank(a) == 2)
+    return a
+
+
+def assert_rank2_base_matches_essentialize(a):
+    """The instance the rank-2 base case solves is the one the essential
+    arrangement's normals gave."""
+    ess, _ = essentialize(a)
+    want = Rank2Instance(tuple(h.normal for h in ess.hyperplanes), ess.mult)
+    seen = []
+    with mock.patch.object(certify_mod, "rank2_exponents", side_effect=lambda inst: seen.append(inst) or (0, 0)):
+        certify_mod._rank2_base(a)
+    assert [(inst.forms, inst.mult) for inst in seen] == [(want.forms, want.mult)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(rank2_arrangements())
+def test_rank2_base_instance_matches_essentialize(a):
+    assert_rank2_base_matches_essentialize(a)
+
+
 # ---------------------------------------------------------------------------
 # fixtures and reflection arrangements
 
@@ -193,3 +324,19 @@ def test_flat_table_matches_reference_on_fixtures(name):
 def test_flat_table_matches_reference_on_reflection_arrangements(normals):
     assert_matches_reference(_reflection(normals))
     assert_matches_reference(_reflection(normals, [1 + i % 4 for i in range(len(normals))]))
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_projection_lattice_localization_match_reference_on_fixtures(name):
+    a = load(f"{name}.json")
+    assert_projections_match_reference(a)
+    assert_lattice_matches_reference(a)
+
+
+@pytest.mark.parametrize("normals", [B4, D4, A4], ids=["B4", "D4", "A4"])
+def test_projection_lattice_localization_match_reference_on_reflection_arrangements(normals):
+    a = _reflection(normals, [1 + i % 4 for i in range(len(normals))])
+    assert_projections_match_reference(a)
+    assert_lattice_matches_reference(a)
+    for members in ref_codim2_bases(a):
+        assert_rank2_base_matches_essentialize(localization(a, Flat(2, members)))

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import arrfree.rank2 as rank2_mod
-from arrfree.arrangement import codim2_flats
+from arrfree.arrangement import Flat, codim2_flats
 from arrfree.dspace import derivation_basis
 from arrfree.fixtures import boolean3, braid3, example_a3
 from arrfree.rank2 import (
@@ -76,6 +76,16 @@ def test_project_needs_codim2():
     f = intersection_lattice(a, 1)[1][0]
     with pytest.raises(ValueError):
         project_to_rank2(a, f)
+
+
+@pytest.mark.parametrize(
+    "members, codim",
+    [({0, 9}, 2), ({-1, 0}, 2), ({0, 1, 3}, 3), ({0}, 2)],
+    ids=["index past the end", "negative index", "wrong codim", "single member"],
+)
+def test_project_rejects_foreign_flat(members, codim):
+    with pytest.raises(ValueError):
+        project_to_rank2(braid3(), Flat(codim, frozenset(members)))
 
 
 # ---------------------------------------------------------------------------
