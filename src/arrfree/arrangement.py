@@ -24,7 +24,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Sequence
 
-from .exactalg import Matrix, Vec, linear_change_to_coordinate, rank_and_kernel, vec
+from .exactalg import Matrix, Vec, rank_and_kernel, scaled_chart_image, vec
 
 VAR_NAMES = ["x", "y", "z", "w"]
 
@@ -372,16 +372,15 @@ def euler_ziegler_multiplicity(a: Multiarrangement, h0: Hyperplane | int) -> Res
     i0 = a.index_of(h0)
     if a.dim < 2:
         raise ValueError("restriction needs ambient dimension >= 2")
-    _, tinv = linear_change_to_coordinate(a.hyperplanes[i0].normal)
+    normal = a.hyperplanes[i0].normal
     flats = _codim2_table(a.hyperplanes)[1][i0]
     planes = []
     for f in flats:
         # the members of a flat through h0 restrict to one hyperplane of h0,
-        # so one representative gives its trace
+        # so one representative gives its trace: its form in the chart
+        # coordinates past y_1, up to the factor f_q that from_coeffs drops
         alpha = a.hyperplanes[next(k for k in f.members if k != i0)].normal
-        terms = [(x, row) for x, row in zip(alpha, tinv.entries) if x]
-        trace = tuple(sum((x * row[j] for x, row in terms), Fraction(0)) for j in range(1, a.dim))
-        planes.append(Hyperplane.from_coeffs(trace))
+        planes.append(Hyperplane.from_coeffs(scaled_chart_image(normal, alpha)[1:]))
     mults = tuple(sum(a.mult[k] for k in f.members) - a.mult[i0] for f in flats)
     restricted = Multiarrangement(a.dim - 1, tuple(planes), mults)
     return Restriction(restricted, tuple(f.members for f in flats), i0)

@@ -6,20 +6,26 @@ divisible by form^mult for every pair.  Divisibility is linearized per form
 by a deterministic coordinate change sending the form to the first
 coordinate and zeroing every monomial whose first-variable exponent is
 below the multiplicity.
+
+The system is built and eliminated in Python ints.  Each form is first
+scaled to a primitive integer form F (the same hyperplane, so the same
+module).  With q the last index where F is nonzero, the chart is the
+F_q-scaled inverse of `linear_change_to_coordinate`, x_j -> F_q*y_{j'} for
+j != q and x_q -> y_1 - sum_{j != q} F_j*y_{j'} (`scaled_chart_inverse`),
+which is integral.  It multiplies every degree-d image, and so every row of
+that form, by the nonzero constant F_q^d, which leaves the kernel unchanged.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from .exactalg import (
-    Matrix,
     Polynomial,
-    Vec,
-    linear_change_to_coordinate,
+    integer_rank_and_kernel,
     monomials,
-    rank_and_kernel,
+    primitive_row,
+    scaled_chart_inverse,
     substitute_monomials,
     vec,
 )
@@ -43,53 +49,35 @@ def derivation_basis(
         return []
 
     monos = monomials(nvars, degree)
-    midx = {m: k for k, m in enumerate(monos)}
     nm = len(monos)
     ncols = nvars * nm
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
 
     for form, mult in zip(fs, mults):
+        form = primitive_row(form)
         if mult > degree:
             # theta(form) must vanish identically at this degree
             for k in range(nm):
-                row = [Fraction(0)] * ncols
+                row = [0] * ncols
                 for i in range(nvars):
-                    if form[i] != 0:
-                        row[i * nm + k] = form[i]
+                    row[i * nm + k] = form[i]
                 rows.append(row)
             continue
-        _, tinv = linear_change_to_coordinate(form)
-        table = substitute_monomials(tinv.entries, monos)
-        constrained = [m for m in monos if m[0] < mult]
+        table = substitute_monomials(scaled_chart_inverse(form), monos)
         # coefficient of each constrained chart monomial, as a functional of
         # the unknown coefficients of theta(form)
-        coeff_rows = {cm: [Fraction(0)] * nm for cm in constrained}
-        for mono, k in midx.items():
-            image = table[mono]
-            for cm in constrained:
-                c = image.coeff(cm)
-                if c != 0:
+        coeff_rows = {cm: [0] * nm for cm in monos if cm[0] < mult}
+        for k, mono in enumerate(monos):
+            for cm, c in table[mono].items():
+                if cm[0] < mult:
                     coeff_rows[cm][k] = c
-        for cm in constrained:
-            base = coeff_rows[cm]
-            row = [Fraction(0)] * ncols
-            for i in range(nvars):
-                if form[i] == 0:
-                    continue
-                ai = form[i]
-                off = i * nm
-                for k in range(nm):
-                    if base[k] != 0:
-                        row[off + k] = ai * base[k]
+        for base in coeff_rows.values():
+            row = []
+            for ai in form:
+                row.extend(ai * b for b in base)
             rows.append(row)
 
-    if not rows:
-        kernel: list[Vec] = [
-            tuple(Fraction(j == k) for j in range(ncols)) for k in range(ncols)
-        ]
-    else:
-        _, kernel = rank_and_kernel(Matrix(rows))
-
+    _, kernel = integer_rank_and_kernel(rows, ncols)
     basis = []
     for v in kernel:
         coeffs = tuple(

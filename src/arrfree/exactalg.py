@@ -1,13 +1,18 @@
 """Exact rational matrices and multivariate polynomial arithmetic.
 
-Scalars are `fractions.Fraction` throughout: always reduced, positive
-denominator, no rounding anywhere.  Everything in this module is a pure
-value; same input gives bit-identical output.
+Inputs and outputs are exact rationals (`fractions.Fraction`, always
+reduced, positive denominator); nothing is ever rounded.  Elimination runs
+in Python ints internally: one fraction-free Gauss-Jordan kernel
+(`_gauss_jordan`) serves `Matrix.rref`, `Matrix.rank` and
+`rank_and_kernel`, and Fractions are made only for the results.
+Everything in this module is a pure value; same input gives bit-identical
+output.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -73,28 +78,80 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", list[int]]:
         """Reduced row echelon form and the list of pivot columns."""
-        m = [list(r) for r in self.entries]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            pr = next((i for i in range(r, self.rows) if m[i][c] != 0), None)
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            pv = m[r][c]
-            m[r] = [x / pv for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return Matrix(m), pivots
+        rows = [primitive_row(r) for r in self.entries]
+        pivots = _gauss_jordan(rows, self.cols)
+        zero = [Fraction(0)] * self.cols
+        red = [[Fraction(x, row[p]) for x in row] for row, p in zip(rows, pivots)]
+        return Matrix(red + [zero] * (self.rows - len(pivots))), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(_gauss_jordan([primitive_row(r) for r in self.entries], self.cols))
+
+
+def primitive_row(row: Sequence) -> list[int]:
+    """The integer multiple of a rational row whose entries have gcd 1; a
+    zero row stays zero."""
+    den = lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (den // x.denominator) for x in row]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def _gauss_jordan(rows: list[list[int]], ncols: int) -> list[int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+
+    Returns the pivot columns p_0 < p_1 < ...; afterwards row r has a
+    nonzero entry at p_r and zeros at every other pivot column, and the
+    rows after the last pivot row are zero.  Row r divided by its entry at
+    p_r is row r of the reduced row echelon form, which is unique, so it
+    equals the rational elimination's.  Every row is kept primitive (its
+    entries divided by their gcd) after each update row <- pv*row - f*pivot
+    row, which bounds the growth of the entries.
+    """
+    for i, row in enumerate(rows):
+        g = gcd(*row)
+        if g > 1:
+            rows[i] = [x // g for x in row]
+    nrows = len(rows)
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        pv = prow[c]
+        for i in range(nrows):
+            f = rows[i][c]
+            if f and i != r:
+                new = [pv * a - f * b for a, b in zip(rows[i], prow)]
+                g = gcd(*new)
+                rows[i] = [x // g for x in new] if g > 1 else new
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def integer_rank_and_kernel(rows: list[list[int]], ncols: int) -> tuple[int, list[Vec]]:
+    """`rank_and_kernel` of the integer rows (each of length ncols), which
+    it eliminates in place."""
+    pivots = _gauss_jordan(rows, ncols)
+    pivot_set = set(pivots)
+    zero = Fraction(0)
+    basis: list[Vec] = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = [zero] * ncols
+        v[f] = Fraction(1)
+        for row, p in zip(rows, pivots):
+            if row[f]:
+                v[p] = Fraction(-row[f], row[p])
+        basis.append(tuple(v))
+    return len(pivots), basis
 
 
 def rank_and_kernel(m: Matrix) -> tuple[int, list[Vec]]:
@@ -103,17 +160,41 @@ def rank_and_kernel(m: Matrix) -> tuple[int, list[Vec]]:
     One basis vector per free column f (increasing): entry 1 at f, zero at
     the other free columns, and -RREF[r][f] at the pivot column of row r.
     """
-    red, pivots = m.rref()
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis: list[Vec] = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -red.entries[r][f]
-        basis.append(tuple(v))
-    return len(pivots), basis
+    return integer_rank_and_kernel([primitive_row(r) for r in m.entries], m.cols)
+
+
+def _chart_index(f: Sequence) -> int:
+    q = next((j for j in reversed(range(len(f))) if f[j] != 0), None)
+    if q is None:
+        raise ValueError("zero form")
+    return q
+
+
+def scaled_chart_inverse(form: Sequence) -> list[tuple]:
+    """f_q times the inverse of the chart T of `linear_change_to_coordinate`.
+
+    Row i is the image of x_i: f_q*y_{j'} for i = j != q, where j' is the
+    index of e_j's row in T (j + 1 below q, j above), and
+    y_1 - sum_{j != q} f_j*y_{j'} for i = q.  Its entries are products of
+    the form's entries, so an integer form gives an integer matrix.
+    """
+    q = _chart_index(form)
+    n = len(form)
+    rows = [[0] * n for _ in range(n)]
+    for j in range(n):
+        if j != q:
+            rows[j][j + 1 if j < q else j] = form[q]
+    rows[q] = [1] + [-form[j] for j in range(n) if j != q]
+    return [tuple(r) for r in rows]
+
+
+def scaled_chart_image(form: Sequence, alpha: Sequence) -> tuple:
+    """alpha times `scaled_chart_inverse(form)`, in closed form: the linear
+    form alpha in the chart coordinates y, times f_q.  Its y_1 coefficient
+    is alpha_q and its y_{j'} coefficient is f_q*alpha_j - alpha_q*f_j."""
+    q = _chart_index(form)
+    fq, aq = form[q], alpha[q]
+    return (aq,) + tuple(fq * alpha[j] - aq * form[j] for j in range(len(form)) if j != q)
 
 
 def linear_change_to_coordinate(form: Sequence) -> tuple[Matrix, Matrix]:
@@ -122,24 +203,16 @@ def linear_change_to_coordinate(form: Sequence) -> tuple[Matrix, Matrix]:
     In the new coordinates y = T x the functional `form` is y_1, so the
     hyperplane `form = 0` becomes {y_1 = 0}.  With q the last index where
     the form f is nonzero, the rows after the first are the unit vectors
-    e_j for every j != q, in increasing j.  The inverse is written down
-    directly: for j != q its row j is the unit vector at the index of
-    e_j's row in T, and its row q is (1/f_q, -f_j/f_q for each j != q in
-    order), since x_q = (y_1 - sum_{j != q} f_j x_j) / f_q.
+    e_j for every j != q, in increasing j.  The inverse is
+    `scaled_chart_inverse(f)` divided by f_q, since
+    x_q = (y_1 - sum_{j != q} f_j x_j) / f_q.
     """
     f = vec(form)
     n = len(f)
-    q = next((j for j in reversed(range(n)) if f[j] != 0), None)
-    if q is None:
-        raise ValueError("zero form")
-    others = [j for j in range(n) if j != q]
-
-    def unit(k: int) -> list[Fraction]:
-        return [Fraction(k == c) for c in range(n)]
-
-    inv = [unit(j + 1 if j < q else j) for j in range(n)]
-    inv[q] = [1 / f[q]] + [-f[j] / f[q] for j in others]
-    return Matrix([f] + [unit(j) for j in others]), Matrix(inv)
+    scaled = scaled_chart_inverse(f)
+    q = _chart_index(f)
+    others = [tuple(Fraction(j == c) for c in range(n)) for j in range(n) if j != q]
+    return Matrix([f] + others), Matrix([[x / f[q] for x in row] for row in scaled])
 
 
 # ---------------------------------------------------------------------------
@@ -234,16 +307,7 @@ class Polynomial:
             c = frac(other)
             return Polynomial(self.nvars, {m: c * v for m, v in self.terms.items()})
         self._check(other)
-        terms: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = terms.get(m, Fraction(0)) + c1 * c2
-                if s == 0:
-                    terms.pop(m, None)
-                else:
-                    terms[m] = s
-        return Polynomial(self.nvars, terms)
+        return Polynomial(self.nvars, _term_product(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -306,10 +370,11 @@ class Polynomial:
         if len(images) != self.nvars:
             raise ValueError("need one image per variable")
         table = substitute_monomials(images, self.terms)
-        out = Polynomial.zero(len(images[0]) if images else 0)
-        for mono, c in sorted(self.terms.items()):
-            out = out + table[mono] * c
-        return out
+        terms: dict[Monomial, Fraction] = {}
+        for mono, c in self.terms.items():
+            for m, v in table[mono].items():
+                terms[m] = terms.get(m, 0) + c * v
+        return Polynomial(len(images[0]) if images else 0, terms)
 
     def set_var_zero(self, i: int) -> "Polynomial":
         return Polynomial(self.nvars, {m: c for m, c in self.terms.items() if m[i] == 0})
@@ -345,30 +410,41 @@ class Polynomial:
         return "Poly(" + " + ".join(bits) + ")"
 
 
-def substitute_monomials(images: Sequence[Sequence], monos: Iterable[Monomial]) -> dict[Monomial, Polynomial]:
-    """Image of each monomial under x_i -> linear form images[i], built
-    left to right from cached powers of the images."""
-    forms = [Polynomial.linear_form(im) for im in images]
-    if forms and any(f.nvars != forms[0].nvars for f in forms):
+def _term_product(p: dict[Monomial, object], q: dict[Monomial, object]) -> dict[Monomial, object]:
+    """Product of two term dicts {exponent vector: coefficient}, without
+    zero coefficients."""
+    out: dict[Monomial, object] = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def substitute_monomials(
+    images: Sequence[Sequence], monos: Iterable[Monomial]
+) -> dict[Monomial, dict[Monomial, object]]:
+    """Image of each monomial under x_i -> linear form images[i], as a term
+    dict {exponent vector: nonzero coefficient}, built left to right from
+    cached powers of the images.  The coefficients are sums of products of
+    the images' entries, so integer images give integer coefficients."""
+    new_n = len(images[0]) if images else 0
+    if any(len(im) != new_n for im in images):
         raise ValueError("images must share variable count")
-    new_n = forms[0].nvars if forms else 0
-    powers: dict[tuple[int, int], Polynomial] = {}
-
-    def power(i: int, k: int) -> Polynomial:
-        if k == 0:
-            return Polynomial.constant(new_n, 1)
-        got = powers.get((i, k))
-        if got is None:
-            got = power(i, k - 1) * forms[i]
-            powers[(i, k)] = got
-        return got
-
-    table: dict[Monomial, Polynomial] = {}
+    one = {(0,) * new_n: 1}
+    # powers[i][k] is the k-th power of image i, extended as monomials ask
+    powers = [
+        [one, {tuple(int(j == k) for j in range(new_n)): c for k, c in enumerate(im) if c != 0}]
+        for im in images
+    ]
+    table: dict[Monomial, dict[Monomial, object]] = {}
     for mono in monos:
-        p = Polynomial.constant(new_n, 1)
-        for i, e in enumerate(mono):
+        p = one
+        for pw, e in zip(powers, mono):
             if e:
-                p = p * power(i, e)
+                while len(pw) <= e:
+                    pw.append(_term_product(pw[-1], pw[1]))
+                p = _term_product(p, pw[e])
         table[mono] = p
     return table
 

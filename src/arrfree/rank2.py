@@ -60,8 +60,10 @@ def project_to_rank2(a: Multiarrangement, x: Flat) -> Rank2Instance:
     (n[p1], n[p2]) is its projected form.  Two member normals u, v give the
     pivots: the residue u[p1]*v - v[p1]*u, with p1 the earlier of their
     pivots, vanishes up to p1 and has pivot p2.  When the pivots of u and v
-    differ, that is the later one.  The members are trusted to be a flat of
-    a; only their indices and count are checked.
+    differ, that is the later one.  Every further member normal n must lie
+    in the span of u and v: with D = u[p1]*v[p2] - u[p2]*v[p1], which is
+    nonzero, Cramer's rule gives D*n = s*u + t*v, and a ValueError reports a
+    member for which that identity fails.
     """
     if x.codim != 2:
         raise ValueError("flat must have codimension 2")
@@ -74,7 +76,13 @@ def project_to_rank2(a: Multiarrangement, x: Flat) -> Rank2Instance:
     p1, p2 = sorted((_pivot(u), _pivot(v)))
     if p1 == p2:
         p2 = next(j for j in range(p1 + 1, len(u)) if u[p1] * v[j] != v[p1] * u[j])
-    forms = tuple(vec((n[p1], n[p2])) for n in (a.hyperplanes[k].normal for k in idx))
+    normals = [a.hyperplanes[k].normal for k in idx]
+    d = u[p1] * v[p2] - u[p2] * v[p1]
+    for n in normals[2:]:
+        s, t = n[p1] * v[p2] - n[p2] * v[p1], u[p1] * n[p2] - u[p2] * n[p1]
+        if any(d * x != s * y + t * z for x, y, z in zip(n, u, v)):
+            raise ValueError("flat members do not span a plane")
+    forms = tuple(vec((n[p1], n[p2])) for n in normals)
     return Rank2Instance(forms, tuple(a.mult[k] for k in idx), idx)
 
 

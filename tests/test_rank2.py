@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import arrfree.rank2 as rank2_mod
-from arrfree.arrangement import Flat, codim2_flats
+from arrfree.arrangement import Flat, codim2_flats, parse
 from arrfree.dspace import derivation_basis
 from arrfree.fixtures import boolean3, braid3, example_a3
 from arrfree.rank2 import (
@@ -79,13 +79,26 @@ def test_project_needs_codim2():
 
 
 @pytest.mark.parametrize(
-    "members, codim",
-    [({0, 9}, 2), ({-1, 0}, 2), ({0, 1, 3}, 3), ({0}, 2)],
-    ids=["index past the end", "negative index", "wrong codim", "single member"],
+    "hyperplanes, members, codim",
+    [
+        (None, {0, 9}, 2),
+        (None, {-1, 0}, 2),
+        (None, {0, 1, 3}, 3),
+        (None, {0}, 2),
+        ([[1, 0, 0], [0, 1, 0], [1, 1, 1]], {0, 1, 2}, 2),
+    ],
+    ids=[
+        "index past the end",
+        "negative index",
+        "wrong codim",
+        "single member",
+        "third normal off the plane",
+    ],
 )
-def test_project_rejects_foreign_flat(members, codim):
+def test_project_rejects_foreign_flat(hyperplanes, members, codim):
+    a = braid3() if hyperplanes is None else parse({"dim": 3, "hyperplanes": hyperplanes, "mult": [1] * 3})
     with pytest.raises(ValueError):
-        project_to_rank2(braid3(), Flat(codim, frozenset(members)))
+        project_to_rank2(a, Flat(codim, frozenset(members)))
 
 
 # ---------------------------------------------------------------------------
