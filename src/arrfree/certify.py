@@ -172,31 +172,42 @@ def find_locally_heavy_flags(a: Multiarrangement) -> list[Flag]:
     if not a.is_simple():
         raise ValueError("flag search needs a simple arrangement")
     flags: list[Flag] = []
-
-    def dfs(m: Multiarrangement, members: list[frozenset[int]], chain, values, depth: int):
-        if depth == a.dim:
-            flags.append(Flag(tuple(chain), tuple(values)))
-            return
-        if m.size == 0:
-            return
-        candidates = range(m.size) if depth == 0 else locally_heavy_indices(m)
-        for k in candidates:
-            if m.dim == 1:
-                nxt, nxt_members = None, None
-            else:
-                nxt, nxt_members = _restriction_step(m, members, k)
-            chain.append(members[k])
-            values.append(m.mult[k])
-            if depth + 1 == a.dim:
-                flags.append(Flag(tuple(chain), tuple(values)))
-            elif nxt is not None:
-                dfs(nxt, nxt_members, chain, values, depth + 1)
-            chain.pop()
-            values.pop()
-
-    dfs(a, [frozenset({i}) for i in range(a.size)], [], [], 0)
+    _flag_search(a.dim, a, [frozenset({i}) for i in range(a.size)], [], [], flags)
     flags.sort(key=lambda f: tuple(sorted(m) for m in f.members_chain))
     return flags
+
+
+def _flag_search(
+    dim: int,
+    m: Multiarrangement,
+    members: list[frozenset[int]],
+    chain: list,
+    values: list,
+    flags: list[Flag],
+) -> None:
+    """Append to `flags` every completion of the partial flag (chain,
+    values) whose current level is m, with `members` its hyperplanes as
+    sets of original indices."""
+    depth = len(chain)
+    if depth == dim:
+        flags.append(Flag(tuple(chain), tuple(values)))
+        return
+    if m.size == 0:
+        return
+    candidates = range(m.size) if depth == 0 else locally_heavy_indices(m)
+    for k in candidates:
+        if m.dim == 1:
+            nxt, nxt_members = None, None
+        else:
+            nxt, nxt_members = _restriction_step(m, members, k)
+        chain.append(members[k])
+        values.append(m.mult[k])
+        if depth + 1 == dim:
+            flags.append(Flag(tuple(chain), tuple(values)))
+        elif nxt is not None:
+            _flag_search(dim, nxt, nxt_members, chain, values, flags)
+        chain.pop()
+        values.pop()
 
 
 def _flag_levels(a: Multiarrangement, f: Flag) -> list[tuple[Multiarrangement, int]]:
@@ -499,6 +510,9 @@ def _attempt_oracle(a: Multiarrangement, opts: CertifyOptions) -> Verdict | str 
         cap = oracle.default_degree_cap(ess)
         if not oracle.cap_is_reasonable(ess.dim, cap):
             return f"oracle: default degree cap {cap} is out of range"
+    overflow = oracle.exponent_tuple_overflow(ess.total_mult, ess.dim)
+    if overflow:
+        return f"oracle: {overflow}"
     res = oracle.hilbert_freeness_test(ess, degree_cap=opts.oracle_cap, seed=opts.seed)
     if res.kind == "FreeProven":
         return _saito_verdict(a, dropped, res.basis, res.exponents, opts.seed)
@@ -525,6 +539,9 @@ def _recheck_hilbert(a: Multiarrangement, node: CertNode) -> Verdict:
     cap = node.inputs["degree_cap"]
     if cap < 1 or not oracle.cap_is_reasonable(ess.dim, cap):
         raise CertificateError(f"degree cap {cap} is out of range")
+    overflow = oracle.exponent_tuple_overflow(ess.total_mult, ess.dim)
+    if overflow:
+        raise CertificateError(overflow)
     res = oracle.hilbert_freeness_test(ess, degree_cap=cap, seed=0, trials=0)
     if res.kind != "NonFreeProven":
         raise CertificateError("Hilbert obstruction does not re-verify")

@@ -4,8 +4,9 @@ Exit codes: 0 success / Free verdict, 10 NonFree, 20 Inconclusive,
 2 parse or usage errors (an oracle degree cap below 1, a negative
 `oracle --degree`, a sweep grid of more than MAX_SWEEP_ROWS rows, an
 ARRFREE_SEED that is not an integer),
-3 oversized oracle degree cap or `oracle --degree`.  JSON output is
-deterministic for fixed input and seed.
+3 oversized oracle degree cap or `oracle --degree`, or more than
+oracle.MAX_EXPONENT_TUPLES exponent tuples for `oracle --hilbert`.
+JSON output is deterministic for fixed input and seed.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .arrangement import (
 )
 from .betti import b2_multi
 from .certify import DISPATCH_ORDER, CertifyOptions, Verdict, certify
+from .dspace import derivation_dim
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -100,43 +102,50 @@ _CMPOPS = {
 
 
 def eval_expr(expr: str, env: dict[str, Fraction]):
-    """Evaluate integer arithmetic / comparisons over named parameters."""
+    """Evaluate integer arithmetic / comparisons over named parameters.
 
-    def ev(n):
-        if isinstance(n, ast.Constant) and isinstance(n.value, int):
-            return Fraction(n.value)
-        if isinstance(n, ast.Name):
-            if n.id not in env:
-                raise ValueError(f"unknown parameter {n.id!r} in {expr!r}")
-            return env[n.id]
-        if isinstance(n, ast.BinOp) and type(n.op) in _BINOPS:
-            try:
-                return _BINOPS[type(n.op)](ev(n.left), ev(n.right))
-            except ZeroDivisionError:
-                raise ValueError(f"division by zero in {expr!r}") from None
-        if isinstance(n, ast.UnaryOp) and isinstance(n.op, (ast.USub, ast.UAdd)):
-            v = ev(n.operand)
-            return -v if isinstance(n.op, ast.USub) else v
-        if isinstance(n, ast.Compare):
-            left = ev(n.left)
-            for op, comp in zip(n.ops, n.comparators):
-                if type(op) not in _CMPOPS:
-                    raise ValueError(f"unsupported comparison in {expr!r}")
-                right = ev(comp)
-                if not _CMPOPS[type(op)](left, right):
-                    return False
-                left = right
-            return True
-        if isinstance(n, ast.BoolOp):
-            vals = [ev(v) for v in n.values]
-            return all(vals) if isinstance(n.op, ast.And) else any(vals)
-        raise ValueError(f"unsupported expression {expr!r}")
-
+    `and` and `or` short-circuit from left to right, as in Python, so
+    `a == 0 or 4 // a >= 2` is true at a = 0; their value is a bool."""
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError:
         raise ValueError(f"bad expression {expr!r}") from None
-    return ev(tree.body)
+    return _eval_node(tree.body, env, expr)
+
+
+def _eval_node(n, env: dict[str, Fraction], expr: str):
+    if isinstance(n, ast.Constant) and isinstance(n.value, int):
+        return Fraction(n.value)
+    if isinstance(n, ast.Name):
+        if n.id not in env:
+            raise ValueError(f"unknown parameter {n.id!r} in {expr!r}")
+        return env[n.id]
+    if isinstance(n, ast.BinOp) and type(n.op) in _BINOPS:
+        try:
+            return _BINOPS[type(n.op)](_eval_node(n.left, env, expr), _eval_node(n.right, env, expr))
+        except ZeroDivisionError:
+            raise ValueError(f"division by zero in {expr!r}") from None
+    if isinstance(n, ast.UnaryOp) and isinstance(n.op, (ast.USub, ast.UAdd)):
+        v = _eval_node(n.operand, env, expr)
+        return -v if isinstance(n.op, ast.USub) else v
+    if isinstance(n, ast.Compare):
+        left = _eval_node(n.left, env, expr)
+        for op, comp in zip(n.ops, n.comparators):
+            if type(op) not in _CMPOPS:
+                raise ValueError(f"unsupported comparison in {expr!r}")
+            right = _eval_node(comp, env, expr)
+            if not _CMPOPS[type(op)](left, right):
+                return False
+            left = right
+        return True
+    if isinstance(n, ast.BoolOp):
+        # `or` stops at the first true operand, `and` at the first false one
+        stop = isinstance(n.op, ast.Or)
+        for v in n.values:
+            if bool(_eval_node(v, env, expr)) == stop:
+                return stop
+        return not stop
+    raise ValueError(f"unsupported expression {expr!r}")
 
 
 def _as_int(value, what: str) -> int:
@@ -379,7 +388,7 @@ def cmd_oracle(args) -> int:
     if args.degree is not None:
         if _cap_too_large(args.degree, a.dim, least=0):
             return EXIT_CAP
-        dim, _ = oracle_mod.derivation_space_dim(a, args.degree)
+        dim = derivation_dim([h.normal for h in a.hyperplanes], list(a.mult), args.degree)
         out["degree"] = args.degree
         out["dimension"] = dim
         if args.json:
@@ -391,6 +400,10 @@ def cmd_oracle(args) -> int:
         return EXIT_OK
     cap = args.cap if args.cap is not None else oracle_mod.default_degree_cap(a)
     if _cap_too_large(cap, a.dim):
+        return EXIT_CAP
+    overflow = oracle_mod.exponent_tuple_overflow(a.total_mult, a.dim)
+    if overflow:
+        print(f"error: {overflow}; the Hilbert test would list every one", file=sys.stderr)
         return EXIT_CAP
     res = oracle_mod.hilbert_freeness_test(a, degree_cap=cap, seed=seed)
     out["hilbert"] = {

@@ -11,48 +11,77 @@ The system is built and eliminated in Python ints.  Each form is first
 scaled to a primitive integer form F (the same hyperplane, so the same
 module).  With q the last index where F is nonzero, the chart is the
 F_q-scaled inverse of `linear_change_to_coordinate`, x_j -> F_q*y_{j'} for
-j != q and x_q -> y_1 - sum_{j != q} F_j*y_{j'} (`scaled_chart_inverse`),
-which is integral.  It multiplies every degree-d image, and so every row of
-that form, by the nonzero constant F_q^d, which leaves the kernel unchanged.
+j != q and x_q -> y_1 + N with N = -sum_{j != q} F_j*y_{j'}
+(`scaled_chart_inverse`), which is integral.  It multiplies every degree-d
+image, and so every row of that form, by the nonzero constant F_q^d, which
+leaves the kernel unchanged.
+
+Only the chart monomials of y_1-degree below the multiplicity are
+constrained, and N has no y_1, so each image is expanded only that far
+(`_chart_rows`): x^a -> F_q^(d-a_q) * y'^a' * sum_{k<m} C(a_q, k) * y_1^k *
+N^(a_q-k), where a' is a without a_q and y' the chart variables after y_1.
+
+One row builder (`_derivation_rows`) serves two front doors:
+`derivation_basis` eliminates the rows to a kernel and returns it, and
+`derivation_dim` needs only their rank, which the forward pass of the
+elimination gives (`exactalg.integer_rank`).
 """
 
 from __future__ import annotations
 
+from math import comb
 from typing import Sequence
 
 from .exactalg import (
+    Monomial,
     Polynomial,
+    _chart_index,
+    integer_rank,
     integer_rank_and_kernel,
     monomials,
     primitive_row,
-    scaled_chart_inverse,
     substitute_monomials,
     vec,
 )
 
 
-def derivation_basis(
-    forms: Sequence[Sequence], mults: Sequence[int], degree: int
-) -> list[tuple[Polynomial, ...]]:
-    """Echelon-normalized basis of the degree-d piece of the module.
+def _chart_rows(form: list[int], mult: int, monos: list[Monomial], degree: int) -> list[list[int]]:
+    """Coefficient of each constrained chart monomial (y_1-degree below
+    mult), in `monos` order, as a row over the unknown coefficients of
+    theta(form) on `monos`, the degree-d monomials."""
+    q = _chart_index(form)
+    fq = form[q]
+    # npow[(e,)] is N^e over the chart variables after y_1
+    n_form = [-f for j, f in enumerate(form) if j != q]
+    npow = substitute_monomials([n_form], [(e,) for e in range(degree + 1)])
+    coeff_rows = {cm: [0] * len(monos) for cm in monos if cm[0] < mult}
+    for col, mono in enumerate(monos):
+        aq = mono[q]
+        rest = mono[:q] + mono[q + 1 :]
+        scale = fq ** (degree - aq)
+        for k in range(min(aq, mult - 1) + 1):
+            c = scale * comb(aq, k)
+            for nmono, v in npow[(aq - k,)].items():
+                coeff_rows[(k,) + tuple(a + b for a, b in zip(rest, nmono))][col] = c * v
+    return list(coeff_rows.values())
 
-    Returns coefficient tuples (theta(x_1), ..., theta(x_n)); deterministic
-    for fixed input order.
-    """
+
+def _derivation_rows(
+    forms: Sequence[Sequence], mults: Sequence[int], degree: int
+) -> tuple[list[list[int]], list[Monomial]]:
+    """The integer linear system of the degree-d piece and its monomials:
+    unknown i*len(monos) + k is the coefficient of monos[k] in
+    theta(x_{i+1}).  A negative degree has no monomials and no rows."""
     fs = [vec(f) for f in forms]
     if not fs:
         raise ValueError("need at least one form")
     nvars = len(fs[0])
     if any(len(f) != nvars for f in fs) or len(mults) != len(fs):
         raise ValueError("shape mismatch")
-    if degree < 0:
-        return []
-
     monos = monomials(nvars, degree)
     nm = len(monos)
     ncols = nvars * nm
     rows: list[list[int]] = []
-
     for form, mult in zip(fs, mults):
         form = primitive_row(form)
         if mult > degree:
@@ -63,21 +92,21 @@ def derivation_basis(
                     row[i * nm + k] = form[i]
                 rows.append(row)
             continue
-        table = substitute_monomials(scaled_chart_inverse(form), monos)
-        # coefficient of each constrained chart monomial, as a functional of
-        # the unknown coefficients of theta(form)
-        coeff_rows = {cm: [0] * nm for cm in monos if cm[0] < mult}
-        for k, mono in enumerate(monos):
-            for cm, c in table[mono].items():
-                if cm[0] < mult:
-                    coeff_rows[cm][k] = c
-        for base in coeff_rows.values():
-            row = []
-            for ai in form:
-                row.extend(ai * b for b in base)
-            rows.append(row)
+        rows.extend([ai * b for ai in form for b in base] for base in _chart_rows(form, mult, monos, degree))
+    return rows, monos
 
-    _, kernel = integer_rank_and_kernel(rows, ncols)
+
+def derivation_basis(
+    forms: Sequence[Sequence], mults: Sequence[int], degree: int
+) -> list[tuple[Polynomial, ...]]:
+    """Echelon-normalized basis of the degree-d piece of the module.
+
+    Returns coefficient tuples (theta(x_1), ..., theta(x_n)); deterministic
+    for fixed input order.
+    """
+    rows, monos = _derivation_rows(forms, mults, degree)
+    nvars, nm = len(forms[0]), len(monos)
+    _, kernel = integer_rank_and_kernel(rows, nvars * nm)
     basis = []
     for v in kernel:
         coeffs = tuple(
@@ -86,3 +115,11 @@ def derivation_basis(
         )
         basis.append(coeffs)
     return basis
+
+
+def derivation_dim(forms: Sequence[Sequence], mults: Sequence[int], degree: int) -> int:
+    """Dimension of the degree-d piece of the module: the number of unknowns
+    minus the rank of `derivation_basis`'s system, without its kernel."""
+    rows, monos = _derivation_rows(forms, mults, degree)
+    ncols = len(forms[0]) * len(monos)
+    return ncols - integer_rank(rows, ncols)

@@ -2,9 +2,12 @@
 
 Inputs and outputs are exact rationals (`fractions.Fraction`, always
 reduced, positive denominator); nothing is ever rounded.  Elimination runs
-in Python ints internally: one fraction-free Gauss-Jordan kernel
-(`_gauss_jordan`) serves `Matrix.rref`, `Matrix.rank` and
-`rank_and_kernel`, and Fractions are made only for the results.
+in Python ints internally, in one fraction-free kernel of two phases: a
+forward pass (`_forward`) that eliminates below each pivot, and a
+back-reduction that clears above it.  A rank needs the forward pass only
+(`integer_rank`, `Matrix.rank`); the reduced row echelon form and the
+kernel (`_gauss_jordan`: `Matrix.rref`, `rank_and_kernel`) need both, and
+Fractions are made only for the results.
 Everything in this module is a pure value; same input gives bit-identical
 output.
 """
@@ -85,7 +88,7 @@ class Matrix:
         return Matrix(red + [zero] * (self.rows - len(pivots))), pivots
 
     def rank(self) -> int:
-        return len(_gauss_jordan([primitive_row(r) for r in self.entries], self.cols))
+        return integer_rank([primitive_row(r) for r in self.entries], self.cols)
 
 
 def primitive_row(row: Sequence) -> list[int]:
@@ -97,16 +100,28 @@ def primitive_row(row: Sequence) -> list[int]:
     return [x // g for x in ints] if g > 1 else ints
 
 
-def _gauss_jordan(rows: list[list[int]], ncols: int) -> list[int]:
-    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+def _clear(rows: list[list[int]], targets: range, r: int, c: int) -> None:
+    """Zero column c of the target rows with pivot row r: each row with a
+    nonzero entry f there becomes pv*row - f*(row r), divided by its gcd."""
+    prow = rows[r]
+    pv = prow[c]
+    for i in targets:
+        f = rows[i][c]
+        if f:
+            new = [pv * a - f * b for a, b in zip(rows[i], prow)]
+            g = gcd(*new)
+            rows[i] = [x // g for x in new] if g > 1 else new
+
+
+def _forward(rows: list[list[int]], ncols: int) -> list[int]:
+    """Fraction-free forward elimination of integer rows, in place.
 
     Returns the pivot columns p_0 < p_1 < ...; afterwards row r has a
-    nonzero entry at p_r and zeros at every other pivot column, and the
-    rows after the last pivot row are zero.  Row r divided by its entry at
-    p_r is row r of the reduced row echelon form, which is unique, so it
-    equals the rational elimination's.  Every row is kept primitive (its
-    entries divided by their gcd) after each update row <- pv*row - f*pivot
-    row, which bounds the growth of the entries.
+    nonzero entry at p_r and zeros before it and below it, and the rows
+    after the last pivot row are zero, so the number of pivots is the rank.
+    Only the rows below each pivot row are updated (`_clear`), and every
+    row is kept primitive (its entries divided by their gcd) after each
+    update, which bounds the growth of the entries.
     """
     for i, row in enumerate(rows):
         g = gcd(*row)
@@ -122,17 +137,35 @@ def _gauss_jordan(rows: list[list[int]], ncols: int) -> list[int]:
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        pv = prow[c]
-        for i in range(nrows):
-            f = rows[i][c]
-            if f and i != r:
-                new = [pv * a - f * b for a, b in zip(rows[i], prow)]
-                g = gcd(*new)
-                rows[i] = [x // g for x in new] if g > 1 else new
+        _clear(rows, range(r + 1, nrows), r, c)
         pivots.append(c)
         r += 1
     return pivots
+
+
+def _gauss_jordan(rows: list[list[int]], ncols: int) -> list[int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place:
+    `_forward`, then back-reduction.
+
+    Returns the pivot columns p_0 < p_1 < ...; afterwards row r has a
+    nonzero entry at p_r and zeros at every other pivot column, and the
+    rows after the last pivot row are zero.  Back-reduction clears the
+    entries above each pivot, last pivot first, with the same primitive
+    update (`_clear`) as the forward pass; a pivot row already has zeros at
+    the later pivots, so clearing one column leaves the others cleared.
+    Row r divided by its entry at p_r is row r of the reduced row echelon
+    form, which is unique, so it equals the rational elimination's.
+    """
+    pivots = _forward(rows, ncols)
+    for r in reversed(range(1, len(pivots))):
+        _clear(rows, range(r), r, pivots[r])
+    return pivots
+
+
+def integer_rank(rows: list[list[int]], ncols: int) -> int:
+    """Rank of the integer rows (each of length ncols), by the forward pass
+    alone; the rows are eliminated in place."""
+    return len(_forward(rows, ncols))
 
 
 def integer_rank_and_kernel(rows: list[list[int]], ncols: int) -> tuple[int, list[Vec]]:
@@ -426,8 +459,10 @@ def substitute_monomials(
 ) -> dict[Monomial, dict[Monomial, object]]:
     """Image of each monomial under x_i -> linear form images[i], as a term
     dict {exponent vector: nonzero coefficient}, built left to right from
-    cached powers of the images.  The coefficients are sums of products of
-    the images' entries, so integer images give integer coefficients."""
+    cached powers of the images (a power of one image is the cached dict
+    itself, shared, so callers must not mutate the results).  The
+    coefficients are sums of products of the images' entries, so integer
+    images give integer coefficients."""
     new_n = len(images[0]) if images else 0
     if any(len(im) != new_n for im in images):
         raise ValueError("images must share variable count")
@@ -444,7 +479,7 @@ def substitute_monomials(
             if e:
                 while len(pw) <= e:
                     pw.append(_term_product(pw[-1], pw[1]))
-                p = _term_product(p, pw[e])
+                p = pw[e] if p is one else _term_product(p, pw[e])
         table[mono] = p
     return table
 

@@ -20,7 +20,7 @@ from .arrangement import (
     is_locally_heavy,
     rank,
 )
-from .dspace import derivation_basis
+from .dspace import derivation_basis, derivation_dim
 from .exactalg import Polynomial, frac, linear_change_to_coordinate, monomials, poly_matrix_det
 
 
@@ -159,19 +159,55 @@ def cap_is_reasonable(dim: int, cap: int) -> bool:
     return dim * comb(cap + dim - 1, dim - 1) <= 3 * comb(17, 2)
 
 
+MAX_EXPONENT_TUPLES = 10_000
+
+
+def exponent_tuple_count(total: int, parts: int) -> int:
+    """The number of `exponent_candidates(total, parts)`, the partitions of
+    total into `parts` positive parts, or any number above
+    MAX_EXPONENT_TUPLES once the count is known to pass it.
+
+    By dynamic programming over n = 0, 1, ..., total:
+    p(n, k) = p(n - 1, k - 1) + p(n - k, k), since a partition either has
+    a part 1 or is one of n - k with every part raised by 1.  p(n, k) never
+    falls as n grows (raise the largest part), so the table stops at the
+    first n whose p(n, parts) passes the bound; with two or more parts that
+    happens by n = parts + 2*MAX_EXPONENT_TUPLES, so the work is bounded
+    whatever total is.
+    """
+    if parts < 1 or total < parts:
+        return 0
+    if parts == 1:
+        return 1
+    cols = [[1] + [0] * parts]  # cols[n][k] = p(n, k)
+    for n in range(1, total + 1):
+        cols.append([0] + [cols[n - 1][k - 1] + (cols[n - k][k] if k <= n else 0) for k in range(1, parts + 1)])
+        if cols[n][parts] > MAX_EXPONENT_TUPLES:
+            break
+    return cols[-1][parts]
+
+
+def exponent_tuple_overflow(total: int, parts: int) -> str | None:
+    """Desk-scale guard on the Hilbert test's candidate list: None for at
+    most MAX_EXPONENT_TUPLES exponent tuples, else the reason to refuse."""
+    if exponent_tuple_count(total, parts) <= MAX_EXPONENT_TUPLES:
+        return None
+    return f"more than {MAX_EXPONENT_TUPLES} exponent tuples of length {parts} sum to |m| = {total}"
+
+
 def exponent_candidates(total: int, parts: int) -> list[tuple[int, ...]]:
     """Nondecreasing positive tuples of the given length summing to total."""
+    return list(_nondecreasing_tuples(total, parts, 1))
 
-    def rec(remaining: int, parts_left: int, minimum: int):
-        if parts_left == 1:
-            if remaining >= minimum:
-                yield (remaining,)
-            return
-        for first in range(minimum, remaining // parts_left + 1):
-            for rest in rec(remaining - first, parts_left - 1, first):
-                yield (first,) + rest
 
-    return list(rec(total, parts, 1))
+def _nondecreasing_tuples(remaining: int, parts_left: int, minimum: int):
+    if parts_left == 1:
+        if remaining >= minimum:
+            yield (remaining,)
+        return
+    for first in range(minimum, remaining // parts_left + 1):
+        for rest in _nondecreasing_tuples(remaining - first, parts_left - 1, first):
+            yield (first,) + rest
 
 
 def free_module_dim(exps, d: int, nvars: int) -> int:
@@ -237,7 +273,10 @@ def hilbert_freeness_test(
 
     No tuple surviving proves nonfreeness.  A unique survivor plus a
     successful randomized Saito extraction proves freeness.  Anything else
-    is Undetermined.
+    is Undetermined.  The dimensions are ranks (`derivation_dim`); bases
+    are solved only at the survivor's degrees (`extract_basis`).  More than
+    MAX_EXPONENT_TUPLES candidate tuples is a ValueError, raised before any
+    solve.
     """
     l = a.dim
     if rank(a) != l:
@@ -246,7 +285,11 @@ def hilbert_freeness_test(
     if cap < 1:
         raise ValueError("degree cap must be at least 1")
     total = a.total_mult
-    dims = tuple(derivation_space_dim(a, d)[0] for d in range(cap + 1))
+    overflow = exponent_tuple_overflow(total, l)
+    if overflow:
+        raise ValueError(overflow)
+    forms, mults = [h.normal for h in a.hyperplanes], list(a.mult)
+    dims = tuple(derivation_dim(forms, mults, d) for d in range(cap + 1))
     survivors = tuple(
         t
         for t in exponent_candidates(total, l)

@@ -2,8 +2,8 @@
 
 Rank-2 multiarrangements are always free (Ziegler 1989), so one graded
 dimension of the derivation module determines the exponents: the smaller
-exponent comes from a single exact linear solve at a computed degree (see
-`_min_degree_basis`).  No formula table: the heavy and balanced special
+exponent comes from the rank of a single exact linear system at a computed
+degree (see `_min_degree_basis`).  No formula table: the heavy and balanced special
 cases fall out of the solver and are asserted in tests.
 """
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .arrangement import Flat, Multiarrangement
-from .dspace import derivation_basis
+from .dspace import derivation_basis, derivation_dim
 from .exactalg import Polynomial, Vec, vec
 
 
@@ -88,10 +88,10 @@ def project_to_rank2(a: Multiarrangement, x: Flat) -> Rank2Instance:
 
 # perfbench looks this cache up by name (run.COLD_CACHES, tracing) to clear it
 # before each timed operation and to count unique rank-2 instances, so the
-# name stays although the function returns d1 only.
+# name stays although the function returns d1 only and builds no basis.
 @lru_cache(maxsize=4096)
 def _min_degree_basis(forms: tuple[Vec, ...], mult: tuple[int, ...]) -> int:
-    """The smaller exponent d1, from one graded solve.
+    """The smaller exponent d1, from one graded dimension.
 
     D = D(A, m) is free with exponents d1 <= d2, d1 + d2 = |m|, so
     dim D_d = max(0, d - d1 + 1) + max(0, d - d2 + 1).  Two bounds hold:
@@ -99,11 +99,12 @@ def _min_degree_basis(forms: tuple[Vec, ...], mult: tuple[int, ...]) -> int:
     theta_H * prod_{K != H} alpha_K^{m_K} with H the heaviest form and
     theta_H the constant derivation killing alpha_H.  At
     d = min(ceil(|m|/2) - 1, |m| - max m) therefore d1 - 1 <= d < d2, so
-    d1 = d + 1 - dim D_d.  Positive multiplicities make d >= 0.
+    d1 = d + 1 - dim D_d, and dim D_d is a rank (`derivation_dim`), not a
+    basis.  Positive multiplicities make d >= 0.
     """
     total = sum(mult)
     d = min((total + 1) // 2 - 1, total - max(mult))
-    return d + 1 - len(derivation_basis(forms, mult, d))
+    return d + 1 - derivation_dim(forms, mult, d)
 
 
 def rank2_exponents(inst: Rank2Instance) -> tuple[int, int]:

@@ -76,3 +76,19 @@ def euler_restriction(a: Multiarrangement, i0: int) -> Multiarrangement:
         h0pos = inst.source.index(i0)
         out = out.with_mult(k, euler_multiplicity_at_flat(inst, h0pos))
     return out
+
+
+def cyclic_garbage(call) -> list:
+    """The objects that only the cycle collector could free after call():
+    with gc.DEBUG_SAVEALL they land in gc.garbage instead of being freed."""
+    import gc
+
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        call()
+        gc.collect()
+        return list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()

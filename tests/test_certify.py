@@ -33,7 +33,7 @@ from arrfree.fixtures import (
     rank4_flag_example,
 )
 
-from conftest import force_locally_heavy, random_multiarrangement
+from conftest import cyclic_garbage, force_locally_heavy, random_multiarrangement
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +88,12 @@ def test_flag_search_rank4_contains_paper_flag():
 
 def test_flag_search_braid_empty():
     assert find_locally_heavy_flags(braid3()) == []
+
+
+def test_flag_search_leaves_no_cycles():
+    a = rank4_flag_example()
+    assert find_locally_heavy_flags(a)
+    assert cyclic_garbage(lambda: find_locally_heavy_flags(a)) == []
 
 
 def test_flag_search_boolean_all_ones():
@@ -355,6 +361,35 @@ def test_oracle_default_cap_bounded(monkeypatch):
     v = certify(a, CertifyOptions(use_oracle=True))
     assert v.kind == "Inconclusive"
     assert "oracle: default degree cap 46 is out of range" in v.reason
+
+
+def _four_planes_at_400():
+    # x, y, z, x + y + z with every m = 400: p(1600, 3) = 213,334 exponent tuples
+    return parse({"dim": 3, "hyperplanes": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], "mult": [400] * 4})
+
+
+def _hilbert_must_not_run(monkeypatch):
+    import arrfree.oracle as oracle_mod
+
+    def never(*args, **kwargs):
+        raise AssertionError("hilbert_freeness_test must not run")
+
+    monkeypatch.setattr(oracle_mod, "hilbert_freeness_test", never)
+
+
+def test_oracle_exponent_tuples_bounded(monkeypatch):
+    # degree cap 2 is in range, but the candidate list is refused before any solve
+    _hilbert_must_not_run(monkeypatch)
+    v = certify(_four_planes_at_400(), CertifyOptions(use_oracle=True, oracle_cap=2, only_rule="oracle"))
+    assert v.kind == "Inconclusive"
+    assert v.reason == "oracle: more than 10000 exponent tuples of length 3 sum to |m| = 1600"
+
+
+def test_verifier_refuses_too_many_exponent_tuples(monkeypatch):
+    _hilbert_must_not_run(monkeypatch)
+    node = {"rule": "HilbertObstruction", "inputs": {"degree_cap": 2, "essentialized_from_dim": None}, "numbers": {}}
+    with pytest.raises(CertificateError, match="more than 10000 exponent tuples"):
+        verify_certificate(_four_planes_at_400(), {"kind": "NonFree", "certificate": node})
 
 
 def test_verdict_kind_validation():

@@ -1,12 +1,16 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import arrfree.oracle as oracle_mod
 from arrfree.arrangement import parse_file
 from arrfree.certify import verify_certificate
-from arrfree.cli import main
+from arrfree.cli import eval_expr, main
 from arrfree.fixtures import fixture_path
+
+from conftest import cyclic_garbage
 
 BOOLEAN = fixture_path("boolean.json")
 BOOLEAN234 = fixture_path("boolean_234.json")
@@ -251,6 +255,32 @@ def test_sweep_division_by_zero_in_require(tmp_path, capsys):
     assert rows[1]["status"] == "ok"
 
 
+def test_eval_expr_short_circuits_left_to_right():
+    zero = {"a": Fraction(0)}
+    assert eval_expr("a == 0 or 4 // a >= 2", zero) is True
+    assert eval_expr("a != 0 and 4 // a >= 2", zero) is False
+    assert eval_expr("a == 1 or a == 0", zero) is True
+    assert eval_expr("a == 0 and a + 1 == 1 and a < 1", zero) is True
+    with pytest.raises(ValueError, match="division by zero"):
+        eval_expr("a == 1 or 4 // a >= 2", zero)
+
+
+def test_sweep_require_short_circuits(tmp_path, capsys):
+    template = json.loads(Path(EX1_TEMPLATE).read_text(encoding="utf-8"))
+    template["require"] = ["m0 == 2 or 4 // (m0 - 2) >= 1"]
+    p = tmp_path / "template.json"
+    p.write_text(json.dumps(template), encoding="utf-8")
+    code, out, _ = run(capsys, "sweep", str(p), "--param", "a=1", "--param", "m0=2..7", "--json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [r["status"] for r in rows] == ["ok", "ok", "ok", "ok", "ok", "rejected"]
+
+
+def test_eval_expr_leaves_no_cycles():
+    env = {"a": Fraction(3)}
+    assert cyclic_garbage(lambda: eval_expr("a == 0 or -a + 4 // a >= -2", env)) == []
+
+
 # ---------------------------------------------------------------------------
 # oracle
 
@@ -300,6 +330,50 @@ def test_oracle_degree_rejected_before_work(capsys, degree, code, message):
     got, out, err = run(capsys, "oracle", BRAID, "--degree", degree)
     assert got == code and out == ""
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("path", CERTIFIABLE)
+def test_oracle_degree_matches_the_kernel(capsys, path):
+    a = parse_file(path)
+    for degree in range(4):
+        code, out, _ = run(capsys, "oracle", path, "--degree", str(degree), "--json")
+        assert code == 0
+        assert json.loads(out)["dimension"] == len(oracle_mod.derivation_space_dim(a, degree)[1])
+
+
+def _four_planes_at_400(tmp_path):
+    p = tmp_path / "big.json"
+    p.write_text(
+        json.dumps({"dim": 3, "hyperplanes": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], "mult": [400] * 4}),
+        encoding="utf-8",
+    )
+    return str(p)
+
+
+def test_oracle_exponent_tuples_exit_3(tmp_path, capsys):
+    # p(1600, 3) = 213,334 tuples; cap 2 is in range, the tuple list is not
+    code, out, err = run(capsys, "oracle", _four_planes_at_400(tmp_path), "--hilbert", "--cap", "2", "--json")
+    assert code == 3 and out == ""
+    assert err.startswith("error: more than 10000 exponent tuples of length 3 sum to |m| = 1600")
+
+
+def test_sweep_oracle_exponent_tuples_inconclusive(tmp_path, capsys, monkeypatch):
+    # the braid with one multiplicity a is undecided by the rules; with the
+    # bound lowered to 2, its p(6, 3) = 3 tuples are refused before any solve
+    monkeypatch.setattr(oracle_mod, "MAX_EXPONENT_TUPLES", 2)
+
+    def never(*args, **kwargs):
+        raise AssertionError("hilbert_freeness_test must not run")
+
+    monkeypatch.setattr(oracle_mod, "hilbert_freeness_test", never)
+    template = json.loads(Path(BRAID).read_text(encoding="utf-8"))
+    template["mult"] = ["a"] + template["mult"][1:]
+    p = tmp_path / "template.json"
+    p.write_text(json.dumps(template), encoding="utf-8")
+    code, out, _ = run(capsys, "sweep", str(p), "--param", "a=1", "--oracle", "--max-degree", "2", "--json")
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert row["status"] == "ok" and row["verdict"] == "Inconclusive"
 
 
 def test_oracle_degree_zero(capsys):

@@ -12,9 +12,14 @@ from arrfree.arrangement import (
 )
 from arrfree.exactalg import Polynomial, poly_matrix_det
 from arrfree.fixtures import boolean3, braid3, example52, example_a3
+import arrfree.oracle as oracle_mod
 from arrfree.oracle import (
+    MAX_EXPONENT_TUPLES,
     Derivation,
     derivation_space_dim,
+    exponent_candidates,
+    exponent_tuple_count,
+    exponent_tuple_overflow,
     extract_basis,
     good_summand_check,
     hilbert_freeness_test,
@@ -24,7 +29,7 @@ from arrfree.oracle import (
 )
 from arrfree.rank2 import euler_multiplicity_at_flat, project_to_rank2
 
-from conftest import force_locally_heavy, random_multiarrangement
+from conftest import cyclic_garbage, force_locally_heavy, random_multiarrangement
 
 F = Fraction
 Z3 = Polynomial.zero(3)
@@ -197,6 +202,43 @@ def test_hilbert_requires_essential():
     a = parse({"dim": 3, "hyperplanes": [[1, 0, 0], [0, 1, 0]], "mult": [1, 1]})
     with pytest.raises(ValueError):
         hilbert_freeness_test(a)
+
+
+@pytest.mark.parametrize("parts", range(1, 6))
+def test_exponent_tuple_count_matches_the_list(parts):
+    for total in range(0, 31):
+        assert exponent_tuple_count(total, parts) == len(exponent_candidates(total, parts))
+
+
+def test_exponent_tuple_bound_is_exact():
+    # p(n, 3) is the integer nearest n^2/12; n = 346 is the last one within the bound
+    assert exponent_tuple_count(346, 3) == 9976 <= MAX_EXPONENT_TUPLES
+    assert exponent_tuple_overflow(346, 3) is None
+    assert exponent_tuple_count(347, 3) == 10034
+    assert exponent_tuple_overflow(347, 3) == "more than 10000 exponent tuples of length 3 sum to |m| = 347"
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3, 5])
+def test_exponent_tuple_count_stops_early_on_huge_totals(parts):
+    # the table stops once the count passes the limit, whatever |m| is
+    got = exponent_tuple_count(10**12, parts)
+    assert got == 1 if parts == 1 else got > MAX_EXPONENT_TUPLES
+
+
+def test_hilbert_refuses_too_many_exponent_tuples_before_any_solve(monkeypatch):
+    # x, y, z, x + y + z with every m = 400: p(1600, 3) = 213,334 tuples
+    def never(*args, **kwargs):
+        raise AssertionError("no graded dimension may be solved")
+
+    monkeypatch.setattr(oracle_mod, "derivation_dim", never)
+    a = parse({"dim": 3, "hyperplanes": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], "mult": [400] * 4})
+    with pytest.raises(ValueError, match="more than 10000 exponent tuples of length 3 sum to"):
+        hilbert_freeness_test(a, degree_cap=2)
+
+
+def test_exponent_candidates_leave_no_cycles():
+    assert exponent_candidates(12, 3)
+    assert cyclic_garbage(lambda: exponent_candidates(12, 3)) == []
 
 
 def test_hilbert_never_contradicts_certify():

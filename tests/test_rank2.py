@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import arrfree.rank2 as rank2_mod
 from arrfree.arrangement import Flat, codim2_flats, parse
-from arrfree.dspace import derivation_basis
+from arrfree.dspace import derivation_basis, derivation_dim
 from arrfree.fixtures import boolean3, braid3, example_a3
 from arrfree.rank2 import (
     Rank2Instance,
@@ -221,14 +221,14 @@ def test_one_solve_matches_search(forms, data):
 
 @pytest.mark.parametrize("forms, mult, exps", EDGE_CASES)
 def test_exponents_from_one_solve(monkeypatch, forms, mult, exps):
-    # one derivation_basis call; an instance with 2 max m > |m| solves at d1
+    # one derivation_dim call; an instance with 2 max m > |m| solves at d1
     degrees = []
 
     def recording(fs, ms, degree):
         degrees.append(degree)
-        return derivation_basis(fs, ms, degree)
+        return derivation_dim(fs, ms, degree)
 
-    monkeypatch.setattr(rank2_mod, "derivation_basis", recording)
+    monkeypatch.setattr(rank2_mod, "derivation_dim", recording)
     rank2_mod._min_degree_basis.cache_clear()
     assert rank2_exponents(inst(forms, mult)) == exps
     assert len(degrees) == 1
