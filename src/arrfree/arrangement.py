@@ -1,8 +1,12 @@
 """Multiarrangements, intersection lattices, localizations and restrictions.
 
-Hyperplanes are stored as canonicalized rational normals (first nonzero
-entry scaled to 1) so equality of hyperplanes is equality of tuples.  All
-objects are immutable values.
+A hyperplane is identified by its primitive integer normal: the integer
+multiple of its defining form whose entries have gcd 1 and whose first
+nonzero entry is positive, so equality of hyperplanes is equality of
+integer tuples.  Output still prints the rational normal with its first
+nonzero entry scaled to 1 (`Hyperplane.normal`); the lattice machinery and
+the restrictions read the integer normal only.  All objects are immutable
+values.
 
 A flat is its codimension and the set of hyperplanes containing it; every
 criterion reads a flat only through its members and their multiplicities.
@@ -18,13 +22,22 @@ the hyperplanes whose normals vanish on it.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
 from typing import Sequence
 
-from .exactalg import Matrix, Vec, rank_and_kernel, scaled_chart_image, vec
+from .exactalg import (
+    Matrix,
+    Vec,
+    integer_rank,
+    primitive_form,
+    primitive_row,
+    rank_and_kernel,
+    scaled_chart_image,
+    vec,
+)
 
 VAR_NAMES = ["x", "y", "z", "w"]
 
@@ -37,24 +50,32 @@ def _varname(i: int, dim: int) -> str:
     return VAR_NAMES[i] if dim <= 4 else f"x{i + 1}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Hyperplane:
-    """A linear hyperplane given by its canonicalized defining form."""
+    """A linear hyperplane, identified by its primitive integer normal
+    `coeffs` (gcd 1, first nonzero entry positive).  Build one with
+    `from_coeffs`; the constructor takes `coeffs` as given."""
 
-    normal: Vec
+    coeffs: tuple[int, ...]
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence) -> "Hyperplane":
         n = vec(coeffs)
-        lead = next((x for x in n if x != 0), None)
-        if lead is None:
+        if not any(n):
             raise ParseError("zero normal vector")
-        return cls(tuple(x / lead for x in n))
+        return cls(primitive_form(primitive_row(n)))
+
+    @property
+    def normal(self) -> Vec:
+        """The rational normal whose first nonzero entry is 1."""
+        lead = next(x for x in self.coeffs if x)
+        return tuple(Fraction(x, lead) for x in self.coeffs)
 
     def form_str(self) -> str:
-        dim = len(self.normal)
+        normal = self.normal
+        dim = len(normal)
         bits = []
-        for i, c in enumerate(self.normal):
+        for i, c in enumerate(normal):
             if c == 0:
                 continue
             name = _varname(i, dim)
@@ -86,13 +107,11 @@ class Multiarrangement:
                 raise ParseError(f"bad multiplicity {m!r}")
         seen = {}
         for i, h in enumerate(self.hyperplanes):
-            if len(h.normal) != self.dim:
+            if len(h.coeffs) != self.dim:
                 raise ParseError("normal length does not match dimension")
-            if h.normal in seen:
-                raise ParseError(
-                    f"duplicate hyperplane at positions {seen[h.normal]} and {i}"
-                )
-            seen[h.normal] = i
+            if h in seen:
+                raise ParseError(f"duplicate hyperplane at positions {seen[h]} and {i}")
+            seen[h] = i
         if self.labels is not None and len(self.labels) != len(self.hyperplanes):
             raise ParseError("one label per hyperplane required")
 
@@ -116,7 +135,7 @@ class Multiarrangement:
         return self.hyperplanes[i].form_str()
 
     def normal_matrix(self) -> Matrix:
-        return Matrix([h.normal for h in self.hyperplanes])
+        return Matrix([h.coeffs for h in self.hyperplanes])
 
     def with_mult(self, i: int, m: int) -> "Multiarrangement":
         if m < 1:
@@ -166,6 +185,25 @@ class Flat:
         return tuple(sorted(self.members))
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
+def _entry(x) -> Fraction:
+    """A normal entry: an integer, or a string "p/q" (or "p") of decimal
+    digits.  Bools, floats, decimal and exponent strings are refused, so no
+    entry is larger than its text."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    if not (isinstance(x, str) and _RATIONAL.fullmatch(x)):
+        raise ParseError(f'bad rational {x!r:.40}: normal entries are integers or "p/q" strings')
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ParseError(f"bad rational {x!r:.40}: zero denominator") from None
+    except ValueError as e:  # more digits than int() converts
+        raise ParseError(f"bad rational {x!r:.40}: {e}") from None
+
+
 def parse(text: str | dict) -> Multiarrangement:
     """Parse the arrangement JSON schema; duplicates are an error, never merged.
 
@@ -174,7 +212,7 @@ def parse(text: str | dict) -> Multiarrangement:
     if isinstance(text, str):
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # JSONDecodeError, or an integer over the digit limit
             raise ParseError(f"malformed JSON: {e}") from None
     else:
         data = text
@@ -194,12 +232,7 @@ def parse(text: str | dict) -> Multiarrangement:
     for row in normals:
         if not isinstance(row, list) or len(row) != dim:
             raise ParseError(f"normal {row} does not have {dim} entries")
-        try:
-            planes.append(Hyperplane.from_coeffs(row))
-        except (TypeError, ValueError) as e:
-            if isinstance(e, ParseError):
-                raise
-            raise ParseError(f"bad rational in normal {row}: {e}") from None
+        planes.append(Hyperplane.from_coeffs([_entry(x) for x in row]))
     labels = data.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
@@ -217,7 +250,7 @@ def parse_file(path: str) -> Multiarrangement:
 # lattice machinery
 
 
-def _span_flat(a: Multiarrangement, seed_normals: Sequence[Vec]) -> Flat:
+def _span_flat(a: Multiarrangement, seed_normals: Sequence[Sequence[int]]) -> Flat:
     """The flat cut out by the seed normals.  Their span is the annihilator
     of their kernel, so a hyperplane contains the flat exactly when its
     normal vanishes on every kernel vector."""
@@ -225,24 +258,17 @@ def _span_flat(a: Multiarrangement, seed_normals: Sequence[Vec]) -> Flat:
     members = frozenset(
         k
         for k, h in enumerate(a.hyperplanes)
-        if all(sum(x * y for x, y in zip(h.normal, v) if y) == 0 for v in kernel)
+        if all(sum(x * y for x, y in zip(h.coeffs, v) if y) == 0 for v in kernel)
     )
     return Flat(r, members)
 
 
 def rank(a: Multiarrangement) -> int:
-    if a.size == 0:
-        return 0
-    return a.normal_matrix().rank()
+    return integer_rank([list(h.coeffs) for h in a.hyperplanes], a.dim)
 
 
 def _pivot(v: Sequence) -> int:
     return next(j for j, x in enumerate(v) if x != 0)
-
-
-def _integer_normal(n: Vec) -> tuple[int, ...]:
-    d = lcm(*(x.denominator for x in n))
-    return tuple(x.numerator * (d // x.denominator) for x in n)
 
 
 @lru_cache(maxsize=1024)
@@ -255,14 +281,14 @@ def _codim2_table(
     One grouping pass per hyperplane i, in integers: every other normal v is
     reduced against the normal u of i (pivot p) to u[p]*v - v[p]*u, which
     vanishes at p.  Two hyperplanes lie on one codim-2 flat with i exactly
-    when their residues are proportional, so the residue divided by the gcd
-    of its entries, with a positive first nonzero entry, is the group key.
+    when their residues are proportional, so the residue's `primitive_form`
+    is the group key.
     Groups open in increasing order of their least member other than i,
     which is member order.  A flat is built in the row of its least member
     and shared by its other members' rows.  Keyed on the hyperplanes alone,
     so that arrangements differing only in multiplicities share one table.
     """
-    ints = [_integer_normal(h.normal) for h in hyperplanes]
+    ints = [h.coeffs for h in hyperplanes]
     built: dict[frozenset[int], Flat] = {}
     rows = []
     for i, u in enumerate(ints):
@@ -272,10 +298,7 @@ def _codim2_table(
             if k == i:
                 continue
             r = [u[p] * y - v[p] * x for x, y in zip(u, v)]
-            g = gcd(*r)
-            if r[_pivot(r)] < 0:
-                g = -g
-            groups.setdefault(tuple(x // g for x in r), [i]).append(k)
+            groups.setdefault(primitive_form(r), [i]).append(k)
         row = []
         for ks in groups.values():
             members = frozenset(ks)
@@ -305,11 +328,11 @@ def intersection_lattice(a: Multiarrangement, max_codim: int) -> dict[int, tuple
     for r in range(2, max_codim):
         nxt: dict[frozenset[int], Flat] = {}
         for f in levels[r]:
-            seeds = [a.hyperplanes[k].normal for k in f.sorted_members()]
+            seeds = [a.hyperplanes[k].coeffs for k in f.sorted_members()]
             covered = set(f.members)
             for k, h in enumerate(a.hyperplanes):
                 if k not in covered:
-                    g = _span_flat(a, seeds + [h.normal])
+                    g = _span_flat(a, seeds + [h.coeffs])
                     covered |= g.members
                     nxt.setdefault(g.members, g)
         levels[r + 1] = tuple(sorted(nxt.values(), key=Flat.sorted_members))
@@ -330,7 +353,7 @@ def localization(a: Multiarrangement, x: Flat) -> Multiarrangement:
     idx = x.sorted_members()
     if idx and (idx[0] < 0 or idx[-1] >= a.size):
         raise ValueError("not a flat of this arrangement")
-    span = _span_flat(a, [a.hyperplanes[k].normal for k in idx]) if idx else Flat(0, frozenset())
+    span = _span_flat(a, [a.hyperplanes[k].coeffs for k in idx]) if idx else Flat(0, frozenset())
     if span != x:
         raise ValueError("not a flat of this arrangement")
     return Multiarrangement(
@@ -372,15 +395,16 @@ def euler_ziegler_multiplicity(a: Multiarrangement, h0: Hyperplane | int) -> Res
     i0 = a.index_of(h0)
     if a.dim < 2:
         raise ValueError("restriction needs ambient dimension >= 2")
-    normal = a.hyperplanes[i0].normal
+    normal = a.hyperplanes[i0].coeffs
     flats = _codim2_table(a.hyperplanes)[1][i0]
     planes = []
     for f in flats:
         # the members of a flat through h0 restrict to one hyperplane of h0,
         # so one representative gives its trace: its form in the chart
-        # coordinates past y_1, up to the factor f_q that from_coeffs drops
-        alpha = a.hyperplanes[next(k for k in f.members if k != i0)].normal
-        planes.append(Hyperplane.from_coeffs(scaled_chart_image(normal, alpha)[1:]))
+        # coordinates past y_1, up to the factor f_q that the primitive form
+        # drops
+        alpha = a.hyperplanes[next(k for k in f.members if k != i0)].coeffs
+        planes.append(Hyperplane(primitive_form(scaled_chart_image(normal, alpha)[1:])))
     mults = tuple(sum(a.mult[k] for k in f.members) - a.mult[i0] for f in flats)
     restricted = Multiarrangement(a.dim - 1, tuple(planes), mults)
     return Restriction(restricted, tuple(f.members for f in flats), i0)
@@ -464,11 +488,11 @@ def essentialize(a: Multiarrangement) -> tuple[Multiarrangement, int]:
         return a, 0
     planes = []
     for h in a.hyperplanes:
-        image = tuple(h.normal[p] for p in pivots)
-        assert h.normal == tuple(
+        image = tuple(h.coeffs[p] for p in pivots)
+        assert h.coeffs == tuple(
             sum((c * row[k] for c, row in zip(image, red.entries)), Fraction(0)) for k in range(a.dim)
         ), "each normal must be its pivot entries times the RREF rows"
-        planes.append(Hyperplane.from_coeffs(image))
+        planes.append(Hyperplane(primitive_form(image)))
     return Multiarrangement(len(pivots), tuple(planes), a.mult, a.labels), drop
 
 

@@ -388,7 +388,7 @@ def cmd_oracle(args) -> int:
     if args.degree is not None:
         if _cap_too_large(args.degree, a.dim, least=0):
             return EXIT_CAP
-        dim = derivation_dim([h.normal for h in a.hyperplanes], list(a.mult), args.degree)
+        dim = derivation_dim([h.coeffs for h in a.hyperplanes], list(a.mult), args.degree)
         out["degree"] = args.degree
         out["dimension"] = dim
         if args.json:

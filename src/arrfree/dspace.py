@@ -41,7 +41,6 @@ from .exactalg import (
     monomials,
     primitive_row,
     substitute_monomials,
-    vec,
 )
 
 
@@ -71,8 +70,10 @@ def _derivation_rows(
 ) -> tuple[list[list[int]], list[Monomial]]:
     """The integer linear system of the degree-d piece and its monomials:
     unknown i*len(monos) + k is the coefficient of monos[k] in
-    theta(x_{i+1}).  A negative degree has no monomials and no rows."""
-    fs = [vec(f) for f in forms]
+    theta(x_{i+1}).  A negative degree has no monomials and no rows.  Form
+    entries are ints or Fractions, and each form is read as its primitive
+    integer row."""
+    fs = [primitive_row(f) for f in forms]
     if not fs:
         raise ValueError("need at least one form")
     nvars = len(fs[0])
@@ -83,7 +84,6 @@ def _derivation_rows(
     ncols = nvars * nm
     rows: list[list[int]] = []
     for form, mult in zip(fs, mults):
-        form = primitive_row(form)
         if mult > degree:
             # theta(form) must vanish identically at this degree
             for k in range(nm):

@@ -100,6 +100,18 @@ def primitive_row(row: Sequence) -> list[int]:
     return [x // g for x in ints] if g > 1 else ints
 
 
+def primitive_form(row: Sequence[int]) -> tuple[int, ...]:
+    """The primitive multiple of a nonzero integer row whose first nonzero
+    entry is positive: every nonzero multiple of the row gives the same
+    tuple (a rational row goes through `primitive_row` first)."""
+    g = gcd(*row)
+    if g == 0:
+        raise ValueError("zero form")
+    if next(x for x in row if x) < 0:
+        g = -g
+    return tuple(x // g for x in row)
+
+
 def _clear(rows: list[list[int]], targets: range, r: int, c: int) -> None:
     """Zero column c of the target rows with pivot row r: each row with a
     nonzero entry f there becomes pv*row - f*(row r), divided by its gcd."""

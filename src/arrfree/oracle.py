@@ -84,14 +84,17 @@ class Derivation:
 
 
 def is_log_derivation(a: Multiarrangement, theta: Derivation) -> bool:
-    """Membership test: theta(alpha_H) divisible by alpha_H^{m(H)} for all H."""
+    """Membership test: theta(alpha_H) divisible by alpha_H^{m(H)} for all H.
+
+    alpha_H is the integer normal; a nonzero multiple of it passes or fails
+    alike."""
     if theta.nvars != a.dim:
         raise ValueError("dimension mismatch")
     for h, m in zip(a.hyperplanes, a.mult):
-        p = theta.apply_form(h.normal)
+        p = theta.apply_form(h.coeffs)
         if p.is_zero():
             continue
-        if not p.divisible_by(Polynomial.linear_form(h.normal) ** m):
+        if not p.divisible_by(Polynomial.linear_form(h.coeffs) ** m):
             return False
     return True
 
@@ -110,7 +113,7 @@ def derivation_space_dim(a: Multiarrangement, d: int) -> tuple[int, list[Derivat
                 coeffs[i] = Polynomial(a.dim, {mono: Fraction(1)})
                 full.append(Derivation(tuple(coeffs)))
         return len(full), full
-    raw = derivation_basis([h.normal for h in a.hyperplanes], list(a.mult), d)
+    raw = derivation_basis([h.coeffs for h in a.hyperplanes], list(a.mult), d)
     basis = [Derivation(coeffs) for coeffs in raw]
     return len(basis), basis
 
@@ -288,7 +291,7 @@ def hilbert_freeness_test(
     overflow = exponent_tuple_overflow(total, l)
     if overflow:
         raise ValueError(overflow)
-    forms, mults = [h.normal for h in a.hyperplanes], list(a.mult)
+    forms, mults = [h.coeffs for h in a.hyperplanes], list(a.mult)
     dims = tuple(derivation_dim(forms, mults, d) for d in range(cap + 1))
     survivors = tuple(
         t

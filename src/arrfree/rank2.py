@@ -14,14 +14,15 @@ from functools import lru_cache
 
 from .arrangement import Flat, Multiarrangement
 from .dspace import derivation_basis, derivation_dim
-from .exactalg import Polynomial, Vec, vec
+from .exactalg import Polynomial, primitive_form, primitive_row
 
 
 @dataclass(frozen=True)
 class Rank2Instance:
-    """Distinct linear forms in two variables with positive multiplicities."""
+    """Pairwise non-proportional linear forms in two variables, with
+    rational (int or Fraction) entries, and positive multiplicities."""
 
-    forms: tuple[Vec, ...]
+    forms: tuple[tuple, ...]
     mult: tuple[int, ...]
     source: tuple[int, ...] = ()  # originating hyperplane indices, when known
 
@@ -37,8 +38,7 @@ class Rank2Instance:
         for f in self.forms:
             if len(f) != 2 or all(x == 0 for x in f):
                 raise ValueError(f"bad form {f}")
-            lead = next(x for x in f if x != 0)
-            canon = tuple(x / lead for x in f)
+            canon = primitive_form(primitive_row(f))
             if canon in seen:
                 raise ValueError("proportional forms")
             seen.add(canon)
@@ -57,10 +57,12 @@ def project_to_rank2(a: Multiarrangement, x: Flat) -> Rank2Instance:
 
     The member normals span a plane whose RREF basis (w1, w2) has pivot
     columns p1 < p2, and each member normal n is n[p1]*w1 + n[p2]*w2, so
-    (n[p1], n[p2]) is its projected form.  Two member normals u, v give the
-    pivots: the residue u[p1]*v - v[p1]*u, with p1 the earlier of their
-    pivots, vanishes up to p1 and has pivot p2.  When the pivots of u and v
-    differ, that is the later one.  Every further member normal n must lie
+    (n[p1], n[p2]) is its projected form, read off the integer normals and
+    made primitive (`primitive_form`), so that one line always gives the
+    same form.  Two member normals u, v give the pivots: the residue
+    u[p1]*v - v[p1]*u, with p1 the earlier of their pivots, vanishes up to
+    p1 and has pivot p2.  When the pivots of u and v differ, that is the
+    later one.  Every further member normal n must lie
     in the span of u and v: with D = u[p1]*v[p2] - u[p2]*v[p1], which is
     nonzero, Cramer's rule gives D*n = s*u + t*v, and a ValueError reports a
     member for which that identity fails.
@@ -72,17 +74,17 @@ def project_to_rank2(a: Multiarrangement, x: Flat) -> Rank2Instance:
         raise ValueError("a codimension-2 flat has at least two members")
     if idx[0] < 0 or idx[-1] >= a.size:
         raise ValueError("flat member out of range")
-    u, v = (a.hyperplanes[k].normal for k in idx[:2])
+    normals = [a.hyperplanes[k].coeffs for k in idx]
+    u, v = normals[:2]
     p1, p2 = sorted((_pivot(u), _pivot(v)))
     if p1 == p2:
         p2 = next(j for j in range(p1 + 1, len(u)) if u[p1] * v[j] != v[p1] * u[j])
-    normals = [a.hyperplanes[k].normal for k in idx]
     d = u[p1] * v[p2] - u[p2] * v[p1]
     for n in normals[2:]:
         s, t = n[p1] * v[p2] - n[p2] * v[p1], u[p1] * n[p2] - u[p2] * n[p1]
         if any(d * x != s * y + t * z for x, y, z in zip(n, u, v)):
             raise ValueError("flat members do not span a plane")
-    forms = tuple(vec((n[p1], n[p2])) for n in normals)
+    forms = tuple(primitive_form((n[p1], n[p2])) for n in normals)
     return Rank2Instance(forms, tuple(a.mult[k] for k in idx), idx)
 
 
@@ -90,7 +92,7 @@ def project_to_rank2(a: Multiarrangement, x: Flat) -> Rank2Instance:
 # before each timed operation and to count unique rank-2 instances, so the
 # name stays although the function returns d1 only and builds no basis.
 @lru_cache(maxsize=4096)
-def _min_degree_basis(forms: tuple[Vec, ...], mult: tuple[int, ...]) -> int:
+def _min_degree_basis(forms: tuple[tuple, ...], mult: tuple[int, ...]) -> int:
     """The smaller exponent d1, from one graded dimension.
 
     D = D(A, m) is free with exponents d1 <= d2, d1 + d2 = |m|, so

@@ -52,6 +52,9 @@ def test_parse_example1():
 def test_parse_rational_strings():
     a = parse({"dim": 2, "hyperplanes": [["1/2", 1]], "mult": [3]})
     assert a.hyperplanes[0].normal == (F(1), F(2))  # canonicalized
+    assert a.hyperplanes[0].coeffs == (1, 2)
+    b = parse({"dim": 3, "hyperplanes": [["-3/4", "+2", "0/5"]], "mult": [1]})
+    assert b.hyperplanes[0].coeffs == (3, -8, 0)
 
 
 @pytest.mark.parametrize(
@@ -68,6 +71,17 @@ def test_parse_rational_strings():
         {"dim": 2, "hyperplanes": [[1, 0]], "mult": ["2"]},
         {"dim": 2, "hyperplanes": [[1, 0]], "mult": [-1]},
         {"dim": True, "hyperplanes": [[1]], "mult": [1]},
+        # normal entries are integers or "p/q" strings only
+        {"dim": 2, "hyperplanes": [["1/0", 1]], "mult": [1]},
+        {"dim": 2, "hyperplanes": [[True, 0]], "mult": [1]},
+        {"dim": 2, "hyperplanes": [[False, 1]], "mult": [1]},
+        {"dim": 2, "hyperplanes": [["1.5", 1]], "mult": [1]},
+        {"dim": 2, "hyperplanes": [["1e400", 1]], "mult": [1]},
+        {"dim": 2, "hyperplanes": [["1e999999999", 1]], "mult": [1]},
+        {"dim": 2, "hyperplanes": [[1.5, 1]], "mult": [1]},
+        {"dim": 2, "hyperplanes": [[" 1", 1]], "mult": [1]},
+        {"dim": 2, "hyperplanes": [["1" * 5000, 1]], "mult": [1]},
+        '{"dim": 1, "hyperplanes": [[' + "1" * 5000 + ']], "mult": [1]}',
     ],
 )
 def test_parse_rejects(payload):

@@ -412,6 +412,18 @@ def test_certify_bad_multiplicities_exit_2(tmp_path, capsys, payload, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [("1/0", "zero denominator"), (True, "bad rational True"), ("1e400", "bad rational '1e400'")],
+)
+def test_certify_bad_normal_entry_exits_2(tmp_path, capsys, entry, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"dim": 2, "hyperplanes": [[1, 0], [entry, 1]], "mult": [1, 1]}), encoding="utf-8")
+    code, out, err = run(capsys, "certify", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_oracle_nonessential_needs_flag(tmp_path, capsys):
     p = tmp_path / "noness.json"
     p.write_text(
