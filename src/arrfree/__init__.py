@@ -11,7 +11,6 @@ from .arrangement import (
     essentialize,
     euler_ziegler_multiplicity,
     intersection_lattice,
-    is_heavy,
     is_locally_heavy,
     localization,
     parse,
@@ -20,7 +19,7 @@ from .arrangement import (
     reducibility,
     restriction_flats,
 )
-from .betti import BettiReport, b2_away, b2_away_local_sum, b2_multi, b2_simple
+from .betti import BettiReport, b2_away, b2_multi, b2_simple
 from .certify import (
     CertifyOptions,
     Flag,
@@ -32,15 +31,12 @@ from .certify import (
     is_generic_hyperplane,
     nonfree_generic,
     nonfree_two_locally_heavy,
-    normalize_multiplicity_shift,
     verify_certificate,
 )
 from .oracle import (
     Derivation,
     derivation_space_dim,
-    good_summand_check,
     hilbert_freeness_test,
-    restrict_derivation,
     saito_check,
 )
 from .rank2 import Rank2Instance, euler_multiplicity_at_flat, project_to_rank2, rank2_exponents

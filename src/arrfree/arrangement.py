@@ -375,10 +375,10 @@ class Restriction:
     """Euler-Ziegler restriction onto the hyperplane h0.
 
     Restricted hyperplanes live in the coordinates (y_2, ..., y_l) of the
-    chart y = T x given by `linear_change_to_coordinate` of the normal of
-    h0, in which h0 is {y_1 = 0}.  trace_members[k] is the set of
-    input-arrangement indices of hyperplanes containing the k-th restricted
-    hyperplane (including h0 itself).
+    chart of `exactalg.scaled_chart_image` for the normal of h0, in which
+    h0 is {y_1 = 0}.  trace_members[k] is the set of input-arrangement
+    indices of hyperplanes containing the k-th restricted hyperplane
+    (including h0 itself).
     """
 
     arrangement: Multiarrangement
@@ -422,11 +422,6 @@ def deletion(a: Multiarrangement, h0: Hyperplane | int) -> Multiarrangement:
             tuple(a.label(i) for i in keep),
         )
     return a.with_mult(i0, a.mult[i0] - 1)
-
-
-def shifted_mult(a: Multiarrangement, h0: Hyperplane | int, k: int) -> Multiarrangement:
-    i0 = a.index_of(h0)
-    return a.with_mult(i0, a.mult[i0] + k)
 
 
 # ---------------------------------------------------------------------------
@@ -497,12 +492,7 @@ def essentialize(a: Multiarrangement) -> tuple[Multiarrangement, int]:
 
 
 # ---------------------------------------------------------------------------
-# heaviness predicates (the certify module re-exports these)
-
-
-def is_heavy(a: Multiarrangement, h0: Hyperplane | int) -> bool:
-    i0 = a.index_of(h0)
-    return a.mult[i0] >= a.total_mult - a.mult[i0]
+# local heaviness
 
 
 def _heavy_in(a: Multiarrangement, i0: int, flats: Sequence[Flat]) -> bool:

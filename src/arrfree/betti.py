@@ -61,14 +61,3 @@ def b2_away(a: Multiarrangement, h: Hyperplane | int) -> int:
     m0 = a.mult[i]
     return b2_multi(a).total - m0 * (a.total_mult - m0)
 
-
-def b2_away_local_sum(a: Multiarrangement, h0: Hyperplane | int) -> int:
-    """Sum of local b2 over the codim-2 flats not contained in h0."""
-    i0 = a.index_of(h0)
-    total = 0
-    for f in codim2_flats(a):
-        if i0 in f.members:
-            continue
-        d1, d2 = rank2_exponents(project_to_rank2(a, f))
-        total += d1 * d2
-    return total

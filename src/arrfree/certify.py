@@ -33,7 +33,6 @@ from .arrangement import (
     rank,
     reducibility,
     restriction_flats,
-    shifted_mult,
 )
 from .betti import b2_away, b2_multi, b2_simple
 from .rank2 import project_to_rank2, rank2_exponents
@@ -163,7 +162,8 @@ def _restriction_step(
 
 
 def find_locally_heavy_flags(a: Multiarrangement) -> list[Flag]:
-    """All full flags whose restriction steps are locally heavy.
+    """All full flags whose restriction steps are locally heavy, in key
+    order: by the sorted members of each level, level by level.
 
     Depth-first: the first flat ranges over all hyperplanes, and each later
     flat over the locally heavy hyperplanes of the iterated Euler-Ziegler
@@ -171,43 +171,30 @@ def find_locally_heavy_flags(a: Multiarrangement) -> list[Flag]:
     """
     if not a.is_simple():
         raise ValueError("flag search needs a simple arrangement")
-    flags: list[Flag] = []
-    _flag_search(a.dim, a, [frozenset({i}) for i in range(a.size)], [], [], flags)
-    flags.sort(key=lambda f: tuple(sorted(m) for m in f.members_chain))
-    return flags
+    return list(_flag_search(a, [frozenset({i}) for i in range(a.size)]))
 
 
 def _flag_search(
-    dim: int,
     m: Multiarrangement,
     members: list[frozenset[int]],
-    chain: list,
-    values: list,
-    flags: list[Flag],
-) -> None:
-    """Append to `flags` every completion of the partial flag (chain,
-    values) whose current level is m, with `members` its hyperplanes as
-    sets of original indices."""
-    depth = len(chain)
-    if depth == dim:
-        flags.append(Flag(tuple(chain), tuple(values)))
+    chain: tuple[frozenset[int], ...] = (),
+    values: tuple[int, ...] = (),
+):
+    """Yield every completion of the partial flag (chain, values) whose
+    current level is m, with `members` its hyperplanes as sets of original
+    indices.  Children are visited in the order of their sorted members,
+    and distinct hyperplanes of a level have distinct members, so the flags
+    come in key order and the first one is the least."""
+    if m.dim == 0:
+        yield Flag(chain, values)
         return
-    if m.size == 0:
-        return
-    candidates = range(m.size) if depth == 0 else locally_heavy_indices(m)
-    for k in candidates:
+    candidates = locally_heavy_indices(m) if chain else range(m.size)
+    for k in sorted(candidates, key=lambda k: sorted(members[k])):
+        chain_k, values_k = chain + (members[k],), values + (m.mult[k],)
         if m.dim == 1:
-            nxt, nxt_members = None, None
+            yield Flag(chain_k, values_k)
         else:
-            nxt, nxt_members = _restriction_step(m, members, k)
-        chain.append(members[k])
-        values.append(m.mult[k])
-        if depth + 1 == dim:
-            flags.append(Flag(tuple(chain), tuple(values)))
-        elif nxt is not None:
-            _flag_search(dim, nxt, nxt_members, chain, values, flags)
-        chain.pop()
-        values.pop()
+            yield from _flag_search(*_restriction_step(m, members, k), chain_k, values_k)
 
 
 def _flag_levels(a: Multiarrangement, f: Flag) -> list[tuple[Multiarrangement, int]]:
@@ -245,16 +232,14 @@ def certify_flag(a: Multiarrangement, f: Flag) -> Verdict:
     lhs = b2_simple(a).total
     rhs = sum(v[i] * v[j] for i in range(l) for j in range(i + 1, l))
 
-    # telescoping consistency of the away-quantities, level by level
+    # The away-quantities b2(level i) - v[i]*(v[i+1] + ... + v[l-1]) of the
+    # levels above the rank-2 tail telescope.  The middle levels cancel and
+    # rhs = sum_i v[i]*(v[i+1] + ... + v[l-1]), so the telescope holds
+    # exactly when the tail's b2 is v[l-2]*v[l-1] and level 0's is lhs.
     if l >= 3:
-        level_b2 = [b2_multi(m).total for m, _ in levels[: l - 1]]
-        totals = [sum(v[i:]) for i in range(l)]
-        away = [level_b2[i] - v[i] * (totals[i] - v[i]) for i in range(l - 2)]
-        final_b2 = level_b2[l - 2]
-        assert final_b2 == v[l - 2] * v[l - 1], "rank-2 tail must have the flag exponents"
-        assert sum(away) == sum(level_b2[1 : l - 2]) + lhs - rhs + final_b2, (
-            "away-quantity telescope failed"
-        )
+        tail = levels[l - 2][0]
+        assert b2_multi(tail).total == v[l - 2] * v[l - 1], "rank-2 tail must have the flag exponents"
+        assert b2_multi(a).total == lhs, "away-quantity telescope failed"
 
     inputs = {"flag": f.to_dict()}
     numbers = {"b2": lhs, "flag_rhs": rhs, "level_values": list(v)}
@@ -423,28 +408,6 @@ def nonfree_two_locally_heavy(a: Multiarrangement) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# multiplicity shifts
-
-
-def normalize_multiplicity_shift(
-    a: Multiarrangement, h0: Hyperplane | int, k: int
-) -> Multiarrangement:
-    """Shift the multiplicity of a locally heavy hyperplane by k; freeness is
-    invariant under such shifts, so this travels between heavy and minimal
-    locally heavy forms."""
-    i0 = a.index_of(h0)
-    if not is_locally_heavy(a, i0):
-        raise ValueError(f"{a.label(i0)} is not locally heavy")
-    new = a.mult[i0] + k
-    if new < 1:
-        raise ValueError("shift makes the multiplicity nonpositive")
-    shifted = shifted_mult(a, i0, k)
-    if not is_locally_heavy(shifted, i0):
-        raise ValueError("shift destroys local heaviness")
-    return shifted
-
-
-# ---------------------------------------------------------------------------
 # the rule table: each rule's attempt returns a decisive verdict, or else why
 # it did not decide (None when it has nothing to say).  The attempts call the
 # rule functions through this module's globals, so that a rebinding is seen.
@@ -457,8 +420,8 @@ def _attempt_rank2(a: Multiarrangement, opts: CertifyOptions) -> Verdict | str |
 def _attempt_flag(a: Multiarrangement, opts: CertifyOptions) -> Verdict | str | None:
     if not a.is_simple():
         return "flag: input not simple"
-    flags = find_locally_heavy_flags(a)
-    return certify_flag(a, flags[0]) if flags else "flag: no locally heavy flag"
+    first = next(_flag_search(a, [frozenset({i}) for i in range(a.size)]), None)
+    return certify_flag(a, first) if first is not None else "flag: no locally heavy flag"
 
 
 def _attempt_locally_heavy(a: Multiarrangement, opts: CertifyOptions) -> Verdict | str | None:
@@ -647,5 +610,5 @@ def verify_certificate(a: Multiarrangement, payload: dict) -> Verdict:
         return v
     except CertificateError:
         raise
-    except (KeyError, TypeError, ValueError, AttributeError, IndexError) as e:
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError, RecursionError) as e:
         raise CertificateError(f"malformed certificate: {type(e).__name__}: {e}") from e

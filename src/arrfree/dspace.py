@@ -9,12 +9,12 @@ below the multiplicity.
 
 The system is built and eliminated in Python ints.  Each form is first
 scaled to a primitive integer form F (the same hyperplane, so the same
-module).  With q the last index where F is nonzero, the chart is the
-F_q-scaled inverse of `linear_change_to_coordinate`, x_j -> F_q*y_{j'} for
-j != q and x_q -> y_1 + N with N = -sum_{j != q} F_j*y_{j'}
-(`scaled_chart_inverse`), which is integral.  It multiplies every degree-d
-image, and so every row of that form, by the nonzero constant F_q^d, which
-leaves the kernel unchanged.
+module).  With q the last index where F is nonzero, the chart is the one
+of `exactalg.scaled_chart_image`: y_1 = F(x) and y_{j'} = x_j for j != q.
+The substitution is F_q times its inverse, x_j -> F_q*y_{j'} for j != q
+and x_q -> y_1 + N with N = -sum_{j != q} F_j*y_{j'}, which is integral.
+It multiplies every degree-d image, and so every row of that form, by the
+nonzero constant F_q^d, which leaves the kernel unchanged.
 
 Only the chart monomials of y_1-degree below the multiplicity are
 constrained, and N has no y_1, so each image is expanded only that far

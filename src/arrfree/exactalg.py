@@ -53,10 +53,6 @@ class Matrix:
         self.cols = len(rows[0]) if rows else 0
         self.entries: tuple[Vec, ...] = tuple(rows)
 
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([[Fraction(i == j) for j in range(n)] for i in range(n)])
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Matrix) and self.entries == other.entries
 
@@ -66,15 +62,6 @@ class Matrix:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"Matrix[{body}]"
-
-    def apply(self, v: Sequence) -> Vec:
-        w = vec(v)
-        if len(w) != self.cols:
-            raise ValueError("shape mismatch")
-        return tuple(
-            sum((self.entries[i][k] * w[k] for k in range(self.cols)), Fraction(0))
-            for i in range(self.rows)
-        )
 
     def transpose(self) -> "Matrix":
         return Matrix([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
@@ -215,49 +202,19 @@ def _chart_index(f: Sequence) -> int:
     return q
 
 
-def scaled_chart_inverse(form: Sequence) -> list[tuple]:
-    """f_q times the inverse of the chart T of `linear_change_to_coordinate`.
-
-    Row i is the image of x_i: f_q*y_{j'} for i = j != q, where j' is the
-    index of e_j's row in T (j + 1 below q, j above), and
-    y_1 - sum_{j != q} f_j*y_{j'} for i = q.  Its entries are products of
-    the form's entries, so an integer form gives an integer matrix.
-    """
-    q = _chart_index(form)
-    n = len(form)
-    rows = [[0] * n for _ in range(n)]
-    for j in range(n):
-        if j != q:
-            rows[j][j + 1 if j < q else j] = form[q]
-    rows[q] = [1] + [-form[j] for j in range(n) if j != q]
-    return [tuple(r) for r in rows]
-
-
 def scaled_chart_image(form: Sequence, alpha: Sequence) -> tuple:
-    """alpha times `scaled_chart_inverse(form)`, in closed form: the linear
-    form alpha in the chart coordinates y, times f_q.  Its y_1 coefficient
-    is alpha_q and its y_{j'} coefficient is f_q*alpha_j - alpha_q*f_j."""
+    """The linear form alpha in the chart coordinates y of the form f, times
+    f_q, where q is the last index with f_q != 0.
+
+    The chart is y_1 = f(x) and y_{j'} = x_j for every j != q, where j' is
+    j + 1 below q and j above it, so the hyperplane f = 0 is {y_1 = 0}.
+    Since x_q = (y_1 - sum_{j != q} f_j*y_{j'}) / f_q, the image has y_1
+    coefficient alpha_q and y_{j'} coefficient f_q*alpha_j - alpha_q*f_j:
+    products of the entries, so integer forms give an integer image.
+    """
     q = _chart_index(form)
     fq, aq = form[q], alpha[q]
     return (aq,) + tuple(fq * alpha[j] - aq * form[j] for j in range(len(form)) if j != q)
-
-
-def linear_change_to_coordinate(form: Sequence) -> tuple[Matrix, Matrix]:
-    """Invertible T whose first row is the form, plus its inverse.
-
-    In the new coordinates y = T x the functional `form` is y_1, so the
-    hyperplane `form = 0` becomes {y_1 = 0}.  With q the last index where
-    the form f is nonzero, the rows after the first are the unit vectors
-    e_j for every j != q, in increasing j.  The inverse is
-    `scaled_chart_inverse(f)` divided by f_q, since
-    x_q = (y_1 - sum_{j != q} f_j x_j) / f_q.
-    """
-    f = vec(form)
-    n = len(f)
-    scaled = scaled_chart_inverse(f)
-    q = _chart_index(f)
-    others = [tuple(Fraction(j == c) for c in range(n)) for j in range(n) if j != q]
-    return Matrix([f] + others), Matrix([[x / f[q] for x in row] for row in scaled])
 
 
 # ---------------------------------------------------------------------------
@@ -409,38 +366,6 @@ class Polynomial:
 
     def divisible_by(self, g: "Polynomial") -> bool:
         return self.divmod_by(g)[1].is_zero()
-
-    def substitute_linear(self, images: Sequence[Sequence]) -> "Polynomial":
-        """Substitute x_i -> linear form images[i] (over possibly new variables)."""
-        if len(images) != self.nvars:
-            raise ValueError("need one image per variable")
-        table = substitute_monomials(images, self.terms)
-        terms: dict[Monomial, Fraction] = {}
-        for mono, c in self.terms.items():
-            for m, v in table[mono].items():
-                terms[m] = terms.get(m, 0) + c * v
-        return Polynomial(len(images[0]) if images else 0, terms)
-
-    def set_var_zero(self, i: int) -> "Polynomial":
-        return Polynomial(self.nvars, {m: c for m, c in self.terms.items() if m[i] == 0})
-
-    def drop_var(self, i: int) -> "Polynomial":
-        """Remove variable i; every term must have exponent 0 there."""
-        if any(m[i] != 0 for m in self.terms):
-            raise ValueError("variable still present")
-        return Polynomial(self.nvars - 1, {m[:i] + m[i + 1 :]: c for m, c in self.terms.items()})
-
-    def evaluate(self, point: Sequence) -> Fraction:
-        p = vec(point)
-        if len(p) != self.nvars:
-            raise ValueError("wrong point length")
-        total = Fraction(0)
-        for mono, c in self.terms.items():
-            v = c
-            for x, e in zip(p, mono):
-                v *= x**e
-            total += v
-        return total
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -13,15 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .arrangement import (
-    Hyperplane,
-    Multiarrangement,
-    euler_ziegler_multiplicity,
-    is_locally_heavy,
-    rank,
-)
+from .arrangement import Multiarrangement, rank
 from .dspace import derivation_basis, derivation_dim
-from .exactalg import Polynomial, frac, linear_change_to_coordinate, monomials, poly_matrix_det
+from .exactalg import Polynomial, frac, monomials, poly_matrix_det
 
 
 @dataclass(frozen=True)
@@ -308,79 +302,3 @@ def hilbert_freeness_test(
                 "FreeProven", cap, dims, survivors, exponents=exps, basis=basis, seed=seed
             )
     return HilbertResult("Undetermined", cap, dims, survivors, seed=seed)
-
-
-# ---------------------------------------------------------------------------
-# structural checks from the restriction theory
-
-
-def good_summand_check(a: Multiarrangement, h0: Hyperplane | int, thetas) -> bool:
-    """Check for the distinguished basis element at a locally heavy hyperplane.
-
-    Looks for an index j with pdeg m(h0) whose image of the defining form is
-    a nonzero constant times alpha0^{m0}; the remaining basis elements are
-    then corrected to annihilate alpha0 and re-verified as members.
-    """
-    thetas = list(thetas)
-    i0 = a.index_of(h0)
-    if not is_locally_heavy(a, i0):
-        raise ValueError("hyperplane is not locally heavy")
-    if saito_check(a, thetas).kind != "Basis":
-        raise ValueError("given derivations are not a basis")
-    m0 = a.mult[i0]
-    alpha0 = a.hyperplanes[i0].normal
-    a0_pow = Polynomial.linear_form(alpha0) ** m0
-    pivot = None
-    for j, t in enumerate(thetas):
-        if t.pdeg != m0:
-            continue
-        p = t.apply_form(alpha0)
-        if p.is_zero():
-            continue
-        q, r = p.divmod_by(a0_pow)
-        if r.is_zero() and q.degree() == 0:
-            pivot = (j, q.coeff((0,) * a.dim))
-            break
-    if pivot is None:
-        return False
-    j, c = pivot
-    good = thetas[j].scale(Fraction(1) / c)
-    for i, t in enumerate(thetas):
-        if i == j:
-            continue
-        qi = t.apply_form(alpha0).exact_div(a0_pow)
-        corrected = t.add(Derivation(tuple(-(qi * g) for g in good.coeffs)))
-        if not corrected.apply_form(alpha0).is_zero():
-            raise RuntimeError("good-summand correction failed to annihilate alpha0")
-        if not is_log_derivation(a, corrected):
-            raise RuntimeError("good-summand correction left the module")
-    return True
-
-
-def restrict_derivation(a: Multiarrangement, h0: Hyperplane | int, theta: Derivation) -> Derivation:
-    """Push a derivation annihilating alpha0 down to the restriction chart.
-
-    Membership in the module of the Euler-Ziegler restriction is re-verified
-    on the result rather than assumed.
-    """
-    i0 = a.index_of(h0)
-    if not is_log_derivation(a, theta):
-        raise ValueError("derivation outside D(A,m)")
-    if not theta.apply_form(a.hyperplanes[i0].normal).is_zero():
-        raise ValueError("derivation does not annihilate the hyperplane form")
-    restr = euler_ziegler_multiplicity(a, i0)
-    t, tinv = linear_change_to_coordinate(a.hyperplanes[i0].normal)
-    images = [tuple(row) for row in tinv.entries]
-    new_coeffs = []
-    for i in range(1, a.dim):
-        p = Polynomial.zero(a.dim)
-        for k in range(a.dim):
-            coeff = t.entries[i][k]
-            if coeff != 0:
-                p = p + theta.coeffs[k] * coeff
-        p = p.substitute_linear(images).set_var_zero(0).drop_var(0)
-        new_coeffs.append(p)
-    out = Derivation(tuple(new_coeffs))
-    if not is_log_derivation(restr.arrangement, out):
-        raise RuntimeError("restricted derivation left the restriction module")
-    return out

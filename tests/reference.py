@@ -1,0 +1,187 @@
+"""Reference code that tests compare `arrfree` against, and the paper's
+statements that the prover never evaluates.
+
+None of this runs in `certify`, `verify_certificate` or the CLI:
+
+* the greedy coordinate chart (`ref_linear_change_to_coordinate`), which
+  probes `Matrix.rank()` once per candidate unit vector and inverts by an
+  augmented RREF -- the one chart reference of the closed form that
+  `exactalg.scaled_chart_image` and `dspace` write down;
+* heaviness (`is_heavy`) and the shift of a locally heavy multiplicity
+  (`normalize_multiplicity_shift`, criterion C7);
+* the away-b2 as a sum of local b2 over the flats off h0
+  (`b2_away_local_sum`, criterion C4);
+* the good summand of a Saito basis at a locally heavy hyperplane
+  (`good_summand_check`) and the restriction of a derivation that
+  annihilates its form (`restrict_derivation`).
+"""
+
+from fractions import Fraction
+
+from arrfree.arrangement import Multiarrangement, codim2_flats, euler_ziegler_multiplicity, is_locally_heavy
+from arrfree.exactalg import Matrix, Polynomial, substitute_monomials, vec
+from arrfree.oracle import Derivation, is_log_derivation, saito_check
+from arrfree.rank2 import project_to_rank2, rank2_exponents
+
+# ---------------------------------------------------------------------------
+# the greedy coordinate chart
+
+
+def ref_inverse(m):
+    n = m.rows
+    aug = Matrix([list(m.entries[i]) + [Fraction(i == j) for j in range(n)] for i in range(n)])
+    red, pivots = aug.rref()
+    assert pivots == list(range(n)), "singular matrix"
+    return Matrix([row[n:] for row in red.entries])
+
+
+def ref_linear_change_to_coordinate(form):
+    """Invertible T whose first row is the form, completed greedily by the
+    unit vectors that raise the rank, plus its inverse: in y = T x the
+    hyperplane `form = 0` is {y_1 = 0}."""
+    f = vec(form)
+    n = len(f)
+    rows = [f]
+    have = 1
+    for i in range(n):
+        if have == n:
+            break
+        e = tuple(Fraction(j == i) for j in range(n))
+        if Matrix(rows + [e]).rank() > have:
+            rows.append(e)
+            have += 1
+    t = Matrix(rows)
+    return t, ref_inverse(t)
+
+
+def ref_scaled_chart_inverse(form):
+    """f_q times the greedy T^-1, with q the last index where the form is
+    nonzero: row i is the image of x_i in the chart coordinates."""
+    f = vec(form)
+    fq = next(x for x in reversed(f) if x != 0)
+    _, tinv = ref_linear_change_to_coordinate(f)
+    return [tuple(fq * x for x in row) for row in tinv.entries]
+
+
+# ---------------------------------------------------------------------------
+# heaviness and multiplicity shifts
+
+
+def is_heavy(a: Multiarrangement, h0) -> bool:
+    i0 = a.index_of(h0)
+    return a.mult[i0] >= a.total_mult - a.mult[i0]
+
+
+def normalize_multiplicity_shift(a: Multiarrangement, h0, k: int) -> Multiarrangement:
+    """Shift the multiplicity of a locally heavy hyperplane by k; freeness is
+    invariant under such shifts, so this travels between heavy and minimal
+    locally heavy forms."""
+    i0 = a.index_of(h0)
+    if not is_locally_heavy(a, i0):
+        raise ValueError(f"{a.label(i0)} is not locally heavy")
+    new = a.mult[i0] + k
+    if new < 1:
+        raise ValueError("shift makes the multiplicity nonpositive")
+    shifted = a.with_mult(i0, new)
+    if not is_locally_heavy(shifted, i0):
+        raise ValueError("shift destroys local heaviness")
+    return shifted
+
+
+# ---------------------------------------------------------------------------
+# the away-b2 as a local sum
+
+
+def b2_away_local_sum(a: Multiarrangement, h0) -> int:
+    """Sum of local b2 over the codim-2 flats not contained in h0."""
+    i0 = a.index_of(h0)
+    total = 0
+    for f in codim2_flats(a):
+        if i0 in f.members:
+            continue
+        d1, d2 = rank2_exponents(project_to_rank2(a, f))
+        total += d1 * d2
+    return total
+
+
+# ---------------------------------------------------------------------------
+# derivations at a locally heavy hyperplane
+
+
+def good_summand_check(a: Multiarrangement, h0, thetas) -> bool:
+    """Check for the distinguished basis element at a locally heavy hyperplane.
+
+    Looks for an index j with pdeg m(h0) whose image of the defining form is
+    a nonzero constant times alpha0^{m0}; the remaining basis elements are
+    then corrected to annihilate alpha0 and re-verified as members.
+    """
+    thetas = list(thetas)
+    i0 = a.index_of(h0)
+    if not is_locally_heavy(a, i0):
+        raise ValueError("hyperplane is not locally heavy")
+    if saito_check(a, thetas).kind != "Basis":
+        raise ValueError("given derivations are not a basis")
+    m0 = a.mult[i0]
+    alpha0 = a.hyperplanes[i0].normal
+    a0_pow = Polynomial.linear_form(alpha0) ** m0
+    pivot = None
+    for j, t in enumerate(thetas):
+        if t.pdeg != m0:
+            continue
+        p = t.apply_form(alpha0)
+        if p.is_zero():
+            continue
+        q, r = p.divmod_by(a0_pow)
+        if r.is_zero() and q.degree() == 0:
+            pivot = (j, q.coeff((0,) * a.dim))
+            break
+    if pivot is None:
+        return False
+    j, c = pivot
+    good = thetas[j].scale(Fraction(1) / c)
+    for i, t in enumerate(thetas):
+        if i == j:
+            continue
+        qi = t.apply_form(alpha0).exact_div(a0_pow)
+        corrected = t.add(Derivation(tuple(-(qi * g) for g in good.coeffs)))
+        if not corrected.apply_form(alpha0).is_zero():
+            raise RuntimeError("good-summand correction failed to annihilate alpha0")
+        if not is_log_derivation(a, corrected):
+            raise RuntimeError("good-summand correction left the module")
+    return True
+
+
+def restrict_derivation(a: Multiarrangement, h0, theta: Derivation) -> Derivation:
+    """Push a derivation annihilating alpha0 down to the restriction chart.
+
+    In the chart y = T x of the greedy reference, alpha0 is y_1; the
+    restricted coefficients are rows 2.. of T applied to theta, with x
+    substituted by T^-1 y and y_1 set to zero.  Membership in the module of
+    the Euler-Ziegler restriction is re-verified on the result rather than
+    assumed.
+    """
+    i0 = a.index_of(h0)
+    if not is_log_derivation(a, theta):
+        raise ValueError("derivation outside D(A,m)")
+    if not theta.apply_form(a.hyperplanes[i0].normal).is_zero():
+        raise ValueError("derivation does not annihilate the hyperplane form")
+    restr = euler_ziegler_multiplicity(a, i0)
+    t, tinv = ref_linear_change_to_coordinate(a.hyperplanes[i0].normal)
+    new_coeffs = []
+    for i in range(1, a.dim):
+        p = Polynomial.zero(a.dim)
+        for k in range(a.dim):
+            coeff = t.entries[i][k]
+            if coeff != 0:
+                p = p + theta.coeffs[k] * coeff
+        table = substitute_monomials(tinv.entries, p.terms)
+        terms = {}
+        for mono, c in p.terms.items():
+            for m, v in table[mono].items():
+                if m[0] == 0:
+                    terms[m[1:]] = terms.get(m[1:], 0) + c * v
+        new_coeffs.append(Polynomial(a.dim - 1, terms))
+    out = Derivation(tuple(new_coeffs))
+    if not is_log_derivation(restr.arrangement, out):
+        raise RuntimeError("restricted derivation left the restriction module")
+    return out

@@ -17,13 +17,8 @@ from arrfree.arrangement import (
     rank,
     reducibility,
 )
-from arrfree.betti import b2_away, b2_away_local_sum, b2_multi, b2_simple
-from arrfree.certify import (
-    CertifyOptions,
-    certify,
-    find_locally_heavy_flags,
-    normalize_multiplicity_shift,
-)
+from arrfree.betti import b2_away, b2_multi, b2_simple
+from arrfree.certify import CertifyOptions, certify, find_locally_heavy_flags
 from arrfree.cli import main
 from arrfree.fixtures import (
     boolean3,
@@ -36,6 +31,7 @@ from arrfree.oracle import derivation_space_dim, extract_basis, hilbert_freeness
 from arrfree.rank2 import Rank2Instance, rank2_exponents
 
 from conftest import force_locally_heavy, random_multiarrangement, random_simple_rank3
+from reference import b2_away_local_sum, normalize_multiplicity_shift
 
 
 def _report(num: int, name: str, ok: bool):

@@ -20,7 +20,6 @@ from arrfree.arrangement import (
     rank,
     reducibility,
     restriction_flats,
-    shifted_mult,
 )
 from arrfree.fixtures import boolean3, braid3, example52, example_a3, rank4_flag_example
 
@@ -250,7 +249,7 @@ def test_euler_ziegler_independent_of_h0_multiplicity():
         a = random_multiarrangement(rng)
         i0 = rng.randrange(a.size)
         r1 = euler_ziegler_multiplicity(a, i0)
-        r2 = euler_ziegler_multiplicity(shifted_mult(a, i0, 3), i0)
+        r2 = euler_ziegler_multiplicity(a.with_mult(i0, a.mult[i0] + 3), i0)
         assert r1.arrangement == r2.arrangement
         assert all(m >= 1 for m in r1.arrangement.mult)
 
@@ -286,7 +285,8 @@ def test_deletion_example1():
 
 def test_deletion_readdition_identity():
     a = boolean3((2, 3, 4))
-    assert shifted_mult(deletion(a, 2), 2, 1) == a
+    d = deletion(a, 2)
+    assert d.with_mult(2, d.mult[2] + 1) == a
     s = braid3()
     d = deletion(s, 4)
     back = Multiarrangement(

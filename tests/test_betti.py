@@ -3,7 +3,7 @@ import random
 import pytest
 
 from arrfree.arrangement import euler_ziegler_multiplicity, is_locally_heavy, parse, rank
-from arrfree.betti import b2_away, b2_away_local_sum, b2_multi, b2_simple
+from arrfree.betti import b2_away, b2_multi, b2_simple
 from arrfree.fixtures import boolean3, braid3, example_a3, rank4_flag_example
 
 from conftest import (
@@ -12,6 +12,7 @@ from conftest import (
     random_multiarrangement,
     random_simple_rank3,
 )
+from reference import b2_away_local_sum
 
 
 def test_b2_simple_fixtures():

@@ -4,10 +4,18 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from arrfree.arrangement import is_heavy, is_locally_heavy, parse, rank
+from arrfree.arrangement import (
+    Hyperplane,
+    Multiarrangement,
+    euler_ziegler_multiplicity,
+    is_locally_heavy,
+    locally_heavy_indices,
+    parse,
+    rank,
+)
 from arrfree.certify import (
     RECHECKS,
     CertificateError,
@@ -20,7 +28,6 @@ from arrfree.certify import (
     is_generic_hyperplane,
     nonfree_generic,
     nonfree_two_locally_heavy,
-    normalize_multiplicity_shift,
     verify_certificate,
 )
 from arrfree.fixtures import (
@@ -34,6 +41,10 @@ from arrfree.fixtures import (
 )
 
 from conftest import cyclic_garbage, force_locally_heavy, random_multiarrangement
+from reference import is_heavy, normalize_multiplicity_shift
+
+# the module, not the `certify` function of the same name
+certify_mod = importlib.import_module("arrfree.certify")
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +113,59 @@ def test_flag_search_boolean_all_ones():
     assert all(f.values == (1, 1, 1) for f in flags)
 
 
+def _flag_key(f):
+    return tuple(tuple(sorted(m)) for m in f.members_chain)
+
+
+def ref_flags(a):
+    """Every locally heavy flag by a depth-first search in index order, then
+    sorted by key, as `find_locally_heavy_flags` listed them before it
+    visited children in key order."""
+    flags = []
+
+    def walk(m, members, chain, values):
+        candidates = range(m.size) if not chain else locally_heavy_indices(m)
+        for k in candidates:
+            c, v = chain + (members[k],), values + (m.mult[k],)
+            if m.dim == 1:
+                flags.append(Flag(c, v))
+                continue
+            r = euler_ziegler_multiplicity(m, k)
+            walk(r.arrangement, [frozenset().union(*(members[j] for j in tm)) for tm in r.trace_members], c, v)
+
+    walk(a, [frozenset({i}) for i in range(a.size)], (), ())
+    return sorted(flags, key=_flag_key)
+
+
+def assert_flags_in_key_order(a):
+    flags = find_locally_heavy_flags(a)
+    assert flags == ref_flags(a)
+    assert [_flag_key(f) for f in flags] == sorted({_flag_key(f) for f in flags})
+    got = certify_mod._attempt_flag(a, CertifyOptions())
+    assert got == (certify_flag(a, flags[0]) if flags else "flag: no locally heavy flag")
+
+
+@st.composite
+def simple_arrangements(draw):
+    dim = draw(st.integers(3, 4))
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim), min_size=dim, max_size=8))
+    planes = {Hyperplane.from_coeffs(r): None for r in rows if any(r)}
+    a = Multiarrangement(dim, tuple(planes), (1,) * len(planes))
+    assume(rank(a) == dim)
+    return a
+
+
+@settings(max_examples=60, deadline=None)
+@given(simple_arrangements())
+def test_flag_listing_is_in_key_order_and_certify_takes_the_first(a):
+    assert_flags_in_key_order(a)
+
+
+@pytest.mark.parametrize("make", [rank4_flag_example, boolean3, braid3, generic4])
+def test_flag_listing_in_key_order_on_fixtures(make):
+    assert_flags_in_key_order(make())
+
+
 def test_flag_search_rejects_multiarrangement():
     with pytest.raises(ValueError):
         find_locally_heavy_flags(example_a3(1, 2))
@@ -132,6 +196,22 @@ def test_certify_flag_split_arrangement():
     v = certify_flag(a, start_x[0])
     assert v.kind == "Free" and v.exponents == (1, 1, 2)
     assert v.certificate.numbers["b2"] == 5 == v.certificate.numbers["flag_rhs"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 7), st.data())
+def test_flag_telescope_is_the_tail_and_level_zero(l, data):
+    # the away-quantity telescope that certify_flag asserted before holds,
+    # on arbitrary values and level b2s with the rank-2 tail right, exactly
+    # when level 0's b2 is lhs, the check that replaces it
+    v = data.draw(st.lists(st.integers(1, 6), min_size=l, max_size=l))
+    level_b2 = data.draw(st.lists(st.integers(0, 80), min_size=l - 2, max_size=l - 2)) + [v[l - 2] * v[l - 1]]
+    lhs = data.draw(st.one_of(st.just(level_b2[0]), st.integers(0, 80)))
+    rhs = sum(v[i] * v[j] for i in range(l) for j in range(i + 1, l))
+    totals = [sum(v[i:]) for i in range(l)]
+    away = [level_b2[i] - v[i] * (totals[i] - v[i]) for i in range(l - 2)]
+    telescope = sum(away) == sum(level_b2[1 : l - 2]) + lhs - rhs + level_b2[l - 2]
+    assert telescope == (level_b2[0] == lhs)
 
 
 def test_certify_flag_invalid():
@@ -335,8 +415,6 @@ def test_free_exponents_sum_to_total_multiplicity():
 def test_free_invariant_rejects_forged_exponents(monkeypatch, forged):
     # boolean (x, y) with m = (1, 2): the rank-2 solver is forged to claim
     # exponents that do not sum to |m| = 3, or are not rank-many
-    certify_mod = importlib.import_module("arrfree.certify")
-
     a = parse({"dim": 2, "hyperplanes": [[1, 0], [0, 1]], "mult": [1, 2]})
     monkeypatch.setattr(certify_mod, "rank2_exponents", lambda inst: forged)
     with pytest.raises(AssertionError, match="rank-many"):
@@ -559,6 +637,16 @@ def _node_rules(node):
     yield node.rule
     for child in node.children:
         yield from _node_rules(child)
+
+
+def test_verifier_rejects_deep_payload_with_certificate_error():
+    # deeper than the interpreter's recursion limit; JSON text cannot nest
+    # this deep, but an in-memory payload can
+    node = {"rule": "Rank2Base", "inputs": {}, "numbers": {}, "children": []}
+    for _ in range(5000):
+        node = {"rule": "Rank2Base", "inputs": {}, "numbers": {}, "children": [node]}
+    with pytest.raises(CertificateError, match="RecursionError"):
+        verify_certificate(boolean3(), {"kind": "Free", "certificate": node})
 
 
 def test_rechecks_cover_exactly_the_emitted_rules():

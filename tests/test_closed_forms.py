@@ -2,9 +2,10 @@
 and reducibility against the greedy constructions they replaced.
 
 The references probe `Matrix.rank()` once per candidate unit vector, invert
-the chart by an augmented RREF, and solve one system per dependent normal,
-exactly as `exactalg` and `arrangement` did before the closed forms; they
-are kept here only as the reference.
+the chart by an augmented RREF (`reference.ref_linear_change_to_coordinate`),
+and solve one system per dependent normal, exactly as `exactalg` and
+`arrangement` did before the closed forms; they are kept only as the
+reference.
 """
 
 from fractions import Fraction
@@ -21,36 +22,13 @@ from arrfree.arrangement import (
     rank,
     reducibility,
 )
-from arrfree.exactalg import Matrix, linear_change_to_coordinate, rank_and_kernel, vec
+from arrfree.exactalg import Matrix, rank_and_kernel, scaled_chart_image, vec
 from arrfree.fixtures import load
+from reference import ref_scaled_chart_inverse
 from test_codim2_flats import A4, B4, D4, ENTRIES, FIXTURES, _reflection
 
 # ---------------------------------------------------------------------------
 # the greedy references
-
-
-def ref_inverse(m):
-    n = m.rows
-    aug = Matrix([list(m.entries[i]) + [Fraction(i == j) for j in range(n)] for i in range(n)])
-    red, pivots = aug.rref()
-    assert pivots == list(range(n)), "singular matrix"
-    return Matrix([row[n:] for row in red.entries])
-
-
-def ref_linear_change_to_coordinate(form):
-    f = vec(form)
-    n = len(f)
-    rows = [f]
-    have = 1
-    for i in range(n):
-        if have == n:
-            break
-        e = tuple(Fraction(j == i) for j in range(n))
-        if Matrix(rows + [e]).rank() > have:
-            rows.append(e)
-            have += 1
-    t = Matrix(rows)
-    return t, ref_inverse(t)
 
 
 def ref_essentialize(a):
@@ -122,11 +100,22 @@ def ref_reducibility(a):
     return Reducibility(blocks, a.dim - rank(a))
 
 
+def assert_chart_matches_reference(form):
+    """The closed-form image of each unit vector is its row of f_q times the
+    greedy chart's inverse, and the form itself is f_q*y_1."""
+    f = vec(form)
+    n = len(f)
+    units = [tuple(Fraction(i == j) for j in range(n)) for i in range(n)]
+    assert [scaled_chart_image(f, e) for e in units] == ref_scaled_chart_inverse(f)
+    fq = next(x for x in reversed(f) if x != 0)
+    assert scaled_chart_image(f, f) == (fq,) + (0,) * (n - 1)
+
+
 def assert_matches_reference(a):
     assert reducibility(a) == ref_reducibility(a)
     assert essentialize(a) == ref_essentialize(a)
     for h in a.hyperplanes:
-        assert linear_change_to_coordinate(h.normal) == ref_linear_change_to_coordinate(h.normal)
+        assert_chart_matches_reference(h.normal)
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +127,7 @@ FORMS = st.lists(ENTRIES, min_size=1, max_size=7).filter(lambda f: any(x != 0 fo
 @settings(max_examples=200, deadline=None)
 @given(FORMS)
 def test_chart_matches_greedy_reference(form):
-    t, tinv = linear_change_to_coordinate(form)
-    assert (t, tinv) == ref_linear_change_to_coordinate(form)
-    assert Matrix([t.apply(col) for col in tinv.transpose().entries]) == Matrix.identity(len(form))
+    assert_chart_matches_reference(form)
 
 
 @pytest.mark.parametrize(
@@ -158,7 +145,7 @@ def test_chart_matches_greedy_reference(form):
     ],
 )
 def test_chart_matches_greedy_reference_on_chosen_forms(form):
-    assert linear_change_to_coordinate(form) == ref_linear_change_to_coordinate(form)
+    assert_chart_matches_reference(form)
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,10 @@ from arrfree.arrangement import (
     rank,
     restriction_flats,
 )
-from arrfree.exactalg import Matrix, linear_change_to_coordinate, primitive_row
+from arrfree.exactalg import Matrix, primitive_row
 from arrfree.fixtures import load
 from arrfree.rank2 import Rank2Instance, project_to_rank2
+from reference import ref_linear_change_to_coordinate
 
 # the module, not the `certify` function the package exports under its name
 certify_mod = importlib.import_module("arrfree.certify")
@@ -144,7 +145,7 @@ def ref_locally_heavy_indices(a):
 
 def ref_euler_ziegler(a, i0):
     """(restricted arrangement, trace_members): every normal through the chart."""
-    _, tinv = linear_change_to_coordinate(a.hyperplanes[i0].normal)
+    _, tinv = ref_linear_change_to_coordinate(a.hyperplanes[i0].normal)
     groups = {}
     for k in range(a.size):
         if k == i0:

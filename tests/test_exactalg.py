@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from arrfree.exactalg import (
     Matrix,
     Polynomial,
-    linear_change_to_coordinate,
     monomials,
     poly_matrix_det,
     rank_and_kernel,
+    scaled_chart_image,
 )
 
 F = Fraction
@@ -30,7 +30,7 @@ y2 = P(2, {(0, 1): 1})
 
 
 def test_kernel_identity():
-    rank, kernel = rank_and_kernel(Matrix.identity(2))
+    rank, kernel = rank_and_kernel(Matrix([[1, 0], [0, 1]]))
     assert rank == 2 and kernel == []
 
 
@@ -77,11 +77,20 @@ def test_rank_nullity_and_kernel_membership(nrows, ncols, data):
     rank, kernel = rank_and_kernel(m)
     assert rank + len(kernel) == ncols
     for v in kernel:
-        assert all(c == 0 for c in m.apply(v))
+        assert all(sum(c * x for c, x in zip(row, v)) == 0 for row in m.entries)
 
 
 # ---------------------------------------------------------------------------
 # polynomials
+
+
+def _evaluate(p, point):
+    total = F(0)
+    for mono, c in p.terms.items():
+        for x, e in zip(point, mono):
+            c *= F(x) ** e
+        total += c
+    return total
 
 
 def test_poly_mul_basic():
@@ -121,8 +130,8 @@ def test_defining_polynomial_example_product():
     for point in [(2, 3, 5), (-1, 4, 7), (F(1, 2), F(1, 3), 1)]:
         direct = F(1)
         for f in factors:
-            direct *= f.evaluate(point)
-        assert q.evaluate(point) == direct
+            direct *= _evaluate(f, point)
+        assert _evaluate(q, point) == direct
 
 
 @settings(max_examples=40, deadline=None)
@@ -222,28 +231,27 @@ def test_det_matches_leibniz_oracle(n, data):
 
 
 # ---------------------------------------------------------------------------
-# coordinate changes
+# the coordinate chart: images of linear forms, times f_q
+
+UNITS = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
 def test_change_identity():
-    t, tinv = linear_change_to_coordinate([1, 0, 0])
-    assert t == Matrix.identity(3) and tinv == Matrix.identity(3)
+    assert [scaled_chart_image([1, 0, 0], e) for e in UNITS] == UNITS
 
 
 def test_change_permutation():
-    t, _ = linear_change_to_coordinate([0, 1, 0])
-    entries = [[abs(c) for c in row] for row in t.entries]
-    assert sorted(map(tuple, entries)) == sorted(map(tuple, Matrix.identity(3).entries))
+    images = [scaled_chart_image([0, 1, 0], e) for e in UNITS]
+    assert sorted(images) == sorted(UNITS)
 
 
 def test_change_general_form():
     form = [1, -1, 0]
-    t, tinv = linear_change_to_coordinate(form)
-    assert all(t.apply(tinv.apply(e)) == e for e in Matrix.identity(3).entries)
-    image = tinv.transpose().apply(form)
-    assert image == (F(1), F(0), F(0))
+    assert Matrix([scaled_chart_image(form, e) for e in UNITS]).rank() == 3
+    # the form itself is f_q*y_1, here f_q = -1
+    assert scaled_chart_image(form, form) == (-1, 0, 0)
 
 
 def test_change_zero_form():
     with pytest.raises(ValueError):
-        linear_change_to_coordinate([0, 0, 0])
+        scaled_chart_image([0, 0, 0], [1, 0, 0])

@@ -3,11 +3,11 @@ derivation systems and the scaled chart against the Fraction code they
 replaced.
 
 The references below are the rational Gauss-Jordan `Matrix.rref`, the
-`derivation_basis` that built Fraction rows through the inverse of
-`linear_change_to_coordinate` and a Polynomial-valued substitution, and the
-vector-matrix product of a normal with that inverse, exactly as `exactalg`,
-`dspace` and `arrangement` had them before; they are kept here only as the
-reference.  The reduced row echelon form is unique, so every result must be
+`derivation_basis` that built Fraction rows through the inverse of the
+coordinate chart (the greedy one of `reference`) and a Polynomial-valued
+substitution, and the vector-matrix product of a normal with that inverse,
+exactly as `exactalg`, `dspace` and `arrangement` had them before; they are
+kept here only as the reference.  The reduced row echelon form is unique, so every result must be
 equal, not merely equivalent.
 """
 
@@ -24,15 +24,14 @@ from arrfree.exactalg import (
     Polynomial,
     _gauss_jordan,
     integer_rank_and_kernel,
-    linear_change_to_coordinate,
     monomials,
     primitive_row,
     rank_and_kernel,
     scaled_chart_image,
-    scaled_chart_inverse,
     substitute_monomials,
     vec,
 )
+from reference import ref_linear_change_to_coordinate
 
 F = Fraction
 
@@ -114,7 +113,7 @@ def ref_derivation_basis(forms, mults, degree):
                     row[i * nm + k] = form[i]
                 rows.append(row)
             continue
-        _, tinv = linear_change_to_coordinate(form)
+        _, tinv = ref_linear_change_to_coordinate(form)
         table = ref_substitute_monomials(tinv.entries, monos)
         for cm in (m for m in monos if m[0] < mult):
             base = [table[mono].coeff(cm) for mono in monos]
@@ -134,7 +133,7 @@ def ref_derivation_basis(forms, mults, degree):
 
 def ref_chart_image(form, alpha):
     """alpha times the Fraction chart inverse, as a dense product."""
-    _, tinv = linear_change_to_coordinate(form)
+    _, tinv = ref_linear_change_to_coordinate(form)
     n = len(form)
     return tuple(sum((vec(alpha)[i] * tinv.entries[i][j] for i in range(n)), F(0)) for j in range(n))
 
@@ -235,12 +234,10 @@ def test_substitution_matches_polynomial_reference(nvars, new_n, degree, data):
 def test_scaled_chart_matches_fraction_inverse(form, data):
     alpha = data.draw(st.lists(ENTRIES, min_size=len(form), max_size=len(form)))
     f = vec(form)
-    _, tinv = linear_change_to_coordinate(f)
     fq = next(x for x in reversed(f) if x != 0)
-    assert Matrix(scaled_chart_inverse(f)) == Matrix([[fq * x for x in row] for row in tinv.entries])
     assert scaled_chart_image(f, vec(alpha)) == tuple(fq * x for x in ref_chart_image(f, alpha))
     ints = primitive_row(f)
-    assert all(type(x) is int for row in scaled_chart_inverse(ints) for x in row)
+    assert all(type(x) is int for x in scaled_chart_image(ints, primitive_row(vec(alpha))))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from arrfree.arrangement import (
     is_locally_heavy,
     parse,
     reducibility,
-    shifted_mult,
 )
 from arrfree.exactalg import Polynomial, poly_matrix_det
 from arrfree.fixtures import boolean3, braid3, example52, example_a3
@@ -21,15 +20,14 @@ from arrfree.oracle import (
     exponent_tuple_count,
     exponent_tuple_overflow,
     extract_basis,
-    good_summand_check,
     hilbert_freeness_test,
     is_log_derivation,
-    restrict_derivation,
     saito_check,
 )
 from arrfree.rank2 import euler_multiplicity_at_flat, project_to_rank2
 
 from conftest import cyclic_garbage, force_locally_heavy, random_multiarrangement
+from reference import good_summand_check, restrict_derivation
 
 F = Fraction
 Z3 = Polynomial.zero(3)
@@ -83,7 +81,7 @@ def test_dims_monotone_under_multiplicity_increase():
     for _ in range(8):
         a = random_multiarrangement(rng, max_planes=4, max_mult=2)
         i = rng.randrange(a.size)
-        bigger = shifted_mult(a, i, 1)
+        bigger = a.with_mult(i, a.mult[i] + 1)
         for d in range(0, 4):
             assert derivation_space_dim(bigger, d)[0] <= derivation_space_dim(a, d)[0]
 

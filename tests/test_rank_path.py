@@ -3,8 +3,9 @@ elimination pass alone, from rows whose chart images are expanded only
 below the multiplicity.
 
 The references are the row builder that expanded every chart image in full
-with `substitute_monomials` and then kept the coefficients of y_1-degree
-below the multiplicity, exactly as `dspace` had it before, and
+with `substitute_monomials`, through F_q times the inverse of the greedy
+chart of `reference`, and then kept the coefficients of y_1-degree below
+the multiplicity, exactly as `dspace` had it before, and
 len(`derivation_basis`), the kernel the dimension used to be counted from.
 Rows must be equal, not merely equivalent.
 """
@@ -22,10 +23,10 @@ from arrfree.exactalg import (
     integer_rank,
     monomials,
     primitive_row,
-    scaled_chart_inverse,
     substitute_monomials,
     vec,
 )
+from reference import ref_scaled_chart_inverse
 
 F = Fraction
 
@@ -49,7 +50,7 @@ def ref_derivation_rows(forms, mults, degree):
                     row[i * nm + k] = form[i]
                 rows.append(row)
             continue
-        table = substitute_monomials(scaled_chart_inverse(form), monos)
+        table = substitute_monomials(ref_scaled_chart_inverse(form), monos)
         coeff_rows = {cm: [0] * nm for cm in monos if cm[0] < mult}
         for k, mono in enumerate(monos):
             for cm, c in table[mono].items():
