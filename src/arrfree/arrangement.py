@@ -12,8 +12,10 @@ A flat is its codimension and the set of hyperplanes containing it; every
 criterion reads a flat only through its members and their multiplicities.
 The codimension-2 flats -- the elements of each restriction A^H, which local
 heaviness, the Euler-Ziegler restriction and b2 all read -- come from one
-table per tuple of hyperplanes (`_codim2_table`, lru-cached): one grouping
-pass per hyperplane, in integer arithmetic.  Flats of codimension 3 and
+table per tuple of hyperplanes (`_codim2_table`, lru-cached), in integer
+arithmetic: each flat is grouped once, from its least member, over the
+unordered pairs not yet on a flat, so a table costs sum(|X| - 1) residues
+over its flats X (b2 of the simple arrangement).  Flats of codimension 3 and
 more, and the check of a given flat in `localization`, take the kernel of
 some member normals (`Matrix.rref`, the one exact elimination) and collect
 the hyperplanes whose normals vanish on it.
@@ -278,35 +280,39 @@ def _codim2_table(
     """All codimension-2 flats in member order, and per hyperplane i the
     flats that contain i, in member order.
 
-    One grouping pass per hyperplane i, in integers: every other normal v is
-    reduced against the normal u of i (pivot p) to u[p]*v - v[p]*u, which
-    vanishes at p.  Two hyperplanes lie on one codim-2 flat with i exactly
-    when their residues are proportional, so the residue's `primitive_form`
-    is the group key.
-    Groups open in increasing order of their least member other than i,
-    which is member order.  A flat is built in the row of its least member
-    and shared by its other members' rows.  Keyed on the hyperplanes alone,
-    so that arrangements differing only in multiplicities share one table.
+    Each flat is built once, in the row of its least member i, in integers:
+    a later normal v is reduced against the normal u of i (pivot p) to
+    u[p]*v - v[p]*u, which vanishes at p.  Two hyperplanes lie on one
+    codim-2 flat with i exactly when their residues are proportional, so the
+    residue's `primitive_form` is the group key.  Each group becomes a flat
+    appended to the row of every member.  Distinct flats through i share
+    only i, so row i skips the later hyperplanes already on a flat through
+    i (built in an earlier row); a build thus reduces sum(|X| - 1) residues
+    over the flats X, which is b2 of the simple arrangement.
+    Row i holds the flats of earlier rows in the order of their least
+    member, then its own groups in the order of their least member after
+    i: member order.  Keyed on the hyperplanes alone, so that arrangements
+    differing only in multiplicities share one table.
     """
     ints = [h.coeffs for h in hyperplanes]
-    built: dict[frozenset[int], Flat] = {}
-    rows = []
+    flats = []
+    rows: list[list[Flat]] = [[] for _ in ints]
     for i, u in enumerate(ints):
         p = _pivot(u)
+        done = set().union(*(f.members for f in rows[i]))
         groups: dict[tuple[int, ...], list[int]] = {}
-        for k, v in enumerate(ints):
-            if k == i:
+        for k in range(i + 1, len(ints)):
+            if k in done:
                 continue
+            v = ints[k]
             r = [u[p] * y - v[p] * x for x, y in zip(u, v)]
             groups.setdefault(primitive_form(r), [i]).append(k)
-        row = []
         for ks in groups.values():
-            members = frozenset(ks)
-            if ks[1] > i:
-                built[members] = Flat(2, members)
-            row.append(built[members])
-        rows.append(tuple(row))
-    return tuple(built.values()), tuple(rows)
+            f = Flat(2, frozenset(ks))
+            flats.append(f)
+            for k in ks:
+                rows[k].append(f)
+    return tuple(flats), tuple(map(tuple, rows))
 
 
 def intersection_lattice(a: Multiarrangement, max_codim: int) -> dict[int, tuple[Flat, ...]]:

@@ -288,6 +288,11 @@ def _parse_param(spec: str) -> tuple[str, object]:
         return name, rhs  # expression in earlier parameters
 
 
+def _list_of(value, types: tuple) -> bool:
+    """A JSON list whose entries all have one of the types (never a bool)."""
+    return isinstance(value, list) and all(isinstance(x, types) and not isinstance(x, bool) for x in value)
+
+
 def cmd_sweep(args) -> int:
     with open(args.file, "r", encoding="utf-8") as fh:
         try:
@@ -296,6 +301,11 @@ def cmd_sweep(args) -> int:
             raise ParseError(f"malformed JSON: {e}") from None
     if not isinstance(template, dict) or "mult" not in template:
         raise ParseError("sweep template must be an arrangement object with a mult list")
+    if not _list_of(template["mult"], (int, str)):
+        raise ParseError("sweep template mult must be a list of integers and expression strings")
+    require = template.get("require", [])
+    if not _list_of(require, (str,)):
+        raise ParseError("sweep template require must be a list of expression strings")
     params = [_parse_param(s) for s in args.param or []]
     grid = [(n, v) for n, v in params if isinstance(v, range)]
     exprs = [(n, v) for n, v in params if not isinstance(v, range)]
@@ -308,7 +318,6 @@ def cmd_sweep(args) -> int:
         return EXIT_CAP
     seed = args.seed if args.seed is not None else _default_seed()
     opts = CertifyOptions(use_oracle=args.oracle, oracle_cap=args.max_degree, seed=seed)
-    require = template.get("require", [])
 
     rows = []
     for combo in itertools.product(*(v for _, v in grid)):

@@ -3,6 +3,9 @@ statements that the prover never evaluates.
 
 None of this runs in `certify`, `verify_certificate` or the CLI:
 
+* the codim-2 flat table from every ordered pair of normals
+  (`ref_codim2_table`), the build that `arrangement._codim2_table`
+  replaced with one over the unordered pairs not yet on a flat;
 * the greedy coordinate chart (`ref_linear_change_to_coordinate`), which
   probes `Matrix.rank()` once per candidate unit vector and inverts by an
   augmented RREF -- the one chart reference of the closed form that
@@ -18,10 +21,59 @@ None of this runs in `certify`, `verify_certificate` or the CLI:
 
 from fractions import Fraction
 
-from arrfree.arrangement import Multiarrangement, codim2_flats, euler_ziegler_multiplicity, is_locally_heavy
-from arrfree.exactalg import Matrix, Polynomial, substitute_monomials, vec
+from arrfree.arrangement import (
+    Flat,
+    Hyperplane,
+    Multiarrangement,
+    _pivot,
+    codim2_flats,
+    euler_ziegler_multiplicity,
+    is_locally_heavy,
+)
+from arrfree.exactalg import Matrix, Polynomial, primitive_form, substitute_monomials, vec
 from arrfree.oracle import Derivation, is_log_derivation, saito_check
 from arrfree.rank2 import project_to_rank2, rank2_exponents
+
+# ---------------------------------------------------------------------------
+# the codim-2 flat table from ordered pairs
+
+
+def ref_codim2_table(
+    hyperplanes: tuple[Hyperplane, ...],
+) -> tuple[tuple[Flat, ...], tuple[tuple[Flat, ...], ...]]:
+    """All codimension-2 flats in member order, and per hyperplane i the
+    flats that contain i, in member order.
+
+    One grouping pass per hyperplane i, in integers: every other normal v is
+    reduced against the normal u of i (pivot p) to u[p]*v - v[p]*u, which
+    vanishes at p.  Two hyperplanes lie on one codim-2 flat with i exactly
+    when their residues are proportional, so the residue's `primitive_form`
+    is the group key.
+    Groups open in increasing order of their least member other than i,
+    which is member order.  A flat is built in the row of its least member
+    and shared by its other members' rows.  A build reduces |X|(|X| - 1)
+    residues per flat X.
+    """
+    ints = [h.coeffs for h in hyperplanes]
+    built: dict[frozenset[int], Flat] = {}
+    rows = []
+    for i, u in enumerate(ints):
+        p = _pivot(u)
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for k, v in enumerate(ints):
+            if k == i:
+                continue
+            r = [u[p] * y - v[p] * x for x, y in zip(u, v)]
+            groups.setdefault(primitive_form(r), [i]).append(k)
+        row = []
+        for ks in groups.values():
+            members = frozenset(ks)
+            if ks[1] > i:
+                built[members] = Flat(2, members)
+            row.append(built[members])
+        rows.append(tuple(row))
+    return tuple(built.values()), tuple(rows)
+
 
 # ---------------------------------------------------------------------------
 # the greedy coordinate chart

@@ -255,6 +255,30 @@ def test_sweep_division_by_zero_in_require(tmp_path, capsys):
     assert rows[1]["status"] == "ok"
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("mult", [1.5, "a", 1]),
+        ("mult", [None, "a", 1]),
+        ("mult", [True, "a", 1]),
+        ("mult", "aa1"),
+        ("mult", {"x": 1}),
+        ("require", [5]),
+        ("require", "a>0"),
+        ("require", None),
+    ],
+)
+def test_sweep_malformed_template_exits_2(tmp_path, capsys, field, value):
+    template = json.loads(Path(BOOLEAN).read_text(encoding="utf-8"))
+    template["mult"] = ["a", "a", 1]
+    template[field] = value
+    p = tmp_path / "template.json"
+    p.write_text(json.dumps(template), encoding="utf-8")
+    code, out, err = run(capsys, "sweep", str(p), "--param", "a=1..2")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: sweep template {field} must be a list of ")
+
+
 def test_eval_expr_short_circuits_left_to_right():
     zero = {"a": Fraction(0)}
     assert eval_expr("a == 0 or 4 // a >= 2", zero) is True

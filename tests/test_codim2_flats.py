@@ -31,11 +31,13 @@ from arrfree.arrangement import (
     rank,
     restriction_flats,
 )
+from arrfree.betti import b2_simple
 from arrfree.exactalg import Matrix, primitive_row
 from arrfree.fixtures import load
 from arrfree.rank2 import Rank2Instance, project_to_rank2
-from reference import ref_linear_change_to_coordinate
+from reference import ref_codim2_table, ref_linear_change_to_coordinate
 
+arrangement_mod = importlib.import_module("arrfree.arrangement")
 # the module, not the `certify` function the package exports under its name
 certify_mod = importlib.import_module("arrfree.certify")
 
@@ -350,3 +352,69 @@ def test_projection_lattice_localization_match_reference_on_reflection_arrangeme
     assert_lattice_matches_reference(a)
     for members in ref_codim2_bases(a):
         assert_rank2_base_matches_essentialize(localization(a, Flat(2, members)))
+
+
+# ---------------------------------------------------------------------------
+# the unordered-pair table build against the ordered-pair reference
+
+SMALL = st.integers(-3, 3)
+
+
+@st.composite
+def pencil_arrangements(draw):
+    """Hyperplanes in dimension 1-5, often non-essential: some drawn normals,
+    plus pencils of three to five normals in the span of two drawn vectors,
+    so that codim-2 flats with four or more members are common."""
+    dim = draw(st.integers(1, 5))
+    vectors = st.lists(SMALL, min_size=dim, max_size=dim)
+    rows = draw(st.lists(vectors, max_size=7))
+    for _ in range(draw(st.integers(0, 2))):
+        b0, b1 = draw(vectors), draw(vectors)
+        for c0, c1 in draw(st.lists(st.tuples(SMALL, SMALL), min_size=3, max_size=5)):
+            rows.append([c0 * x + c1 * y for x, y in zip(b0, b1)])
+    planes = dict.fromkeys(Hyperplane.from_coeffs(row) for row in rows if any(row))
+    return Multiarrangement(dim, tuple(planes), (1,) * len(planes))
+
+
+def assert_table_matches_reference(hyperplanes):
+    flats, rows = arrangement_mod._codim2_table.__wrapped__(hyperplanes)
+    assert (flats, rows) == ref_codim2_table(hyperplanes)
+    by_members = {f.members: f for f in flats}
+    assert len(by_members) == len(flats)
+    for row in rows:
+        for f in row:
+            assert f is by_members[f.members]
+
+
+def assert_table_work_is_b2(a):
+    """One uncached build reduces sum(|X| - 1) residues over the flats X:
+    b2 of the underlying simple arrangement."""
+    want = b2_simple(a.underlying_simple()).total
+    assert want == sum(len(f.members) - 1 for f in ref_codim2_table(a.hyperplanes)[0])
+    with mock.patch.object(arrangement_mod, "primitive_form", wraps=arrangement_mod.primitive_form) as spy:
+        arrangement_mod._codim2_table.__wrapped__(a.hyperplanes)
+    assert spy.call_count == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(pencil_arrangements())
+def test_codim2_table_matches_ordered_pair_reference(a):
+    assert_table_matches_reference(a.hyperplanes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pencil_arrangements())
+def test_codim2_table_reduces_b2_residues(a):
+    assert_table_work_is_b2(a)
+
+
+def test_codim2_table_on_fixtures_and_reflection_arrangements():
+    inputs = [load(f"{name}.json") for name in FIXTURES] + [_reflection(n) for n in (B4, D4, A4)]
+    # B4 padded by a zero coordinate: a non-essential input
+    b4 = inputs[-3]
+    inputs.append(Multiarrangement(5, tuple(Hyperplane(h.coeffs + (0,)) for h in b4.hyperplanes), b4.mult))
+    assert rank(inputs[-1]) == 4
+    assert max(len(f.members) for f in codim2_flats(b4)) == 4
+    for a in inputs:
+        assert_table_matches_reference(a.hyperplanes)
+        assert_table_work_is_b2(a)
