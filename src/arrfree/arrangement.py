@@ -389,7 +389,6 @@ class Restriction:
 
     arrangement: Multiarrangement
     trace_members: tuple[frozenset[int], ...]
-    h0: int
 
 
 def euler_ziegler_multiplicity(a: Multiarrangement, h0: Hyperplane | int) -> Restriction:
@@ -413,7 +412,7 @@ def euler_ziegler_multiplicity(a: Multiarrangement, h0: Hyperplane | int) -> Res
         planes.append(Hyperplane(primitive_form(scaled_chart_image(normal, alpha)[1:])))
     mults = tuple(sum(a.mult[k] for k in f.members) - a.mult[i0] for f in flats)
     restricted = Multiarrangement(a.dim - 1, tuple(planes), mults)
-    return Restriction(restricted, tuple(f.members for f in flats), i0)
+    return Restriction(restricted, tuple(f.members for f in flats))
 
 
 def deletion(a: Multiarrangement, h0: Hyperplane | int) -> Multiarrangement:

@@ -161,6 +161,10 @@ def _restriction_step(
     return restr.arrangement, new_members
 
 
+def _singletons(a: Multiarrangement) -> list[frozenset[int]]:
+    return [frozenset({i}) for i in range(a.size)]
+
+
 def find_locally_heavy_flags(a: Multiarrangement) -> list[Flag]:
     """All full flags whose restriction steps are locally heavy, in key
     order: by the sorted members of each level, level by level.
@@ -171,7 +175,7 @@ def find_locally_heavy_flags(a: Multiarrangement) -> list[Flag]:
     """
     if not a.is_simple():
         raise ValueError("flag search needs a simple arrangement")
-    return list(_flag_search(a, [frozenset({i}) for i in range(a.size)]))
+    return [f for f, _ in _flag_search(a, _singletons(a))]
 
 
 def _flag_search(
@@ -179,54 +183,52 @@ def _flag_search(
     members: list[frozenset[int]],
     chain: tuple[frozenset[int], ...] = (),
     values: tuple[int, ...] = (),
+    cited: Sequence[frozenset[int]] | None = None,
+    parent: Multiarrangement | None = None,
 ):
-    """Yield every completion of the partial flag (chain, values) whose
-    current level is m, with `members` its hyperplanes as sets of original
-    indices.  Children are visited in the order of their sorted members,
-    and distinct hyperplanes of a level have distinct members, so the flags
-    come in key order and the first one is the least."""
-    if m.dim == 0:
-        yield Flag(chain, values)
-        return
-    candidates = locally_heavy_indices(m) if chain else range(m.size)
-    for k in sorted(candidates, key=lambda k: sorted(members[k])):
+    """Yield (flag, tail) for every completion of the partial flag (chain,
+    values) whose current level is m, with `members` its hyperplanes as sets
+    of original indices; the tail is the flag's rank-2 level (None on a
+    line), `parent` the level above m.  Children are visited in the order of
+    their sorted members, and distinct hyperplanes of a level have distinct
+    members, so the flags come in key order and the first one is the least.
+    Given a `cited` chain of member sets, only that chain is followed, and a
+    level whose cited hyperplane is missing or, below the first level, not
+    locally heavy raises ValueError."""
+    if cited is None:
+        candidates = sorted(locally_heavy_indices(m) if chain else range(m.size), key=lambda k: sorted(members[k]))
+    else:
+        candidates = [k for k in range(m.size) if members[k] == cited[len(chain)]]
+        if not candidates:
+            raise ValueError("flag level does not match a restriction hyperplane")
+        if chain and not is_locally_heavy(m, candidates[0]):
+            raise ValueError("flag level is not locally heavy")
+    for k in candidates:
         chain_k, values_k = chain + (members[k],), values + (m.mult[k],)
         if m.dim == 1:
-            yield Flag(chain_k, values_k)
+            yield Flag(chain_k, values_k), parent
         else:
-            yield from _flag_search(*_restriction_step(m, members, k), chain_k, values_k)
+            yield from _flag_search(*_restriction_step(m, members, k), chain_k, values_k, cited, m)
 
 
-def _flag_levels(a: Multiarrangement, f: Flag) -> list[tuple[Multiarrangement, int]]:
-    """Re-verify a flag; return the level arrangements with the chosen index."""
+def certify_flag(a: Multiarrangement, f: Flag) -> Verdict:
+    """Decide freeness of a simple arrangement from a locally heavy flag,
+    re-walked along its cited chain only; its values must be the restriction
+    multiplicities met on the way."""
     if not a.is_simple():
         raise ValueError("flags are defined for simple arrangements")
     if len(f.members_chain) != a.dim or len(f.values) != a.dim:
         raise ValueError("flag has wrong length")
-    m = a
-    members = [frozenset({i}) for i in range(a.size)]
-    levels = []
-    for depth in range(a.dim):
-        k = next((i for i in range(m.size) if members[i] == f.members_chain[depth]), None)
-        if k is None:
-            raise ValueError("flag level does not match a restriction hyperplane")
-        if depth > 0 and not is_locally_heavy(m, k):
-            raise ValueError("flag level is not locally heavy")
-        if m.mult[k] != f.values[depth]:
-            raise ValueError("flag level multiplicity mismatch")
-        levels.append((m, k))
-        if depth + 1 < a.dim:
-            m, members = _restriction_step(m, members, k)
-    return levels
+    walked, tail = next(_flag_search(a, _singletons(a), cited=f.members_chain))
+    if walked.values != f.values:
+        raise ValueError("flag level multiplicity mismatch")
+    return _flag_verdict(a, walked, tail)
 
 
-def certify_flag(a: Multiarrangement, f: Flag) -> Verdict:
-    """Decide freeness of a simple arrangement from a locally heavy flag.
-
-    Both sides of the flag equality are computed exactly: equality proves
+def _flag_verdict(a: Multiarrangement, f: Flag, tail: Multiarrangement | None) -> Verdict:
+    """Both sides of the flag equality are computed exactly: equality proves
     freeness with exponents (1, v_1, ..., v_{l-1}); inequality disproves it.
-    """
-    levels = _flag_levels(a, f)
+    `tail` is the flag's rank-2 level."""
     v = f.values
     l = a.dim
     lhs = b2_simple(a).total
@@ -237,7 +239,6 @@ def certify_flag(a: Multiarrangement, f: Flag) -> Verdict:
     # rhs = sum_i v[i]*(v[i+1] + ... + v[l-1]), so the telescope holds
     # exactly when the tail's b2 is v[l-2]*v[l-1] and level 0's is lhs.
     if l >= 3:
-        tail = levels[l - 2][0]
         assert b2_multi(tail).total == v[l - 2] * v[l - 1], "rank-2 tail must have the flag exponents"
         assert b2_multi(a).total == lhs, "away-quantity telescope failed"
 
@@ -420,8 +421,8 @@ def _attempt_rank2(a: Multiarrangement, opts: CertifyOptions) -> Verdict | str |
 def _attempt_flag(a: Multiarrangement, opts: CertifyOptions) -> Verdict | str | None:
     if not a.is_simple():
         return "flag: input not simple"
-    first = next(_flag_search(a, [frozenset({i}) for i in range(a.size)]), None)
-    return certify_flag(a, first) if first is not None else "flag: no locally heavy flag"
+    found = next(_flag_search(a, _singletons(a)), None)
+    return _flag_verdict(a, *found) if found is not None else "flag: no locally heavy flag"
 
 
 def _attempt_locally_heavy(a: Multiarrangement, opts: CertifyOptions) -> Verdict | str | None:
@@ -465,18 +466,24 @@ def _hilbert_verdict(a: Multiarrangement, ess: Multiarrangement, dropped, res) -
     return Verdict("NonFree", witness={"graded_dims": list(res.dims)}, certificate=node)
 
 
+def _oracle_refusal(ess: Multiarrangement, cap: int, name: str = "degree cap") -> str | None:
+    """Why the Hilbert test on `ess` at this degree cap is refused before
+    any solve, or None; the prover and the verifier both ask."""
+    if cap < 1 or not oracle.cap_is_reasonable(ess.dim, cap):
+        return f"{name} {cap} is out of range"
+    return oracle.exponent_tuple_overflow(ess.total_mult, ess.dim)
+
+
 def _attempt_oracle(a: Multiarrangement, opts: CertifyOptions) -> Verdict | str | None:
     if not opts.use_oracle:
         return None
     ess, dropped = essentialize(a)
-    if opts.oracle_cap is None:
-        cap = oracle.default_degree_cap(ess)
-        if not oracle.cap_is_reasonable(ess.dim, cap):
-            return f"oracle: default degree cap {cap} is out of range"
-    overflow = oracle.exponent_tuple_overflow(ess.total_mult, ess.dim)
-    if overflow:
-        return f"oracle: {overflow}"
-    res = oracle.hilbert_freeness_test(ess, degree_cap=opts.oracle_cap, seed=opts.seed)
+    default = opts.oracle_cap is None
+    cap = oracle.default_degree_cap(ess) if default else opts.oracle_cap
+    refusal = _oracle_refusal(ess, cap, "default degree cap" if default else "degree cap")
+    if refusal:
+        return f"oracle: {refusal}"
+    res = oracle.hilbert_freeness_test(ess, degree_cap=cap, seed=opts.seed)
     if res.kind == "FreeProven":
         return _saito_verdict(a, dropped, res.basis, res.exponents, opts.seed)
     if res.kind == "NonFreeProven":
@@ -500,11 +507,9 @@ def _recheck_saito(a: Multiarrangement, node: CertNode) -> Verdict:
 def _recheck_hilbert(a: Multiarrangement, node: CertNode) -> Verdict:
     ess, dropped = essentialize(a)
     cap = node.inputs["degree_cap"]
-    if cap < 1 or not oracle.cap_is_reasonable(ess.dim, cap):
-        raise CertificateError(f"degree cap {cap} is out of range")
-    overflow = oracle.exponent_tuple_overflow(ess.total_mult, ess.dim)
-    if overflow:
-        raise CertificateError(overflow)
+    refusal = _oracle_refusal(ess, cap)
+    if refusal:
+        raise CertificateError(refusal)
     res = oracle.hilbert_freeness_test(ess, degree_cap=cap, seed=0, trials=0)
     if res.kind != "NonFreeProven":
         raise CertificateError("Hilbert obstruction does not re-verify")

@@ -25,6 +25,7 @@ from math import prod
 
 from . import oracle as oracle_mod
 from .arrangement import (
+    Multiarrangement,
     ParseError,
     essentialize,
     intersection_lattice,
@@ -306,15 +307,18 @@ def cmd_sweep(args) -> int:
     require = template.get("require", [])
     if not _list_of(require, (str,)):
         raise ParseError("sweep template require must be a list of expression strings")
+    # the arrangement with every multiplicity 1; rows replace only mult
+    base = parse({**template, "mult": [1] * len(template["mult"])})
     params = [_parse_param(s) for s in args.param or []]
     grid = [(n, v) for n, v in params if isinstance(v, range)]
     exprs = [(n, v) for n, v in params if not isinstance(v, range)]
     if not grid:
         raise ParseError("sweep needs at least one ranged --param NAME=LO..HI")
-    size = prod(len(v) for _, v in grid)
+    # from the bounds, since len() of a range past sys.maxsize overflows
+    size = prod(max(0, v.stop - v.start) for _, v in grid)
     if size > MAX_SWEEP_ROWS:
         raise ParseError(f"sweep grid has {size} rows; the limit is {MAX_SWEEP_ROWS}")
-    if args.oracle and isinstance(template.get("dim"), int) and _cap_too_large(args.max_degree, template["dim"]):
+    if args.oracle and _cap_too_large(args.max_degree, base.dim):
         return EXIT_CAP
     seed = args.seed if args.seed is not None else _default_seed()
     opts = CertifyOptions(use_oracle=args.oracle, oracle_cap=args.max_degree, seed=seed)
@@ -333,13 +337,11 @@ def cmd_sweep(args) -> int:
                 row["note"] = f"violates {rejected!r}"
                 rows.append(row)
                 continue
-            mult = [
+            mult = tuple(
                 m if isinstance(m, int) else _as_int(eval_expr(m, env), "multiplicity")
                 for m in template["mult"]
-            ]
-            spec = {k: v for k, v in template.items() if k in ("dim", "hyperplanes", "labels")}
-            spec["mult"] = mult
-            a = parse(spec)
+            )
+            a = Multiarrangement(base.dim, base.hyperplanes, mult, base.labels)
         except (ParseError, ValueError) as e:
             row["status"] = "rejected"
             row["note"] = str(e)

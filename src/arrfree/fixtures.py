@@ -1,7 +1,8 @@
-"""Bundled example arrangements, both as builders and as shipped JSON files."""
+"""Bundled example arrangements: the shipped JSON files, and builders that load them."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from importlib import resources
 
 from .arrangement import Multiarrangement, parse
@@ -20,101 +21,30 @@ def load(name: str) -> Multiarrangement:
 
 def boolean3(m=(1, 1, 1)) -> Multiarrangement:
     """Coordinate hyperplanes x, y, z with the given multiplicities."""
-    return parse(
-        {
-            "dim": 3,
-            "hyperplanes": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-            "mult": list(m),
-            "labels": ["x", "y", "z"],
-        }
-    )
+    return replace(load("boolean.json"), mult=tuple(m))
 
 
 def braid3() -> Multiarrangement:
     """The six rank-3 braid hyperplanes x, y, z, x-y, x-z, y-z."""
-    return parse(
-        {
-            "dim": 3,
-            "hyperplanes": [
-                [1, 0, 0],
-                [0, 1, 0],
-                [0, 0, 1],
-                [1, -1, 0],
-                [1, 0, -1],
-                [0, 1, -1],
-            ],
-            "mult": [1] * 6,
-            "labels": ["x", "y", "z", "x-y", "x-z", "y-z"],
-        }
-    )
+    return load("braid.json")
 
 
 def example_a3(a: int, m0: int) -> Multiarrangement:
     """x^a (x-y)^a (x-z)^a y^a (y-z)^a z^{m0} on the braid arrangement."""
-    return parse(
-        {
-            "dim": 3,
-            "hyperplanes": [
-                [1, 0, 0],
-                [1, -1, 0],
-                [1, 0, -1],
-                [0, 1, 0],
-                [0, 1, -1],
-                [0, 0, 1],
-            ],
-            "mult": [a, a, a, a, a, m0],
-            "labels": ["x", "x-y", "x-z", "y", "y-z", "z"],
-        }
-    )
+    return replace(load("example1_a1_m0_2.json"), mult=(a, a, a, a, a, m0))
 
 
 def example52() -> Multiarrangement:
     """x (x-y)^2 (x-z) y (y-z) z^2: irreducible rank 3 with two locally heavy
     hyperplanes."""
-    return example_a3(1, 2).with_mult(1, 2)
+    return load("example52.json")
 
 
 def rank4_flag_example() -> Multiarrangement:
     """Ten hyperplanes in K^4 admitting the locally heavy flag through w."""
-    return parse(
-        {
-            "dim": 4,
-            "hyperplanes": [
-                [1, 0, 0, 0],
-                [1, 0, -1, 1],
-                [1, 0, -1, -1],
-                [0, 1, 0, -1],
-                [0, 1, 0, 1],
-                [0, 1, -1, 0],
-                [0, 0, 1, 0],
-                [0, 0, 1, 1],
-                [0, 0, 1, -1],
-                [0, 0, 0, 1],
-            ],
-            "mult": [1] * 10,
-            "labels": [
-                "x",
-                "x-z+w",
-                "x-z-w",
-                "y-w",
-                "y+w",
-                "y-z",
-                "z",
-                "z+w",
-                "z-w",
-                "w",
-            ],
-        }
-    )
+    return load("rank4_flag.json")
 
 
 def generic4() -> Multiarrangement:
     """Four planes in general position in K^3; every hyperplane is generic."""
-    return parse(
-        {
-            "dim": 3,
-            "hyperplanes": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]],
-            "mult": [1] * 4,
-            "labels": ["x", "y", "z", "x+y+z"],
-        }
-    )
+    return load("generic4.json")

@@ -21,7 +21,7 @@ from arrfree.arrangement import (
     reducibility,
     restriction_flats,
 )
-from arrfree.fixtures import boolean3, braid3, example52, example_a3, rank4_flag_example
+from arrfree.fixtures import boolean3, braid3, example52, example_a3, generic4, load, rank4_flag_example
 
 from conftest import random_multiarrangement
 
@@ -86,6 +86,23 @@ def test_parse_rational_strings():
 def test_parse_rejects(payload):
     with pytest.raises(ParseError):
         parse(payload)
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (boolean3, "boolean.json"),
+        (lambda: boolean3((2, 3, 4)), "boolean_234.json"),
+        (braid3, "braid.json"),
+        (lambda: example_a3(1, 2), "example1_a1_m0_2.json"),
+        (example52, "example52.json"),
+        (lambda: example_a3(1, 2).with_mult(1, 2), "example52.json"),
+        (generic4, "generic4.json"),
+        (rank4_flag_example, "rank4_flag.json"),
+    ],
+)
+def test_fixture_builders_equal_their_files(build, name):
+    assert build() == load(name)
 
 
 def test_duplicates_not_merged():

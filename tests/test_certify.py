@@ -224,6 +224,18 @@ def test_certify_flag_invalid():
         certify_flag(a, bad)
 
 
+def test_flag_with_a_level_not_locally_heavy_is_refused():
+    # braid3 restricted onto x: {x, y, x-y} has value 2 against 2 + 1 from
+    # {x, z, x-z} and {x, y-z}, so it is not locally heavy there
+    a = braid3()
+    flag = Flag((frozenset({0}), frozenset({0, 1, 3}), frozenset(range(6))), (1, 2, 3))
+    with pytest.raises(ValueError, match="not locally heavy"):
+        certify_flag(a, flag)
+    node = {"rule": "FlagEquality", "inputs": {"flag": flag.to_dict()}, "numbers": {"b2": 11, "flag_rhs": 11, "level_values": [1, 2, 3]}}
+    with pytest.raises(CertificateError, match="not locally heavy"):
+        verify_certificate(a, {"kind": "Free", "exponents": [1, 2, 3], "certificate": node})
+
+
 # ---------------------------------------------------------------------------
 # locally heavy recursion
 
@@ -654,6 +666,31 @@ def test_rechecks_cover_exactly_the_emitted_rules():
     for name in FIXTURES:
         _, verdict, _ = _decisive_payload(name)
         assert set(_node_rules(verdict.certificate)) <= set(RECHECKS)
+
+
+@st.composite
+def small_rank3_multiarrangements(draw):
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3), min_size=3, max_size=6))
+    planes = tuple(dict.fromkeys(Hyperplane.from_coeffs(r) for r in rows if any(r)))
+    mult = draw(st.lists(st.integers(1, 3), min_size=len(planes), max_size=len(planes)))
+    a = Multiarrangement(3, planes, tuple(mult))
+    assume(rank(a) == 3)
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(small_rank3_multiarrangements(), st.sampled_from(FIXTURES).map(load)),
+    st.booleans(),
+    st.sampled_from([None, 0, 1, 2, 8, 15, 16, 17]),
+    st.sampled_from((None,) + certify_mod.DISPATCH_ORDER),
+)
+def test_every_decisive_verdict_re_verifies(a, use_oracle, oracle_cap, only_rule):
+    # an oracle cap the verifier would refuse is refused by the prover too,
+    # as an Inconclusive reason rather than an exception
+    v = certify(a, CertifyOptions(use_oracle=use_oracle, oracle_cap=oracle_cap, only_rule=only_rule))
+    if v.decisive:
+        assert verify_certificate(a, v.to_dict()).to_dict() == v.to_dict()
 
 
 def test_saito_recheck_bounds_degrees_before_polynomial_work(monkeypatch):

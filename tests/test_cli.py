@@ -279,6 +279,27 @@ def test_sweep_malformed_template_exits_2(tmp_path, capsys, field, value):
     assert err.startswith(f"error: sweep template {field} must be a list of ")
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("dim", "3", "dim must be an integer"),
+        ("hyperplanes", 5, "hyperplanes and mult must be lists"),
+        ("labels", 5, "labels must be a list of strings"),
+        ("mult", ["a", "a", 1, 1], "one multiplicity per hyperplane required"),
+    ],
+)
+def test_sweep_malformed_template_arrangement_exits_2(tmp_path, capsys, field, value, message):
+    # the template's arrangement is parsed once, before any row runs
+    template = json.loads(Path(BOOLEAN).read_text(encoding="utf-8"))
+    template["mult"] = ["a", "a", 1]
+    template[field] = value
+    p = tmp_path / "template.json"
+    p.write_text(json.dumps(template), encoding="utf-8")
+    code, out, err = run(capsys, "sweep", str(p), "--param", "a=1..3")
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_eval_expr_short_circuits_left_to_right():
     zero = {"a": Fraction(0)}
     assert eval_expr("a == 0 or 4 // a >= 2", zero) is True
@@ -411,6 +432,13 @@ def test_sweep_grid_limit(capsys):
     code, out, err = run(capsys, "sweep", EX1_TEMPLATE, "--param", "a=1..101", "--param", "m0=1..100")
     assert code == 2 and out == ""
     assert "10100 rows" in err
+
+
+def test_sweep_grid_limit_past_maxsize(capsys):
+    # len() of this range overflows; the row count comes from its bounds
+    code, out, err = run(capsys, "sweep", EX1_TEMPLATE, "--param", "a=1..100000000000000000000000", "--param", "m0=2..3")
+    assert code == 2 and out == ""
+    assert err == f"error: sweep grid has {2 * 10**23} rows; the limit is 10000\n"
 
 
 @pytest.mark.parametrize("spec", ["a=1..10**9", "a=x..3", "a=1..2.5", "a"])
