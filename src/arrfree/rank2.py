@@ -102,7 +102,12 @@ def _min_degree_basis(forms: tuple[tuple, ...], mult: tuple[int, ...]) -> int:
     theta_H the constant derivation killing alpha_H.  At
     d = min(ceil(|m|/2) - 1, |m| - max m) therefore d1 - 1 <= d < d2, so
     d1 = d + 1 - dim D_d, and dim D_d is a rank (`derivation_dim`), not a
-    basis.  Positive multiplicities make d >= 0.
+    basis.  Positive multiplicities make d >= 0.  The forms of an instance
+    are pairwise non-proportional, so `derivation_dim` solves in the
+    coordinates of the two heaviest forms (the earlier one on a tie): their
+    multiplicities m_1 >= m_2 leave (d - m_1 + 1)^+ + (d - m_2 + 1)^+ of the
+    2(d + 1) unknowns and add no rows, and only the other forms' rows are
+    eliminated.
     """
     total = sum(mult)
     d = min((total + 1) // 2 - 1, total - max(mult))

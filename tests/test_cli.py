@@ -370,6 +370,38 @@ def test_oracle_cap_rejected_before_work(capsys, argv, code):
     assert ("too large" if code == 3 else "at least 1") in err
 
 
+def _rank3_in_k4(tmp_path, mult):
+    # x, y, z, x+y+z with the fourth coordinate unused: rank 3 in K^4
+    p = tmp_path / "rank3_in_k4.json"
+    normals = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 1, 1, 0]]
+    p.write_text(json.dumps({"dim": 4, "hyperplanes": normals, "mult": mult}), encoding="utf-8")
+    return str(p)
+
+
+def test_certify_cap_checked_against_the_essential_rank(tmp_path, capsys):
+    # cap 8 is in range for rank 3 (not for rank 4), cap 16 for neither
+    path = _rank3_in_k4(tmp_path, [1, 1, 1, 1])
+    code, out, _ = run(capsys, "certify", path, "--oracle", "--max-degree", "8", "--only-rule", "oracle", "--json")
+    assert code == 10
+    payload = json.loads(out)["verdict"]
+    assert payload["kind"] == "NonFree"
+    assert verify_certificate(parse_file(path), payload).kind == "NonFree"
+    code, out, err = run(capsys, "certify", path, "--oracle", "--max-degree", "16", "--only-rule", "oracle")
+    assert code == 3 and out == ""
+    assert "degree cap 16 too large for rank 3" in err
+
+
+def test_sweep_cap_checked_against_the_essential_rank(tmp_path, capsys):
+    path = _rank3_in_k4(tmp_path, ["a", 1, 1, 1])
+    code, out, _ = run(capsys, "sweep", path, "--param", "a=1", "--oracle", "--max-degree", "8", "--json")
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert row["status"] == "ok" and row["verdict"] == "NonFree"
+    code, out, err = run(capsys, "sweep", path, "--param", "a=1", "--oracle", "--max-degree", "16", "--json")
+    assert code == 3 and out == ""
+    assert "degree cap 16 too large for rank 3" in err
+
+
 @pytest.mark.parametrize("degree,code,message", [("-1", 2, "at least 0"), ("60", 3, "too large")])
 def test_oracle_degree_rejected_before_work(capsys, degree, code, message):
     got, out, err = run(capsys, "oracle", BRAID, "--degree", degree)
