@@ -146,14 +146,6 @@ class Multiarrangement:
         new[i] = m
         return Multiarrangement(self.dim, self.hyperplanes, tuple(new), self.labels)
 
-    def defining_polynomial(self):
-        from .exactalg import Polynomial
-
-        q = Polynomial.constant(self.dim, 1)
-        for h, m in zip(self.hyperplanes, self.mult):
-            q = q * Polynomial.linear_form(h.normal) ** m
-        return q
-
     def index_of(self, h: "Hyperplane | int") -> int:
         if isinstance(h, int):
             if not 0 <= h < self.size:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import hashlib
 import itertools
 import json
 import operator
@@ -49,6 +48,10 @@ CERT_FORMAT = "arrfree-certificate/1"
 
 
 def _digest(path: str) -> str:
+    # imported here: loading hashlib (OpenSSL) adds about 3 MB to the peak
+    # RSS of every process that imports this module
+    import hashlib
+
     with open(path, "rb") as fh:
         return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
 

@@ -8,6 +8,9 @@ back-reduction that clears above it.  A rank needs the forward pass only
 (`integer_rank`, `Matrix.rank`); the reduced row echelon form and the
 kernel (`_gauss_jordan`: `Matrix.rref`, `rank_and_kernel`) need both, and
 Fractions are made only for the results.
+Saito's determinant and its divisions run on integer term dicts
+{exponent vector: int} (`poly_matrix_det`, `_term_quotient`), not on
+`Polynomial`s.
 Everything in this module is a pure value; same input gives bit-identical
 output.
 """
@@ -313,14 +316,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "Polynomial":
-        if k < 0:
-            raise ValueError("negative power")
-        out = Polynomial.constant(self.nvars, 1)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.nvars == other.nvars and self.terms == other.terms
 
@@ -357,12 +352,6 @@ class Polynomial:
                 r_terms[fm] = fc
                 f = Polynomial(self.nvars, {m: c for m, c in f.terms.items() if m != fm})
         return q, Polynomial(self.nvars, r_terms)
-
-    def exact_div(self, g: "Polynomial") -> "Polynomial":
-        q, r = self.divmod_by(g)
-        if not r.is_zero():
-            raise ValueError("inexact polynomial division")
-        return q
 
     def divisible_by(self, g: "Polynomial") -> bool:
         return self.divmod_by(g)[1].is_zero()
@@ -421,52 +410,97 @@ def substitute_monomials(
     return table
 
 
-def _cofactor_det(grid: list[list[Polynomial]], nvars: int) -> Polynomial:
-    n = len(grid)
-    if n == 1:
+def _term_combination(pairs: Iterable[tuple[int, dict[Monomial, int]]]) -> dict[Monomial, int]:
+    """The sum of c*p over the (c, p) pairs of an integer and a term dict,
+    without zero coefficients."""
+    out: dict[Monomial, int] = {}
+    for c, p in pairs:
+        if c:
+            for m, v in p.items():
+                out[m] = out.get(m, 0) + c * v
+    return {m: v for m, v in out.items() if v}
+
+
+def _term_quotient(f: dict[Monomial, int], g: dict[Monomial, int]) -> dict[Monomial, int] | None:
+    """f/g for integer term dicts: the quotient if g divides f in Z[x],
+    else None.
+
+    Division by the one divisor g in lex order: the lex-largest term of f
+    must be an integer multiple t of g's (exponents and coefficient), and f
+    becomes f - t*g.  If f = q*g in Z[x], the leading term of f is that of q
+    times that of g, and f - t*g = (q - t)*g, so the first term that fails
+    proves that g does not divide f in Z[x].  By Gauss's lemma, a primitive
+    g (coefficients of gcd 1) that divides f in Q[x] divides it in Z[x], so
+    for a primitive g, None also means that g does not divide f over Q.
+    All exponent vectors must have one length: then each step leaves only
+    terms below the one it removed, so the loop ends.
+    """
+    if not g:
+        raise ZeroDivisionError("division by zero polynomial")
+    gm = max(g)
+    gc = g[gm]
+    tail = [(m, c) for m, c in g.items() if m != gm]
+    f = dict(f)
+    q: dict[Monomial, int] = {}
+    while f:
+        fm = max(f)
+        t, r = divmod(f.pop(fm), gc)
+        shift = tuple(a - b for a, b in zip(fm, gm))
+        if r or min(shift) < 0:
+            return None
+        q[shift] = t
+        for m, c in tail:
+            m = tuple(a + b for a, b in zip(shift, m))
+            v = f.get(m, 0) - t * c
+            if v:
+                f[m] = v
+            else:
+                del f[m]
+    return q
+
+
+def _cofactor_det(grid: list[list[dict[Monomial, int]]]) -> dict[Monomial, int]:
+    if len(grid) == 1:
         return grid[0][0]
-    total = Polynomial.zero(nvars)
-    for j in range(n):
-        if grid[0][j].is_zero():
-            continue
-        minor = [[grid[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = grid[0][j] * _cofactor_det(minor, nvars)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+    return _term_combination(
+        (-1 if j % 2 else 1, _term_product(entry, _cofactor_det([row[:j] + row[j + 1 :] for row in grid[1:]])))
+        for j, entry in enumerate(grid[0])
+        if entry
+    )
 
 
-def poly_matrix_det(grid: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Determinant of a square polynomial matrix.
+def poly_matrix_det(grid: Sequence[Sequence[dict[Monomial, int]]]) -> dict[Monomial, int]:
+    """Determinant of a square matrix of integer term dicts, as a term dict.
 
     Cofactor expansion up to 3x3; fraction-free Bareiss elimination above
-    that (the intermediate divisions are exact by construction).
+    that.  Bareiss's entry (i, j) after step k is a minor of the input, an
+    integer polynomial, times the previous pivot, so its division by that
+    pivot (`_term_quotient`) is exact in Z[x].
     """
     n = len(grid)
-    if any(len(row) != n for row in grid):
-        raise ValueError("non-square input")
     if n == 0:
         raise ValueError("empty matrix")
-    nvars = grid[0][0].nvars
-    if any(p.nvars != nvars for row in grid for p in row):
-        raise ValueError("variable-count mismatch")
+    if any(len(row) != n for row in grid):
+        raise ValueError("non-square input")
     if n <= 3:
-        return _cofactor_det([list(r) for r in grid], nvars)
+        return _cofactor_det([list(r) for r in grid])
 
     m = [list(row) for row in grid]
     sign = 1
-    prev = Polynomial.constant(nvars, 1)
+    prev = None
     for k in range(n - 1):
-        if m[k][k].is_zero():
-            pr = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
+        if not m[k][k]:
+            pr = next((i for i in range(k + 1, n) if m[i][k]), None)
             if pr is None:
-                return Polynomial.zero(nvars)
+                return {}
             m[k], m[pr] = m[pr], m[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][k] = Polynomial.zero(nvars)
+                num = _term_combination(
+                    ((1, _term_product(m[i][j], m[k][k])), (-1, _term_product(m[i][k], m[k][j])))
+                )
+                m[i][j] = num if prev is None else _term_quotient(num, prev)
         prev = m[k][k]
     det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+    return det if sign == 1 else {mono: -c for mono, c in det.items()}

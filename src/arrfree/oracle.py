@@ -4,6 +4,13 @@ Graded dimensions by exact linear solves, Saito determinant checks,
 randomized basis extraction, and the Hilbert-function obstruction.  The
 randomized part errs on the side of soundness: failures yield
 Undetermined, never a nonfreeness claim.
+
+Saito's criterion (`saito_check`, `is_log_derivation`) runs in Python
+ints, on term dicts {exponent vector: int}: each derivation is scaled to
+integer coefficients of gcd 1 (`primitive_row`), and each hyperplane's
+form is its primitive integer normal.  By Gauss's lemma a primitive polynomial
+divides an integer polynomial over Q exactly when it does over Z, so the
+exact divisions (`exactalg._term_quotient`) need no Fraction.
 """
 
 from __future__ import annotations
@@ -15,7 +22,15 @@ from math import comb
 
 from .arrangement import Multiarrangement, rank
 from .dspace import derivation_basis, derivation_dim
-from .exactalg import Polynomial, frac, monomials, poly_matrix_det
+from .exactalg import (
+    Polynomial,
+    _term_combination,
+    _term_product,
+    _term_quotient,
+    monomials,
+    poly_matrix_det,
+    primitive_row,
+)
 
 
 @dataclass(frozen=True)
@@ -26,6 +41,10 @@ class Derivation:
     coeffs: tuple[Polynomial, ...]
 
     def __post_init__(self):
+        # every coefficient lives in the ring of nvars variables; the integer
+        # term-dict arithmetic of Saito's criterion relies on it
+        if any(c.nvars != len(self.coeffs) for c in self.coeffs):
+            raise ValueError("coefficients must have one variable per coordinate")
         degs = {c.degree() for c in self.coeffs if not c.is_zero()}
         if len(degs) > 1 or any(not c.is_homogeneous() for c in self.coeffs):
             raise ValueError("coefficients must be homogeneous of one degree")
@@ -40,14 +59,6 @@ class Derivation:
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
-
-    def apply_form(self, form) -> Polynomial:
-        out = Polynomial.zero(self.nvars)
-        for ci, fi in zip(self.coeffs, form):
-            fi = frac(fi)
-            if fi != 0:
-                out = out + ci * fi
-        return out
 
     def scale(self, c) -> "Derivation":
         return Derivation(tuple(p * c for p in self.coeffs))
@@ -77,18 +88,45 @@ class Derivation:
         return cls(coeffs)
 
 
-def is_log_derivation(a: Multiarrangement, theta: Derivation) -> bool:
+def _scaled_coeffs(theta: Derivation) -> list[dict]:
+    """theta's coefficients as integer term dicts, scaled together by
+    `primitive_row`: a positive multiple of theta."""
+    keys = [(i, m) for i, p in enumerate(theta.coeffs) for m in p.terms]
+    out: list[dict] = [{} for _ in theta.coeffs]
+    for (i, m), c in zip(keys, primitive_row([theta.coeffs[i].terms[m] for i, m in keys])):
+        out[i][m] = c
+    return out
+
+
+def _normal_powers(a: Multiarrangement) -> list[tuple[list[int], dict]]:
+    """Per hyperplane H, its primitive integer normal alpha_H and
+    alpha_H^{m(H)} as a term dict.  The normal is made primitive here, not
+    read as primitive from `Hyperplane.coeffs`, since the constructor takes
+    any tuple; a product of primitive forms is primitive (Gauss's lemma)."""
+    out = []
+    for h, m in zip(a.hyperplanes, a.mult):
+        alpha = primitive_row(h.coeffs)
+        form = {tuple(int(j == i) for j in range(a.dim)): c for i, c in enumerate(alpha) if c}
+        power = form
+        for _ in range(m - 1):
+            power = _term_product(power, form)
+        out.append((alpha, power))
+    return out
+
+
+def is_log_derivation(a: Multiarrangement, theta: Derivation, powers=None) -> bool:
     """Membership test: theta(alpha_H) divisible by alpha_H^{m(H)} for all H.
 
-    alpha_H is the integer normal; a nonzero multiple of it passes or fails
-    alike."""
+    In integers: a positive multiple of theta is a member exactly when
+    theta is, and alpha_H^{m(H)} is primitive (see the module docstring).
+    `powers` is `_normal_powers(a)`, passed by a caller that tests several
+    derivations against one arrangement."""
     if theta.nvars != a.dim:
         raise ValueError("dimension mismatch")
-    for h, m in zip(a.hyperplanes, a.mult):
-        p = theta.apply_form(h.coeffs)
-        if p.is_zero():
-            continue
-        if not p.divisible_by(Polynomial.linear_form(h.coeffs) ** m):
+    coeffs = _scaled_coeffs(theta)
+    for alpha, power in _normal_powers(a) if powers is None else powers:
+        image = _term_combination(zip(alpha, coeffs))
+        if image and _term_quotient(image, power) is None:
             return False
     return True
 
@@ -124,23 +162,34 @@ def saito_check(a: Multiarrangement, thetas) -> SaitoResult:
 
     A nonzero constant quotient certifies a basis; zero means dependence;
     a positive-degree quotient reports its degree.
+
+    In integer term dicts: scaling each theta to integer coefficients keeps
+    its membership and multiplies the determinant by a nonzero constant
+    only.  Q(A,m), the product of the primitive normals' powers, is
+    primitive, so by Gauss's lemma it divides the integer determinant over
+    Q exactly when it does over Z.
     """
     thetas = list(thetas)
     if len(thetas) != a.dim:
         raise ValueError(f"need exactly {a.dim} derivations")
+    powers = _normal_powers(a)
     for t in thetas:
-        if not is_log_derivation(a, t):
+        if not is_log_derivation(a, t, powers):
             raise ValueError("derivation outside D(A,m)")
-    grid = [[thetas[j].coeffs[i] for j in range(a.dim)] for i in range(a.dim)]
-    det = poly_matrix_det(grid)
-    if det.is_zero():
+    columns = [_scaled_coeffs(t) for t in thetas]
+    det = poly_matrix_det([[col[i] for col in columns] for i in range(a.dim)])
+    if not det:
         return SaitoResult("Dependent")
-    q, r = det.divmod_by(a.defining_polynomial())
-    if not r.is_zero():
+    q = {(0,) * a.dim: 1}
+    for _, power in powers:
+        q = _term_product(q, power)
+    quotient = _term_quotient(det, q)
+    if quotient is None:
         raise RuntimeError("determinant not divisible by Q(A,m); membership bug")
-    if q.degree() == 0:
+    factor_degree = sum(next(iter(quotient)))
+    if factor_degree == 0:
         return SaitoResult("Basis", exponents=tuple(sorted(t.pdeg for t in thetas)))
-    return SaitoResult("DetIsMultiple", factor_degree=q.degree())
+    return SaitoResult("DetIsMultiple", factor_degree=factor_degree)
 
 
 # ---------------------------------------------------------------------------

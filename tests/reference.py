@@ -14,6 +14,10 @@ None of this runs in `certify`, `verify_certificate` or the CLI:
   (`normalize_multiplicity_shift`, criterion C7);
 * the away-b2 as a sum of local b2 over the flats off h0
   (`b2_away_local_sum`, criterion C4);
+* Saito's criterion in Fraction polynomials (`ref_saito_check`,
+  `ref_is_log_derivation`): theta(alpha) (`apply_form`), the lex
+  division, the cofactor determinant and the defining polynomial Q(A,m)
+  that `oracle.saito_check` replaced with integer term dicts;
 * the good summand of a Saito basis at a locally heavy hyperplane
   (`good_summand_check`) and the restriction of a derivation that
   annihilates its form (`restrict_derivation`).
@@ -31,7 +35,7 @@ from arrfree.arrangement import (
     is_locally_heavy,
 )
 from arrfree.exactalg import Matrix, Polynomial, primitive_form, substitute_monomials, vec
-from arrfree.oracle import Derivation, is_log_derivation, saito_check
+from arrfree.oracle import Derivation, SaitoResult, is_log_derivation, saito_check
 from arrfree.rank2 import project_to_rank2, rank2_exponents
 
 # ---------------------------------------------------------------------------
@@ -157,6 +161,80 @@ def b2_away_local_sum(a: Multiarrangement, h0) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Saito's criterion in Fraction polynomials
+
+
+def apply_form(theta: Derivation, form) -> Polynomial:
+    """theta(alpha) for the linear form alpha with the given coefficients."""
+    out = Polynomial.zero(theta.nvars)
+    for ci, fi in zip(theta.coeffs, vec(form)):
+        if fi != 0:
+            out = out + ci * fi
+    return out
+
+
+def power(p: Polynomial, k: int) -> Polynomial:
+    out = Polynomial.constant(p.nvars, 1)
+    for _ in range(k):
+        out = out * p
+    return out
+
+
+def ref_defining_polynomial(a: Multiarrangement) -> Polynomial:
+    """Q(A,m), the product of the rational normals' powers."""
+    q = Polynomial.constant(a.dim, 1)
+    for h, m in zip(a.hyperplanes, a.mult):
+        q = q * power(Polynomial.linear_form(h.normal), m)
+    return q
+
+
+def ref_poly_matrix_det(grid) -> Polynomial:
+    """Determinant of a square matrix of Polynomials, by cofactor expansion
+    along the first row at every size."""
+    n = len(grid)
+    if n == 1:
+        return grid[0][0]
+    total = Polynomial.zero(grid[0][0].nvars)
+    for j in range(n):
+        if grid[0][j].is_zero():
+            continue
+        minor = [[grid[i][k] for k in range(n) if k != j] for i in range(1, n)]
+        term = grid[0][j] * ref_poly_matrix_det(minor)
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def ref_is_log_derivation(a: Multiarrangement, theta: Derivation) -> bool:
+    """Membership by lex division of theta(alpha_H) by alpha_H^{m(H)}."""
+    if theta.nvars != a.dim:
+        raise ValueError("dimension mismatch")
+    for h, m in zip(a.hyperplanes, a.mult):
+        p = apply_form(theta, h.coeffs)
+        if not p.is_zero() and not p.divisible_by(power(Polynomial.linear_form(h.coeffs), m)):
+            return False
+    return True
+
+
+def ref_saito_check(a: Multiarrangement, thetas) -> SaitoResult:
+    """`oracle.saito_check` in Fraction polynomials."""
+    thetas = list(thetas)
+    if len(thetas) != a.dim:
+        raise ValueError(f"need exactly {a.dim} derivations")
+    for t in thetas:
+        if not ref_is_log_derivation(a, t):
+            raise ValueError("derivation outside D(A,m)")
+    det = ref_poly_matrix_det([[thetas[j].coeffs[i] for j in range(a.dim)] for i in range(a.dim)])
+    if det.is_zero():
+        return SaitoResult("Dependent")
+    q, r = det.divmod_by(ref_defining_polynomial(a))
+    if not r.is_zero():
+        raise RuntimeError("determinant not divisible by Q(A,m); membership bug")
+    if q.degree() == 0:
+        return SaitoResult("Basis", exponents=tuple(sorted(t.pdeg for t in thetas)))
+    return SaitoResult("DetIsMultiple", factor_degree=q.degree())
+
+
+# ---------------------------------------------------------------------------
 # derivations at a locally heavy hyperplane
 
 
@@ -175,12 +253,12 @@ def good_summand_check(a: Multiarrangement, h0, thetas) -> bool:
         raise ValueError("given derivations are not a basis")
     m0 = a.mult[i0]
     alpha0 = a.hyperplanes[i0].normal
-    a0_pow = Polynomial.linear_form(alpha0) ** m0
+    a0_pow = power(Polynomial.linear_form(alpha0), m0)
     pivot = None
     for j, t in enumerate(thetas):
         if t.pdeg != m0:
             continue
-        p = t.apply_form(alpha0)
+        p = apply_form(t, alpha0)
         if p.is_zero():
             continue
         q, r = p.divmod_by(a0_pow)
@@ -194,9 +272,9 @@ def good_summand_check(a: Multiarrangement, h0, thetas) -> bool:
     for i, t in enumerate(thetas):
         if i == j:
             continue
-        qi = t.apply_form(alpha0).exact_div(a0_pow)
+        qi = apply_form(t, alpha0).divmod_by(a0_pow)[0]  # exact: t is a member
         corrected = t.add(Derivation(tuple(-(qi * g) for g in good.coeffs)))
-        if not corrected.apply_form(alpha0).is_zero():
+        if not apply_form(corrected, alpha0).is_zero():
             raise RuntimeError("good-summand correction failed to annihilate alpha0")
         if not is_log_derivation(a, corrected):
             raise RuntimeError("good-summand correction left the module")
@@ -215,7 +293,7 @@ def restrict_derivation(a: Multiarrangement, h0, theta: Derivation) -> Derivatio
     i0 = a.index_of(h0)
     if not is_log_derivation(a, theta):
         raise ValueError("derivation outside D(A,m)")
-    if not theta.apply_form(a.hyperplanes[i0].normal).is_zero():
+    if not apply_form(theta, a.hyperplanes[i0].normal).is_zero():
         raise ValueError("derivation does not annihilate the hyperplane form")
     restr = euler_ziegler_multiplicity(a, i0)
     t, tinv = ref_linear_change_to_coordinate(a.hyperplanes[i0].normal)

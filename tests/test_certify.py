@@ -718,6 +718,25 @@ def test_saito_recheck_bounds_degrees_before_polynomial_work(monkeypatch):
             verify_certificate(boolean3(), payload)
 
 
+def test_saito_recheck_refuses_coefficients_in_another_ring():
+    # x, y, z, y + z in K^3 (|m| = 4) with a cited theta_2 = x d/dy whose
+    # coefficients claim one variable: the payload's nvars must match the
+    # number of coordinates, or the integer division by y + z never ends
+    a = Multiarrangement(3, tuple(Hyperplane.from_coeffs(r) for r in ([1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 1, 1])), (1, 1, 1, 1))
+    thetas = [
+        {"nvars": 3, "coeffs": [[[[1, 0, 0], "1"]], [], []]},
+        {"nvars": 1, "coeffs": [[], [[[1], "1"]], []]},
+        {"nvars": 3, "coeffs": [[], [], [[[0, 1, 1], "1"], [[0, 0, 2], "1"]]]},
+    ]
+    node = {
+        "rule": "SaitoBasis",
+        "inputs": {"derivations": thetas, "essentialized_from_dim": None},
+        "numbers": {"exponents": [1, 1, 2], "seed": 0},
+    }
+    with pytest.raises(CertificateError, match="one variable per coordinate"):
+        verify_certificate(a, {"kind": "Free", "exponents": [1, 1, 2], "certificate": node})
+
+
 def _slots(tree, path=()):
     """(path, value) of every value below the root of a JSON tree."""
     items = tree.items() if isinstance(tree, dict) else enumerate(tree) if isinstance(tree, list) else ()

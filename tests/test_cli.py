@@ -1,9 +1,12 @@
 import json
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import arrfree
 import arrfree.oracle as oracle_mod
 from arrfree.arrangement import parse_file
 from arrfree.certify import verify_certificate
@@ -522,3 +525,13 @@ def test_oracle_nonessential_needs_flag(tmp_path, capsys):
     assert data["nonessential_dims"] == 1
     assert data["hilbert"]["kind"] == "FreeProven"
     assert data["hilbert"]["exponents"] == [2, 3]
+
+
+def test_cli_import_leaves_hashlib_unloaded():
+    # hashlib (OpenSSL) costs every process that loads it about 3 MB of
+    # peak RSS; only the input digest needs it
+    src = str(Path(arrfree.__file__).resolve().parents[1])
+    code = "import sys, arrfree.cli; print('hashlib' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from arrfree.exactalg import (
     Matrix,
     Polynomial,
+    _term_product,
+    _term_quotient,
     monomials,
     poly_matrix_det,
     rank_and_kernel,
@@ -183,6 +186,16 @@ def _perm_det(grid, nvars):
     return total
 
 
+def _ints(p):
+    """A Polynomial with integer coefficients as an integer term dict."""
+    assert all(c.denominator == 1 for c in p.terms.values())
+    return {m: c.numerator for m, c in p.terms.items()}
+
+
+def _int_grid(grid):
+    return [[_ints(p) for p in row] for row in grid]
+
+
 def test_det_diagonal():
     z4 = P(3, {(0, 0, 4): 1})
     grid = [
@@ -190,31 +203,32 @@ def test_det_diagonal():
         [Polynomial.zero(3), P(3, {(0, 3, 0): 1}), Polynomial.zero(3)],
         [Polynomial.zero(3), Polynomial.zero(3), z4],
     ]
-    assert poly_matrix_det(grid) == P(3, {(2, 3, 4): 1})
+    assert poly_matrix_det(_int_grid(grid)) == {(2, 3, 4): 1}
 
 
 def test_det_saito_two_vars():
     # columns theta_E = (x, y), theta = (x^2, y^2): det = xy^2 - x^2 y
     grid = [[x2, x2 * x2], [y2, y2 * y2]]
-    det = poly_matrix_det(grid)
-    assert det == P(2, {(1, 2): 1, (2, 1): -1})
+    det = poly_matrix_det(_int_grid(grid))
+    assert det == {(1, 2): 1, (2, 1): -1}
     minus_xy_xmy = Polynomial.constant(2, -1) * x2 * y2 * (x2 - y2)
-    assert det == minus_xy_xmy
+    assert det == _ints(minus_xy_xmy)
 
 
 def test_det_dependent_columns():
     grid = [[x2, x2 * 2], [y2, y2 * 2]]
-    assert poly_matrix_det(grid).is_zero()
+    assert poly_matrix_det(_int_grid(grid)) == {}
 
 
 def test_det_non_square():
     with pytest.raises(ValueError):
-        poly_matrix_det([[x2, y2]])
+        poly_matrix_det([[{(1, 0): 1}, {(0, 1): 1}]])
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(2, 4), st.data())
+@given(st.integers(2, 5), st.data())
 def test_det_matches_leibniz_oracle(n, data):
+    # sizes 4 and 5 take the Bareiss branch, whose divisions must be exact
     monos = monomials(2, 1) + monomials(2, 0)
     grid = []
     for _ in range(n):
@@ -227,7 +241,49 @@ def test_det_matches_leibniz_oracle(n, data):
                     terms[m] = F(c)
             row.append(Polynomial(2, terms))
         grid.append(row)
-    assert poly_matrix_det(grid) == _perm_det(grid, 2)
+    assert poly_matrix_det(_int_grid(grid)) == _ints(_perm_det(grid, 2))
+
+
+def test_det_bareiss_zero_pivot_swaps_rows():
+    # a 4x4 permutation-like matrix with zero leading entries: the pivot
+    # search swaps rows, and each swap flips the sign
+    x, y = {(1, 0): 1}, {(0, 1): 1}
+    grid = [[{}, x, {}, {}], [y, {}, {}, {}], [{}, {}, {}, x], [{}, {}, y, {}]]
+    assert poly_matrix_det(grid) == {(2, 2): 1}
+    assert poly_matrix_det(grid[:3] + [[{}, {}, {}, {}]]) == {}
+
+
+# ---------------------------------------------------------------------------
+# exact division of integer term dicts
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_term_quotient_matches_lex_division(data):
+    monos = monomials(3, 2) + monomials(3, 1)
+    def poly():
+        return {m: c for m in monos if (c := data.draw(st.integers(-3, 3)))}
+    f, g = poly(), poly()
+    if not g:
+        g = {(1, 0, 0): 1}
+    content = gcd(*g.values())  # over Z and over Q agree for a primitive g
+    g = {m: c // content for m, c in g.items()}
+    gp = Polynomial(3, {m: F(c) for m, c in g.items()})
+    prod = _term_product(f, g)
+    assert _term_quotient(prod, g) == f
+    # prod plus a term outside the ideal: the reference leaves a remainder
+    off = dict(prod)
+    off[(0, 0, 5)] = off.get((0, 0, 5), 0) + 1
+    _, r = Polynomial(3, {m: F(c) for m, c in off.items() if c}).divmod_by(gp)
+    assert (_term_quotient({m: c for m, c in off.items() if c}, g) is None) == (not r.is_zero())
+
+
+def test_term_quotient_refuses_non_integral_quotient_of_non_primitive_divisor():
+    # 2x divides x^2 over Q but not over Z: the helper answers for Z[x]
+    assert _term_quotient({(2, 0): 1}, {(1, 0): 2}) is None
+    assert _term_quotient({(2, 0): 2}, {(1, 0): 2}) == {(1, 0): 1}
+    with pytest.raises(ZeroDivisionError):
+        _term_quotient({(1, 0): 1}, {})
 
 
 # ---------------------------------------------------------------------------

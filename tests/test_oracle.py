@@ -9,7 +9,7 @@ from arrfree.arrangement import (
     parse,
     reducibility,
 )
-from arrfree.exactalg import Polynomial, poly_matrix_det
+from arrfree.exactalg import Polynomial
 from arrfree.fixtures import boolean3, braid3, example52, example_a3
 import arrfree.oracle as oracle_mod
 from arrfree.oracle import (
@@ -27,7 +27,13 @@ from arrfree.oracle import (
 from arrfree.rank2 import euler_multiplicity_at_flat, project_to_rank2
 
 from conftest import cyclic_garbage, force_locally_heavy, random_multiarrangement
-from reference import good_summand_check, restrict_derivation
+from reference import (
+    apply_form,
+    good_summand_check,
+    ref_defining_polynomial,
+    ref_poly_matrix_det,
+    restrict_derivation,
+)
 
 F = Fraction
 Z3 = Polynomial.zero(3)
@@ -152,7 +158,7 @@ def test_saito_basis_degrees_sum_to_total_multiplicity():
 def test_any_members_det_divisible_by_q():
     rng = random.Random(73)
     a = example_a3(1, 2)
-    q = a.defining_polynomial()
+    q = ref_defining_polynomial(a)
     pools = {d: derivation_space_dim(a, d)[1] for d in (3, 4)}
     for _ in range(5):
         thetas = []
@@ -169,7 +175,7 @@ def test_any_members_det_divisible_by_q():
                 combo = basis[0]
             thetas.append(combo)
         grid = [[thetas[j].coeffs[i] for j in range(3)] for i in range(3)]
-        det = poly_matrix_det(grid)
+        det = ref_poly_matrix_det(grid)
         if det.is_zero():
             continue
         _, r = det.divmod_by(q)
@@ -311,7 +317,7 @@ def test_restrict_derivation_example1_degree2():
     a = example_a3(1, 2)
     alpha_z = a.hyperplanes[5].normal
     _, basis = derivation_space_dim(a, 2)
-    killed = [t for t in basis if t.apply_form(alpha_z).is_zero()]
+    killed = [t for t in basis if apply_form(t, alpha_z).is_zero()]
     assert killed  # the good complement in degree 2 annihilates z
     r = euler_ziegler_multiplicity(a, 5)
     for t in killed:
