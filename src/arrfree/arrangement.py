@@ -56,9 +56,13 @@ def _varname(i: int, dim: int) -> str:
 class Hyperplane:
     """A linear hyperplane, identified by its primitive integer normal
     `coeffs` (gcd 1, first nonzero entry positive).  Build one with
-    `from_coeffs`; the constructor takes `coeffs` as given."""
+    `from_coeffs`; the constructor takes any nonzero `coeffs` as given."""
 
     coeffs: tuple[int, ...]
+
+    def __post_init__(self):
+        if not any(self.coeffs):
+            raise ParseError("zero normal vector")
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence) -> "Hyperplane":
@@ -183,13 +187,14 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def _entry(x) -> Fraction:
-    """A normal entry: an integer, or a string "p/q" (or "p") of decimal
-    digits.  Bools, floats, decimal and exponent strings are refused, so no
-    entry is larger than its text."""
+    """An exact number of the JSON formats, a hyperplane's normal entry or a
+    certificate's derivation coefficient: an integer, or a string "p/q" (or
+    "p") of decimal digits.  Bools, floats, decimal and exponent strings are
+    refused, so no number is larger than its text."""
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if not (isinstance(x, str) and _RATIONAL.fullmatch(x)):
-        raise ParseError(f'bad rational {x!r:.40}: normal entries are integers or "p/q" strings')
+        raise ParseError(f'bad rational {x!r:.40}: exact numbers are integers or "p/q" strings')
     try:
         return Fraction(x)
     except ZeroDivisionError:

@@ -24,19 +24,25 @@ N^(a_q-k), where a' is a without a_q and y' the chart variables after y_1.
 Two front doors share one row builder (`_form_rows`).  `derivation_basis`
 solves the full system, l*C(d+l-1, l-1) unknowns in l variables and rows
 for every form, in the input coordinates, because its echelon basis is
-cited in certificates (`oracle.extract_basis`).  `derivation_dim` needs
-only a dimension, which a linear change of coordinates does not move, so
+cited in certificates (`oracle.extract_basis`).  `derivation_dims` needs
+only dimensions, which a linear change of coordinates does not move, so
 it solves in the coordinates of l independent forms, chosen heaviest
 first.  There each chosen form only drops unknowns, leaving
 sum_i C(d-m_i+l-1, l-1), and only the other forms give rows; the rank
 comes from the forward pass of the elimination alone
-(`exactalg.integer_rank`).
+(`exactalg.integer_rank`).  It takes a list of degrees: the primitive
+forms, the coordinates and each other form's chart with its powers N^e,
+up to the largest degree, are built once per call, and each degree builds
+only its monomials, unknowns and rows (`_reduced_systems`).
+`derivation_dim` is its one-degree case; `derivation_basis` builds
+everything for its one degree.
 """
 
 from __future__ import annotations
 
 from math import comb
-from typing import Sequence
+from operator import add
+from typing import Iterator, Sequence
 
 from .exactalg import (
     Monomial,
@@ -50,15 +56,26 @@ from .exactalg import (
 )
 
 
-def _chart_rows(form: list[int], mult: int, monos: list[Monomial], degree: int) -> list[list[int]]:
+def _chart(form: list[int], mult: int, top: int) -> tuple[int, dict] | None:
+    """The chart index q of the form and N^e for e = 0..top, as term dicts
+    over the chart variables after y_1, keyed (e,); None when no degree up
+    to top constrains the chart (mult > top)."""
+    if mult > top:
+        return None
+    q = _chart_index(form)
+    n_form = [-f for j, f in enumerate(form) if j != q]
+    return q, substitute_monomials([n_form], [(e,) for e in range(top + 1)])
+
+
+def _chart_rows(
+    form: list[int], mult: int, chart: tuple[int, dict], monos: list[Monomial], degree: int
+) -> list[list[int]]:
     """Coefficient of each constrained chart monomial (y_1-degree below
     mult), in `monos` order, as a row over the unknown coefficients of
-    theta(form) on `monos`, the degree-d monomials."""
-    q = _chart_index(form)
+    theta(form) on `monos`, the degree-d monomials; `chart` is
+    `_chart(form, mult, top)` for some top >= degree."""
+    q, npow = chart
     fq = form[q]
-    # npow[(e,)] is N^e over the chart variables after y_1
-    n_form = [-f for j, f in enumerate(form) if j != q]
-    npow = substitute_monomials([n_form], [(e,) for e in range(degree + 1)])
     coeff_rows = {cm: [0] * len(monos) for cm in monos if cm[0] < mult}
     for col, mono in enumerate(monos):
         aq = mono[q]
@@ -67,21 +84,27 @@ def _chart_rows(form: list[int], mult: int, monos: list[Monomial], degree: int) 
         for k in range(min(aq, mult - 1) + 1):
             c = scale * comb(aq, k)
             for nmono, v in npow[(aq - k,)].items():
-                coeff_rows[(k,) + tuple(a + b for a, b in zip(rest, nmono))][col] = c * v
+                coeff_rows[(k, *map(add, rest, nmono))][col] = c * v
     return list(coeff_rows.values())
 
 
 def _form_rows(
-    form: list[int], mult: int, monos: list[Monomial], degree: int, cols: list[tuple[int, int]]
+    form: list[int],
+    mult: int,
+    chart: tuple[int, dict] | None,
+    monos: list[Monomial],
+    degree: int,
+    cols: list[tuple[int, int]],
 ) -> list[list[int]]:
     """The rows of one form's condition over the unknowns `cols`: the pair
     (i, k) is the coefficient of monos[k] in theta of the i-th coordinate,
-    and theta(form) = sum_i form[i] * theta(coordinate i)."""
+    and theta(form) = sum_i form[i] * theta(coordinate i).  `chart` is
+    read only when mult <= degree."""
     if mult > degree:
         # theta(form) must vanish identically at this degree
         bases = [[int(j == k) for j in range(len(monos))] for k in range(len(monos))]
     else:
-        bases = _chart_rows(form, mult, monos, degree)
+        bases = _chart_rows(form, mult, chart, monos, degree)
     return [[form[i] * base[k] for i, k in cols] for base in bases]
 
 
@@ -105,7 +128,11 @@ def _derivation_rows(
     fs = _primitive_forms(forms, mults)
     monos = monomials(len(fs[0]), degree)
     cols = [(i, k) for i in range(len(fs[0])) for k in range(len(monos))]
-    rows = [row for form, mult in zip(fs, mults) for row in _form_rows(form, mult, monos, degree, cols)]
+    rows = [
+        row
+        for form, mult in zip(fs, mults)
+        for row in _form_rows(form, mult, _chart(form, mult, degree), monos, degree, cols)
+    ]
     return rows, monos
 
 
@@ -173,17 +200,32 @@ def _coordinates(
     return coords, others
 
 
-def _reduced_rows(forms: Sequence[Sequence], mults: Sequence[int], degree: int) -> tuple[list[list[int]], int]:
-    """The system of `derivation_dim` and its number of unknowns: in the
-    coordinates y_i = c_i(x) of `_coordinates`, the unknowns are the
-    coefficients of y^a in theta(y_i) with a_i >= m_i, and the rows are
-    those of the non-coordinate forms over them."""
+def _reduced_systems(
+    forms: Sequence[Sequence], mults: Sequence[int], degrees: Sequence[int]
+) -> Iterator[tuple[list[list[int]], int]]:
+    """The system of `derivation_dim` and its number of unknowns, for each
+    degree in turn: in the coordinates y_i = c_i(x) of `_coordinates`, the
+    unknowns are the coefficients of y^a in theta(y_i) with a_i >= m_i, and
+    the rows are those of the non-coordinate forms over them.
+
+    What does not depend on the degree is built once: the primitive forms,
+    the coordinates with their Cramer determinants, and each other form's
+    chart with N^e up to the largest degree that needs it (a form whose
+    multiplicity passes every degree needs none).  Each degree builds its
+    monomials, unknowns and rows."""
     fs = _primitive_forms(forms, mults)
     coords, others = _coordinates(fs, mults)
-    monos = monomials(len(fs[0]), degree)
-    cols = [(i, k) for i, (_, m) in enumerate(coords) for k, mono in enumerate(monos) if mono[i] >= m]
-    rows = [row for form, mult in others for row in _form_rows(form, mult, monos, degree, cols)]
-    return rows, len(cols)
+    top = max(degrees, default=-1)
+    charts = [_chart(form, mult, top) for form, mult in others]
+    for degree in degrees:
+        monos = monomials(len(fs[0]), degree)
+        cols = [(i, k) for i, (_, m) in enumerate(coords) for k, mono in enumerate(monos) if mono[i] >= m]
+        rows = [
+            row
+            for (form, mult), chart in zip(others, charts)
+            for row in _form_rows(form, mult, chart, monos, degree, cols)
+        ]
+        yield rows, len(cols)
 
 
 def derivation_basis(
@@ -207,6 +249,12 @@ def derivation_basis(
     return basis
 
 
+def derivation_dims(forms: Sequence[Sequence], mults: Sequence[int], degrees: Sequence[int]) -> list[int]:
+    """`derivation_dim` at each of the degrees, in order, from one set-up
+    of the coordinates and charts (`_reduced_systems`)."""
+    return [ncols - integer_rank(rows, ncols) for rows, ncols in _reduced_systems(forms, mults, degrees)]
+
+
 def derivation_dim(forms: Sequence[Sequence], mults: Sequence[int], degree: int) -> int:
     """Dimension of the degree-d piece of the module, len(`derivation_basis`).
 
@@ -226,5 +274,4 @@ def derivation_dim(forms: Sequence[Sequence], mults: Sequence[int], degree: int)
     `derivation_basis` keeps the full system in the input coordinates,
     because its echelon basis is read there and cited in certificates.
     """
-    rows, ncols = _reduced_rows(forms, mults, degree)
-    return ncols - integer_rank(rows, ncols)
+    return derivation_dims(forms, mults, (degree,))[0]

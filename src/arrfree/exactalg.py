@@ -18,6 +18,7 @@ output.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -227,12 +228,18 @@ Monomial = tuple[int, ...]
 
 
 def monomials(nvars: int, degree: int) -> list[Monomial]:
-    """All exponent vectors of the given total degree, lex-descending."""
-    if nvars == 0:
-        return [()] if degree == 0 else []
+    """All exponent vectors of the given total degree, lex-descending: the
+    multisets of `degree` variable indices, taken in lex order, count each
+    variable's exponent, and the earlier multiset has more of the first
+    index where two differ."""
+    if degree < 0:
+        return []
     out = []
-    for first in range(degree, -1, -1):
-        out.extend((first,) + rest for rest in monomials(nvars - 1, degree - first))
+    for picks in combinations_with_replacement(range(nvars), degree):
+        mono = [0] * nvars
+        for i in picks:
+            mono[i] += 1
+        out.append(tuple(mono))
     return out
 
 

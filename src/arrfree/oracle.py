@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .arrangement import Multiarrangement, rank
-from .dspace import derivation_basis, derivation_dim
+from .arrangement import Multiarrangement, _entry, rank
+from .dspace import derivation_basis, derivation_dims
 from .exactalg import (
     Polynomial,
     _term_combination,
@@ -82,7 +82,7 @@ class Derivation:
     def from_dict(cls, data: dict) -> "Derivation":
         n = data["nvars"]
         coeffs = tuple(
-            Polynomial(n, {tuple(m): Fraction(c) for m, c in terms})
+            Polynomial(n, {tuple(m): _entry(c) for m, c in terms})
             for terms in data["coeffs"]
         )
         return cls(coeffs)
@@ -319,8 +319,10 @@ def hilbert_freeness_test(
 
     No tuple surviving proves nonfreeness.  A unique survivor plus a
     successful randomized Saito extraction proves freeness.  Anything else
-    is Undetermined.  The dimensions are ranks (`derivation_dim`); bases
-    are solved only at the survivor's degrees (`extract_basis`).  More than
+    is Undetermined.  The dimensions at degrees 0..cap are ranks, from one
+    `derivation_dims` call: the coordinates and charts are set up once, and
+    each degree builds and eliminates only its own system.  Bases are
+    solved only at the survivor's degrees (`extract_basis`).  More than
     MAX_EXPONENT_TUPLES candidate tuples is a ValueError, raised before any
     solve.
     """
@@ -335,7 +337,7 @@ def hilbert_freeness_test(
     if overflow:
         raise ValueError(overflow)
     forms, mults = [h.coeffs for h in a.hyperplanes], list(a.mult)
-    dims = tuple(derivation_dim(forms, mults, d) for d in range(cap + 1))
+    dims = tuple(derivation_dims(forms, mults, range(cap + 1)))
     survivors = tuple(
         t
         for t in exponent_candidates(total, l)

@@ -6,6 +6,8 @@ None of this runs in `certify`, `verify_certificate` or the CLI:
 * the codim-2 flat table from every ordered pair of normals
   (`ref_codim2_table`), the build that `arrangement._codim2_table`
   replaced with one over the unordered pairs not yet on a flat;
+* the recursive list of exponent vectors (`ref_monomials`), which
+  `exactalg.monomials` replaced with one over multisets of variables;
 * the greedy coordinate chart (`ref_linear_change_to_coordinate`), which
   probes `Matrix.rank()` once per candidate unit vector and inverts by an
   augmented RREF -- the one chart reference of the closed form that
@@ -77,6 +79,22 @@ def ref_codim2_table(
             row.append(built[members])
         rows.append(tuple(row))
     return tuple(built.values()), tuple(rows)
+
+
+# ---------------------------------------------------------------------------
+# exponent vectors
+
+
+def ref_monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
+    """All exponent vectors of the given total degree, lex-descending: each
+    first exponent from the degree down, followed by the vectors of the
+    rest."""
+    if nvars == 0:
+        return [()] if degree == 0 else []
+    out = []
+    for first in range(degree, -1, -1):
+        out.extend((first,) + rest for rest in ref_monomials(nvars - 1, degree - first))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from arrfree.arrangement import (
     reducibility,
     restriction_flats,
 )
+from arrfree.certify import certify
 from arrfree.fixtures import boolean3, braid3, example52, example_a3, generic4, load, rank4_flag_example
 
 from conftest import random_multiarrangement
@@ -103,6 +104,16 @@ def test_parse_rejects(payload):
 )
 def test_fixture_builders_equal_their_files(build, name):
     assert build() == load(name)
+
+
+@pytest.mark.parametrize("coeffs", [(0, 0), (0, 0, 0), ()])
+def test_hyperplane_refuses_a_zero_normal(coeffs):
+    # the constructor takes coeffs as given, but never a zero normal, so
+    # certify cannot meet one
+    with pytest.raises(ParseError, match="zero normal vector"):
+        Hyperplane(coeffs)
+    with pytest.raises(ParseError, match="zero normal vector"):
+        certify(Multiarrangement(2, (Hyperplane((1, 0)), Hyperplane(coeffs)), (1, 1)))
 
 
 def test_duplicates_not_merged():

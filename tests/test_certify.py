@@ -2,6 +2,7 @@ import copy
 import importlib
 import json
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -737,6 +738,24 @@ def test_saito_recheck_refuses_coefficients_in_another_ring():
         verify_certificate(a, {"kind": "Free", "exponents": [1, 1, 2], "certificate": node})
 
 
+@pytest.mark.parametrize(
+    "bad, reason",
+    [("1/0", "zero denominator"), ("1e4000000", "exact numbers are"), (1.5, "exact numbers are"), (True, "exact numbers are")],
+)
+def test_saito_recheck_reads_coefficients_as_exact_numbers(bad, reason):
+    # boolean.json's oracle certificate is a SaitoBasis node; each bad
+    # coefficient is refused by the reader of the arrangement parser, before
+    # any arithmetic, and an exponent string costs no more than its text
+    a = load("boolean.json")
+    payload = certify(a, CertifyOptions(use_oracle=True, only_rule="oracle")).to_dict()
+    assert payload["certificate"]["rule"] == "SaitoBasis"
+    payload["certificate"]["inputs"]["derivations"][0]["coeffs"][0][0][1] = bad
+    start = time.perf_counter()
+    with pytest.raises(CertificateError, match=f"ParseError: bad rational .*{reason}"):
+        verify_certificate(a, payload)
+    assert time.perf_counter() - start < 0.5
+
+
 def _slots(tree, path=()):
     """(path, value) of every value below the root of a JSON tree."""
     items = tree.items() if isinstance(tree, dict) else enumerate(tree) if isinstance(tree, list) else ()
@@ -791,7 +810,12 @@ def test_verifier_mutation_fuzz(name, data):
         else:
             value.insert(j, copy.deepcopy(value[j]))
     else:
-        holder[key] = data.draw(st.sampled_from([w for w in (None, True, 7, "x", [], {}) if type(w) is not type(value)]))
+        # a zero denominator and an exponent string replace strings too, so
+        # that they reach the derivation coefficients of a SaitoBasis node
+        wrong = (None, True, 7, "x", "1/0", "1e4000000", [], {})
+        holder[key] = data.draw(
+            st.sampled_from([w for w in wrong if type(w) is not type(value) or (isinstance(w, str) and w != value)])
+        )
     try:
         got = verify_certificate(a, mutated)
     except CertificateError:

@@ -17,6 +17,8 @@ from arrfree.exactalg import (
     scaled_chart_image,
 )
 
+from reference import ref_monomials
+
 F = Fraction
 
 
@@ -135,6 +137,12 @@ def test_defining_polynomial_example_product():
         for f in factors:
             direct *= _evaluate(f, point)
         assert _evaluate(q, point) == direct
+
+
+@pytest.mark.parametrize("nvars", range(6))
+def test_monomials_equal_the_recursive_list(nvars):
+    for degree in range(-2, 10):
+        assert monomials(nvars, degree) == ref_monomials(nvars, degree)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,7 +1,8 @@
 """`derivation_dim` solves in the coordinates of the heaviest forms.
 
 Differential tests against len(`derivation_basis`), which still solves the
-full system in the input coordinates, and work counts of the reduced
+full system in the input coordinates, at one degree and (`derivation_dims`)
+over a range of degrees from one set-up, and work counts of the reduced
 system: sum_i C(d - m_i + l - 1, l - 1) unknowns over the coordinate forms,
 and the full system's rows less the rows of those forms.
 """
@@ -18,9 +19,10 @@ from arrfree.dspace import (
     _coordinates,
     _derivation_rows,
     _primitive_forms,
-    _reduced_rows,
+    _reduced_systems,
     derivation_basis,
     derivation_dim,
+    derivation_dims,
 )
 from arrfree.exactalg import Matrix
 from arrfree.fixtures import fixture_path
@@ -55,21 +57,24 @@ def n_monomials(nvars, degree):
     return comb(degree + nvars - 1, nvars - 1) if degree >= 0 else 0
 
 
-def assert_work_counts(forms, mults, degree):
+def assert_work_counts(forms, mults, degrees):
+    """The counts at each degree of one `_reduced_systems` call."""
     nvars = len(forms[0])
     kept = ref_kept(forms, mults)
     fs = _primitive_forms(forms, mults)
     coords = _coordinates(fs, mults)[0]
     assert coords[: len(kept)] == [(fs[k], mults[k]) for k in kept]
     assert all(m == 0 and sorted(f) == [0] * (nvars - 1) + [1] for f, m in coords[len(kept) :])
-    rows, ncols = _reduced_rows(forms, mults, degree)
-    # the unit vectors that fill up a rank below l have multiplicity 0
-    want_cols = sum(n_monomials(nvars, degree - mults[k]) for k in kept)
-    want_cols += (nvars - len(kept)) * n_monomials(nvars, degree)
-    assert ncols == want_cols
-    full = len(_derivation_rows(forms, mults, degree)[0])
-    assert len(rows) == full - sum(len(_derivation_rows([forms[k]], [mults[k]], degree)[0]) for k in kept)
-    assert all(len(row) == ncols for row in rows)
+    systems = list(_reduced_systems(forms, mults, degrees))
+    assert len(systems) == len(degrees)
+    for degree, (rows, ncols) in zip(degrees, systems):
+        # the unit vectors that fill up a rank below l have multiplicity 0
+        want_cols = sum(n_monomials(nvars, degree - mults[k]) for k in kept)
+        want_cols += (nvars - len(kept)) * n_monomials(nvars, degree)
+        assert ncols == want_cols
+        full = len(_derivation_rows(forms, mults, degree)[0])
+        assert len(rows) == full - sum(len(_derivation_rows([forms[k]], [mults[k]], degree)[0]) for k in kept)
+        assert all(len(row) == ncols for row in rows)
 
 
 def outcome(fn, forms, mults, degree):
@@ -154,6 +159,20 @@ def test_dim_equals_kernel_size_in_heavy_coordinates(system):
 def test_dim_equals_kernel_size_on_chosen_systems(forms, mults, degree):
     for d in range(-1, degree + 1):
         assert derivation_dim(forms, mults, d) == len(derivation_basis(forms, mults, d))
+    degrees = range(-1, degree + 1)
+    assert derivation_dims(forms, mults, degrees) == [len(derivation_basis(forms, mults, d)) for d in degrees]
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems())
+def test_dims_over_a_degree_range_equal_kernel_sizes(system):
+    # one set-up for degrees -1..D; a zero form is refused at every degree
+    # that reaches its multiplicity, so then the whole call is refused
+    forms, mults, top = system
+    degrees = range(-1, top + 1)
+    want = [outcome(lambda *a: len(derivation_basis(*a)), forms, mults, d) for d in degrees]
+    got = outcome(derivation_dims, forms, mults, degrees)
+    assert got == (ValueError if ValueError in want else want)
 
 
 def test_heaviest_independent_forms_are_the_coordinates():
@@ -175,12 +194,11 @@ def test_reduced_system_work_counts(system):
     forms, mults, degree = system
     if any(not any(f) for f in forms):
         return  # a zero form may be refused (ValueError); the differential test covers it
-    assert_work_counts(forms, mults, degree)
+    assert_work_counts(forms, mults, range(-1, degree + 1))
 
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_reduced_system_work_counts_on_fixtures(name):
     a = parse_file(fixture_path(name))
     forms = [h.coeffs for h in a.hyperplanes]
-    for degree in range(6):
-        assert_work_counts(forms, list(a.mult), degree)
+    assert_work_counts(forms, list(a.mult), range(6))

@@ -11,6 +11,7 @@ from arrfree.arrangement import (
 )
 from arrfree.exactalg import Polynomial
 from arrfree.fixtures import boolean3, braid3, example52, example_a3
+import arrfree.dspace as dspace_mod
 import arrfree.oracle as oracle_mod
 from arrfree.oracle import (
     MAX_EXPONENT_TUPLES,
@@ -234,10 +235,25 @@ def test_hilbert_refuses_too_many_exponent_tuples_before_any_solve(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("no graded dimension may be solved")
 
-    monkeypatch.setattr(oracle_mod, "derivation_dim", never)
+    monkeypatch.setattr(oracle_mod, "derivation_dims", never)
     a = parse({"dim": 3, "hyperplanes": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], "mult": [400] * 4})
     with pytest.raises(ValueError, match="more than 10000 exponent tuples of length 3 sum to"):
         hilbert_freeness_test(a, degree_cap=2)
+
+
+@pytest.mark.parametrize("cap", [1, 4, 8])
+def test_hilbert_sets_up_the_coordinates_once(monkeypatch, cap):
+    # the graded dimensions at degrees 0..cap share one set-up
+    coordinates, calls = dspace_mod._coordinates, []
+
+    def counting(*args):
+        calls.append(args)
+        return coordinates(*args)
+
+    monkeypatch.setattr(dspace_mod, "_coordinates", counting)
+    res = hilbert_freeness_test(example52(), degree_cap=cap)
+    assert len(res.dims) == cap + 1
+    assert len(calls) == 1
 
 
 def test_exponent_candidates_leave_no_cycles():
