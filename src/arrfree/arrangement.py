@@ -16,9 +16,9 @@ table per tuple of hyperplanes (`_codim2_table`, lru-cached), in integer
 arithmetic: each flat is grouped once, from its least member, over the
 unordered pairs not yet on a flat, so a table costs sum(|X| - 1) residues
 over its flats X (b2 of the simple arrangement).  Flats of codimension 3 and
-more, and the check of a given flat in `localization`, take the kernel of
-some member normals (`Matrix.rref`, the one exact elimination) and collect
-the hyperplanes whose normals vanish on it.
+more, and the check of a given flat in `localization`, take the integer
+kernel of some member normals (`exactalg.integer_kernel`) and collect the
+hyperplanes whose normals vanish on it.
 """
 
 from __future__ import annotations
@@ -31,12 +31,13 @@ from functools import lru_cache
 from typing import Sequence
 
 from .exactalg import (
-    Matrix,
     Vec,
+    _forward,
+    _gauss_jordan,
+    integer_kernel,
     integer_rank,
     primitive_form,
     primitive_row,
-    rank_and_kernel,
     scaled_chart_image,
     vec,
 )
@@ -139,9 +140,6 @@ class Multiarrangement:
         if self.labels is not None:
             return self.labels[i]
         return self.hyperplanes[i].form_str()
-
-    def normal_matrix(self) -> Matrix:
-        return Matrix([h.coeffs for h in self.hyperplanes])
 
     def with_mult(self, i: int, m: int) -> "Multiarrangement":
         if m < 1:
@@ -252,14 +250,14 @@ def parse_file(path: str) -> Multiarrangement:
 def _span_flat(a: Multiarrangement, seed_normals: Sequence[Sequence[int]]) -> Flat:
     """The flat cut out by the seed normals.  Their span is the annihilator
     of their kernel, so a hyperplane contains the flat exactly when its
-    normal vanishes on every kernel vector."""
-    r, kernel = rank_and_kernel(Matrix(seed_normals))
+    normal vanishes on every kernel vector; its codimension is the rank."""
+    _, kernel = integer_kernel([list(n) for n in seed_normals], a.dim)
     members = frozenset(
         k
         for k, h in enumerate(a.hyperplanes)
-        if all(sum(x * y for x, y in zip(h.coeffs, v) if y) == 0 for v in kernel)
+        if all(sum(x * y for x, y in zip(h.coeffs, v) if y) == 0 for v, _ in kernel)
     )
-    return Flat(r, members)
+    return Flat(a.dim - len(kernel), members)
 
 
 def rank(a: Multiarrangement) -> int:
@@ -449,7 +447,9 @@ def reducibility(a: Multiarrangement) -> Reducibility:
     Normal j and the basis normals with a nonzero coordinate form its
     fundamental circuit; two hyperplanes land in one block exactly when
     they are linked through such circuits.  A pivot column holds a single
-    1, in its own row, so it links its hyperplane only to itself.
+    nonzero entry, in its own row, so it links its hyperplane only to
+    itself.  Each row of the integer elimination (`exactalg._gauss_jordan`)
+    is a nonzero multiple of the RREF row, with the same nonzero entries.
     """
     parent = list(range(a.size))
 
@@ -459,10 +459,11 @@ def reducibility(a: Multiarrangement) -> Reducibility:
             i = parent[i]
         return i
 
-    red, pivots = a.normal_matrix().transpose().rref()
-    for row, p in zip(red.entries, pivots):
+    rows = [list(col) for col in zip(*(h.coeffs for h in a.hyperplanes))]
+    pivots = _gauss_jordan(rows, a.size)
+    for row, p in zip(rows, pivots):
         for j, x in enumerate(row):
-            if x != 0:
+            if x:
                 parent[find(j)] = find(p)
     groups: dict[int, list[int]] = {}
     for i in range(a.size):
@@ -477,19 +478,15 @@ def essentialize(a: Multiarrangement) -> tuple[Multiarrangement, int]:
 
     With p_1 < ... < p_r the pivot columns of the RREF of the normals, the
     unit vectors at the pivots complete the common center to a basis, so
-    each normal h maps to (h[p_1], ..., h[p_r]).
+    each normal h maps to (h[p_1], ..., h[p_r]): a vector of the row space
+    is its pivot entries times the RREF rows.  The pivots are those of the
+    integer forward pass (`exactalg._forward`).
     """
-    red, pivots = a.normal_matrix().rref()
+    pivots = _forward([list(h.coeffs) for h in a.hyperplanes], a.dim)
     drop = a.dim - len(pivots)
     if drop == 0:
         return a, 0
-    planes = []
-    for h in a.hyperplanes:
-        image = tuple(h.coeffs[p] for p in pivots)
-        assert h.coeffs == tuple(
-            sum((c * row[k] for c, row in zip(image, red.entries)), Fraction(0)) for k in range(a.dim)
-        ), "each normal must be its pivot entries times the RREF rows"
-        planes.append(Hyperplane(primitive_form(image)))
+    planes = [Hyperplane(primitive_form(tuple(h.coeffs[p] for p in pivots))) for h in a.hyperplanes]
     return Multiarrangement(len(pivots), tuple(planes), a.mult, a.labels), drop
 
 

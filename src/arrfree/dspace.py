@@ -24,7 +24,8 @@ N^(a_q-k), where a' is a without a_q and y' the chart variables after y_1.
 Two front doors share one row builder (`_form_rows`).  `derivation_basis`
 solves the full system, l*C(d+l-1, l-1) unknowns in l variables and rows
 for every form, in the input coordinates, because its echelon basis is
-cited in certificates (`oracle.extract_basis`).  `derivation_dims` needs
+cited in certificates (`oracle.extract_basis`), as integer term dicts over
+one denominator (`exactalg.integer_kernel`).  `derivation_dims` needs
 only dimensions, which a linear change of coordinates does not move, so
 it solves in the coordinates of l independent forms, chosen heaviest
 first.  There each chosen form only drops unknowns, leaving
@@ -46,10 +47,9 @@ from typing import Iterator, Sequence
 
 from .exactalg import (
     Monomial,
-    Polynomial,
     _chart_index,
+    integer_kernel,
     integer_rank,
-    integer_rank_and_kernel,
     monomials,
     primitive_row,
     substitute_monomials,
@@ -230,23 +230,19 @@ def _reduced_systems(
 
 def derivation_basis(
     forms: Sequence[Sequence], mults: Sequence[int], degree: int
-) -> list[tuple[Polynomial, ...]]:
+) -> list[tuple[tuple[dict[Monomial, int], ...], int]]:
     """Echelon-normalized basis of the degree-d piece of the module.
 
-    Returns coefficient tuples (theta(x_1), ..., theta(x_n)); deterministic
-    for fixed input order.
+    Returns (coefficient tuple (theta(x_1), ..., theta(x_n)) as integer term
+    dicts, positive denominator) pairs; deterministic for fixed input order.
     """
     rows, monos = _derivation_rows(forms, mults, degree)
     nvars, nm = len(forms[0]), len(monos)
-    _, kernel = integer_rank_and_kernel(rows, nvars * nm)
-    basis = []
-    for v in kernel:
-        coeffs = tuple(
-            Polynomial(nvars, {monos[k]: v[i * nm + k] for k in range(nm) if v[i * nm + k] != 0})
-            for i in range(nvars)
-        )
-        basis.append(coeffs)
-    return basis
+    _, kernel = integer_kernel(rows, nvars * nm)
+    return [
+        (tuple({monos[k]: v[i * nm + k] for k in range(nm) if v[i * nm + k]} for i in range(nvars)), den)
+        for v, den in kernel
+    ]
 
 
 def derivation_dims(forms: Sequence[Sequence], mults: Sequence[int], degrees: Sequence[int]) -> list[int]:

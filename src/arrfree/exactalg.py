@@ -1,16 +1,14 @@
-"""Exact rational matrices and multivariate polynomial arithmetic.
+"""Exact elimination and integer polynomial arithmetic.
 
-Inputs and outputs are exact rationals (`fractions.Fraction`, always
-reduced, positive denominator); nothing is ever rounded.  Elimination runs
-in Python ints internally, in one fraction-free kernel of two phases: a
-forward pass (`_forward`) that eliminates below each pivot, and a
-back-reduction that clears above it.  A rank needs the forward pass only
-(`integer_rank`, `Matrix.rank`); the reduced row echelon form and the
-kernel (`_gauss_jordan`: `Matrix.rref`, `rank_and_kernel`) need both, and
-Fractions are made only for the results.
-Saito's determinant and its divisions run on integer term dicts
-{exponent vector: int} (`poly_matrix_det`, `_term_quotient`), not on
-`Polynomial`s.
+Every decision runs in Python ints; Fractions are made only at the edges.
+Elimination is one fraction-free kernel of two phases: a forward pass
+(`_forward`) that eliminates below each pivot, and a back-reduction that
+clears above it.  A rank needs the forward pass only (`integer_rank`); the
+kernel (`integer_kernel`) needs both (`_gauss_jordan`).  Polynomials are
+integer term dicts {exponent vector: int} (`substitute_monomials`,
+`_term_quotient`, `poly_matrix_det`).  No other module uses the Fraction
+classes `Matrix` and `Polynomial`: the tests keep them as references, and
+the benchmark's tracer wraps `Matrix.rref` and `Polynomial.divmod_by`.
 Everything in this module is a pure value; same input gives bit-identical
 output.
 """
@@ -171,32 +169,27 @@ def integer_rank(rows: list[list[int]], ncols: int) -> int:
     return len(_forward(rows, ncols))
 
 
-def integer_rank_and_kernel(rows: list[list[int]], ncols: int) -> tuple[int, list[Vec]]:
-    """`rank_and_kernel` of the integer rows (each of length ncols), which
-    it eliminates in place."""
+def integer_kernel(rows: list[list[int]], ncols: int) -> tuple[list[int], list[tuple[list[int], int]]]:
+    """Pivot columns and a reduced-echelon kernel basis of the integer rows
+    (each of length ncols), which it eliminates in place: per free column
+    f (increasing), integers v over a positive den, where v/den has 1 at f,
+    zero at the other free columns and -row[f]/row[p] at the pivot p of
+    each row.  den is the lcm of those entries' reduced denominators, so
+    v/den is in lowest terms."""
     pivots = _gauss_jordan(rows, ncols)
     pivot_set = set(pivots)
-    zero = Fraction(0)
-    basis: list[Vec] = []
+    basis: list[tuple[list[int], int]] = []
     for f in range(ncols):
         if f in pivot_set:
             continue
-        v = [zero] * ncols
-        v[f] = Fraction(1)
-        for row, p in zip(rows, pivots):
-            if row[f]:
-                v[p] = Fraction(-row[f], row[p])
-        basis.append(tuple(v))
-    return len(pivots), basis
-
-
-def rank_and_kernel(m: Matrix) -> tuple[int, list[Vec]]:
-    """Rank and a deterministic reduced-echelon kernel basis.
-
-    One basis vector per free column f (increasing): entry 1 at f, zero at
-    the other free columns, and -RREF[r][f] at the pivot column of row r.
-    """
-    return integer_rank_and_kernel([primitive_row(r) for r in m.entries], m.cols)
+        used = [(row[f], row[p], p) for row, p in zip(rows, pivots) if row[f]]
+        den = lcm(*(abs(q) // gcd(c, q) for c, q, _ in used))
+        v = [0] * ncols
+        v[f] = den
+        for c, q, p in used:
+            v[p] = -c * den // q
+        basis.append((v, den))
+    return pivots, basis
 
 
 def _chart_index(f: Sequence) -> int:
@@ -243,6 +236,12 @@ def monomials(nvars: int, degree: int) -> list[Monomial]:
     return out
 
 
+def linear_terms(row: Sequence) -> dict[Monomial, object]:
+    """The linear form with the given coefficients, as a term dict."""
+    n = len(row)
+    return {tuple(int(j == i) for j in range(n)): c for i, c in enumerate(row) if c != 0}
+
+
 class Polynomial:
     """Multivariate polynomial: map from exponent vectors to nonzero Fractions."""
 
@@ -276,9 +275,7 @@ class Polynomial:
 
     @classmethod
     def linear_form(cls, coeffs: Sequence) -> "Polynomial":
-        cs = vec(coeffs)
-        n = len(cs)
-        return cls(n, {tuple(int(j == i) for j in range(n)): cs[i] for i in range(n) if cs[i] != 0})
+        return cls(len(coeffs), linear_terms(vec(coeffs)))
 
     # predicates
     def is_zero(self) -> bool:
@@ -325,9 +322,6 @@ class Polynomial:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.nvars, tuple(sorted(self.terms.items()))))
 
     def coeff(self, mono: Monomial) -> Fraction:
         return self.terms.get(tuple(mono), Fraction(0))
@@ -401,10 +395,7 @@ def substitute_monomials(
         raise ValueError("images must share variable count")
     one = {(0,) * new_n: 1}
     # powers[i][k] is the k-th power of image i, extended as monomials ask
-    powers = [
-        [one, {tuple(int(j == k) for j in range(new_n)): c for k, c in enumerate(im) if c != 0}]
-        for im in images
-    ]
+    powers = [[one, linear_terms(im)] for im in images]
     table: dict[Monomial, dict[Monomial, object]] = {}
     for mono in monos:
         p = one

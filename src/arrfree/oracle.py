@@ -5,12 +5,14 @@ randomized basis extraction, and the Hilbert-function obstruction.  The
 randomized part errs on the side of soundness: failures yield
 Undetermined, never a nonfreeness claim.
 
-Saito's criterion (`saito_check`, `is_log_derivation`) runs in Python
-ints, on term dicts {exponent vector: int}: each derivation is scaled to
-integer coefficients of gcd 1 (`primitive_row`), and each hyperplane's
-form is its primitive integer normal.  By Gauss's lemma a primitive polynomial
-divides an integer polynomial over Q exactly when it does over Z, so the
-exact divisions (`exactalg._term_quotient`) need no Fraction.
+Everything runs in Python ints: a derivation is integer term dicts
+{exponent vector: int} over one positive denominator, and Fractions are
+made only where a certificate is read or printed.  Saito's criterion
+(`saito_check`, `is_log_derivation`) reads the numerators, a positive
+multiple of the derivation, and each hyperplane's primitive integer
+normal.  By Gauss's lemma a primitive polynomial divides an integer
+polynomial over Q exactly when it does over Z, so the exact divisions
+(`exactalg._term_quotient`) need no Fraction.
 """
 
 from __future__ import annotations
@@ -18,36 +20,55 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
-from .arrangement import Multiarrangement, _entry, rank
+from .arrangement import Multiarrangement, ParseError, _entry, rank
 from .dspace import derivation_basis, derivation_dims
 from .exactalg import (
-    Polynomial,
+    Monomial,
     _term_combination,
     _term_product,
     _term_quotient,
+    linear_terms,
     monomials,
     poly_matrix_det,
     primitive_row,
 )
 
 
+def _is_count(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
+def _exponents(m) -> tuple[int, ...]:
+    if not (isinstance(m, list) and all(map(_is_count, m))):
+        raise ParseError(f"bad exponent vector {m!r:.40}")
+    return tuple(m)
+
+
 @dataclass(frozen=True)
 class Derivation:
-    """theta = sum_i coeffs[i] d/dx_i with homogeneous coefficients of one
-    common degree; the zero derivation has pdeg -1."""
+    """theta = sum_i coeffs[i]/den d/dx_i: integer term dicts in nvars =
+    len(coeffs) variables, homogeneous of one degree (the zero derivation
+    has pdeg -1).  Kept in lowest terms, so equal derivations compare equal."""
 
-    coeffs: tuple[Polynomial, ...]
+    coeffs: tuple[dict[Monomial, int], ...]
+    den: int = 1
 
     def __post_init__(self):
         # every coefficient lives in the ring of nvars variables; the integer
         # term-dict arithmetic of Saito's criterion relies on it
-        if any(c.nvars != len(self.coeffs) for c in self.coeffs):
+        if any(len(m) != len(self.coeffs) for p in self.coeffs for m in p):
             raise ValueError("coefficients must have one variable per coordinate")
-        degs = {c.degree() for c in self.coeffs if not c.is_zero()}
-        if len(degs) > 1 or any(not c.is_homogeneous() for c in self.coeffs):
+        if len({sum(m) for p in self.coeffs for m, c in p.items() if c}) > 1:
             raise ValueError("coefficients must be homogeneous of one degree")
+        g = gcd(self.den, *(c for p in self.coeffs for c in p.values()))
+        if g > 1 or not all(all(p.values()) for p in self.coeffs):
+            object.__setattr__(self, "coeffs", tuple({m: c // g for m, c in p.items() if c} for p in self.coeffs))
+            object.__setattr__(self, "den", self.den // g)
+
+    def __hash__(self) -> int:
+        return hash((tuple(tuple(sorted(p.items())) for p in self.coeffs), self.den))
 
     @property
     def nvars(self) -> int:
@@ -55,47 +76,41 @@ class Derivation:
 
     @property
     def pdeg(self) -> int:
-        return max((c.degree() for c in self.coeffs if not c.is_zero()), default=-1)
+        return max((sum(m) for p in self.coeffs for m in p), default=-1)
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not any(self.coeffs)
 
-    def scale(self, c) -> "Derivation":
-        return Derivation(tuple(p * c for p in self.coeffs))
+    def scale(self, c: int) -> "Derivation":
+        return Derivation(tuple({m: c * v for m, v in p.items()} for p in self.coeffs), self.den)
 
     def add(self, other: "Derivation") -> "Derivation":
-        return Derivation(tuple(p + q for p, q in zip(self.coeffs, other.coeffs)))
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return Derivation(tuple(_term_combination(((a, p), (b, q))) for p, q in zip(self.coeffs, other.coeffs)), den)
 
     def to_dict(self) -> dict:
         return {
             "nvars": self.nvars,
             "coeffs": [
-                sorted(
-                    ([list(m), str(c)] for m, c in p.terms.items()),
-                    key=lambda t: t[0],
-                )
+                sorted(([list(m), str(Fraction(c, self.den))] for m, c in p.items()), key=lambda t: t[0])
                 for p in self.coeffs
             ],
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "Derivation":
+        """nvars and the exponents must be ints that are not bools and are at
+        least 0, the coefficients exact numbers (`arrangement._entry`); else
+        a ParseError, before any arithmetic."""
         n = data["nvars"]
-        coeffs = tuple(
-            Polynomial(n, {tuple(m): _entry(c) for m, c in terms})
-            for terms in data["coeffs"]
-        )
-        return cls(coeffs)
-
-
-def _scaled_coeffs(theta: Derivation) -> list[dict]:
-    """theta's coefficients as integer term dicts, scaled together by
-    `primitive_row`: a positive multiple of theta."""
-    keys = [(i, m) for i, p in enumerate(theta.coeffs) for m in p.terms]
-    out: list[dict] = [{} for _ in theta.coeffs]
-    for (i, m), c in zip(keys, primitive_row([theta.coeffs[i].terms[m] for i, m in keys])):
-        out[i][m] = c
-    return out
+        if not _is_count(n):
+            raise ParseError(f"bad nvars {n!r:.40}")
+        rows = [{_exponents(m): _entry(c) for m, c in terms} for terms in data["coeffs"]]
+        if len(rows) != n:
+            raise ValueError("coefficients must have one variable per coordinate")
+        den = lcm(*(c.denominator for row in rows for c in row.values()))
+        return cls(tuple({m: c.numerator * (den // c.denominator) for m, c in row.items()} for row in rows), den)
 
 
 def _normal_powers(a: Multiarrangement) -> list[tuple[list[int], dict]]:
@@ -106,7 +121,7 @@ def _normal_powers(a: Multiarrangement) -> list[tuple[list[int], dict]]:
     out = []
     for h, m in zip(a.hyperplanes, a.mult):
         alpha = primitive_row(h.coeffs)
-        form = {tuple(int(j == i) for j in range(a.dim)): c for i, c in enumerate(alpha) if c}
+        form = linear_terms(alpha)
         power = form
         for _ in range(m - 1):
             power = _term_product(power, form)
@@ -117,15 +132,15 @@ def _normal_powers(a: Multiarrangement) -> list[tuple[list[int], dict]]:
 def is_log_derivation(a: Multiarrangement, theta: Derivation, powers=None) -> bool:
     """Membership test: theta(alpha_H) divisible by alpha_H^{m(H)} for all H.
 
-    In integers: a positive multiple of theta is a member exactly when
-    theta is, and alpha_H^{m(H)} is primitive (see the module docstring).
+    In integers: theta's numerators, a positive multiple of theta, are a
+    member exactly when theta is, and alpha_H^{m(H)} is primitive (see the
+    module docstring).
     `powers` is `_normal_powers(a)`, passed by a caller that tests several
     derivations against one arrangement."""
     if theta.nvars != a.dim:
         raise ValueError("dimension mismatch")
-    coeffs = _scaled_coeffs(theta)
     for alpha, power in _normal_powers(a) if powers is None else powers:
-        image = _term_combination(zip(alpha, coeffs))
+        image = _term_combination(zip(alpha, theta.coeffs))
         if image and _term_quotient(image, power) is None:
             return False
     return True
@@ -138,15 +153,12 @@ def derivation_space_dim(a: Multiarrangement, d: int) -> tuple[int, list[Derivat
     if a.size == 0:
         # no constraints: the full space of degree-d derivation tuples
         monos = monomials(a.dim, d)
-        full = []
-        for i in range(a.dim):
-            for mono in monos:
-                coeffs = [Polynomial.zero(a.dim) for _ in range(a.dim)]
-                coeffs[i] = Polynomial(a.dim, {mono: Fraction(1)})
-                full.append(Derivation(tuple(coeffs)))
+        full = [
+            Derivation(tuple({mono: 1} if j == i else {} for j in range(a.dim))) for i in range(a.dim) for mono in monos
+        ]
         return len(full), full
     raw = derivation_basis([h.coeffs for h in a.hyperplanes], list(a.mult), d)
-    basis = [Derivation(coeffs) for coeffs in raw]
+    basis = [Derivation(coeffs, den) for coeffs, den in raw]
     return len(basis), basis
 
 
@@ -163,9 +175,9 @@ def saito_check(a: Multiarrangement, thetas) -> SaitoResult:
     A nonzero constant quotient certifies a basis; zero means dependence;
     a positive-degree quotient reports its degree.
 
-    In integer term dicts: scaling each theta to integer coefficients keeps
-    its membership and multiplies the determinant by a nonzero constant
-    only.  Q(A,m), the product of the primitive normals' powers, is
+    In integer term dicts: each theta's numerators are a positive multiple
+    of it, which keeps its membership and multiplies the determinant by a
+    nonzero constant only.  Q(A,m), the product of the primitive normals' powers, is
     primitive, so by Gauss's lemma it divides the integer determinant over
     Q exactly when it does over Z.
     """
@@ -176,8 +188,7 @@ def saito_check(a: Multiarrangement, thetas) -> SaitoResult:
     for t in thetas:
         if not is_log_derivation(a, t, powers):
             raise ValueError("derivation outside D(A,m)")
-    columns = [_scaled_coeffs(t) for t in thetas]
-    det = poly_matrix_det([[col[i] for col in columns] for i in range(a.dim)])
+    det = poly_matrix_det([[t.coeffs[i] for t in thetas] for i in range(a.dim)])
     if not det:
         return SaitoResult("Dependent")
     q = {(0,) * a.dim: 1}

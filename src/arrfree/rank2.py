@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .arrangement import Flat, Multiarrangement
 from .dspace import derivation_basis, derivation_dim
-from .exactalg import Polynomial, primitive_form, primitive_row
+from .exactalg import _term_quotient, linear_terms, primitive_form, primitive_row
 
 
 @dataclass(frozen=True)
@@ -125,12 +125,14 @@ def euler_multiplicity_at_flat(inst: Rank2Instance, h0: int) -> int:
     divisible by the distinguished form.
 
     m* = d1 when some degree-d1 solution lies outside alpha0*Der, else d2.
+    alpha0 is taken primitive, so by Gauss's lemma it divides an integer
+    basis coefficient over Q exactly when it does over Z (`_term_quotient`).
     """
     if not 0 <= h0 < len(inst.forms):
         raise ValueError("distinguished form index out of range")
     d1, d2 = rank2_exponents(inst)
-    alpha0 = Polynomial.linear_form(inst.forms[h0])
-    for coeffs in derivation_basis(inst.forms, inst.mult, d1):
-        if any(not c.is_zero() and not c.divisible_by(alpha0) for c in coeffs):
+    alpha0 = linear_terms(primitive_row(inst.forms[h0]))
+    for coeffs, _ in derivation_basis(inst.forms, inst.mult, d1):
+        if any(c and _term_quotient(c, alpha0) is None for c in coeffs):
             return d1
     return d2

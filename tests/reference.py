@@ -8,6 +8,15 @@ None of this runs in `certify`, `verify_certificate` or the CLI:
   replaced with one over the unordered pairs not yet on a flat;
 * the recursive list of exponent vectors (`ref_monomials`), which
   `exactalg.monomials` replaced with one over multisets of variables;
+* the rational Gauss-Jordan elimination and its kernel (`ref_rref`,
+  `ref_rank_and_kernel`), the Polynomial-valued substitution
+  (`ref_substitute_monomials`) and the `derivation_basis` that built
+  Fraction rows through the inverse of the greedy chart
+  (`ref_derivation_basis`), which `exactalg.integer_kernel` and `dspace`
+  replaced with integer code;
+* converters between a `Derivation` (integer term dicts over one
+  denominator) and a tuple of Fraction Polynomials
+  (`derivation_from_polys`, `polys_from_terms`);
 * the greedy coordinate chart (`ref_linear_change_to_coordinate`), which
   probes `Matrix.rank()` once per candidate unit vector and inverts by an
   augmented RREF -- the one chart reference of the closed form that
@@ -19,13 +28,16 @@ None of this runs in `certify`, `verify_certificate` or the CLI:
 * Saito's criterion in Fraction polynomials (`ref_saito_check`,
   `ref_is_log_derivation`): theta(alpha) (`apply_form`), the lex
   division, the cofactor determinant and the defining polynomial Q(A,m)
-  that `oracle.saito_check` replaced with integer term dicts;
+  that `oracle.saito_check` replaced with integer term dicts, and the
+  divisibility test of `rank2.euler_multiplicity_at_flat`
+  (`ref_euler_multiplicity_at_flat`);
 * the good summand of a Saito basis at a locally heavy hyperplane
   (`good_summand_check`) and the restriction of a derivation that
   annihilates its form (`restrict_derivation`).
 """
 
 from fractions import Fraction
+from math import lcm
 
 from arrfree.arrangement import (
     Flat,
@@ -36,9 +48,11 @@ from arrfree.arrangement import (
     euler_ziegler_multiplicity,
     is_locally_heavy,
 )
-from arrfree.exactalg import Matrix, Polynomial, primitive_form, substitute_monomials, vec
+from arrfree.exactalg import Matrix, Polynomial, monomials, primitive_form, substitute_monomials, vec
 from arrfree.oracle import Derivation, SaitoResult, is_log_derivation, saito_check
 from arrfree.rank2 import project_to_rank2, rank2_exponents
+
+F = Fraction
 
 # ---------------------------------------------------------------------------
 # the codim-2 flat table from ordered pairs
@@ -138,6 +152,126 @@ def ref_scaled_chart_inverse(form):
 
 
 # ---------------------------------------------------------------------------
+# rational elimination and the Fraction derivation basis
+
+
+def ref_rref(m):
+    rows = [list(r) for r in m.entries]
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        pr = next((i for i in range(r, m.rows) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(m.rows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m.rows:
+            break
+    return Matrix(rows), pivots
+
+
+def ref_rank_and_kernel(m):
+    """Rank and the reduced-echelon kernel basis: per free column f, 1 at
+    f, zero at the other free columns and -RREF[r][f] at the pivot of row
+    r."""
+    red, pivots = ref_rref(m)
+    free = [c for c in range(m.cols) if c not in set(pivots)]
+    basis = []
+    for f in free:
+        v = [F(0)] * m.cols
+        v[f] = F(1)
+        for r, p in enumerate(pivots):
+            v[p] = -red.entries[r][f]
+        basis.append(tuple(v))
+    return len(pivots), basis
+
+
+def ref_substitute_monomials(images, monos):
+    forms = [Polynomial.linear_form(im) for im in images]
+    new_n = forms[0].nvars if forms else 0
+    powers = {}
+
+    def power(i, k):
+        if k == 0:
+            return Polynomial.constant(new_n, 1)
+        if (i, k) not in powers:
+            powers[(i, k)] = power(i, k - 1) * forms[i]
+        return powers[(i, k)]
+
+    table = {}
+    for mono in monos:
+        p = Polynomial.constant(new_n, 1)
+        for i, e in enumerate(mono):
+            if e:
+                p = p * power(i, e)
+        table[mono] = p
+    return table
+
+
+def ref_derivation_basis(forms, mults, degree):
+    """The echelon basis of the degree-d piece as Fraction Polynomial
+    tuples, from Fraction rows through the greedy chart's inverse."""
+    fs = [vec(f) for f in forms]
+    nvars = len(fs[0])
+    if degree < 0:
+        return []
+    monos = monomials(nvars, degree)
+    nm = len(monos)
+    ncols = nvars * nm
+    rows = []
+    for form, mult in zip(fs, mults):
+        if mult > degree:
+            for k in range(nm):
+                row = [F(0)] * ncols
+                for i in range(nvars):
+                    row[i * nm + k] = form[i]
+                rows.append(row)
+            continue
+        _, tinv = ref_linear_change_to_coordinate(form)
+        table = ref_substitute_monomials(tinv.entries, monos)
+        for cm in (m for m in monos if m[0] < mult):
+            base = [table[mono].coeff(cm) for mono in monos]
+            rows.append([form[i] * base[k] for i in range(nvars) for k in range(nm)])
+    if rows:
+        _, kernel = ref_rank_and_kernel(Matrix(rows))
+    else:
+        kernel = [tuple(F(j == k) for j in range(ncols)) for k in range(ncols)]
+    return [
+        tuple(
+            Polynomial(nvars, {monos[k]: v[i * nm + k] for k in range(nm) if v[i * nm + k] != 0})
+            for i in range(nvars)
+        )
+        for v in kernel
+    ]
+
+
+# ---------------------------------------------------------------------------
+# derivations as Fraction polynomials
+
+
+def polys_from_terms(coeffs, den: int) -> tuple[Polynomial, ...]:
+    """Integer term dicts over a positive denominator (a `Derivation`'s
+    coeffs and den, or a `derivation_basis` element) as Fraction
+    Polynomials."""
+    n = len(coeffs)
+    return tuple(Polynomial(n, {m: F(c, den) for m, c in p.items()}) for p in coeffs)
+
+
+def derivation_from_polys(polys) -> Derivation:
+    """The Derivation whose coefficients are the given Fraction
+    Polynomials, one per coordinate."""
+    den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    return Derivation(tuple({m: c.numerator * (den // c.denominator) for m, c in p.terms.items()} for p in polys), den)
+
+
+# ---------------------------------------------------------------------------
 # heaviness and multiplicity shifts
 
 
@@ -185,7 +319,7 @@ def b2_away_local_sum(a: Multiarrangement, h0) -> int:
 def apply_form(theta: Derivation, form) -> Polynomial:
     """theta(alpha) for the linear form alpha with the given coefficients."""
     out = Polynomial.zero(theta.nvars)
-    for ci, fi in zip(theta.coeffs, vec(form)):
+    for ci, fi in zip(polys_from_terms(theta.coeffs, theta.den), vec(form)):
         if fi != 0:
             out = out + ci * fi
     return out
@@ -241,7 +375,8 @@ def ref_saito_check(a: Multiarrangement, thetas) -> SaitoResult:
     for t in thetas:
         if not ref_is_log_derivation(a, t):
             raise ValueError("derivation outside D(A,m)")
-    det = ref_poly_matrix_det([[thetas[j].coeffs[i] for j in range(a.dim)] for i in range(a.dim)])
+    columns = [polys_from_terms(t.coeffs, t.den) for t in thetas]
+    det = ref_poly_matrix_det([[columns[j][i] for j in range(a.dim)] for i in range(a.dim)])
     if det.is_zero():
         return SaitoResult("Dependent")
     q, r = det.divmod_by(ref_defining_polynomial(a))
@@ -250,6 +385,17 @@ def ref_saito_check(a: Multiarrangement, thetas) -> SaitoResult:
     if q.degree() == 0:
         return SaitoResult("Basis", exponents=tuple(sorted(t.pdeg for t in thetas)))
     return SaitoResult("DetIsMultiple", factor_degree=q.degree())
+
+
+def ref_euler_multiplicity_at_flat(inst, h0: int) -> int:
+    """`rank2.euler_multiplicity_at_flat` on the Fraction basis, by lex
+    division by the distinguished form (`Polynomial.divisible_by`)."""
+    d1, d2 = rank2_exponents(inst)
+    alpha0 = Polynomial.linear_form(inst.forms[h0])
+    for coeffs in ref_derivation_basis(inst.forms, inst.mult, d1):
+        if any(not c.is_zero() and not c.divisible_by(alpha0) for c in coeffs):
+            return d1
+    return d2
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +432,13 @@ def good_summand_check(a: Multiarrangement, h0, thetas) -> bool:
     if pivot is None:
         return False
     j, c = pivot
-    good = thetas[j].scale(Fraction(1) / c)
+    good = tuple(p * (1 / c) for p in polys_from_terms(thetas[j].coeffs, thetas[j].den))
     for i, t in enumerate(thetas):
         if i == j:
             continue
         qi = apply_form(t, alpha0).divmod_by(a0_pow)[0]  # exact: t is a member
-        corrected = t.add(Derivation(tuple(-(qi * g) for g in good.coeffs)))
+        own = polys_from_terms(t.coeffs, t.den)
+        corrected = derivation_from_polys(tuple(p - qi * g for p, g in zip(own, good)))
         if not apply_form(corrected, alpha0).is_zero():
             raise RuntimeError("good-summand correction failed to annihilate alpha0")
         if not is_log_derivation(a, corrected):
@@ -315,13 +462,14 @@ def restrict_derivation(a: Multiarrangement, h0, theta: Derivation) -> Derivatio
         raise ValueError("derivation does not annihilate the hyperplane form")
     restr = euler_ziegler_multiplicity(a, i0)
     t, tinv = ref_linear_change_to_coordinate(a.hyperplanes[i0].normal)
+    coeffs = polys_from_terms(theta.coeffs, theta.den)
     new_coeffs = []
     for i in range(1, a.dim):
         p = Polynomial.zero(a.dim)
         for k in range(a.dim):
             coeff = t.entries[i][k]
             if coeff != 0:
-                p = p + theta.coeffs[k] * coeff
+                p = p + coeffs[k] * coeff
         table = substitute_monomials(tinv.entries, p.terms)
         terms = {}
         for mono, c in p.terms.items():
@@ -329,7 +477,7 @@ def restrict_derivation(a: Multiarrangement, h0, theta: Derivation) -> Derivatio
                 if m[0] == 0:
                     terms[m[1:]] = terms.get(m[1:], 0) + c * v
         new_coeffs.append(Polynomial(a.dim - 1, terms))
-    out = Derivation(tuple(new_coeffs))
+    out = derivation_from_polys(new_coeffs)
     if not is_log_derivation(restr.arrangement, out):
         raise RuntimeError("restricted derivation left the restriction module")
     return out

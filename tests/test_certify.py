@@ -756,6 +756,42 @@ def test_saito_recheck_reads_coefficients_as_exact_numbers(bad, reason):
     assert time.perf_counter() - start < 0.5
 
 
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("exponent", True),
+        ("exponent", 1.0),
+        ("exponent", "1"),
+        ("exponent", -1),
+        ("nvars", True),
+        ("nvars", 3.0),
+        ("nvars", "3"),
+        ("nvars", -3),
+    ],
+)
+def test_saito_recheck_reads_exponents_and_nvars_as_counts(monkeypatch, field, bad):
+    # an exponent, and nvars, must be an int that is not a bool and is at
+    # least 0; [true, 0, 0] equals [1, 0, 0] as a Python tuple, so it is
+    # refused by type, before any Saito work
+    import arrfree.oracle as oracle_mod
+
+    a = load("boolean.json")
+    payload = certify(a, CertifyOptions(use_oracle=True, only_rule="oracle")).to_dict()
+    theta = payload["certificate"]["inputs"]["derivations"][0]
+    assert theta["nvars"] == 3 and theta["coeffs"][0][0][0] == [1, 0, 0]
+    if field == "exponent":
+        theta["coeffs"][0][0][0] = [bad, 0, 0]
+    else:
+        theta["nvars"] = bad
+
+    def never(*args, **kwargs):
+        raise AssertionError("saito_check must not run")
+
+    monkeypatch.setattr(oracle_mod, "saito_check", never)
+    with pytest.raises(CertificateError, match=f"ParseError: bad {'exponent vector' if field == 'exponent' else 'nvars'}"):
+        verify_certificate(a, payload)
+
+
 def _slots(tree, path=()):
     """(path, value) of every value below the root of a JSON tree."""
     items = tree.items() if isinstance(tree, dict) else enumerate(tree) if isinstance(tree, list) else ()

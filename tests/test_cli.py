@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -529,9 +530,12 @@ def test_oracle_nonessential_needs_flag(tmp_path, capsys):
 
 def test_cli_import_leaves_hashlib_unloaded():
     # hashlib (OpenSSL) costs every process that loads it about 3 MB of
-    # peak RSS; only the input digest needs it
+    # peak RSS; only the input digest needs it.  The child inherits the
+    # environment, so that PYTHONDONTWRITEBYTECODE keeps it from writing
+    # bytecode next to the sources
     src = str(Path(arrfree.__file__).resolve().parents[1])
     code = "import sys, arrfree.cli; print('hashlib' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"

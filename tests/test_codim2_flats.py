@@ -260,6 +260,20 @@ def test_lattice_and_localization_match_reference(a):
     assert_lattice_matches_reference(a)
 
 
+@settings(max_examples=60, deadline=None)
+@given(arrangements(), st.data())
+def test_span_and_localization_match_reference_on_dependent_seeds(a, data):
+    # any set of member normals, dependent ones included: the integer kernel
+    # gives the flat and the rank of the Fraction RREF
+    idx = data.draw(st.lists(st.integers(0, a.size - 1), min_size=1, max_size=a.size, unique=True))
+    seeds = [a.hyperplanes[k].coeffs for k in idx]
+    want, _ = ref_span(a, seeds)
+    assert arrangement_mod._span_flat(a, seeds) == want
+    assert localization(a, want) == ref_localization(a, want)
+    given_members = Flat(want.codim, frozenset(idx))
+    assert _outcome(localization, a, given_members) == _outcome(ref_localization, a, given_members)
+
+
 @st.composite
 def rank2_arrangements(draw):
     """Rank-2 multiarrangements in dimension 2 to 4: combinations of two

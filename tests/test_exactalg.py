@@ -1,19 +1,22 @@
+import ast
 import itertools
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arrfree
 from arrfree.exactalg import (
     Matrix,
     Polynomial,
     _term_product,
     _term_quotient,
     monomials,
+    integer_kernel,
     poly_matrix_det,
-    rank_and_kernel,
     scaled_chart_image,
 )
 
@@ -31,18 +34,26 @@ y2 = P(2, {(0, 1): 1})
 
 
 # ---------------------------------------------------------------------------
-# rank_and_kernel
+# integer_kernel
 
 
 def test_kernel_identity():
-    rank, kernel = rank_and_kernel(Matrix([[1, 0], [0, 1]]))
-    assert rank == 2 and kernel == []
+    pivots, kernel = integer_kernel([[1, 0], [0, 1]], 2)
+    assert pivots == [0, 1] and kernel == []
 
 
 def test_kernel_one_row():
-    rank, kernel = rank_and_kernel(Matrix([[1, -1]]))
-    assert rank == 1
-    assert kernel == [(F(1), F(1))]
+    pivots, kernel = integer_kernel([[1, -1]], 2)
+    assert pivots == [0]
+    assert kernel == [([1, 1], 1)]
+
+
+def test_kernel_denominator_is_lowest_terms():
+    # RREF rows (1, 0, 1/2, 1/3) and (0, 1, 3/4, 0): the free columns get
+    # (-1/2, -3/4, 1, 0) = (-2, -3, 4, 0)/4 and (-1/3, 0, 0, 1) = (-1, 0, 0, 3)/3
+    pivots, kernel = integer_kernel([[6, 0, 3, 2], [0, 4, 3, 0]], 4)
+    assert pivots == [0, 1]
+    assert kernel == [([-2, -3, 4, 0], 4), ([-1, 0, 0, 3], 3)]
 
 
 def test_kernel_braid_degree_one_system():
@@ -55,17 +66,17 @@ def test_kernel_braid_degree_one_system():
     for alpha in forms:
         # theta(alpha)_j = sum_i alpha_i c[i][j]
         for j, k in itertools.combinations(range(3), 2):
-            row = [F(0)] * 9
+            row = [0] * 9
             for i in range(3):
-                row[i * 3 + j] += F(alpha[i]) * alpha[k]
-                row[i * 3 + k] -= F(alpha[i]) * alpha[j]
+                row[i * 3 + j] += alpha[i] * alpha[k]
+                row[i * 3 + k] -= alpha[i] * alpha[j]
             rows.append(row)
-    rank, kernel = rank_and_kernel(Matrix(rows))
+    _, kernel = integer_kernel(rows, 9)
     assert len(kernel) == 1
-    v = kernel[0]
-    euler = [F(i == j) for i in range(3) for j in range(3)]
+    v, den = kernel[0]
+    euler = [int(i == j) for i in range(3) for j in range(3)]
     scale = next(c for c in v if c != 0)
-    assert [c / scale for c in v] == euler
+    assert [F(c, scale) for c in v] == euler
 
 
 @settings(max_examples=60, deadline=None)
@@ -78,11 +89,11 @@ def test_rank_nullity_and_kernel_membership(nrows, ncols, data):
     entries = [
         [data.draw(st.integers(-3, 3)) for _ in range(ncols)] for _ in range(nrows)
     ]
-    m = Matrix(entries)
-    rank, kernel = rank_and_kernel(m)
-    assert rank + len(kernel) == ncols
-    for v in kernel:
-        assert all(sum(c * x for c, x in zip(row, v)) == 0 for row in m.entries)
+    pivots, kernel = integer_kernel([list(row) for row in entries], ncols)
+    assert len(pivots) == Matrix(entries).rank() and len(pivots) + len(kernel) == ncols
+    for v, den in kernel:
+        assert den > 0
+        assert all(sum(c * x for c, x in zip(row, v)) == 0 for row in entries)
 
 
 # ---------------------------------------------------------------------------
@@ -319,3 +330,40 @@ def test_change_general_form():
 def test_change_zero_form():
     with pytest.raises(ValueError):
         scaled_chart_image([0, 0, 0], [1, 0, 0])
+
+
+# ---------------------------------------------------------------------------
+# one number format
+
+
+FRACTION_CLASSES = {"Matrix", "Polynomial"}
+
+
+def _fraction_class_uses(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every import, attribute or name of Matrix or
+    Polynomial in a module's source."""
+    uses = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.rsplit(".", 1)[-1] for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        else:
+            continue
+        uses += [(node.lineno, n) for n in names if n in FRACTION_CLASSES]
+    return uses
+
+
+def test_only_exactalg_names_the_fraction_classes():
+    # the program decides in ints; Matrix and Polynomial stay in exactalg
+    # as the references of the tests, and no other module reaches them
+    package = Path(arrfree.__file__).parent
+    sources = {p.relative_to(package).as_posix(): p.read_text(encoding="utf-8") for p in package.rglob("*.py")}
+    assert _fraction_class_uses(sources.pop("exactalg.py"))
+    assert {name: _fraction_class_uses(src) for name, src in sources.items() if _fraction_class_uses(src)} == {}
+    assert _fraction_class_uses("from .exactalg import Polynomial as P\nexactalg.Matrix(rows)") == [
+        (1, "Polynomial"),
+        (2, "Matrix"),
+    ]

@@ -2,13 +2,16 @@
 derivation systems and the scaled chart against the Fraction code they
 replaced.
 
-The references below are the rational Gauss-Jordan `Matrix.rref`, the
-`derivation_basis` that built Fraction rows through the inverse of the
+The references are the rational Gauss-Jordan elimination and its kernel,
+the `derivation_basis` that built Fraction rows through the inverse of the
 coordinate chart (the greedy one of `reference`) and a Polynomial-valued
-substitution, and the vector-matrix product of a normal with that inverse,
-exactly as `exactalg`, `dspace` and `arrangement` had them before; they are
-kept here only as the reference.  The reduced row echelon form is unique, so every result must be
-equal, not merely equivalent.
+substitution (all in `reference`), and the vector-matrix product of a
+normal with that inverse, exactly as `exactalg`, `dspace` and
+`arrangement` had them before.  The reduced row echelon form is unique, so
+every result must be equal, not merely equivalent: an integer kernel
+vector over its denominator, or a `derivation_basis` element read as
+Fraction polynomials (`reference.polys_from_terms`), equals the
+reference's.
 """
 
 from fractions import Fraction
@@ -23,112 +26,26 @@ from arrfree.exactalg import (
     Matrix,
     Polynomial,
     _gauss_jordan,
-    integer_rank_and_kernel,
+    integer_kernel,
     monomials,
     primitive_row,
-    rank_and_kernel,
     scaled_chart_image,
     substitute_monomials,
     vec,
 )
-from reference import ref_linear_change_to_coordinate
+from reference import (
+    polys_from_terms,
+    ref_derivation_basis,
+    ref_linear_change_to_coordinate,
+    ref_rank_and_kernel,
+    ref_rref,
+    ref_substitute_monomials,
+)
 
 F = Fraction
 
 # ---------------------------------------------------------------------------
 # the Fraction references
-
-
-def ref_rref(m):
-    rows = [list(r) for r in m.entries]
-    pivots = []
-    r = 0
-    for c in range(m.cols):
-        pr = next((i for i in range(r, m.rows) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(m.rows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m.rows:
-            break
-    return Matrix(rows), pivots
-
-
-def ref_rank_and_kernel(m):
-    red, pivots = ref_rref(m)
-    free = [c for c in range(m.cols) if c not in set(pivots)]
-    basis = []
-    for f in free:
-        v = [F(0)] * m.cols
-        v[f] = F(1)
-        for r, p in enumerate(pivots):
-            v[p] = -red.entries[r][f]
-        basis.append(tuple(v))
-    return len(pivots), basis
-
-
-def ref_substitute_monomials(images, monos):
-    forms = [Polynomial.linear_form(im) for im in images]
-    new_n = forms[0].nvars if forms else 0
-    powers = {}
-
-    def power(i, k):
-        if k == 0:
-            return Polynomial.constant(new_n, 1)
-        if (i, k) not in powers:
-            powers[(i, k)] = power(i, k - 1) * forms[i]
-        return powers[(i, k)]
-
-    table = {}
-    for mono in monos:
-        p = Polynomial.constant(new_n, 1)
-        for i, e in enumerate(mono):
-            if e:
-                p = p * power(i, e)
-        table[mono] = p
-    return table
-
-
-def ref_derivation_basis(forms, mults, degree):
-    fs = [vec(f) for f in forms]
-    nvars = len(fs[0])
-    if degree < 0:
-        return []
-    monos = monomials(nvars, degree)
-    nm = len(monos)
-    ncols = nvars * nm
-    rows = []
-    for form, mult in zip(fs, mults):
-        if mult > degree:
-            for k in range(nm):
-                row = [F(0)] * ncols
-                for i in range(nvars):
-                    row[i * nm + k] = form[i]
-                rows.append(row)
-            continue
-        _, tinv = ref_linear_change_to_coordinate(form)
-        table = ref_substitute_monomials(tinv.entries, monos)
-        for cm in (m for m in monos if m[0] < mult):
-            base = [table[mono].coeff(cm) for mono in monos]
-            rows.append([form[i] * base[k] for i in range(nvars) for k in range(nm)])
-    if rows:
-        _, kernel = ref_rank_and_kernel(Matrix(rows))
-    else:
-        kernel = [tuple(F(j == k) for j in range(ncols)) for k in range(ncols)]
-    return [
-        tuple(
-            Polynomial(nvars, {monos[k]: v[i * nm + k] for k in range(nm) if v[i * nm + k] != 0})
-            for i in range(nvars)
-        )
-        for v in kernel
-    ]
 
 
 def ref_chart_image(form, alpha):
@@ -176,7 +93,11 @@ def test_rref_rank_and_kernel_match_fraction_reference(m):
     red, pivots = ref_rref(m)
     assert m.rref() == (red, pivots)
     assert m.rank() == len(pivots)
-    assert rank_and_kernel(m) == ref_rank_and_kernel(m)
+    got_pivots, kernel = integer_kernel([primitive_row(r) for r in m.entries], m.cols)
+    assert got_pivots == pivots
+    assert [tuple(F(x, den) for x in v) for v, den in kernel] == ref_rank_and_kernel(m)[1]
+    # one positive denominator, in lowest terms
+    assert all(den > 0 and gcd(den, *v) == 1 for v, den in kernel)
 
 
 @settings(max_examples=100, deadline=None)
@@ -189,7 +110,7 @@ def test_kernel_keeps_rows_primitive(m):
 
 
 def test_integer_kernel_of_no_rows_is_the_identity():
-    assert integer_rank_and_kernel([], 2) == (0, [(F(1), F(0)), (F(0), F(1))])
+    assert integer_kernel([], 2) == ([], [([1, 0], 1), ([0, 1], 1)])
 
 
 @pytest.fixture(scope="module")
@@ -244,6 +165,14 @@ def test_scaled_chart_matches_fraction_inverse(form, data):
 # derivation systems
 
 
+def assert_derivation_basis_matches_reference(forms, mults, degree):
+    basis = derivation_basis(forms, mults, degree)
+    assert [polys_from_terms(coeffs, den) for coeffs, den in basis] == ref_derivation_basis(forms, mults, degree)
+    for coeffs, den in basis:
+        assert den > 0 and gcd(den, *(c for p in coeffs for c in p.values())) == 1
+        assert all(type(c) is int for p in coeffs for c in p.values())
+
+
 @st.composite
 def systems(draw):
     nvars = draw(st.integers(2, 3))
@@ -261,7 +190,7 @@ def systems(draw):
 @given(systems())
 def test_derivation_basis_matches_fraction_reference(system):
     forms, mults, degree = system
-    assert derivation_basis(forms, mults, degree) == ref_derivation_basis(forms, mults, degree)
+    assert_derivation_basis_matches_reference(forms, mults, degree)
 
 
 @pytest.mark.parametrize("q", [0, 1, 2])
@@ -272,4 +201,4 @@ def test_derivation_basis_every_chart_index(q, degree):
     lead = [F(3, 2), F(-2, 3), F(5, 7)][: q + 1]
     forms = [lead + [0] * (2 - q), [1, -1, 0], [0, 1, F(-1, 2)], [1, 0, -1]]
     mults = [2, 1, (degree + 3) // 2, degree + 1]
-    assert derivation_basis(forms, mults, degree) == ref_derivation_basis(forms, mults, degree)
+    assert_derivation_basis_matches_reference(forms, mults, degree)

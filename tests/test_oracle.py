@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +32,8 @@ from arrfree.rank2 import euler_multiplicity_at_flat, project_to_rank2
 from conftest import cyclic_garbage, force_locally_heavy, random_multiarrangement
 from reference import (
     apply_form,
+    derivation_from_polys,
+    polys_from_terms,
     good_summand_check,
     ref_defining_polynomial,
     ref_poly_matrix_det,
@@ -45,7 +49,7 @@ def mono3(e, c=1):
 
 
 def euler(n):
-    return Derivation(tuple(Polynomial.variable(n, i) for i in range(n)))
+    return derivation_from_polys(tuple(Polynomial.variable(n, i) for i in range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +69,7 @@ def test_dims_x2y3_degree2():
     dim, basis = derivation_space_dim(a, 2)
     assert dim == 1
     (t,) = basis
-    assert t.coeffs[0] == Polynomial(2, {(2, 0): F(1)}) and t.coeffs[1].is_zero()
+    assert polys_from_terms(t.coeffs, t.den) == (Polynomial(2, {(2, 0): F(1)}), Polynomial.zero(2))
 
 
 def test_dims_low_degrees_vanish_for_irreducible_nonsimple():
@@ -78,9 +82,10 @@ def test_dims_braid_degree1_is_euler():
     dim, basis = derivation_space_dim(braid3(), 1)
     assert dim == 1
     (t,) = basis
-    scale = next(c for p in t.coeffs for c in p.terms.values() if c != 0)
-    scaled = Derivation(tuple(p * (F(1) / scale) for p in t.coeffs))
-    assert scaled.coeffs == euler(3).coeffs
+    polys = polys_from_terms(t.coeffs, t.den)
+    scale = next(c for p in polys for c in p.terms.values() if c != 0)
+    scaled = derivation_from_polys(tuple(p * (F(1) / scale) for p in polys))
+    assert scaled == euler(3)
 
 
 def test_dims_monotone_under_multiplicity_increase():
@@ -93,6 +98,39 @@ def test_dims_monotone_under_multiplicity_increase():
             assert derivation_space_dim(bigger, d)[0] <= derivation_space_dim(a, d)[0]
 
 
+def _cited_derivations(tree):
+    """Every entry of a "derivations" list in a JSON tree."""
+    if isinstance(tree, dict):
+        for key, value in tree.items():
+            yield from value if key == "derivations" else _cited_derivations(value)
+    elif isinstance(tree, list):
+        for value in tree:
+            yield from _cited_derivations(value)
+
+
+def test_golden_derivations_round_trip():
+    # integer numerators over one denominator print the bytes they were read from
+    cited = [
+        d
+        for path in sorted((Path(__file__).parent / "golden").glob("*.oracle.json"))
+        for d in _cited_derivations(json.loads(path.read_text(encoding="utf-8")))
+    ]
+    assert len(cited) == 3  # braid.oracle.json's Saito basis
+    for d in cited:
+        assert Derivation.from_dict(d).to_dict() == d
+
+
+def test_derivation_is_kept_in_lowest_terms():
+    # x/2 d/dx + y/3 d/dy: numerators (3x, 2y) over 6, however it is built
+    t = Derivation(({(1, 0): 3}, {(0, 1): 2}), 6)
+    same = Derivation(({(1, 0): 12}, {(0, 1): 8, (1, 0): 0}), 24)
+    assert same == t and hash(same) == hash(t)
+    assert (t.coeffs, t.den) == (({(1, 0): 3}, {(0, 1): 2}), 6)
+    assert t.scale(2).add(t.scale(-1)) == t
+    assert t.scale(0) == Derivation(({}, {})) and t.scale(0).den == 1
+    assert t.to_dict() == {"nvars": 2, "coeffs": [[[[1, 0], "1/2"]], [[[0, 1], "1/3"]]]}
+
+
 # ---------------------------------------------------------------------------
 # Saito checks
 
@@ -100,9 +138,9 @@ def test_dims_monotone_under_multiplicity_increase():
 def test_saito_boolean_diagonal_basis():
     a = boolean3((2, 3, 4))
     thetas = [
-        Derivation((mono3((2, 0, 0)), Z3, Z3)),
-        Derivation((Z3, mono3((0, 3, 0)), Z3)),
-        Derivation((Z3, Z3, mono3((0, 0, 4)))),
+        derivation_from_polys((mono3((2, 0, 0)), Z3, Z3)),
+        derivation_from_polys((Z3, mono3((0, 3, 0)), Z3)),
+        derivation_from_polys((Z3, Z3, mono3((0, 0, 4)))),
     ]
     res = saito_check(a, thetas)
     assert res.kind == "Basis" and res.exponents == (2, 3, 4)
@@ -111,7 +149,7 @@ def test_saito_boolean_diagonal_basis():
 def test_saito_rank2_simple_basis():
     a = parse({"dim": 2, "hyperplanes": [[1, 0], [0, 1], [1, -1]], "mult": [1, 1, 1]})
     theta_e = euler(2)
-    theta = Derivation((Polynomial(2, {(2, 0): F(1)}), Polynomial(2, {(0, 2): F(1)})))
+    theta = derivation_from_polys((Polynomial(2, {(2, 0): F(1)}), Polynomial(2, {(0, 2): F(1)})))
     res = saito_check(a, [theta_e, theta])
     assert res.kind == "Basis" and res.exponents == (1, 2)
 
@@ -119,7 +157,7 @@ def test_saito_rank2_simple_basis():
 def test_saito_dependent():
     a = parse({"dim": 2, "hyperplanes": [[1, 0], [0, 1], [1, -1]], "mult": [1, 1, 1]})
     theta_e = euler(2)
-    x_theta = Derivation(
+    x_theta = derivation_from_polys(
         (
             Polynomial(2, {(2, 0): F(1)}),
             Polynomial(2, {(1, 1): F(1)}),
@@ -130,8 +168,8 @@ def test_saito_dependent():
 
 def test_saito_det_is_multiple():
     a = parse({"dim": 2, "hyperplanes": [[1, 0], [0, 1]], "mult": [1, 1]})
-    t1 = Derivation((Polynomial(2, {(2, 0): F(1)}), Z := Polynomial.zero(2)))
-    t2 = Derivation((Z, Polynomial.variable(2, 1)))
+    t1 = derivation_from_polys((Polynomial(2, {(2, 0): F(1)}), Z := Polynomial.zero(2)))
+    t2 = derivation_from_polys((Z, Polynomial.variable(2, 1)))
     res = saito_check(a, [t1, t2])
     assert res.kind == "DetIsMultiple" and res.factor_degree == 1
 
@@ -175,7 +213,8 @@ def test_any_members_det_divisible_by_q():
             if combo is None:
                 combo = basis[0]
             thetas.append(combo)
-        grid = [[thetas[j].coeffs[i] for j in range(3)] for i in range(3)]
+        columns = [polys_from_terms(t.coeffs, t.den) for t in thetas]
+        grid = [[columns[j][i] for j in range(3)] for i in range(3)]
         det = ref_poly_matrix_det(grid)
         if det.is_zero():
             continue
@@ -315,7 +354,7 @@ def test_good_summand_preconditions():
 
 def test_restrict_derivation_boolean():
     a = boolean3((2, 3, 4))
-    theta = Derivation((mono3((2, 0, 0)), Z3, Z3))
+    theta = derivation_from_polys((mono3((2, 0, 0)), Z3, Z3))
     out = restrict_derivation(a, 2, theta)
     assert out.pdeg == 2
     r = euler_ziegler_multiplicity(a, 2)
@@ -324,7 +363,7 @@ def test_restrict_derivation_boolean():
 
 def test_restrict_derivation_zero():
     a = boolean3((2, 3, 4))
-    theta = Derivation((Z3, Z3, Z3))
+    theta = derivation_from_polys((Z3, Z3, Z3))
     out = restrict_derivation(a, 2, theta)
     assert out.is_zero()
 
@@ -343,7 +382,7 @@ def test_restrict_derivation_example1_degree2():
 
 def test_restrict_derivation_requires_annihilation():
     a = boolean3((2, 3, 4))
-    theta = Derivation((Z3, Z3, mono3((0, 0, 4))))
+    theta = derivation_from_polys((Z3, Z3, mono3((0, 0, 4))))
     with pytest.raises(ValueError):
         restrict_derivation(a, 2, theta)
 

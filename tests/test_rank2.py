@@ -15,6 +15,7 @@ from arrfree.rank2 import (
     project_to_rank2,
     rank2_exponents,
 )
+from reference import ref_euler_multiplicity_at_flat
 
 F = Fraction
 
@@ -270,6 +271,18 @@ def test_euler_mult_in_d1_d2():
         d1, d2 = rank2_exponents(i)
         for h0 in range(len(forms)):
             assert euler_multiplicity_at_flat(i, h0) in (d1, d2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_forms_strategy, st.data())
+def test_euler_mult_matches_polynomial_division_reference(forms, data):
+    # integer quotients by the primitive form, against Fraction lex division
+    # by the form as given (halved or not)
+    mult = data.draw(st.tuples(*[st.integers(1, 6) for _ in forms]))
+    scale = data.draw(st.sampled_from([F(1), F(1, 2), F(-3, 2)]))
+    i = inst([tuple(scale * c for c in f) for f in forms], mult)
+    for h0 in range(len(forms)):
+        assert euler_multiplicity_at_flat(i, h0) == ref_euler_multiplicity_at_flat(i, h0)
 
 
 def test_instance_validation():

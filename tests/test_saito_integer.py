@@ -1,6 +1,9 @@
 """Saito's criterion in integer term dicts (`oracle.saito_check`,
 `oracle.is_log_derivation`) against the Fraction-polynomial reference
-(`reference.ref_saito_check`, `reference.ref_is_log_derivation`)."""
+(`reference.ref_saito_check`, `reference.ref_is_log_derivation`).
+Rational multiples and perturbations of a derivation are made in Fraction
+polynomials and read back (`reference.polys_from_terms`,
+`reference.derivation_from_polys`)."""
 
 from fractions import Fraction
 
@@ -12,7 +15,7 @@ from arrfree.arrangement import Hyperplane, Multiarrangement, rank
 from arrfree.exactalg import Polynomial
 from arrfree.oracle import Derivation, SaitoResult, derivation_space_dim, is_log_derivation, saito_check
 
-from reference import ref_is_log_derivation, ref_saito_check
+from reference import derivation_from_polys, polys_from_terms, ref_is_log_derivation, ref_saito_check
 
 F = Fraction
 
@@ -35,9 +38,13 @@ def _agree(a, thetas):
     return out
 
 
+def _times(theta: Derivation, factor) -> Derivation:
+    """theta times a rational number or a Polynomial."""
+    return derivation_from_polys(tuple(p * factor for p in polys_from_terms(theta.coeffs, theta.den)))
+
+
 def _times_variable(theta: Derivation, k: int) -> Derivation:
-    x = Polynomial.variable(theta.nvars, k)
-    return Derivation(tuple(p * x for p in theta.coeffs))
+    return _times(theta, Polynomial.variable(theta.nvars, k))
 
 
 @st.composite
@@ -72,11 +79,11 @@ def test_integer_saito_matches_fraction_reference(ab, data):
         basis = pools[data.draw(st.sampled_from(degrees))]
         coeffs = [data.draw(st.integers(-2, 2)) for _ in basis]
         coeffs[0] = coeffs[0] or 1
-        combo = Derivation(tuple(Polynomial.zero(a.dim) for _ in range(a.dim)))
+        combo = Derivation(({},) * a.dim)
         for c, t in zip(coeffs, basis):
             combo = combo.add(t.scale(c))
         assume(not combo.is_zero())
-        thetas.append(combo.scale(F(data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5)))))
+        thetas.append(_times(combo, F(data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5)))))
 
     # members: the non-primitive copy of a hyperplane cuts out the same module
     res = _agree(a, thetas)
@@ -84,7 +91,7 @@ def test_integer_saito_matches_fraction_reference(ab, data):
     assert _agree(b, thetas) == res
 
     # Dependent: theta_2 a multiple of theta_1
-    dependent = [thetas[0], thetas[0].scale(F(-2, 3))] + thetas[2:]
+    dependent = [thetas[0], _times(thetas[0], F(-2, 3))] + thetas[2:]
     assert _agree(a, dependent) == SaitoResult("Dependent")
 
     if res.kind != "Dependent":
@@ -101,7 +108,9 @@ def test_integer_saito_matches_fraction_reference(ab, data):
     t = thetas[j]
     mono = tuple(t.pdeg if k == (i + 1) % a.dim else 0 for k in range(a.dim))
     bump = Polynomial(a.dim, {mono: F(1, 7)})
-    perturbed = Derivation(tuple(p + bump if k == i else p for k, p in enumerate(t.coeffs)))
+    perturbed = derivation_from_polys(
+        tuple(p + bump if k == i else p for k, p in enumerate(polys_from_terms(t.coeffs, t.den)))
+    )
     out = _agree(a, thetas[:j] + [perturbed] + thetas[j + 1 :])
     if not is_log_derivation(a, perturbed):
         assert out == "ValueError: derivation outside D(A,m)"
@@ -113,8 +122,7 @@ def test_non_primitive_normal_keeps_members():
     # division of 2y^2 by 4y^2 in Z[x]; the primitive normal y passes it
     planes = (Hyperplane((1, 0)), Hyperplane((0, 2)))
     a = Multiarrangement(2, planes, (2, 2))
-    x2, y2 = Polynomial(2, {(2, 0): F(1)}), Polynomial(2, {(0, 2): F(1)})
-    thetas = [Derivation((x2, Polynomial.zero(2))), Derivation((Polynomial.zero(2), y2))]
+    thetas = [Derivation(({(2, 0): 1}, {})), Derivation(({}, {(0, 2): 1}))]
     assert all(is_log_derivation(a, t) for t in thetas)
     assert saito_check(a, thetas) == ref_saito_check(a, thetas) == SaitoResult("Basis", exponents=(2, 2))
 
@@ -128,10 +136,7 @@ def _a4():
     forms = [tuple(int(j == i) for j in range(4)) for i in range(4)]
     forms += [tuple(int(k == i) - int(k == j) for k in range(4)) for i in range(4) for j in range(i + 1, 4)]
     a = Multiarrangement(4, tuple(Hyperplane.from_coeffs(f) for f in forms), (1,) * len(forms))
-    thetas = [
-        Derivation(tuple(Polynomial(4, {tuple(k * int(j == i) for j in range(4)): F(1)}) for i in range(4)))
-        for k in range(1, 5)
-    ]
+    thetas = [Derivation(tuple({tuple(k * int(j == i) for j in range(4)): 1} for i in range(4))) for k in range(1, 5)]
     return a, thetas
 
 
