@@ -19,6 +19,13 @@ over its flats X (b2 of the simple arrangement).  Flats of codimension 3 and
 more, and the check of a given flat in `localization`, take the integer
 kernel of some member normals (`exactalg.integer_kernel`) and collect the
 hyperplanes whose normals vanish on it.
+
+The restriction A^H has the codim-2 flats X through H as hyperplanes, with
+m^H(X) = |m_X| - m_H, and the codim-3 flats Y through H as codim-2 flats;
+the members of Y other than H are split among its X, so their m^H sum to
+|m_Y| - m_H.  Local heaviness in every A^H is thus read off the parent
+(`restriction_heavy_indices`): the same grouping one level down, each
+codim-3 flat grouped once, in the row of its least member.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Sequence
 
 from .exactalg import (
@@ -56,14 +64,17 @@ def _varname(i: int, dim: int) -> str:
 @dataclass(frozen=True, slots=True)
 class Hyperplane:
     """A linear hyperplane, identified by its primitive integer normal
-    `coeffs` (gcd 1, first nonzero entry positive).  Build one with
-    `from_coeffs`; the constructor takes any nonzero `coeffs` as given."""
+    `coeffs` (gcd 1, first nonzero entry positive).  Build one from any
+    nonzero normal with `from_coeffs`; the constructor refuses every tuple
+    but the primitive one, so that equal hyperplanes have equal `coeffs`."""
 
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
         if not any(self.coeffs):
             raise ParseError("zero normal vector")
+        if gcd(*self.coeffs) != 1 or next(filter(None, self.coeffs)) < 0:
+            raise ParseError(f"normal {self.coeffs} is not primitive: gcd 1 and a positive first nonzero entry needed")
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence) -> "Hyperplane":
@@ -482,6 +493,8 @@ def essentialize(a: Multiarrangement) -> tuple[Multiarrangement, int]:
     is its pivot entries times the RREF rows.  The pivots are those of the
     integer forward pass (`exactalg._forward`).
     """
+    if not a.hyperplanes:
+        raise ParseError("no hyperplanes to essentialize: the quotient would have dimension 0")
     pivots = _forward([list(h.coeffs) for h in a.hyperplanes], a.dim)
     drop = a.dim - len(pivots)
     if drop == 0:
@@ -508,3 +521,96 @@ def is_locally_heavy(a: Multiarrangement, h0: Hyperplane | int) -> bool:
 def locally_heavy_indices(a: Multiarrangement) -> list[int]:
     table = _codim2_table(a.hyperplanes)[1]
     return [i for i in range(a.size) if _heavy_in(a, i, table[i])]
+
+
+def _ones(mask: int) -> list[int]:
+    """The positions of the set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def restriction_heavy_indices(a: Multiarrangement) -> list[list[int]]:
+    """Per hyperplane H of a, the indices of the locally heavy hyperplanes
+    of its Euler-Ziegler restriction A^H, in A^H's hyperplane order: what
+    `locally_heavy_indices(euler_ziegler_multiplicity(a, H).arrangement)`
+    returns, read from a's integer normals and `_codim2_table` without
+    building A^H.
+
+    The hyperplanes of A^H are the points X of row H, the codim-2 flats
+    through H, with m^H(X) = |m_X| - m_H.  Its codim-2 flats are the lines:
+    the codim-3 flats Y of a through H, whose points are the X with
+    H in X inside Y.  The members of Y other than H are split among those
+    X, so their m^H sum to |m_Y| - m_H, and X is locally heavy in A^H
+    exactly when 2*m^H(X) >= |m_Y| - m_H on every line Y through X with
+    >= 3 points.
+
+    A point is represented by the residue of one of its members v against
+    the normal u of H (pivot p), u[p]*v - v[p]*u, as in `_codim2_table`.
+    The chart of `scaled_chart_image` is an invertible linear change of
+    these residues, so points lie on one line exactly when their residues
+    are linearly dependent.  A row's lines are grouped as `_codim2_table`
+    groups flats one level down: at each point x, the later points not yet
+    on a line through x are reduced against x's residue, and proportional
+    reductions share a line.  Each codim-3 flat is grouped once, in the row
+    of its least member; the rows of its later members receive it and skip
+    its pairs of points.  Sets of a row's points are bitmasks.
+    """
+    if a.dim < 2:
+        raise ValueError("restriction needs ambient dimension >= 2")
+    ints = [h.coeffs for h in a.hyperplanes]
+    table = _codim2_table(a.hyperplanes)[1]
+    given: list[list[frozenset[int]]] = [[] for _ in ints]  # codim-3 flats grouped in earlier rows
+    out = []
+    for i, u in enumerate(ints):
+        points = table[i]
+        n = len(points)
+        p = _pivot(u)
+        bit = {k: 1 << x for x, f in enumerate(points) for k in f.members}
+        res = []
+        for f in points:
+            v = ints[min(f.members - {i})]
+            res.append([u[p] * t - v[p] * s for s, t in zip(u, v)])
+        paired = [0] * n  # per point, the points known to share a line with it
+        lines = []
+        for y in given[i]:
+            xs = 0
+            for k in y:
+                if k != i:
+                    xs |= bit[k]
+            lines.append(xs)
+            for x in _ones(xs):
+                paired[x] |= xs
+        for x, w in enumerate(res):
+            todo = ((1 << n) - (2 << x)) & ~paired[x]  # the later points not yet on a line with x
+            if not todo:
+                continue
+            q = _pivot(w)
+            groups: dict[tuple[int, ...], int] = {}
+            for z in _ones(todo):
+                r = res[z]
+                key = primitive_form([w[q] * t - r[q] * s for s, t in zip(w, r)])
+                groups[key] = groups.get(key, 1 << x) | 1 << z
+            for xs in groups.values():
+                lines.append(xs)
+                on = _ones(xs)
+                for z in on:
+                    paired[z] |= xs
+                y = frozenset().union(*(points[z].members for z in on))
+                for j in y:
+                    if j > i:
+                        given[j].append(y)
+        ms = [sum(a.mult[k] for k in f.members) - a.mult[i] for f in points]
+        light = 0
+        for xs in lines:
+            on = _ones(xs)
+            if len(on) >= 3:
+                total = sum(ms[x] for x in on)
+                for x in on:
+                    if 2 * ms[x] < total:
+                        light |= 1 << x
+        out.append([x for x in range(n) if not light >> x & 1])
+    return out

@@ -33,6 +33,7 @@ from .arrangement import (
     rank,
     reducibility,
     restriction_flats,
+    restriction_heavy_indices,
 )
 from .betti import b2_away, b2_multi, b2_simple
 from .rank2 import project_to_rank2, rank2_exponents
@@ -185,6 +186,7 @@ def _flag_search(
     values: tuple[int, ...] = (),
     cited: Sequence[frozenset[int]] | None = None,
     parent: Multiarrangement | None = None,
+    heavy: Sequence[int] | None = None,
 ):
     """Yield (flag, tail) for every completion of the partial flag (chain,
     values) whose current level is m, with `members` its hyperplanes as sets
@@ -192,11 +194,19 @@ def _flag_search(
     line), `parent` the level above m.  Children are visited in the order of
     their sorted members, and distinct hyperplanes of a level have distinct
     members, so the flags come in key order and the first one is the least.
-    Given a `cited` chain of member sets, only that chain is followed, and a
-    level whose cited hyperplane is missing or, below the first level, not
-    locally heavy raises ValueError."""
+
+    The prover (no `cited` chain) visits `heavy`, the locally heavy
+    hyperplanes of m (all of them on the first level), and prunes: it reads
+    every restriction's locally heavy hyperplanes from m at once
+    (`restriction_heavy_indices`), restricts onto k only when that list is
+    nonempty, and hands it to the child as its `heavy`.  A level without a
+    candidate yields nothing, so pruning keeps every flag and its order.
+    Given a `cited` chain of member sets, only that chain is followed, with
+    no pruning, and a level whose cited hyperplane is missing or, below the
+    first level, not locally heavy raises ValueError."""
     if cited is None:
-        candidates = sorted(locally_heavy_indices(m) if chain else range(m.size), key=lambda k: sorted(members[k]))
+        candidates = sorted(range(m.size) if heavy is None else heavy, key=lambda k: sorted(members[k]))
+        below = restriction_heavy_indices(m) if m.dim >= 2 else None
     else:
         candidates = [k for k in range(m.size) if members[k] == cited[len(chain)]]
         if not candidates:
@@ -207,8 +217,10 @@ def _flag_search(
         chain_k, values_k = chain + (members[k],), values + (m.mult[k],)
         if m.dim == 1:
             yield Flag(chain_k, values_k), parent
-        else:
+        elif cited is not None:
             yield from _flag_search(*_restriction_step(m, members, k), chain_k, values_k, cited, m)
+        elif below[k]:
+            yield from _flag_search(*_restriction_step(m, members, k), chain_k, values_k, None, m, below[k])
 
 
 def certify_flag(a: Multiarrangement, f: Flag) -> Verdict:

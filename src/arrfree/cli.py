@@ -236,8 +236,9 @@ def _certificate_payload(v: Verdict, seed: int, digest: str) -> dict:
 def cmd_certify(args) -> int:
     t0 = time.perf_counter()
     a = parse_file(args.file)
-    # certify and the verifier check the cap against the essentialized rank
-    if args.oracle and _cap_too_large(args.max_degree, essentialize(a)[0].dim):
+    # certify and the verifier check the cap against the essentialized
+    # dimension, which is the rank
+    if args.oracle and _cap_too_large(args.max_degree, rank(a)):
         return EXIT_CAP
     seed = args.seed if args.seed is not None else _default_seed()
     opts = CertifyOptions(
@@ -322,7 +323,7 @@ def cmd_sweep(args) -> int:
     size = prod(max(0, v.stop - v.start) for _, v in grid)
     if size > MAX_SWEEP_ROWS:
         raise ParseError(f"sweep grid has {size} rows; the limit is {MAX_SWEEP_ROWS}")
-    if args.oracle and _cap_too_large(args.max_degree, essentialize(base)[0].dim):
+    if args.oracle and _cap_too_large(args.max_degree, rank(base)):
         return EXIT_CAP
     seed = args.seed if args.seed is not None else _default_seed()
     opts = CertifyOptions(use_oracle=args.oracle, oracle_cap=args.max_degree, seed=seed)

@@ -32,7 +32,6 @@ from .exactalg import (
     linear_terms,
     monomials,
     poly_matrix_det,
-    primitive_row,
 )
 
 
@@ -115,12 +114,12 @@ class Derivation:
 
 def _normal_powers(a: Multiarrangement) -> list[tuple[list[int], dict]]:
     """Per hyperplane H, its primitive integer normal alpha_H and
-    alpha_H^{m(H)} as a term dict.  The normal is made primitive here, not
-    read as primitive from `Hyperplane.coeffs`, since the constructor takes
-    any tuple; a product of primitive forms is primitive (Gauss's lemma)."""
+    alpha_H^{m(H)} as a term dict.  `Hyperplane.coeffs` is primitive, since
+    the constructor refuses any other normal, so it is read as given; a
+    product of primitive forms is primitive (Gauss's lemma)."""
     out = []
     for h, m in zip(a.hyperplanes, a.mult):
-        alpha = primitive_row(h.coeffs)
+        alpha = h.coeffs
         form = linear_terms(alpha)
         power = form
         for _ in range(m - 1):
@@ -212,8 +211,9 @@ def default_degree_cap(a: Multiarrangement) -> int:
 
 
 def cap_is_reasonable(dim: int, cap: int) -> bool:
-    """Desk-scale guard; rank-3 caps beyond 15 are refused."""
-    return dim * comb(cap + dim - 1, dim - 1) <= 3 * comb(17, 2)
+    """Desk-scale guard; rank-3 caps beyond 15 are refused.  Rank 0 has no
+    unknowns, so every cap passes."""
+    return dim == 0 or dim * comb(cap + dim - 1, dim - 1) <= 3 * comb(17, 2)
 
 
 MAX_EXPONENT_TUPLES = 10_000

@@ -6,6 +6,11 @@ None of this runs in `certify`, `verify_certificate` or the CLI:
 * the codim-2 flat table from every ordered pair of normals
   (`ref_codim2_table`), the build that `arrangement._codim2_table`
   replaced with one over the unordered pairs not yet on a flat;
+* the prover's flag search that restricted onto every candidate
+  (`ref_flag_search`), which `certify._flag_search` replaced with one that
+  reads the restrictions' locally heavy hyperplanes from the parent
+  (`arrangement.restriction_heavy_indices`) and restricts only where one
+  exists;
 * the recursive list of exponent vectors (`ref_monomials`), which
   `exactalg.monomials` replaced with one over multisets of variables;
 * the rational Gauss-Jordan elimination and its kernel (`ref_rref`,
@@ -47,7 +52,9 @@ from arrfree.arrangement import (
     codim2_flats,
     euler_ziegler_multiplicity,
     is_locally_heavy,
+    locally_heavy_indices,
 )
+from arrfree.certify import Flag, _restriction_step
 from arrfree.exactalg import Matrix, Polynomial, monomials, primitive_form, substitute_monomials, vec
 from arrfree.oracle import Derivation, SaitoResult, is_log_derivation, saito_check
 from arrfree.rank2 import project_to_rank2, rank2_exponents
@@ -269,6 +276,25 @@ def derivation_from_polys(polys) -> Derivation:
     Polynomials, one per coordinate."""
     den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
     return Derivation(tuple({m: c.numerator * (den // c.denominator) for m, c in p.terms.items()} for p in polys), den)
+
+
+# ---------------------------------------------------------------------------
+# the unpruned flag search
+
+
+def ref_flag_search(m: Multiarrangement, members, chain=(), values=(), parent=None):
+    """Yield (flag, tail) for every locally heavy flag completing (chain,
+    values) at level m, as the prover's `_flag_search` did before it
+    pruned: it restricts onto every candidate, all hyperplanes on the first
+    level and the locally heavy ones of the restriction below, and visits
+    them in the order of their sorted members."""
+    candidates = sorted(locally_heavy_indices(m) if chain else range(m.size), key=lambda k: sorted(members[k]))
+    for k in candidates:
+        chain_k, values_k = chain + (members[k],), values + (m.mult[k],)
+        if m.dim == 1:
+            yield Flag(chain_k, values_k), parent
+        else:
+            yield from ref_flag_search(*_restriction_step(m, members, k), chain_k, values_k, m)
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,36 @@ def test_hyperplane_refuses_a_zero_normal(coeffs):
         certify(Multiarrangement(2, (Hyperplane((1, 0)), Hyperplane(coeffs)), (1, 1)))
 
 
+@pytest.mark.parametrize("coeffs", [(2, 0, 0), (0, 2, -4), (-1, 0), (0, -1, 1), (-2, 4)])
+def test_hyperplane_refuses_a_non_primitive_normal(coeffs):
+    # a normal with gcd > 1 or a negative lead names a hyperplane that has
+    # another tuple, so equal hyperplanes would compare unequal
+    with pytest.raises(ParseError, match="not primitive"):
+        Hyperplane(coeffs)
+    h = Hyperplane.from_coeffs(coeffs)
+    assert h.coeffs != coeffs and Hyperplane(h.coeffs) == h
+
+
+def test_a_scaled_copy_is_refused_not_taken_for_a_second_hyperplane():
+    # x and 2x: accepted as two hyperplanes, certify met a zero form
+    with pytest.raises(ParseError, match="not primitive"):
+        Multiarrangement(
+            3,
+            (Hyperplane((1, 0, 0)), Hyperplane((2, 0, 0)), Hyperplane((0, 1, 0)), Hyperplane((0, 0, 1))),
+            (1, 1, 1, 1),
+        )
+    with pytest.raises(ParseError, match="duplicate"):
+        Multiarrangement(3, tuple(Hyperplane.from_coeffs(v) for v in ((1, 0, 0), (2, 0, 0), (0, 1, 0))), (1, 1, 1))
+
+
+def test_a_negative_lead_is_refused_not_taken_for_a_second_hyperplane():
+    # x and -x: accepted as two hyperplanes, certify raised StopIteration
+    with pytest.raises(ParseError, match="not primitive"):
+        Multiarrangement(2, (Hyperplane((1, 0)), Hyperplane((-1, 0)), Hyperplane((0, 1))), (1, 1, 1))
+    with pytest.raises(ParseError, match="duplicate"):
+        Multiarrangement(2, tuple(Hyperplane.from_coeffs(v) for v in ((1, 0), (-1, 0), (0, 1))), (1, 1, 1))
+
+
 def test_duplicates_not_merged():
     # same hyperplane twice, even with different scale, is a modeling error
     with pytest.raises(ParseError, match="duplicate"):

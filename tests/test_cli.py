@@ -528,6 +528,40 @@ def test_oracle_nonessential_needs_flag(tmp_path, capsys):
     assert data["hilbert"]["exponents"] == [2, 3]
 
 
+def _no_hyperplanes(tmp_path):
+    p = tmp_path / "empty.json"
+    p.write_text(json.dumps({"dim": 3, "hyperplanes": [], "mult": []}), encoding="utf-8")
+    return str(p)
+
+
+def test_certify_no_hyperplanes_with_the_oracle(tmp_path, capsys):
+    # the cap is checked against the rank, 0 here, without essentializing,
+    # so the CLI answers as the library does
+    path = _no_hyperplanes(tmp_path)
+    for extra in ([], ["--max-degree", "3"]):
+        code, out, _ = run(capsys, "certify", path, "--oracle", *extra, "--json")
+        assert code == 0
+        payload = json.loads(out)["verdict"]
+        assert payload["kind"] == "Free" and payload["exponents"] == []
+        assert payload["certificate"]["rule"] == "Rank2Base"
+        assert verify_certificate(parse_file(path), payload).kind == "Free"
+
+
+def test_sweep_no_hyperplanes_with_the_oracle(tmp_path, capsys):
+    path = _no_hyperplanes(tmp_path)
+    code, out, _ = run(capsys, "sweep", path, "--param", "a=1..2", "--oracle", "--max-degree", "3", "--json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [(r["status"], r["verdict"]) for r in rows] == [("ok", "Free")] * 2
+
+
+@pytest.mark.parametrize("argv", [["--hilbert", "--essentialize"], ["--degree", "1", "--essentialize"]])
+def test_oracle_essentialize_no_hyperplanes_names_the_cause(tmp_path, capsys, argv):
+    code, out, err = run(capsys, "oracle", _no_hyperplanes(tmp_path), *argv)
+    assert code == 2 and out == ""
+    assert "no hyperplanes to essentialize" in err
+
+
 def test_cli_import_leaves_hashlib_unloaded():
     # hashlib (OpenSSL) costs every process that loads it about 3 MB of
     # peak RSS; only the input digest needs it.  The child inherits the
