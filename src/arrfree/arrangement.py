@@ -15,10 +15,12 @@ heaviness, the Euler-Ziegler restriction and b2 all read -- come from one
 table per tuple of hyperplanes (`_codim2_table`, lru-cached), in integer
 arithmetic: each flat is grouped once, from its least member, over the
 unordered pairs not yet on a flat, so a table costs sum(|X| - 1) residues
-over its flats X (b2 of the simple arrangement).  Flats of codimension 3 and
-more, and the check of a given flat in `localization`, take the integer
-kernel of some member normals (`exactalg.integer_kernel`) and collect the
-hyperplanes whose normals vanish on it.
+over its flats X (b2 of the simple arrangement).
+
+Every flat is found by one step (`_classes`): normals are grouped by their
+residues against an echelon basis of a flat's span, which is one normal for
+the codim-2 table and the forward elimination of a flat's member normals for
+codimension 3 and more; `localization` checks a flat by the same step.
 
 The restriction A^H has the codim-2 flats X through H as hyperplanes, with
 m^H(X) = |m_X| - m_H, and the codim-3 flats Y through H as codim-2 flats;
@@ -42,12 +44,11 @@ from .exactalg import (
     Vec,
     _forward,
     _gauss_jordan,
-    integer_kernel,
+    _pivot,
     integer_rank,
     primitive_form,
     primitive_row,
     scaled_chart_image,
-    vec,
 )
 
 VAR_NAMES = ["x", "y", "z", "w"]
@@ -55,6 +56,28 @@ VAR_NAMES = ["x", "y", "z", "w"]
 
 class ParseError(ValueError):
     """Raised for malformed arrangement input."""
+
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
+def _entry(x) -> Fraction:
+    """An exact number of the JSON formats, a hyperplane's normal entry or a
+    certificate's derivation coefficient: an integer, a Fraction, or a
+    string "p/q" (or "p") of decimal digits.  Bools, floats, decimal and
+    exponent strings are refused, so no number is larger than its text."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    if not (isinstance(x, str) and _RATIONAL.fullmatch(x)):
+        raise ParseError(f'bad rational {x!r:.40}: exact numbers are integers or "p/q" strings')
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ParseError(f"bad rational {x!r:.40}: zero denominator") from None
+    except ValueError as e:  # more digits than int() converts
+        raise ParseError(f"bad rational {x!r:.40}: {e}") from None
 
 
 def _varname(i: int, dim: int) -> str:
@@ -78,7 +101,8 @@ class Hyperplane:
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence) -> "Hyperplane":
-        n = vec(coeffs)
+        """The hyperplane of a nonzero normal of exact numbers (`_entry`)."""
+        n = [_entry(x) for x in coeffs]
         if not any(n):
             raise ParseError("zero normal vector")
         return cls(primitive_form(primitive_row(n)))
@@ -192,26 +216,6 @@ class Flat:
         return tuple(sorted(self.members))
 
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
-
-
-def _entry(x) -> Fraction:
-    """An exact number of the JSON formats, a hyperplane's normal entry or a
-    certificate's derivation coefficient: an integer, or a string "p/q" (or
-    "p") of decimal digits.  Bools, floats, decimal and exponent strings are
-    refused, so no number is larger than its text."""
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    if not (isinstance(x, str) and _RATIONAL.fullmatch(x)):
-        raise ParseError(f'bad rational {x!r:.40}: exact numbers are integers or "p/q" strings')
-    try:
-        return Fraction(x)
-    except ZeroDivisionError:
-        raise ParseError(f"bad rational {x!r:.40}: zero denominator") from None
-    except ValueError as e:  # more digits than int() converts
-        raise ParseError(f"bad rational {x!r:.40}: {e}") from None
-
-
 def parse(text: str | dict) -> Multiarrangement:
     """Parse the arrangement JSON schema; duplicates are an error, never merged.
 
@@ -240,7 +244,7 @@ def parse(text: str | dict) -> Multiarrangement:
     for row in normals:
         if not isinstance(row, list) or len(row) != dim:
             raise ParseError(f"normal {row} does not have {dim} entries")
-        planes.append(Hyperplane.from_coeffs([_entry(x) for x in row]))
+        planes.append(Hyperplane.from_coeffs(row))
     labels = data.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
@@ -258,25 +262,35 @@ def parse_file(path: str) -> Multiarrangement:
 # lattice machinery
 
 
-def _span_flat(a: Multiarrangement, seed_normals: Sequence[Sequence[int]]) -> Flat:
-    """The flat cut out by the seed normals.  Their span is the annihilator
-    of their kernel, so a hyperplane contains the flat exactly when its
-    normal vanishes on every kernel vector; its codimension is the rank."""
-    _, kernel = integer_kernel([list(n) for n in seed_normals], a.dim)
-    members = frozenset(
-        k
-        for k, h in enumerate(a.hyperplanes)
-        if all(sum(x * y for x, y in zip(h.coeffs, v) if y) == 0 for v, _ in kernel)
-    )
-    return Flat(a.dim - len(kernel), members)
-
-
 def rank(a: Multiarrangement) -> int:
     return integer_rank([list(h.coeffs) for h in a.hyperplanes], a.dim)
 
 
-def _pivot(v: Sequence) -> int:
-    return next(j for j, x in enumerate(v) if x != 0)
+def _classes(
+    basis: Sequence[tuple[int, Sequence[int]]], ints: Sequence[Sequence[int]], idx: Sequence[int]
+) -> dict[tuple[int, ...], list[int]]:
+    """The indices idx, in order, grouped by the residue of ints[k] against
+    an echelon basis of (pivot, row) pairs, each row zero at the earlier
+    pivots: v becomes b[p]*v - v[p]*b for each (p, b) in turn.  The residue
+    is a nonzero multiple of the one vector of v + span that vanishes at
+    every pivot, so it is zero exactly when v lies in the span, and two
+    residues are proportional exactly when the normals, each with the
+    basis, span one space.  A group's key is the residue's `primitive_form`,
+    or () for the zero residue."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for k in idx:
+        v = ints[k]
+        for p, b in basis:
+            if v[p]:
+                v = [b[p] * y - v[p] * x for x, y in zip(b, v)]
+        groups.setdefault(primitive_form(v) if any(v) else (), []).append(k)
+    return groups
+
+
+def _echelon(normals: Sequence[Sequence[int]], dim: int) -> list[tuple[int, list[int]]]:
+    """The (pivot, row) pairs of the normals' forward elimination."""
+    rows = [list(n) for n in normals]
+    return list(zip(_forward(rows, dim), rows))
 
 
 @lru_cache(maxsize=1024)
@@ -287,14 +301,14 @@ def _codim2_table(
     flats that contain i, in member order.
 
     Each flat is built once, in the row of its least member i, in integers:
-    a later normal v is reduced against the normal u of i (pivot p) to
-    u[p]*v - v[p]*u, which vanishes at p.  Two hyperplanes lie on one
-    codim-2 flat with i exactly when their residues are proportional, so the
-    residue's `primitive_form` is the group key.  Each group becomes a flat
-    appended to the row of every member.  Distinct flats through i share
-    only i, so row i skips the later hyperplanes already on a flat through
-    i (built in an earlier row); a build thus reduces sum(|X| - 1) residues
-    over the flats X, which is b2 of the simple arrangement.
+    the later normals are grouped by their residues against the normal u of
+    i (`_classes`), and two hyperplanes lie on one codim-2 flat with i
+    exactly when their residues are proportional.  Each group, with i,
+    becomes a flat appended to the row of every member.  Distinct flats
+    through i share only i, so row i skips the later hyperplanes already on
+    a flat through i (built in an earlier row); a build thus reduces
+    sum(|X| - 1) residues over the flats X, which is b2 of the simple
+    arrangement.
     Row i holds the flats of earlier rows in the order of their least
     member, then its own groups in the order of their least member after
     i: member order.  Keyed on the hyperplanes alone, so that arrangements
@@ -304,19 +318,13 @@ def _codim2_table(
     flats = []
     rows: list[list[Flat]] = [[] for _ in ints]
     for i, u in enumerate(ints):
-        p = _pivot(u)
         done = set().union(*(f.members for f in rows[i]))
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for k in range(i + 1, len(ints)):
-            if k in done:
-                continue
-            v = ints[k]
-            r = [u[p] * y - v[p] * x for x, y in zip(u, v)]
-            groups.setdefault(primitive_form(r), [i]).append(k)
-        for ks in groups.values():
-            f = Flat(2, frozenset(ks))
+        todo = [k for k in range(i + 1, len(ints)) if k not in done]
+        for ks in _classes([(_pivot(u), u)], ints, todo).values():
+            members = (i, *ks)
+            f = Flat(2, frozenset(members))
             flats.append(f)
-            for k in ks:
+            for k in members:
                 rows[k].append(f)
     return tuple(flats), tuple(map(tuple, rows))
 
@@ -324,11 +332,10 @@ def _codim2_table(
 def intersection_lattice(a: Multiarrangement, max_codim: int) -> dict[int, tuple[Flat, ...]]:
     """Flats of codimension 1..max_codim, each listed once, in member order.
 
-    Codimension 2 comes from the grouping table of `_codim2_table`; each
-    higher level spans the member normals of a flat of the level below with
-    one hyperplane outside it.  The members of a flat are closed under the
-    span, so every such span grows by one; a hyperplane already in a flat
-    found from the same lower flat spans that flat again and is skipped.
+    Codimension 2 comes from the grouping table of `_codim2_table`.  A
+    flat one level up is f meet H for a flat f and a hyperplane H outside
+    it, so each group of the hyperplanes outside f (`_classes` against f's
+    member normals), with the members of f, is a flat of the next level.
     """
     if max_codim > a.dim:
         raise ValueError("max_codim exceeds dimension")
@@ -337,17 +344,14 @@ def intersection_lattice(a: Multiarrangement, max_codim: int) -> dict[int, tuple
         levels[1] = tuple(Flat(1, frozenset({i})) for i in range(a.size))
     if max_codim >= 2:
         levels[2] = codim2_flats(a)
+    ints = [h.coeffs for h in a.hyperplanes]
     for r in range(2, max_codim):
-        nxt: dict[frozenset[int], Flat] = {}
+        nxt: set[frozenset[int]] = set()
         for f in levels[r]:
-            seeds = [a.hyperplanes[k].coeffs for k in f.sorted_members()]
-            covered = set(f.members)
-            for k, h in enumerate(a.hyperplanes):
-                if k not in covered:
-                    g = _span_flat(a, seeds + [h.coeffs])
-                    covered |= g.members
-                    nxt.setdefault(g.members, g)
-        levels[r + 1] = tuple(sorted(nxt.values(), key=Flat.sorted_members))
+            basis = _echelon([ints[k] for k in f.sorted_members()], a.dim)
+            outside = [k for k in range(a.size) if k not in f.members]
+            nxt.update(f.members.union(ks) for ks in _classes(basis, ints, outside).values())
+        levels[r + 1] = tuple(sorted((Flat(r + 1, m) for m in nxt), key=Flat.sorted_members))
     return levels
 
 
@@ -359,14 +363,16 @@ def codim2_flats(a: Multiarrangement) -> tuple[Flat, ...]:
 def localization(a: Multiarrangement, x: Flat) -> Multiarrangement:
     """(A_X, m_X): the members of x with inherited multiplicities.
 
-    Raises ValueError unless x names a flat of a: in-range members that are
-    exactly the hyperplanes containing the span of their normals, which has
-    codimension x.codim."""
+    Raises ValueError unless x names a flat of a: in-range members whose
+    normals span x.codim dimensions, and no normal outside x in that span
+    (a zero residue in `_classes`)."""
     idx = x.sorted_members()
     if idx and (idx[0] < 0 or idx[-1] >= a.size):
         raise ValueError("not a flat of this arrangement")
-    span = _span_flat(a, [a.hyperplanes[k].coeffs for k in idx]) if idx else Flat(0, frozenset())
-    if span != x:
+    ints = [h.coeffs for h in a.hyperplanes]
+    basis = _echelon([ints[k] for k in idx], a.dim)
+    outside = [k for k in range(a.size) if k not in x.members]
+    if len(basis) != x.codim or () in _classes(basis, ints, outside):
         raise ValueError("not a flat of this arrangement")
     return Multiarrangement(
         a.dim,
@@ -554,10 +560,10 @@ def restriction_heavy_indices(a: Multiarrangement) -> list[list[int]]:
     these residues, so points lie on one line exactly when their residues
     are linearly dependent.  A row's lines are grouped as `_codim2_table`
     groups flats one level down: at each point x, the later points not yet
-    on a line through x are reduced against x's residue, and proportional
-    reductions share a line.  Each codim-3 flat is grouped once, in the row
-    of its least member; the rows of its later members receive it and skip
-    its pairs of points.  Sets of a row's points are bitmasks.
+    on a line through x are grouped by their reductions against x's residue
+    (`_classes`), and proportional reductions share a line.  Each codim-3
+    flat is grouped once, in the row of its least member; the rows of its
+    later members receive it and skip its pairs of points.  Sets of a row's points are bitmasks.
     """
     if a.dim < 2:
         raise ValueError("restriction needs ambient dimension >= 2")
@@ -588,13 +594,10 @@ def restriction_heavy_indices(a: Multiarrangement) -> list[list[int]]:
             todo = ((1 << n) - (2 << x)) & ~paired[x]  # the later points not yet on a line with x
             if not todo:
                 continue
-            q = _pivot(w)
-            groups: dict[tuple[int, ...], int] = {}
-            for z in _ones(todo):
-                r = res[z]
-                key = primitive_form([w[q] * t - r[q] * s for s, t in zip(w, r)])
-                groups[key] = groups.get(key, 1 << x) | 1 << z
-            for xs in groups.values():
+            for zs in _classes([(_pivot(w), w)], res, _ones(todo)).values():
+                xs = 1 << x
+                for z in zs:
+                    xs |= 1 << z
                 lines.append(xs)
                 on = _ones(xs)
                 for z in on:

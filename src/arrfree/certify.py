@@ -489,6 +489,9 @@ def _oracle_refusal(ess: Multiarrangement, cap: int, name: str = "degree cap") -
 def _attempt_oracle(a: Multiarrangement, opts: CertifyOptions) -> Verdict | str | None:
     if not opts.use_oracle:
         return None
+    if not a.hyperplanes:
+        # no essential quotient to test; the rank-2 base case decides this
+        return "oracle: no hyperplanes to test"
     ess, dropped = essentialize(a)
     default = opts.oracle_cap is None
     cap = oracle.default_degree_cap(ess) if default else opts.oracle_cap

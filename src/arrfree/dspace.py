@@ -50,25 +50,25 @@ from .exactalg import (
     _chart_index,
     integer_kernel,
     integer_rank,
+    linear_powers,
     monomials,
     primitive_row,
-    substitute_monomials,
 )
 
 
-def _chart(form: list[int], mult: int, top: int) -> tuple[int, dict] | None:
+def _chart(form: list[int], mult: int, top: int) -> tuple[int, list[dict]] | None:
     """The chart index q of the form and N^e for e = 0..top, as term dicts
-    over the chart variables after y_1, keyed (e,); None when no degree up
-    to top constrains the chart (mult > top)."""
+    over the chart variables after y_1, indexed by e; None when no degree
+    up to top constrains the chart (mult > top)."""
     if mult > top:
         return None
     q = _chart_index(form)
     n_form = [-f for j, f in enumerate(form) if j != q]
-    return q, substitute_monomials([n_form], [(e,) for e in range(top + 1)])
+    return q, linear_powers(n_form, top)
 
 
 def _chart_rows(
-    form: list[int], mult: int, chart: tuple[int, dict], monos: list[Monomial], degree: int
+    form: list[int], mult: int, chart: tuple[int, list[dict]], monos: list[Monomial], degree: int
 ) -> list[list[int]]:
     """Coefficient of each constrained chart monomial (y_1-degree below
     mult), in `monos` order, as a row over the unknown coefficients of
@@ -83,7 +83,7 @@ def _chart_rows(
         scale = fq ** (degree - aq)
         for k in range(min(aq, mult - 1) + 1):
             c = scale * comb(aq, k)
-            for nmono, v in npow[(aq - k,)].items():
+            for nmono, v in npow[aq - k].items():
                 coeff_rows[(k, *map(add, rest, nmono))][col] = c * v
     return list(coeff_rows.values())
 
@@ -91,7 +91,7 @@ def _chart_rows(
 def _form_rows(
     form: list[int],
     mult: int,
-    chart: tuple[int, dict] | None,
+    chart: tuple[int, list[dict]] | None,
     monos: list[Monomial],
     degree: int,
     cols: list[tuple[int, int]],

@@ -5,7 +5,7 @@ Elimination is one fraction-free kernel of two phases: a forward pass
 (`_forward`) that eliminates below each pivot, and a back-reduction that
 clears above it.  A rank needs the forward pass only (`integer_rank`); the
 kernel (`integer_kernel`) needs both (`_gauss_jordan`).  Polynomials are
-integer term dicts {exponent vector: int} (`substitute_monomials`,
+integer term dicts {exponent vector: int} (`linear_powers`,
 `_term_quotient`, `poly_matrix_det`).  No other module uses the Fraction
 classes `Matrix` and `Polynomial`: the tests keep them as references, and
 the benchmark's tracer wraps `Matrix.rref` and `Polynomial.divmod_by`.
@@ -99,6 +99,11 @@ def primitive_form(row: Sequence[int]) -> tuple[int, ...]:
     if next(x for x in row if x) < 0:
         g = -g
     return tuple(x // g for x in row)
+
+
+def _pivot(v: Sequence) -> int:
+    """The index of the first nonzero entry of v."""
+    return next(j for j, x in enumerate(v) if x)
 
 
 def _clear(rows: list[list[int]], targets: range, r: int, c: int) -> None:
@@ -381,31 +386,15 @@ def _term_product(p: dict[Monomial, object], q: dict[Monomial, object]) -> dict[
     return {m: c for m, c in out.items() if c != 0}
 
 
-def substitute_monomials(
-    images: Sequence[Sequence], monos: Iterable[Monomial]
-) -> dict[Monomial, dict[Monomial, object]]:
-    """Image of each monomial under x_i -> linear form images[i], as a term
-    dict {exponent vector: nonzero coefficient}, built left to right from
-    cached powers of the images (a power of one image is the cached dict
-    itself, shared, so callers must not mutate the results).  The
-    coefficients are sums of products of the images' entries, so integer
-    images give integer coefficients."""
-    new_n = len(images[0]) if images else 0
-    if any(len(im) != new_n for im in images):
-        raise ValueError("images must share variable count")
-    one = {(0,) * new_n: 1}
-    # powers[i][k] is the k-th power of image i, extended as monomials ask
-    powers = [[one, linear_terms(im)] for im in images]
-    table: dict[Monomial, dict[Monomial, object]] = {}
-    for mono in monos:
-        p = one
-        for pw, e in zip(powers, mono):
-            if e:
-                while len(pw) <= e:
-                    pw.append(_term_product(pw[-1], pw[1]))
-                p = pw[e] if p is one else _term_product(p, pw[e])
-        table[mono] = p
-    return table
+def linear_powers(row: Sequence[int], top: int) -> list[dict[Monomial, int]]:
+    """The powers 0..top of the linear form with the given coefficients, as
+    term dicts {exponent vector: nonzero coefficient}; integer coefficients
+    give integer powers."""
+    form = linear_terms(row)
+    powers = [{(0,) * len(row): 1}, form]
+    while len(powers) <= top:
+        powers.append(_term_product(powers[-1], form))
+    return powers[: top + 1]
 
 
 def _term_combination(pairs: Iterable[tuple[int, dict[Monomial, int]]]) -> dict[Monomial, int]:

@@ -29,7 +29,7 @@ from .exactalg import (
     _term_combination,
     _term_product,
     _term_quotient,
-    linear_terms,
+    linear_powers,
     monomials,
     poly_matrix_det,
 )
@@ -117,15 +117,7 @@ def _normal_powers(a: Multiarrangement) -> list[tuple[list[int], dict]]:
     alpha_H^{m(H)} as a term dict.  `Hyperplane.coeffs` is primitive, since
     the constructor refuses any other normal, so it is read as given; a
     product of primitive forms is primitive (Gauss's lemma)."""
-    out = []
-    for h, m in zip(a.hyperplanes, a.mult):
-        alpha = h.coeffs
-        form = linear_terms(alpha)
-        power = form
-        for _ in range(m - 1):
-            power = _term_product(power, form)
-        out.append((alpha, power))
-    return out
+    return [(h.coeffs, linear_powers(h.coeffs, m)[m]) for h, m in zip(a.hyperplanes, a.mult)]
 
 
 def is_log_derivation(a: Multiarrangement, theta: Derivation, powers=None) -> bool:

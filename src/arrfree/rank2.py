@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .arrangement import Flat, Multiarrangement
 from .dspace import derivation_basis, derivation_dim
-from .exactalg import _term_quotient, linear_terms, primitive_form, primitive_row
+from .exactalg import _pivot, _term_quotient, linear_terms, primitive_form, primitive_row
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,6 @@ class Rank2Instance:
     @property
     def total_mult(self) -> int:
         return sum(self.mult)
-
-
-def _pivot(v) -> int:
-    return next(j for j, c in enumerate(v) if c != 0)
 
 
 def project_to_rank2(a: Multiarrangement, x: Flat) -> Rank2Instance:

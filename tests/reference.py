@@ -6,6 +6,10 @@ None of this runs in `certify`, `verify_certificate` or the CLI:
 * the codim-2 flat table from every ordered pair of normals
   (`ref_codim2_table`), the build that `arrangement._codim2_table`
   replaced with one over the unordered pairs not yet on a flat;
+* the lattice that spanned a flat's member normals with each hyperplane
+  outside it and scanned every normal against the integer kernel
+  (`ref_span_flat`, `ref_span_lattice`), which `arrangement` replaced with
+  one grouping of the residues against the flat's span (`_classes`);
 * the prover's flag search that restricted onto every candidate
   (`ref_flag_search`), which `certify._flag_search` replaced with one that
   reads the restrictions' locally heavy hyperplanes from the parent
@@ -48,14 +52,13 @@ from arrfree.arrangement import (
     Flat,
     Hyperplane,
     Multiarrangement,
-    _pivot,
     codim2_flats,
     euler_ziegler_multiplicity,
     is_locally_heavy,
     locally_heavy_indices,
 )
 from arrfree.certify import Flag, _restriction_step
-from arrfree.exactalg import Matrix, Polynomial, monomials, primitive_form, substitute_monomials, vec
+from arrfree.exactalg import Matrix, Polynomial, _pivot, integer_kernel, monomials, primitive_form, vec
 from arrfree.oracle import Derivation, SaitoResult, is_log_derivation, saito_check
 from arrfree.rank2 import project_to_rank2, rank2_exponents
 
@@ -100,6 +103,45 @@ def ref_codim2_table(
             row.append(built[members])
         rows.append(tuple(row))
     return tuple(built.values()), tuple(rows)
+
+
+# ---------------------------------------------------------------------------
+# the lattice by spans
+
+
+def ref_span_flat(a: Multiarrangement, seed_normals) -> Flat:
+    """The flat cut out by the seed normals.  Their span is the annihilator
+    of their kernel, so a hyperplane contains the flat exactly when its
+    normal vanishes on every kernel vector; its codimension is the rank."""
+    _, kernel = integer_kernel([list(n) for n in seed_normals], a.dim)
+    members = frozenset(
+        k for k, h in enumerate(a.hyperplanes) if all(sum(x * y for x, y in zip(h.coeffs, v)) == 0 for v, _ in kernel)
+    )
+    return Flat(a.dim - len(kernel), members)
+
+
+def ref_span_lattice(a: Multiarrangement, max_codim: int) -> dict[int, tuple[Flat, ...]]:
+    """Flats of codimension 1..max_codim in member order: each level above 2
+    spans the member normals of a flat of the level below with one
+    hyperplane outside it; a hyperplane already in a flat found from the
+    same lower flat is skipped."""
+    levels = {}
+    if max_codim >= 1:
+        levels[1] = tuple(Flat(1, frozenset({i})) for i in range(a.size))
+    if max_codim >= 2:
+        levels[2] = codim2_flats(a)
+    for r in range(2, max_codim):
+        nxt = {}
+        for f in levels[r]:
+            seeds = [a.hyperplanes[k].coeffs for k in f.sorted_members()]
+            covered = set(f.members)
+            for k, h in enumerate(a.hyperplanes):
+                if k not in covered:
+                    g = ref_span_flat(a, seeds + [h.coeffs])
+                    covered |= g.members
+                    nxt.setdefault(g.members, g)
+        levels[r + 1] = tuple(sorted(nxt.values(), key=Flat.sorted_members))
+    return levels
 
 
 # ---------------------------------------------------------------------------
@@ -496,10 +538,10 @@ def restrict_derivation(a: Multiarrangement, h0, theta: Derivation) -> Derivatio
             coeff = t.entries[i][k]
             if coeff != 0:
                 p = p + coeffs[k] * coeff
-        table = substitute_monomials(tinv.entries, p.terms)
+        table = ref_substitute_monomials(tinv.entries, p.terms)
         terms = {}
         for mono, c in p.terms.items():
-            for m, v in table[mono].items():
+            for m, v in table[mono].terms.items():
                 if m[0] == 0:
                     terms[m[1:]] = terms.get(m[1:], 0) + c * v
         new_coeffs.append(Polynomial(a.dim - 1, terms))

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -124,6 +125,21 @@ def test_hyperplane_refuses_a_non_primitive_normal(coeffs):
         Hyperplane(coeffs)
     h = Hyperplane.from_coeffs(coeffs)
     assert h.coeffs != coeffs and Hyperplane(h.coeffs) == h
+
+
+def test_from_coeffs_refuses_an_exponent_string_before_expanding_it():
+    # read through Fraction(str), "1e40000000" built 10**40000000
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="exact numbers are"):
+        Hyperplane.from_coeffs(["1e40000000", 1])
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("bad", ["1.5", "1e3", True])
+def test_from_coeffs_refuses_what_the_parser_refuses(bad):
+    # one reader of exact numbers (`_entry`) for the parser and from_coeffs
+    with pytest.raises(ParseError, match="exact numbers are"):
+        Hyperplane.from_coeffs([bad, 1])
 
 
 def test_a_scaled_copy_is_refused_not_taken_for_a_second_hyperplane():

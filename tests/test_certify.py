@@ -417,6 +417,12 @@ def test_certify_only_rule_isolation():
     assert v.kind == "Free" and v.exponents == (1, 2, 3)
 
 
+def test_oracle_alone_on_no_hyperplanes_is_inconclusive():
+    # there is no essential quotient to test; essentialize raised ParseError
+    v = certify(Multiarrangement(3, (), ()), CertifyOptions(use_oracle=True, only_rule="oracle"))
+    assert v.kind == "Inconclusive" and v.reason == "oracle: no hyperplanes to test"
+
+
 def test_free_exponents_sum_to_total_multiplicity():
     for a in (boolean3(), boolean3((2, 3, 4)), example_a3(1, 2), example_a3(1, 5), rank4_flag_example()):
         v = certify(a)

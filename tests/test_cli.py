@@ -547,6 +547,14 @@ def test_certify_no_hyperplanes_with_the_oracle(tmp_path, capsys):
         assert verify_certificate(parse_file(path), payload).kind == "Free"
 
 
+def test_certify_no_hyperplanes_with_the_oracle_rule_alone(tmp_path, capsys):
+    # well-formed input: Inconclusive (exit 20), not a parse error (exit 2)
+    code, out, _ = run(capsys, "certify", _no_hyperplanes(tmp_path), "--oracle", "--only-rule", "oracle", "--json")
+    assert code == 20
+    payload = json.loads(out)["verdict"]
+    assert payload["kind"] == "Inconclusive" and payload["reason"] == "oracle: no hyperplanes to test"
+
+
 def test_sweep_no_hyperplanes_with_the_oracle(tmp_path, capsys):
     path = _no_hyperplanes(tmp_path)
     code, out, _ = run(capsys, "sweep", path, "--param", "a=1..2", "--oracle", "--max-degree", "3", "--json")

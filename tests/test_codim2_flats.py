@@ -35,7 +35,7 @@ from arrfree.betti import b2_simple
 from arrfree.exactalg import Matrix, primitive_row
 from arrfree.fixtures import load
 from arrfree.rank2 import Rank2Instance, project_to_rank2
-from reference import ref_codim2_table, ref_linear_change_to_coordinate
+from reference import ref_codim2_table, ref_linear_change_to_coordinate, ref_span_lattice
 
 arrangement_mod = importlib.import_module("arrfree.arrangement")
 # the module, not the `certify` function the package exports under its name
@@ -263,15 +263,33 @@ def test_lattice_and_localization_match_reference(a):
 @settings(max_examples=60, deadline=None)
 @given(arrangements(), st.data())
 def test_span_and_localization_match_reference_on_dependent_seeds(a, data):
-    # any set of member normals, dependent ones included: the integer kernel
-    # gives the flat and the rank of the Fraction RREF
+    # any set of member normals, dependent ones included: the flat of their
+    # Fraction span is a flat that localization takes, and the given members
+    # name one only when they are closed under the span
     idx = data.draw(st.lists(st.integers(0, a.size - 1), min_size=1, max_size=a.size, unique=True))
     seeds = [a.hyperplanes[k].coeffs for k in idx]
     want, _ = ref_span(a, seeds)
-    assert arrangement_mod._span_flat(a, seeds) == want
     assert localization(a, want) == ref_localization(a, want)
     given_members = Flat(want.codim, frozenset(idx))
     assert _outcome(localization, a, given_members) == _outcome(ref_localization, a, given_members)
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrangements())
+def test_lattice_matches_span_construction(a):
+    # dependent (non-essential) and rational inputs: the residue grouping
+    # finds the flats that spanning and scanning every normal found
+    assert intersection_lattice(a, a.dim) == ref_span_lattice(a, a.dim)
+
+
+def test_localization_refuses_a_member_set_that_is_not_closed():
+    # x + y lies in the span of x and y, so {x, y} misses a hyperplane that
+    # contains its flat; {x, y, z} misses it too, one level up
+    a = Multiarrangement(3, tuple(Hyperplane(v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0))), (1, 2, 3, 4))
+    assert localization(a, Flat(2, frozenset({0, 1, 3}))).mult == (1, 2, 4)
+    for members, codim in (({0, 1}, 2), ({1, 3}, 2), ({0, 1, 2}, 3), ({0, 1, 3}, 3), ({0, 2}, 3)):
+        with pytest.raises(ValueError, match="not a flat"):
+            localization(a, Flat(codim, frozenset(members)))
 
 
 @st.composite
@@ -366,6 +384,15 @@ def test_projection_lattice_localization_match_reference_on_reflection_arrangeme
     assert_lattice_matches_reference(a)
     for members in ref_codim2_bases(a):
         assert_rank2_base_matches_essentialize(localization(a, Flat(2, members)))
+
+
+def test_lattice_matches_span_construction_on_fixtures_and_reflection_arrangements():
+    inputs = [load(f"{name}.json") for name in FIXTURES] + [_reflection(n) for n in (B4, D4, A4)]
+    # B4 padded by a zero coordinate: its flats of codimension 5 are none
+    b4 = inputs[-3]
+    inputs.append(Multiarrangement(5, tuple(Hyperplane(h.coeffs + (0,)) for h in b4.hyperplanes), b4.mult))
+    for a in inputs:
+        assert intersection_lattice(a, a.dim) == ref_span_lattice(a, a.dim)
 
 
 # ---------------------------------------------------------------------------

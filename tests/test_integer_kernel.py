@@ -4,8 +4,8 @@ replaced.
 
 The references are the rational Gauss-Jordan elimination and its kernel,
 the `derivation_basis` that built Fraction rows through the inverse of the
-coordinate chart (the greedy one of `reference`) and a Polynomial-valued
-substitution (all in `reference`), and the vector-matrix product of a
+coordinate chart (the greedy one of `reference`, all in `reference`), the
+powers of a linear form as Polynomials, and the vector-matrix product of a
 normal with that inverse, exactly as `exactalg`, `dspace` and
 `arrangement` had them before.  The reduced row echelon form is unique, so
 every result must be equal, not merely equivalent: an integer kernel
@@ -27,10 +27,9 @@ from arrfree.exactalg import (
     Polynomial,
     _gauss_jordan,
     integer_kernel,
-    monomials,
+    linear_powers,
     primitive_row,
     scaled_chart_image,
-    substitute_monomials,
     vec,
 )
 from reference import (
@@ -39,7 +38,6 @@ from reference import (
     ref_linear_change_to_coordinate,
     ref_rank_and_kernel,
     ref_rref,
-    ref_substitute_monomials,
 )
 
 F = Fraction
@@ -128,7 +126,7 @@ def test_rref_matches_sympy(sympy, m):
 
 
 # ---------------------------------------------------------------------------
-# substitution and the scaled chart
+# linear powers and the scaled chart
 
 ENTRIES = st.sampled_from([0, 0, 1, -1, 2, -3, F(1, 2), F(-2, 3), F(5, 4)])
 FORMS = st.integers(1, 4).flatmap(
@@ -137,17 +135,16 @@ FORMS = st.integers(1, 4).flatmap(
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 4), st.data())
-def test_substitution_matches_polynomial_reference(nvars, new_n, degree, data):
-    images = [data.draw(st.lists(st.integers(-3, 3), min_size=new_n, max_size=new_n)) for _ in range(nvars)]
-    if data.draw(st.booleans()):
-        images = [[F(x, 2) for x in im] for im in images]
-    monos = monomials(nvars, degree)
-    table = substitute_monomials(images, monos)
-    ref = ref_substitute_monomials(images, monos)
-    assert {m: Polynomial(new_n, t) for m, t in table.items()} == ref
-    if not any(isinstance(x, F) for im in images for x in im):
-        assert all(type(c) is int for t in table.values() for c in t.values())
+@given(st.integers(0, 3), st.integers(0, 5), st.data())
+def test_linear_powers_match_polynomial_powers(nvars, top, data):
+    row = data.draw(st.lists(st.integers(-3, 3), min_size=nvars, max_size=nvars))
+    powers = linear_powers(row, top)
+    assert len(powers) == top + 1
+    form, want = Polynomial.linear_form(row), Polynomial.constant(nvars, 1)
+    for p in powers:
+        assert Polynomial(nvars, p) == want
+        assert all(type(c) is int and c for c in p.values())
+        want = want * form
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,8 +3,8 @@ elimination pass alone, from rows whose chart images are expanded only
 below the multiplicity.
 
 The references are the row builder that expanded every chart image in full
-with `substitute_monomials`, through F_q times the inverse of the greedy
-chart of `reference`, and then kept the coefficients of y_1-degree below
+(`reference.ref_substitute_monomials`), through F_q times the inverse of
+the greedy chart of `reference`, and then kept the coefficients of y_1-degree below
 the multiplicity, exactly as `dspace` had it before, and
 len(`derivation_basis`), the kernel the dimension used to be counted from.
 Rows must be equal, not merely equivalent.
@@ -23,10 +23,9 @@ from arrfree.exactalg import (
     integer_rank,
     monomials,
     primitive_row,
-    substitute_monomials,
     vec,
 )
-from reference import ref_scaled_chart_inverse
+from reference import ref_scaled_chart_inverse, ref_substitute_monomials
 
 F = Fraction
 
@@ -50,10 +49,10 @@ def ref_derivation_rows(forms, mults, degree):
                     row[i * nm + k] = form[i]
                 rows.append(row)
             continue
-        table = substitute_monomials(ref_scaled_chart_inverse(form), monos)
+        table = ref_substitute_monomials(ref_scaled_chart_inverse(form), monos)
         coeff_rows = {cm: [0] * nm for cm in monos if cm[0] < mult}
         for k, mono in enumerate(monos):
-            for cm, c in table[mono].items():
+            for cm, c in table[mono].terms.items():
                 if cm[0] < mult:
                     coeff_rows[cm][k] = c
         for base in coeff_rows.values():
