@@ -25,9 +25,14 @@ codimension 3 and more; `localization` checks a flat by the same step.
 The restriction A^H has the codim-2 flats X through H as hyperplanes, with
 m^H(X) = |m_X| - m_H, and the codim-3 flats Y through H as codim-2 flats;
 the members of Y other than H are split among its X, so their m^H sum to
-|m_Y| - m_H.  Local heaviness in every A^H is thus read off the parent
-(`restriction_heavy_indices`): the same grouping one level down, each
-codim-3 flat grouped once, in the row of its least member.
+|m_Y| - m_H.  So every A^H is read off its parent's row H
+(`restriction_rows`): its multiplicities, its local heaviness, and its
+codim-2 flats, the lines of the row, found by the same grouping one level
+down, each codim-3 flat grouped once, in the row of its least member.  A
+`Level` is such a restriction held as member sets, multiplicities and a
+codim-2 table, built from its parent's row; its rows' residues serve as its
+children's normals, so the flag walk goes down any number of levels without
+building a `Restriction` or a second table.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exactalg import (
     Vec,
@@ -539,81 +544,148 @@ def _ones(mask: int) -> list[int]:
     return out
 
 
-def restriction_heavy_indices(a: Multiarrangement) -> list[list[int]]:
-    """Per hyperplane H of a, the indices of the locally heavy hyperplanes
-    of its Euler-Ziegler restriction A^H, in A^H's hyperplane order: what
+@dataclass(frozen=True)
+class Level:
+    """One level of iterated Euler-Ziegler restrictions of an input, as the
+    flag walk reads it, with no `Restriction` built: per hyperplane, its
+    member set (the input's hyperplanes containing it), its multiplicity and
+    its row of the codim-2 table (the codim-2 flats through it, as sets of
+    this level's indices, in member order).  At dimension >= 4 it also
+    holds integer normals, which only `restriction_rows` reads, to group the
+    codim-3 flats; they are the input's normals, or residues that a parent
+    of dimension >= 5 handed down."""
+
+    dim: int
+    members: tuple[frozenset[int], ...]
+    mult: tuple[int, ...]
+    rows: tuple[tuple[frozenset[int], ...], ...]
+    normals: tuple[Sequence[int], ...] | None
+
+    @classmethod
+    def of(cls, a: Multiarrangement) -> "Level":
+        """The top level: a itself, each hyperplane its own member set."""
+        rows = tuple(tuple(f.members for f in row) for row in _codim2_table(a.hyperplanes)[1])
+        normals = tuple(h.coeffs for h in a.hyperplanes) if a.dim >= 4 else None
+        return cls(a.dim, tuple(frozenset({i}) for i in range(a.size)), a.mult, rows, normals)
+
+    def restriction(self, k: int, row: "RestrictionRow") -> "Level":
+        """The level of A^k, the Euler-Ziegler restriction onto hyperplane k,
+        from row k (`restriction_rows`): hyperplanes in the order of the
+        row's points, as in `euler_ziegler_multiplicity`, and the row's
+        lines as the codim-2 table."""
+        points = self.rows[k]
+        members = tuple(frozenset().union(*(self.members[j] for j in x)) for x in points)
+        table: list[list[frozenset[int]]] = [[] for _ in points]
+        for on in row.lines:
+            y = frozenset(on)
+            for x in on:
+                table[x].append(y)
+        normals = tuple(map(primitive_form, row.residues)) if self.dim >= 5 else None
+        return Level(self.dim - 1, members, tuple(row.mult), tuple(map(tuple, table)), normals)
+
+
+class RestrictionRow(NamedTuple):
+    """A^H read from row H of its parent (`restriction_rows`), in the order of
+    the row's points: the locally heavy points, the multiplicities
+    m^H(X) = |m_X| - m_H, the lines (the codim-2 flats of A^H, each a list
+    of points, ascending) in member order, and, at parent dimension >= 4,
+    each point's residue against the normal of H."""
+
+    heavy: list[int]
+    mult: list[int]
+    lines: list[list[int]]
+    residues: list[list[int]] | None
+
+
+def restriction_rows(level: Level) -> list[RestrictionRow]:
+    """Per hyperplane H of the level, its Euler-Ziegler restriction A^H as
+    read from row H, without building A^H: the heavy points are what
     `locally_heavy_indices(euler_ziegler_multiplicity(a, H).arrangement)`
-    returns, read from a's integer normals and `_codim2_table` without
-    building A^H.
+    returns, the multiplicities are that restriction's, and the lines are
+    its codim-2 flats.
 
     The hyperplanes of A^H are the points X of row H, the codim-2 flats
     through H, with m^H(X) = |m_X| - m_H.  Its codim-2 flats are the lines:
-    the codim-3 flats Y of a through H, whose points are the X with
-    H in X inside Y.  The members of Y other than H are split among those
-    X, so their m^H sum to |m_Y| - m_H, and X is locally heavy in A^H
-    exactly when 2*m^H(X) >= |m_Y| - m_H on every line Y through X with
-    >= 3 points.
+    the codim-3 flats Y through H, whose points are the X with H in X
+    inside Y.  The members of Y other than H are split among those X, so
+    their m^H sum to |m_Y| - m_H, and X is locally heavy in A^H exactly
+    when 2*m^H(X) >= |m_Y| - m_H on every line Y through X with >= 3
+    points.
 
-    A point is represented by the residue of one of its members v against
-    the normal u of H (pivot p), u[p]*v - v[p]*u, as in `_codim2_table`.
-    The chart of `scaled_chart_image` is an invertible linear change of
-    these residues, so points lie on one line exactly when their residues
-    are linearly dependent.  A row's lines are grouped as `_codim2_table`
-    groups flats one level down: at each point x, the later points not yet
-    on a line through x are grouped by their reductions against x's residue
+    A level of dimension 2 has no lines, and in dimension 3 the points of a
+    row all lie on one line, the origin.  From dimension 4 the lines are
+    grouped.  A point is represented by the residue of one of its members v
+    against the normal u of H (pivot p), u[p]*v - v[p]*u, as in
+    `_codim2_table`: a representative of v modulo u, so points lie on one
+    line exactly when their residues are linearly dependent, and the
+    residues are normals of A^H (which `Level.restriction` hands down from
+    dimension 5).  A row's lines are grouped as `_codim2_table` groups flats
+    one level down: at each point x, the later points not yet on a line
+    through x are grouped by their reductions against x's residue
     (`_classes`), and proportional reductions share a line.  Each codim-3
     flat is grouped once, in the row of its least member; the rows of its
-    later members receive it and skip its pairs of points.  Sets of a row's points are bitmasks.
+    later members receive it and skip its pairs of points.  The sets of
+    points a row tracks while it groups are bitmasks.
+
+    The lines come out in member order.  A received line Y starts at the
+    point through its least member j, which precedes the row's own points
+    (those whose members are all past H); lines from distinct rows j are
+    ordered by j, and two from one row j share only the point X through H
+    and j, after which both rows order them by the least member of Y off
+    X.  The row's own lines follow, grouped at ascending points x, each
+    group's later points ascending.
     """
-    if a.dim < 2:
+    if level.dim < 2:
         raise ValueError("restriction needs ambient dimension >= 2")
-    ints = [h.coeffs for h in a.hyperplanes]
-    table = _codim2_table(a.hyperplanes)[1]
-    given: list[list[frozenset[int]]] = [[] for _ in ints]  # codim-3 flats grouped in earlier rows
+    ints = level.normals
+    mult = level.mult
+    given: list[list[frozenset[int]]] = [[] for _ in level.rows]  # codim-3 flats grouped in earlier rows
     out = []
-    for i, u in enumerate(ints):
-        points = table[i]
+    for i, points in enumerate(level.rows):
         n = len(points)
-        p = _pivot(u)
-        bit = {k: 1 << x for x, f in enumerate(points) for k in f.members}
-        res = []
-        for f in points:
-            v = ints[min(f.members - {i})]
-            res.append([u[p] * t - v[p] * s for s, t in zip(u, v)])
-        paired = [0] * n  # per point, the points known to share a line with it
-        lines = []
-        for y in given[i]:
-            xs = 0
-            for k in y:
-                if k != i:
-                    xs |= bit[k]
-            lines.append(xs)
-            for x in _ones(xs):
-                paired[x] |= xs
-        for x, w in enumerate(res):
-            todo = ((1 << n) - (2 << x)) & ~paired[x]  # the later points not yet on a line with x
-            if not todo:
-                continue
-            for zs in _classes([(_pivot(w), w)], res, _ones(todo)).values():
-                xs = 1 << x
-                for z in zs:
-                    xs |= 1 << z
-                lines.append(xs)
+        res = None
+        if level.dim >= 4:
+            u = ints[i]
+            p = _pivot(u)
+            bit = {k: 1 << x for x, f in enumerate(points) for k in f}
+            res = []
+            for f in points:
+                v = ints[min(f - {i})]
+                res.append([u[p] * t - v[p] * s for s, t in zip(u, v)])
+            paired = [0] * n  # per point, the points known to share a line with it
+            lines = []
+            for y in given[i]:
+                xs = 0
+                for k in y:
+                    if k != i:
+                        xs |= bit[k]
                 on = _ones(xs)
-                for z in on:
-                    paired[z] |= xs
-                y = frozenset().union(*(points[z].members for z in on))
-                for j in y:
-                    if j > i:
-                        given[j].append(y)
-        ms = [sum(a.mult[k] for k in f.members) - a.mult[i] for f in points]
-        light = 0
-        for xs in lines:
-            on = _ones(xs)
+                lines.append(on)
+                for x in on:
+                    paired[x] |= xs
+            for x, w in enumerate(res):
+                todo = ((1 << n) - (2 << x)) & ~paired[x]  # the later points not yet on a line with x
+                if not todo:
+                    continue
+                for zs in _classes([(_pivot(w), w)], res, _ones(todo)).values():
+                    on = [x, *zs]
+                    lines.append(on)
+                    xs = 0
+                    for z in on:
+                        xs |= 1 << z
+                    for z in on:
+                        paired[z] |= xs
+                    y = frozenset().union(*(points[z] for z in on))
+                    for j in y:
+                        if j > i:
+                            given[j].append(y)
+        else:
+            lines = [list(range(n))] if level.dim == 3 and n >= 2 else []
+        ms = [sum(mult[k] for k in f) - mult[i] for f in points]
+        light = set()
+        for on in lines:
             if len(on) >= 3:
                 total = sum(ms[x] for x in on)
-                for x in on:
-                    if 2 * ms[x] < total:
-                        light |= 1 << x
-        out.append([x for x in range(n) if not light >> x & 1])
+                light.update(x for x in on if 2 * ms[x] < total)
+        out.append(RestrictionRow([x for x in range(n) if x not in light], ms, lines, res))
     return out

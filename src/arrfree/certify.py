@@ -23,6 +23,7 @@ from . import oracle
 from .arrangement import (
     Flat,
     Hyperplane,
+    Level,
     Multiarrangement,
     essentialize,
     euler_ziegler_multiplicity,
@@ -33,7 +34,7 @@ from .arrangement import (
     rank,
     reducibility,
     restriction_flats,
-    restriction_heavy_indices,
+    restriction_rows,
 )
 from .betti import b2_away, b2_multi, b2_simple
 from .rank2 import project_to_rank2, rank2_exponents
@@ -170,57 +171,66 @@ def find_locally_heavy_flags(a: Multiarrangement) -> list[Flag]:
     """All full flags whose restriction steps are locally heavy, in key
     order: by the sorted members of each level, level by level.
 
-    Depth-first: the first flat ranges over all hyperplanes, and each later
-    flat over the locally heavy hyperplanes of the iterated Euler-Ziegler
-    restriction.  Returns every chain reaching codimension l.
+    The prover's walk (`_heavy_flags`), in full: the first flat ranges over
+    all hyperplanes, and each later flat over the locally heavy hyperplanes
+    of the iterated Euler-Ziegler restriction, each level read from its
+    parent's row (`arrangement.restriction_rows`).
     """
     if not a.is_simple():
         raise ValueError("flag search needs a simple arrangement")
-    return [f for f, _ in _flag_search(a, _singletons(a))]
+    return list(_heavy_flags(Level.of(a)))
 
 
-def _flag_search(
-    m: Multiarrangement,
-    members: list[frozenset[int]],
+def _heavy_flags(
+    level: Level,
     chain: tuple[frozenset[int], ...] = (),
     values: tuple[int, ...] = (),
-    cited: Sequence[frozenset[int]] | None = None,
-    parent: Multiarrangement | None = None,
     heavy: Sequence[int] | None = None,
 ):
-    """Yield (flag, tail) for every completion of the partial flag (chain,
-    values) whose current level is m, with `members` its hyperplanes as sets
-    of original indices; the tail is the flag's rank-2 level (None on a
-    line), `parent` the level above m.  Children are visited in the order of
-    their sorted members, and distinct hyperplanes of a level have distinct
-    members, so the flags come in key order and the first one is the least.
+    """Yield every locally heavy flag completing the partial flag (chain,
+    values) at `level`, whose candidates are `heavy` (all hyperplanes on the
+    first level).  Children are visited in the order of their sorted
+    members, and distinct hyperplanes of a level have distinct members, so
+    the flags come in key order and the first one is the least.
 
-    The prover (no `cited` chain) visits `heavy`, the locally heavy
-    hyperplanes of m (all of them on the first level), and prunes: it reads
-    every restriction's locally heavy hyperplanes from m at once
-    (`restriction_heavy_indices`), restricts onto k only when that list is
-    nonempty, and hands it to the child as its `heavy`.  A level without a
-    candidate yields nothing, so pruning keeps every flag and its order.
-    Given a `cited` chain of member sets, only that chain is followed, with
-    no pruning, and a level whose cited hyperplane is missing or, below the
-    first level, not locally heavy raises ValueError."""
-    if cited is None:
-        candidates = sorted(range(m.size) if heavy is None else heavy, key=lambda k: sorted(members[k]))
-        below = restriction_heavy_indices(m) if m.dim >= 2 else None
-    else:
-        candidates = [k for k in range(m.size) if members[k] == cited[len(chain)]]
-        if not candidates:
+    One row step (`restriction_rows`) reads every restriction of the level
+    at once: its locally heavy hyperplanes, multiplicities and codim-2
+    table.  The walk descends into hyperplane k only when that restriction
+    has a locally heavy hyperplane, and builds the child level from row k
+    alone (`Level.restriction`), so it never restricts; a level without a
+    candidate yields nothing, so pruning keeps every flag and its order."""
+    rows = restriction_rows(level) if level.dim >= 2 else None
+    for k in sorted(range(len(level.mult)) if heavy is None else heavy, key=lambda k: sorted(level.members[k])):
+        chain_k, values_k = chain + (level.members[k],), values + (level.mult[k],)
+        if level.dim == 1:
+            yield Flag(chain_k, values_k)
+        elif rows[k].heavy:
+            yield from _heavy_flags(level.restriction(k, rows[k]), chain_k, values_k, rows[k].heavy)
+
+
+def _flag_search(a: Multiarrangement, cited: Sequence[frozenset[int]]) -> tuple[Flag, Multiarrangement | None]:
+    """Walk a's iterated Euler-Ziegler restrictions along a cited chain of
+    member sets, one per level of a full flag, and return the flag with the
+    multiplicities met on the way and its rank-2 level (None on a line).
+    Each level restricts onto its cited hyperplane; a level whose cited
+    hyperplane is missing or, below the first level, not locally heavy
+    raises ValueError.  `certify_flag` is its one caller, for the prover's
+    least flag and for the verifier alike."""
+    m, members, parent = a, _singletons(a), None
+    chain: tuple[frozenset[int], ...] = ()
+    values: tuple[int, ...] = ()
+    for want in cited:
+        k = next((k for k in range(m.size) if members[k] == want), None)
+        if k is None:
             raise ValueError("flag level does not match a restriction hyperplane")
-        if chain and not is_locally_heavy(m, candidates[0]):
+        if chain and not is_locally_heavy(m, k):
             raise ValueError("flag level is not locally heavy")
-    for k in candidates:
-        chain_k, values_k = chain + (members[k],), values + (m.mult[k],)
+        chain, values = chain + (members[k],), values + (m.mult[k],)
         if m.dim == 1:
-            yield Flag(chain_k, values_k), parent
-        elif cited is not None:
-            yield from _flag_search(*_restriction_step(m, members, k), chain_k, values_k, cited, m)
-        elif below[k]:
-            yield from _flag_search(*_restriction_step(m, members, k), chain_k, values_k, None, m, below[k])
+            break
+        parent = m
+        m, members = _restriction_step(m, members, k)
+    return Flag(chain, values), parent
 
 
 def certify_flag(a: Multiarrangement, f: Flag) -> Verdict:
@@ -231,7 +241,7 @@ def certify_flag(a: Multiarrangement, f: Flag) -> Verdict:
         raise ValueError("flags are defined for simple arrangements")
     if len(f.members_chain) != a.dim or len(f.values) != a.dim:
         raise ValueError("flag has wrong length")
-    walked, tail = next(_flag_search(a, _singletons(a), cited=f.members_chain))
+    walked, tail = _flag_search(a, f.members_chain)
     if walked.values != f.values:
         raise ValueError("flag level multiplicity mismatch")
     return _flag_verdict(a, walked, tail)
@@ -433,8 +443,9 @@ def _attempt_rank2(a: Multiarrangement, opts: CertifyOptions) -> Verdict | str |
 def _attempt_flag(a: Multiarrangement, opts: CertifyOptions) -> Verdict | str | None:
     if not a.is_simple():
         return "flag: input not simple"
-    found = next(_flag_search(a, _singletons(a)), None)
-    return _flag_verdict(a, *found) if found is not None else "flag: no locally heavy flag"
+    # the least flag, decided by the verifier's own re-walk of its chain
+    found = next(_heavy_flags(Level.of(a)), None)
+    return certify_flag(a, found) if found is not None else "flag: no locally heavy flag"
 
 
 def _attempt_locally_heavy(a: Multiarrangement, opts: CertifyOptions) -> Verdict | str | None:

@@ -11,10 +11,11 @@ None of this runs in `certify`, `verify_certificate` or the CLI:
   (`ref_span_flat`, `ref_span_lattice`), which `arrangement` replaced with
   one grouping of the residues against the flat's span (`_classes`);
 * the prover's flag search that restricted onto every candidate
-  (`ref_flag_search`), which `certify._flag_search` replaced with one that
-  reads the restrictions' locally heavy hyperplanes from the parent
-  (`arrangement.restriction_heavy_indices`) and restricts only where one
-  exists;
+  (`ref_flag_search`), which `certify._heavy_flags` replaced with a walk
+  that reads each level from its parent's row
+  (`arrangement.restriction_rows`, `arrangement.Level`), descends only
+  where the restriction has a locally heavy hyperplane, and never
+  restricts;
 * the recursive list of exponent vectors (`ref_monomials`), which
   `exactalg.monomials` replaced with one over multisets of variables;
 * the rational Gauss-Jordan elimination and its kernel (`ref_rref`,
@@ -326,10 +327,11 @@ def derivation_from_polys(polys) -> Derivation:
 
 def ref_flag_search(m: Multiarrangement, members, chain=(), values=(), parent=None):
     """Yield (flag, tail) for every locally heavy flag completing (chain,
-    values) at level m, as the prover's `_flag_search` did before it
-    pruned: it restricts onto every candidate, all hyperplanes on the first
-    level and the locally heavy ones of the restriction below, and visits
-    them in the order of their sorted members."""
+    values) at level m, as the prover's walk did before it pruned and read
+    its levels from the parent's rows: it restricts onto every candidate,
+    all hyperplanes on the first level and the locally heavy ones of the
+    restriction below, and visits them in the order of their sorted
+    members."""
     candidates = sorted(locally_heavy_indices(m) if chain else range(m.size), key=lambda k: sorted(members[k]))
     for k in candidates:
         chain_k, values_k = chain + (members[k],), values + (m.mult[k],)

@@ -1,7 +1,8 @@
-"""The locally heavy hyperplanes of every Euler-Ziegler restriction, read from
-the parent (`arrangement.restriction_heavy_indices`), against the
-restrictions themselves; and the pruned flag search of the prover against
-the unpruned one it replaced (`reference.ref_flag_search`)."""
+"""Every Euler-Ziegler restriction read from its parent's row
+(`arrangement.restriction_rows`, `Level.restriction`) against the
+restrictions themselves, level by level; and the prover's flag walk on those
+levels against the restricting, unpruned one it replaced
+(`reference.ref_flag_search`)."""
 
 import importlib
 import itertools
@@ -12,11 +13,14 @@ from hypothesis import strategies as st
 
 from arrfree.arrangement import (
     Hyperplane,
+    Level,
     Multiarrangement,
+    _codim2_table,
+    codim2_flats,
     euler_ziegler_multiplicity,
     locally_heavy_indices,
     rank,
-    restriction_heavy_indices,
+    restriction_rows,
 )
 from arrfree.certify import CertifyOptions, certify
 from arrfree.fixtures import boolean3, braid3, generic4, rank4_flag_example
@@ -60,23 +64,51 @@ def arrangements(draw):
     return a
 
 
+def assert_level_is(level, m, depth):
+    """The level has m's dimension, multiplicities and codim-2 table, and
+    each row's child level equals m's Euler-Ziegler restriction onto that
+    row's hyperplane: its multiplicities, member sets, codim-2 flats in
+    member order and table rows, and its heavy points; then the same,
+    `depth` levels further down, from the child level as the walk builds it
+    (a child of dimension >= 4 groups on the residues handed down as its
+    normals)."""
+    assert level.dim == m.dim and level.mult == m.mult
+    assert level.rows == tuple(tuple(f.members for f in row) for row in _codim2_table(m.hyperplanes)[1])
+    if m.dim < 2:
+        return
+    rows = restriction_rows(level)
+    assert len(rows) == m.size
+    for k, row in enumerate(rows):
+        r = euler_ziegler_multiplicity(m, k)
+        assert row.mult == list(r.arrangement.mult)
+        assert row.heavy == locally_heavy_indices(r.arrangement)
+        assert row.lines == [list(f.sorted_members()) for f in codim2_flats(r.arrangement)]
+        child = level.restriction(k, row)
+        assert child.members == tuple(frozenset().union(*(level.members[j] for j in tm)) for tm in r.trace_members)
+        assert (child.normals is not None) == (child.dim >= 4)
+        if depth:
+            assert_level_is(child, r.arrangement, depth - 1)
+        else:
+            assert child.mult == r.arrangement.mult
+            assert child.rows == tuple(tuple(f.members for f in row) for row in _codim2_table(r.arrangement.hyperplanes)[1])
+
+
 @settings(max_examples=300, deadline=None)
 @given(arrangements())
-def test_restriction_heavy_indices_match_the_restrictions(a):
-    got = restriction_heavy_indices(a)
-    assert len(got) == a.size
-    for i in range(a.size):
-        assert got[i] == locally_heavy_indices(euler_ziegler_multiplicity(a, i).arrangement)
+def test_restriction_rows_match_the_restrictions(a):
+    top = Level.of(a)
+    assert top.members == tuple(frozenset({i}) for i in range(a.size))
+    assert_level_is(top, a, a.dim)
 
 
-def test_restriction_heavy_indices_need_a_restriction():
+def test_restriction_rows_need_a_restriction():
     with pytest.raises(ValueError, match="dimension >= 2"):
-        restriction_heavy_indices(Multiarrangement(1, (Hyperplane((1,)),), (1,)))
+        restriction_rows(Level.of(Multiarrangement(1, (Hyperplane((1,)),), (1,))))
 
 
 @st.composite
 def simple_arrangements(draw):
-    dim = draw(st.integers(3, 5))
+    dim = draw(st.integers(3, 6))
     rows = draw(st.lists(st.lists(SMALL, min_size=dim, max_size=dim), min_size=dim, max_size=9))
     a = _multiarrangement(dim, rows, [1] * len(rows))
     assume(rank(a) == dim)
@@ -84,8 +116,11 @@ def simple_arrangements(draw):
 
 
 def assert_pruned_walk_is_the_reference(a):
+    # the walk yields flags only; the verifier's cited re-walk gives each tail
     start = [frozenset({i}) for i in range(a.size)]
-    assert list(certify_mod._flag_search(a, start)) == list(ref_flag_search(a, start))
+    walked = [(f, certify_mod._flag_search(a, f.members_chain)) for f in certify_mod._heavy_flags(Level.of(a))]
+    assert walked == [(f, (f, tail)) for f, tail in ref_flag_search(a, start)]
+    return [f for f, _ in walked]
 
 
 @settings(max_examples=60, deadline=None)
@@ -129,7 +164,20 @@ def test_flag_search_restricts_nowhere_without_a_heavy_restriction(monkeypatch, 
     # no restriction of D4, B4 or A4 has a locally heavy hyperplane, so the
     # pruned search decides "no flag" without one Euler-Ziegler restriction
     a = _reflection(normals)
-    assert all(not heavy for heavy in restriction_heavy_indices(a))
+    assert all(not row.heavy for row in restriction_rows(Level.of(a)))
+    calls = _count_restrictions(monkeypatch)
+    assert certify_mod._attempt_flag(a, CertifyOptions()) == "flag: no locally heavy flag"
+    assert calls == []
+
+
+def test_flag_walk_restricts_nowhere_below_heavy_restrictions(monkeypatch):
+    # every restriction of x, y, z, w, x - y, z - w has a locally heavy
+    # hyperplane, so a walk that restricts builds all six, yet no flag
+    # reaches the line; the walk on the parent's rows decides that without
+    # one Euler-Ziegler restriction
+    a = _reflection([_unit(0), _unit(1), _unit(2), _unit(3), _unit(0, -1, 1), _unit(2, -1, 3)])
+    assert all(row.heavy for row in restriction_rows(Level.of(a)))
+    assert list(ref_flag_search(a, [frozenset({i}) for i in range(a.size)])) == []
     calls = _count_restrictions(monkeypatch)
     assert certify_mod._attempt_flag(a, CertifyOptions()) == "flag: no locally heavy flag"
     assert calls == []
@@ -140,4 +188,18 @@ def test_rank4_flag_still_certifies_with_its_flag(monkeypatch):
     v = certify(rank4_flag_example())
     assert v.kind == "Free" and v.certificate.rule == "FlagEquality"
     assert v.exponents == (1, 3, 3, 3)
-    assert len(calls) == 3  # one restriction per level above the line
+    # the walk restricts nowhere: certify_flag's re-walk of the least flag
+    # restricts once per level above the line
+    assert len(calls) == 3
+
+
+def test_rank5_flag_walks_through_residue_normals():
+    # x1, ..., x5, x4 + x5, x1 - x3, x2 + x3, x3 - x4 - x5: the walk's
+    # second level has dimension 4 and groups its lines on the residues
+    # that the rank-5 level handed down as normals
+    e = [[int(i == k) for k in range(5)] for i in range(5)]
+    normals = e + [[0, 0, 0, 1, 1], [1, 0, -1, 0, 0], [0, 1, 1, 0, 0], [0, 0, 1, -1, -1]]
+    a = Multiarrangement(5, tuple(Hyperplane.from_coeffs(v) for v in normals), (1,) * len(normals))
+    assert len(assert_pruned_walk_is_the_reference(a)) == 42
+    v = certify(a)
+    assert (v.kind, v.exponents, v.certificate.rule) == ("Free", (1, 2, 2, 2, 2), "FlagEquality")
