@@ -1,8 +1,8 @@
 """Second Betti numbers of simple and multiarrangements.
 
 b2 of a multiarrangement sums the products of local exponents over the
-codimension-2 flats; the local exponents always come from the rank-2
-solver, never from a formula table.
+codimension-2 flats; the local exponents come from `rank2_exponents`,
+which solves only where the multiplicities do not fix them.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def b2_simple(a: Multiarrangement) -> BettiReport:
 
 @lru_cache(maxsize=2048)
 def b2_multi(a: Multiarrangement) -> BettiReport:
-    """Sum of d1*d2 over codim-2 flats, exponents from the rank-2 solver."""
+    """Sum of d1*d2 over codim-2 flats, exponents from `rank2_exponents`."""
     rows = []
     exps = []
     for f in codim2_flats(a):

@@ -1,10 +1,10 @@
 """Exponents of rank-2 multiarrangements and the Euler multiplicity.
 
-Rank-2 multiarrangements are always free (Ziegler 1989), so one graded
-dimension of the derivation module determines the exponents: the smaller
-exponent comes from the rank of a single exact linear system at a computed
-degree (see `_min_degree_basis`).  No formula table: the heavy and balanced special
-cases fall out of the solver and are asserted in tests.
+Rank-2 multiarrangements are always free (Ziegler 1989), so the smaller
+exponent d1 determines both.  Where the multiplicities alone fix d1 (a heavy
+line, three lines, or a simple arrangement) it is read off `_closed_d1`;
+otherwise it comes from the rank of a single exact linear system at a
+computed degree (see `_min_degree_basis`).
 """
 
 from __future__ import annotations
@@ -84,29 +84,49 @@ def project_to_rank2(a: Multiarrangement, x: Flat) -> Rank2Instance:
     return Rank2Instance(forms, tuple(a.mult[k] for k in idx), idx)
 
 
+def _closed_d1(mult: tuple[int, ...]) -> int | None:
+    """d1 when the multiplicities alone fix it, else None.
+
+    - Heavy, 2 max m >= |m| (every two-line instance): d1 = |m| - m_H with H
+      a heaviest form.  theta_H * prod_{K != H} alpha_K^{m_K}, theta_H the
+      constant derivation killing alpha_H = x, has degree |m| - m_H.  Take
+      theta = f d/dx + g d/dy in D(A, m) of degree d.  If f != 0, then
+      x^{m_H} | f, so d >= m_H >= |m| - m_H.  If f = 0, every other alpha_K
+      has a nonzero y-coefficient, so prod_{K != H} alpha_K^{m_K} | g and
+      d >= |m| - m_H (Abe-Terao-Wakefield, J. London Math. Soc. 77, 2008).
+    - Three lines, none heavy: d1 = floor(|m|/2) (Wakamiko, Tokyo J. Math.
+      30, 2007, over characteristic 0, the field here).
+    - Simple: the Euler derivation gives d1 <= 1, and no nonzero constant
+      derivation kills two independent forms, so d1 = 1.
+    """
+    total, top = sum(mult), max(mult)
+    if 2 * top >= total:
+        return total - top
+    if len(mult) == 3:
+        return total // 2
+    if top == 1:
+        return 1
+    return None
+
+
 # perfbench looks this cache up by name (run.COLD_CACHES, tracing) to clear it
 # before each timed operation and to count unique rank-2 instances, so the
 # name stays although the function returns d1 only and builds no basis.
 @lru_cache(maxsize=4096)
 def _min_degree_basis(forms: tuple[tuple, ...], mult: tuple[int, ...]) -> int:
-    """The smaller exponent d1, from one graded dimension.
+    """The smaller exponent d1: `_closed_d1`, else one graded dimension.
 
     D = D(A, m) is free with exponents d1 <= d2, d1 + d2 = |m|, so
-    dim D_d = max(0, d - d1 + 1) + max(0, d - d2 + 1).  Two bounds hold:
-    d1 <= floor(|m|/2) <= d2, and d1 <= |m| - max m, witnessed by
-    theta_H * prod_{K != H} alpha_K^{m_K} with H the heaviest form and
-    theta_H the constant derivation killing alpha_H.  At
-    d = min(ceil(|m|/2) - 1, |m| - max m) therefore d1 - 1 <= d < d2, so
-    d1 = d + 1 - dim D_d, and dim D_d is a rank (`derivation_dim`), not a
-    basis.  Positive multiplicities make d >= 0.  The forms of an instance
-    are pairwise non-proportional, so `derivation_dim` solves in the
-    coordinates of the two heaviest forms (the earlier one on a tie): their
-    multiplicities m_1 >= m_2 leave (d - m_1 + 1)^+ + (d - m_2 + 1)^+ of the
-    2(d + 1) unknowns and add no rows, and only the other forms' rows are
-    eliminated.
+    dim D_d = max(0, d - d1 + 1) + max(0, d - d2 + 1), and at
+    d = ceil(|m|/2) - 1 >= 0, d1 - 1 <= d < d2 gives d1 = d + 1 - dim D_d,
+    a rank (`derivation_dim`), not a basis.  The forms are pairwise
+    non-proportional, so `derivation_dim` solves in the coordinates of the
+    two heaviest forms and eliminates only the other forms' rows.
     """
-    total = sum(mult)
-    d = min((total + 1) // 2 - 1, total - max(mult))
+    d1 = _closed_d1(mult)
+    if d1 is not None:
+        return d1
+    d = (sum(mult) + 1) // 2 - 1
     return d + 1 - derivation_dim(forms, mult, d)
 
 

@@ -41,6 +41,9 @@ None of this runs in `certify`, `verify_certificate` or the CLI:
   that `oracle.saito_check` replaced with integer term dicts, and the
   divisibility test of `rank2.euler_multiplicity_at_flat`
   (`ref_euler_multiplicity_at_flat`);
+* the rank-2 exponents from one graded dimension on every instance
+  (`ref_rank2_exponents`), which `rank2._min_degree_basis` replaced with
+  the closed forms of `rank2._closed_d1` where the multiplicities fix them;
 * the good summand of a Saito basis at a locally heavy hyperplane
   (`good_summand_check`) and the restriction of a derivation that
   annihilates its form (`restrict_derivation`).
@@ -59,6 +62,7 @@ from arrfree.arrangement import (
     locally_heavy_indices,
 )
 from arrfree.certify import Flag, _restriction_step
+from arrfree.dspace import derivation_dim
 from arrfree.exactalg import Matrix, Polynomial, _pivot, integer_kernel, monomials, primitive_form, vec
 from arrfree.oracle import Derivation, SaitoResult, is_log_derivation, saito_check
 from arrfree.rank2 import project_to_rank2, rank2_exponents
@@ -455,6 +459,15 @@ def ref_saito_check(a: Multiarrangement, thetas) -> SaitoResult:
     if q.degree() == 0:
         return SaitoResult("Basis", exponents=tuple(sorted(t.pdeg for t in thetas)))
     return SaitoResult("DetIsMultiple", factor_degree=q.degree())
+
+
+def ref_rank2_exponents(inst) -> tuple[int, int]:
+    """(d1, d2) from dim D_d at d = min(ceil(|m|/2) - 1, |m| - max m), the
+    one graded solve that `rank2._min_degree_basis` ran on every instance."""
+    total = inst.total_mult
+    d = min((total + 1) // 2 - 1, total - max(inst.mult))
+    d1 = d + 1 - derivation_dim(inst.forms, inst.mult, d)
+    return d1, total - d1
 
 
 def ref_euler_multiplicity_at_flat(inst, h0: int) -> int:

@@ -31,7 +31,7 @@ from arrfree.oracle import derivation_space_dim, extract_basis, hilbert_freeness
 from arrfree.rank2 import Rank2Instance, rank2_exponents
 
 from conftest import force_locally_heavy, random_multiarrangement, random_simple_rank3
-from reference import b2_away_local_sum, normalize_multiplicity_shift
+from reference import b2_away_local_sum, normalize_multiplicity_shift, ref_rank2_exponents
 
 
 def _report(num: int, name: str, ok: bool):
@@ -205,10 +205,11 @@ def test_c8_rank2_solver_suite():
             out.append(canon)
         return tuple(out)
 
+    # the closed forms that rank2_exponents returns, against the graded solve
     # every two-form instance: exponents are the multiplicities
     for m1, m2 in itertools.product(range(1, 7), repeat=2):
         inst = Rank2Instance(forms2(2), (m1, m2))
-        ok &= rank2_exponents(inst) == tuple(sorted((m1, m2)))
+        ok &= rank2_exponents(inst) == ref_rank2_exponents(inst) == tuple(sorted((m1, m2)))
 
     # 50 random heavy instances
     for _ in range(50):
@@ -216,7 +217,7 @@ def test_c8_rank2_solver_suite():
         rest = [rng.randint(1, 4) for _ in fs[1:]]
         m0 = sum(rest) + rng.randint(0, 3)
         inst = Rank2Instance(fs, (m0, *rest))
-        ok &= rank2_exponents(inst) == tuple(sorted((m0, sum(rest))))
+        ok &= rank2_exponents(inst) == ref_rank2_exponents(inst) == tuple(sorted((m0, sum(rest))))
 
     # 50 random balanced three-form instances
     done = 0
@@ -227,7 +228,7 @@ def test_c8_rank2_solver_suite():
             continue
         total = sum(mult)
         inst = Rank2Instance(fs, mult)
-        ok &= rank2_exponents(inst) == (total // 2, (total + 1) // 2)
+        ok &= rank2_exponents(inst) == ref_rank2_exponents(inst) == (total // 2, (total + 1) // 2)
         done += 1
     _report(8, "rank-2 solver suite", ok)
 

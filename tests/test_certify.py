@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import arrfree.rank2 as rank2_mod
 from arrfree.arrangement import (
     Hyperplane,
     Multiarrangement,
@@ -17,6 +18,7 @@ from arrfree.arrangement import (
     parse,
     rank,
 )
+from arrfree.betti import b2_multi
 from arrfree.certify import (
     RECHECKS,
     CertificateError,
@@ -463,6 +465,21 @@ def test_oracle_default_cap_bounded(monkeypatch):
 def _four_planes_at_400():
     # x, y, z, x + y + z with every m = 400: p(1600, 3) = 213,334 exponent tuples
     return parse({"dim": 3, "hyperplanes": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], "mult": [400] * 4})
+
+
+def test_four_planes_at_400_need_no_graded_solve(monkeypatch):
+    # every rank-2 exponent here is closed-form, for the prover and the verifier
+    def never(*args):
+        raise AssertionError("derivation_dim must not run")
+
+    monkeypatch.setattr(rank2_mod, "derivation_dim", never)
+    rank2_mod._min_degree_basis.cache_clear()
+    b2_multi.cache_clear()
+    a = _four_planes_at_400()
+    v = certify(a)
+    assert v.kind == "NonFree" and v.certificate.rule == "LocallyHeavyRestriction"
+    assert v.witness["away_b2"] == 480000 and v.witness["restriction_b2"] == 360000
+    assert verify_certificate(a, json.loads(json.dumps(v.to_dict()))).kind == "NonFree"
 
 
 def _hilbert_must_not_run(monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from arrfree.rank2 import (
     project_to_rank2,
     rank2_exponents,
 )
-from reference import ref_euler_multiplicity_at_flat
+from reference import ref_euler_multiplicity_at_flat, ref_rank2_exponents
 
 F = Fraction
 
@@ -137,9 +138,8 @@ def test_heavy_formula_random():
         forms = _random_forms(rng, rng.randint(3, 4))
         rest = [rng.randint(1, 4) for _ in forms[1:]]
         m0 = sum(rest) + rng.randint(0, 3)
-        mult = (m0, *rest)
-        d = rank2_exponents(inst(forms, mult))
-        assert d == tuple(sorted((m0, sum(rest))))
+        i = inst(forms, (m0, *rest))
+        assert rank2_exponents(i) == ref_rank2_exponents(i) == tuple(sorted((m0, sum(rest))))
 
 
 def test_balanced_three_form_random():
@@ -151,7 +151,8 @@ def test_balanced_three_form_random():
         if 2 * max(mult) > sum(mult):  # has a heavy form; not the balanced case
             continue
         total = sum(mult)
-        assert rank2_exponents(inst(forms, mult)) == (total // 2, (total + 1) // 2)
+        i = inst(forms, mult)
+        assert rank2_exponents(i) == ref_rank2_exponents(i) == (total // 2, (total + 1) // 2)
         done += 1
 
 
@@ -195,6 +196,8 @@ EDGE_CASES = [
 ] + [
     ([(F(1), F(k)) for k in range(n - 1)] + [Y], (1,) * n, (1, n - 1))  # simple lines
     for n in range(5, 9)
+] + [
+    ([X, Y, XMY, (F(1), F(1)), (F(1), F(2))], (3, 2, 2, 1, 1), (4, 5)),  # five lines, none heavy
 ]
 
 
@@ -220,9 +223,15 @@ def test_one_solve_matches_search(forms, data):
     assert rank2_exponents(i) == _reference_exponents(i)
 
 
+def _fixed_by_multiplicities(mult):
+    """A heavy line, three lines, or a simple instance."""
+    return 2 * max(mult) >= sum(mult) or len(mult) == 3 or max(mult) == 1
+
+
 @pytest.mark.parametrize("forms, mult, exps", EDGE_CASES)
 def test_exponents_from_one_solve(monkeypatch, forms, mult, exps):
-    # one derivation_dim call; an instance with 2 max m > |m| solves at d1
+    # no derivation_dim call where the multiplicities fix d1; else one, at
+    # ceil(|m|/2) - 1
     degrees = []
 
     def recording(fs, ms, degree):
@@ -232,9 +241,49 @@ def test_exponents_from_one_solve(monkeypatch, forms, mult, exps):
     monkeypatch.setattr(rank2_mod, "derivation_dim", recording)
     rank2_mod._min_degree_basis.cache_clear()
     assert rank2_exponents(inst(forms, mult)) == exps
-    assert len(degrees) == 1
-    if 2 * max(mult) > sum(mult):
-        assert degrees == [exps[0]]
+    assert degrees == ([] if _fixed_by_multiplicities(mult) else [(sum(mult) + 1) // 2 - 1])
+
+
+# ---------------------------------------------------------------------------
+# closed forms against the graded solve
+
+
+@pytest.mark.parametrize(
+    "forms", [[X, Y, (F(1), F(1))], [(F(1), F(2)), (F(3), F(-1)), (F(2), F(5))]], ids=["x,y,x+y", "skew"]
+)
+def test_closed_forms_match_solve_on_three_lines(forms):
+    for mult in itertools.product(range(1, 11), repeat=3):
+        d1 = rank2_mod._closed_d1(mult)
+        assert (d1, sum(mult) - d1) == ref_rank2_exponents(inst(forms, mult))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_forms_strategy, st.sampled_from(["any", "heavy", "boundary", "simple"]), st.data())
+def test_closed_forms_match_solve(forms, shape, data):
+    rest = data.draw(st.tuples(*[st.integers(1, 6) for _ in forms[1:]]))
+    if shape == "heavy":
+        top = sum(rest) + data.draw(st.integers(0, 4))
+    elif shape == "boundary":  # 2 m_H = |m| exactly
+        top = sum(rest)
+    else:
+        top = data.draw(st.integers(1, 6))
+    at = data.draw(st.integers(0, len(rest)))
+    mult = (1,) * len(forms) if shape == "simple" else (*rest[:at], top, *rest[at:])
+    i = inst(forms, mult)
+    d1 = rank2_mod._closed_d1(mult)
+    assert (d1 is None) == (not _fixed_by_multiplicities(mult))
+    if d1 is not None:
+        assert (d1, i.total_mult - d1) == ref_rank2_exponents(i)
+    assert rank2_exponents(i) == ref_rank2_exponents(i)
+
+
+def test_large_multiplicities_need_no_solve(monkeypatch):
+    def never(*args):
+        raise AssertionError("derivation_dim must not run")
+
+    monkeypatch.setattr(rank2_mod, "derivation_dim", never)
+    rank2_mod._min_degree_basis.cache_clear()
+    assert rank2_exponents(inst([X, Y, (F(1), F(1))], (400, 400, 400))) == (600, 600)
 
 
 # ---------------------------------------------------------------------------
