@@ -31,12 +31,13 @@ it solves in the coordinates of l independent forms, chosen heaviest
 first.  There each chosen form only drops unknowns, leaving
 sum_i C(d-m_i+l-1, l-1), and only the other forms give rows; the rank
 comes from the forward pass of the elimination alone
-(`exactalg.integer_rank`).  It takes a list of degrees: the primitive
-forms, the coordinates and each other form's chart with its powers N^e,
-up to the largest degree, are built once per call, and each degree builds
-only its monomials, unknowns and rows (`_reduced_systems`).
-`derivation_dim` is its one-degree case; `derivation_basis` builds
-everything for its one degree.
+(`exactalg.integer_rank`).  It yields one dimension per degree: the
+primitive forms, the coordinates and each other form's chart with its
+powers N^e, up to the largest degree, are built once, before the first,
+and each degree builds only its monomials, unknowns and rows
+(`_reduced_systems`), so a caller may stop early.  `derivation_dim` is
+its one-degree case; `derivation_basis` builds everything for its one
+degree.
 """
 
 from __future__ import annotations
@@ -245,10 +246,13 @@ def derivation_basis(
     ]
 
 
-def derivation_dims(forms: Sequence[Sequence], mults: Sequence[int], degrees: Sequence[int]) -> list[int]:
-    """`derivation_dim` at each of the degrees, in order, from one set-up
-    of the coordinates and charts (`_reduced_systems`)."""
-    return [ncols - integer_rank(rows, ncols) for rows, ncols in _reduced_systems(forms, mults, degrees)]
+def derivation_dims(forms: Sequence[Sequence], mults: Sequence[int], degrees: Sequence[int]) -> Iterator[int]:
+    """`derivation_dim` at each of the degrees, in order, as a generator
+    over one set-up of the coordinates and charts (`_reduced_systems`).  A
+    set-up error is raised before the first dimension; each degree is
+    solved only when asked for."""
+    for rows, ncols in _reduced_systems(forms, mults, degrees):
+        yield ncols - integer_rank(rows, ncols)
 
 
 def derivation_dim(forms: Sequence[Sequence], mults: Sequence[int], degree: int) -> int:
@@ -270,4 +274,4 @@ def derivation_dim(forms: Sequence[Sequence], mults: Sequence[int], degree: int)
     `derivation_basis` keeps the full system in the input coordinates,
     because its echelon basis is read there and cited in certificates.
     """
-    return derivation_dims(forms, mults, (degree,))[0]
+    return next(derivation_dims(forms, mults, (degree,)))

@@ -265,6 +265,9 @@ def free_module_dim(exps, d: int, nvars: int) -> int:
 
 @dataclass(frozen=True)
 class HilbertResult:
+    """`dims` are the graded dimensions at degrees 0..degree_cap, the
+    degree the result cites."""
+
     kind: str  # "FreeProven" | "NonFreeProven" | "Undetermined"
     degree_cap: int
     dims: tuple[int, ...]
@@ -320,14 +323,14 @@ def hilbert_freeness_test(
 ) -> HilbertResult:
     """Match graded dimensions of D(A,m) against all free exponent tuples.
 
-    No tuple surviving proves nonfreeness.  A unique survivor plus a
-    successful randomized Saito extraction proves freeness.  Anything else
-    is Undetermined.  The dimensions at degrees 0..cap are ranks, from one
-    `derivation_dims` call: the coordinates and charts are set up once, and
-    each degree builds and eliminates only its own system.  Bases are
-    solved only at the survivor's degrees (`extract_basis`).  More than
-    MAX_EXPONENT_TUPLES candidate tuples is a ValueError, raised before any
-    solve.
+    The tuples are filtered one degree at a time, from one
+    `derivation_dims` set-up.  The first degree k >= 1 that leaves none
+    proves nonfreeness at every cap >= k, and the result cites k.
+    Otherwise every degree 0..cap is solved: a unique survivor plus a
+    successful randomized Saito extraction proves freeness, and anything
+    else is Undetermined.  Bases are solved only at the survivor's degrees
+    (`extract_basis`).  More than MAX_EXPONENT_TUPLES candidate tuples is a
+    ValueError, raised before any solve.
     """
     l = a.dim
     if rank(a) != l:
@@ -340,14 +343,13 @@ def hilbert_freeness_test(
     if overflow:
         raise ValueError(overflow)
     forms, mults = [h.coeffs for h in a.hyperplanes], list(a.mult)
-    dims = tuple(derivation_dims(forms, mults, range(cap + 1)))
-    survivors = tuple(
-        t
-        for t in exponent_candidates(total, l)
-        if all(free_module_dim(t, d, l) == dims[d] for d in range(cap + 1))
-    )
-    if not survivors:
-        return HilbertResult("NonFreeProven", cap, dims, survivors, seed=seed)
+    dims, survivors = [], exponent_candidates(total, l)
+    for d, dim in enumerate(derivation_dims(forms, mults, range(cap + 1))):
+        dims.append(dim)
+        survivors = [t for t in survivors if free_module_dim(t, d, l) == dim]
+        if not survivors and d >= 1:
+            return HilbertResult("NonFreeProven", d, tuple(dims), (), seed=seed)
+    dims, survivors = tuple(dims), tuple(survivors)
     if len(survivors) == 1 and trials > 0:
         exps = survivors[0]
         basis = extract_basis(a, exps, seed=seed, trials=trials)

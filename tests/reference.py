@@ -44,6 +44,10 @@ None of this runs in `certify`, `verify_certificate` or the CLI:
 * the rank-2 exponents from one graded dimension on every instance
   (`ref_rank2_exponents`), which `rank2._min_degree_basis` replaced with
   the closed forms of `rank2._closed_d1` where the multiplicities fix them;
+* the Hilbert test that solved every degree 0..cap before it filtered any
+  exponent tuple (`ref_hilbert_freeness_test`), which
+  `oracle.hilbert_freeness_test` replaced with a filter per degree that
+  stops at the first degree that leaves none;
 * the good summand of a Saito basis at a locally heavy hyperplane
   (`good_summand_check`) and the restriction of a derivation that
   annihilates its form (`restrict_derivation`).
@@ -60,11 +64,23 @@ from arrfree.arrangement import (
     euler_ziegler_multiplicity,
     is_locally_heavy,
     locally_heavy_indices,
+    rank,
 )
 from arrfree.certify import Flag, _restriction_step
-from arrfree.dspace import derivation_dim
+from arrfree.dspace import derivation_dim, derivation_dims
 from arrfree.exactalg import Matrix, Polynomial, _pivot, integer_kernel, monomials, primitive_form, vec
-from arrfree.oracle import Derivation, SaitoResult, is_log_derivation, saito_check
+from arrfree.oracle import (
+    Derivation,
+    HilbertResult,
+    SaitoResult,
+    default_degree_cap,
+    exponent_candidates,
+    exponent_tuple_overflow,
+    extract_basis,
+    free_module_dim,
+    is_log_derivation,
+    saito_check,
+)
 from arrfree.rank2 import project_to_rank2, rank2_exponents
 
 F = Fraction
@@ -468,6 +484,44 @@ def ref_rank2_exponents(inst) -> tuple[int, int]:
     d = min((total + 1) // 2 - 1, total - max(inst.mult))
     d1 = d + 1 - derivation_dim(inst.forms, inst.mult, d)
     return d1, total - d1
+
+
+def ref_hilbert_freeness_test(
+    a: Multiarrangement,
+    degree_cap: int | None = None,
+    seed: int = 0,
+    trials: int = 20,
+) -> HilbertResult:
+    """`oracle.hilbert_freeness_test` as it solved every degree 0..cap and
+    then kept the tuples matching all of them; a NonFree result cites the
+    cap asked for."""
+    l = a.dim
+    if rank(a) != l:
+        raise ValueError("non-essential input; essentialize first")
+    cap = degree_cap if degree_cap is not None else default_degree_cap(a)
+    if cap < 1:
+        raise ValueError("degree cap must be at least 1")
+    total = a.total_mult
+    overflow = exponent_tuple_overflow(total, l)
+    if overflow:
+        raise ValueError(overflow)
+    forms, mults = [h.coeffs for h in a.hyperplanes], list(a.mult)
+    dims = tuple(derivation_dims(forms, mults, range(cap + 1)))
+    survivors = tuple(
+        t
+        for t in exponent_candidates(total, l)
+        if all(free_module_dim(t, d, l) == dims[d] for d in range(cap + 1))
+    )
+    if not survivors:
+        return HilbertResult("NonFreeProven", cap, dims, survivors, seed=seed)
+    if len(survivors) == 1 and trials > 0:
+        exps = survivors[0]
+        basis = extract_basis(a, exps, seed=seed, trials=trials)
+        if basis is not None:
+            return HilbertResult(
+                "FreeProven", cap, dims, survivors, exponents=exps, basis=basis, seed=seed
+            )
+    return HilbertResult("Undetermined", cap, dims, survivors, seed=seed)
 
 
 def ref_euler_multiplicity_at_flat(inst, h0: int) -> int:

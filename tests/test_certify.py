@@ -44,7 +44,7 @@ from arrfree.fixtures import (
 )
 
 from conftest import cyclic_garbage, force_locally_heavy, random_multiarrangement
-from reference import is_heavy, normalize_multiplicity_shift
+from reference import is_heavy, normalize_multiplicity_shift, ref_hilbert_freeness_test
 
 # the module, not the `certify` function of the same name
 certify_mod = importlib.import_module("arrfree.certify")
@@ -506,6 +506,23 @@ def test_verifier_refuses_too_many_exponent_tuples(monkeypatch):
         verify_certificate(_four_planes_at_400(), {"kind": "NonFree", "certificate": node})
 
 
+def test_verifier_refuses_a_hilbert_obstruction_past_its_stopping_degree():
+    # before the test stopped early, certify cited the default cap 6 and the
+    # dims up to it; the re-run stops at degree 2, so that node differs
+    a = example52()
+    full = ref_hilbert_freeness_test(a)
+    assert (full.kind, full.degree_cap, len(full.dims)) == ("NonFreeProven", 6, 7)
+    payload = certify(a, CertifyOptions(use_oracle=True, only_rule="oracle")).to_dict()
+    node = payload["certificate"]
+    assert node["rule"] == "HilbertObstruction"
+    assert (node["inputs"]["degree_cap"], node["numbers"]["graded_dims"]) == (2, [0, 0, 0])
+    verify_certificate(a, payload)
+    node["inputs"]["degree_cap"] = full.degree_cap
+    node["numbers"]["graded_dims"] = payload["witness"]["graded_dims"] = list(full.dims)
+    with pytest.raises(CertificateError):
+        verify_certificate(a, payload)
+
+
 def test_verdict_kind_validation():
     from arrfree.certify import Verdict
 
@@ -656,14 +673,17 @@ FIXTURES = (
     "generic4.json",
     "rank4_flag.json",
 )
+# Example 5.2 through the oracle rule alone: no fixture's certificate
+# reaches HilbertObstruction otherwise
+ORACLE_ONLY = "example52.json, oracle only"
 _PAYLOADS: dict = {}
 
 
 def _decisive_payload(name):
     """The fixture, its certified verdict and that verdict's JSON payload."""
     if name not in _PAYLOADS:
-        a = load(name)
-        v = certify(a, CertifyOptions(use_oracle=True))
+        a = load(name.split(",")[0])
+        v = certify(a, CertifyOptions(use_oracle=True, only_rule="oracle" if name == ORACLE_ONLY else None))
         assert v.decisive
         _PAYLOADS[name] = (a, v, json.loads(json.dumps(v.to_dict())))
     return _PAYLOADS[name]
@@ -840,7 +860,7 @@ def _mutations(payload):
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.sampled_from(FIXTURES), st.data())
+@given(st.sampled_from(FIXTURES + (ORACLE_ONLY,)), st.data())
 def test_verifier_mutation_fuzz(name, data):
     # a mutated payload either fails to verify or re-derives the same verdict
     a, verdict, payload = _decisive_payload(name)

@@ -4,15 +4,21 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from arrfree.arrangement import (
+    Hyperplane,
+    Multiarrangement,
+    essentialize,
     euler_ziegler_multiplicity,
     is_locally_heavy,
     parse,
+    rank,
     reducibility,
 )
 from arrfree.exactalg import Polynomial
-from arrfree.fixtures import boolean3, braid3, example52, example_a3
+from arrfree.fixtures import boolean3, braid3, example52, example_a3, load
 import arrfree.dspace as dspace_mod
 import arrfree.oracle as oracle_mod
 from arrfree.oracle import (
@@ -23,6 +29,7 @@ from arrfree.oracle import (
     exponent_tuple_count,
     exponent_tuple_overflow,
     extract_basis,
+    free_module_dim,
     hilbert_freeness_test,
     is_log_derivation,
     saito_check,
@@ -36,6 +43,7 @@ from reference import (
     polys_from_terms,
     good_summand_check,
     ref_defining_polynomial,
+    ref_hilbert_freeness_test,
     ref_poly_matrix_det,
     restrict_derivation,
 )
@@ -291,8 +299,12 @@ def test_hilbert_sets_up_the_coordinates_once(monkeypatch, cap):
 
     monkeypatch.setattr(dspace_mod, "_coordinates", counting)
     res = hilbert_freeness_test(example52(), degree_cap=cap)
-    assert len(res.dims) == cap + 1
     assert len(calls) == 1
+    if cap == 1:
+        assert len(res.dims) == cap + 1
+    else:
+        # no exponent tuple survives degree 2, so the test stops there
+        assert res.degree_cap == 2 and res.dims == (0, 0, 0)
 
 
 def test_exponent_candidates_leave_no_cycles():
@@ -422,3 +434,64 @@ def test_minimal_degree_two_for_irreducible_nonsimple():
         assert derivation_space_dim(a, 0)[0] == 0
         assert derivation_space_dim(a, 1)[0] == 0
         done += 1
+
+
+def test_early_stopping_hilbert_test_leaves_no_cycles():
+    # the stop abandons a suspended derivation_dims generator
+    assert hilbert_freeness_test(example52(), degree_cap=8).degree_cap == 2
+    assert cyclic_garbage(lambda: hilbert_freeness_test(example52(), degree_cap=8)) == []
+
+
+# ---------------------------------------------------------------------------
+# the early stop against the full-cap test it replaced
+
+
+def assert_stops_where_the_reference_decides(a, cap):
+    got, want = hilbert_freeness_test(a, degree_cap=cap), ref_hilbert_freeness_test(a, degree_cap=cap)
+    assert got.kind == want.kind
+    if got.kind != "NonFreeProven":
+        assert got == want
+        return
+    k = got.degree_cap
+    assert 1 <= k <= cap
+    assert got.dims == want.dims[: k + 1] and got.survivors == ()
+    # minimal: some tuple matches every degree below k (degree 0 alone
+    # never decides, and k = 1 is the least degree cited)
+    l = a.dim
+    assert k == 1 or any(
+        all(free_module_dim(t, d, l) == want.dims[d] for d in range(k)) for t in exponent_candidates(a.total_mult, l)
+    )
+
+
+@st.composite
+def small_essential_rank3(draw):
+    rows = draw(st.lists(st.lists(st.integers(-1, 1), min_size=3, max_size=3), min_size=4, max_size=5))
+    planes = tuple(dict.fromkeys(Hyperplane.from_coeffs(r) for r in rows if any(r)))
+    assume(len(planes) >= 4)
+    a = Multiarrangement(3, planes, tuple(draw(st.lists(st.integers(1, 3), min_size=len(planes), max_size=len(planes)))))
+    assume(rank(a) == 3)
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_essential_rank3(), st.integers(1, 6))
+def test_hilbert_early_stop_matches_the_full_cap_test(a, cap):
+    assert_stops_where_the_reference_decides(a, cap)
+
+
+FIXTURE_NAMES = (
+    "boolean.json",
+    "boolean_234.json",
+    "braid.json",
+    "example1_a1_m0_2.json",
+    "example52.json",
+    "generic4.json",
+    "rank4_flag.json",
+)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_hilbert_early_stop_matches_the_full_cap_test_on_fixtures(name):
+    a, _ = essentialize(load(name))
+    for cap in range(1, 9):
+        assert_stops_where_the_reference_decides(a, cap)
