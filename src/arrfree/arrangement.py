@@ -32,7 +32,9 @@ down, each codim-3 flat grouped once, in the row of its least member.  A
 `Level` is such a restriction held as member sets, multiplicities and a
 codim-2 table, built from its parent's row; its rows' residues serve as its
 children's normals, so the flag walk goes down any number of levels without
-building a `Restriction` or a second table.
+building a `Restriction` or a second table.  The rows come one at a time, in
+index order, so the walk builds a level's rows only up to the hyperplane it
+visits.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .exactalg import (
     Vec,
@@ -597,9 +599,10 @@ class RestrictionRow(NamedTuple):
     residues: list[list[int]] | None
 
 
-def restriction_rows(level: Level) -> list[RestrictionRow]:
-    """Per hyperplane H of the level, its Euler-Ziegler restriction A^H as
-    read from row H, without building A^H: the heavy points are what
+def restriction_rows(level: Level) -> Iterator[RestrictionRow]:
+    """Per hyperplane H of the level, in index order, its Euler-Ziegler
+    restriction A^H as read from row H, without building A^H: the heavy
+    points are what
     `locally_heavy_indices(euler_ziegler_multiplicity(a, H).arrangement)`
     returns, the multiplicities are that restriction's, and the lines are
     its codim-2 flats.
@@ -687,5 +690,4 @@ def restriction_rows(level: Level) -> list[RestrictionRow]:
             if len(on) >= 3:
                 total = sum(ms[x] for x in on)
                 light.update(x for x in on if 2 * ms[x] < total)
-        out.append(RestrictionRow([x for x in range(n) if x not in light], ms, lines, res))
-    return out
+        yield RestrictionRow([x for x in range(n) if x not in light], ms, lines, res)

@@ -11,6 +11,9 @@ The verifier keeps no second copy of the rules: RECHECKS maps each
 certificate rule to the function that proved it, which re-derives the node
 from the arrangement and the choices the node cites (a flag, a hyperplane,
 a Saito basis, a degree cap); the re-derived node must equal the cited one.
+Flags have one walk (`_heavy_flags`): the prover decides the first flag it
+yields, and the verifier walks the chain a node cites, with one candidate
+per level, and decides that flag by the same `_flag_verdict`.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .arrangement import (
     restriction_rows,
 )
 from .betti import b2_away, b2_multi, b2_simple
-from .rank2 import project_to_rank2, rank2_exponents
+from .rank2 import _closed_d1, project_to_rank2, rank2_exponents
 
 RULE_RANK2 = "Rank2Base"
 RULE_LOCALLY_HEAVY = "LocallyHeavyRestriction"
@@ -152,21 +155,6 @@ def is_generic_hyperplane(a: Multiarrangement, h: Hyperplane | int) -> bool:
 # flag search
 
 
-def _restriction_step(
-    m: Multiarrangement, members: Sequence[frozenset[int]], k: int
-) -> tuple[Multiarrangement, list[frozenset[int]]]:
-    """Restrict onto hyperplane k of m, composing original-member sets."""
-    restr = euler_ziegler_multiplicity(m, k)
-    new_members = [
-        frozenset().union(*(members[j] for j in tm)) for tm in restr.trace_members
-    ]
-    return restr.arrangement, new_members
-
-
-def _singletons(a: Multiarrangement) -> list[frozenset[int]]:
-    return [frozenset({i}) for i in range(a.size)]
-
-
 def find_locally_heavy_flags(a: Multiarrangement) -> list[Flag]:
     """All full flags whose restriction steps are locally heavy, in key
     order: by the sorted members of each level, level by level.
@@ -178,79 +166,92 @@ def find_locally_heavy_flags(a: Multiarrangement) -> list[Flag]:
     """
     if not a.is_simple():
         raise ValueError("flag search needs a simple arrangement")
-    return list(_heavy_flags(Level.of(a)))
+    return [f for f, _ in _heavy_flags(Level.of(a))]
 
 
 def _heavy_flags(
     level: Level,
+    cited: Sequence[frozenset[int]] | None = None,
     chain: tuple[frozenset[int], ...] = (),
     values: tuple[int, ...] = (),
     heavy: Sequence[int] | None = None,
+    parent: Level | None = None,
 ):
-    """Yield every locally heavy flag completing the partial flag (chain,
-    values) at `level`, whose candidates are `heavy` (all hyperplanes on the
-    first level).  Children are visited in the order of their sorted
-    members, and distinct hyperplanes of a level have distinct members, so
-    the flags come in key order and the first one is the least.
+    """Yield (flag, tail) for every locally heavy flag completing the
+    partial flag (chain, values) at `level`, whose candidates are `heavy`
+    (all hyperplanes on the first level); `tail` is the flag's rank-2 level
+    (None on a line).  The prover walks every candidate and takes the first
+    flag, the least.
+
+    With a `cited` chain of member sets, one per level of a full flag, each
+    level has one candidate, the hyperplane whose member set is cited, and
+    the walk yields that flag alone.  It raises ValueError when no
+    hyperplane of a level has the cited member set, or when, below the
+    first level, that hyperplane is not among its parent row's heavy
+    points.  The verifier re-walks a certificate's flag this way, so the
+    prover and the verifier read a flag by one walk.
 
     One row step (`restriction_rows`) reads every restriction of the level
-    at once: its locally heavy hyperplanes, multiplicities and codim-2
-    table.  The walk descends into hyperplane k only when that restriction
-    has a locally heavy hyperplane, and builds the child level from row k
-    alone (`Level.restriction`), so it never restricts; a level without a
-    candidate yields nothing, so pruning keeps every flag and its order."""
-    rows = restriction_rows(level) if level.dim >= 2 else None
-    for k in sorted(range(len(level.mult)) if heavy is None else heavy, key=lambda k: sorted(level.members[k])):
-        chain_k, values_k = chain + (level.members[k],), values + (level.mult[k],)
-        if level.dim == 1:
-            yield Flag(chain_k, values_k)
-        elif rows[k].heavy:
-            yield from _heavy_flags(level.restriction(k, rows[k]), chain_k, values_k, rows[k].heavy)
+    in turn: its locally heavy hyperplanes, multiplicities and codim-2
+    table.  The walk builds the child level from row k alone
+    (`Level.restriction`), so it never restricts, and reads the rows only
+    up to the candidate it visits.  The prover descends into hyperplane k
+    only when that restriction has a locally heavy hyperplane; a level
+    without a candidate yields nothing, so pruning keeps every flag and its
+    order.
 
-
-def _flag_search(a: Multiarrangement, cited: Sequence[frozenset[int]]) -> tuple[Flag, Multiarrangement | None]:
-    """Walk a's iterated Euler-Ziegler restrictions along a cited chain of
-    member sets, one per level of a full flag, and return the flag with the
-    multiplicities met on the way and its rank-2 level (None on a line).
-    Each level restricts onto its cited hyperplane; a level whose cited
-    hyperplane is missing or, below the first level, not locally heavy
-    raises ValueError.  `certify_flag` is its one caller, for the prover's
-    least flag and for the verifier alike."""
-    m, members, parent = a, _singletons(a), None
-    chain: tuple[frozenset[int], ...] = ()
-    values: tuple[int, ...] = ()
-    for want in cited:
-        k = next((k for k in range(m.size) if members[k] == want), None)
+    Candidates are visited in index order, so that rows are read in their
+    order, and index order is key order: the member sets of a level share
+    one part S (the walked hyperplane's member set; nothing on the first
+    level), so their key order is the order of their least input indices
+    off S, and that order is index order.  On the first level member set k
+    is {k}.  Below hyperplane H, the child's hyperplanes are the points of
+    row H in member order; two points share only H, so they come in the
+    order of their least members j != H.  A point's least input index off
+    H's member set is that of j, by the order one level up, so it goes up
+    with j.  Distinct hyperplanes of a level have distinct member sets, so
+    the first flag is the least."""
+    if cited is None:
+        candidates = range(len(level.mult)) if heavy is None else heavy
+    else:
+        want = cited[len(chain)]
+        k = next((k for k, m in enumerate(level.members) if m == want), None)
         if k is None:
             raise ValueError("flag level does not match a restriction hyperplane")
-        if chain and not is_locally_heavy(m, k):
+        if heavy is not None and k not in heavy:
             raise ValueError("flag level is not locally heavy")
-        chain, values = chain + (members[k],), values + (m.mult[k],)
-        if m.dim == 1:
-            break
-        parent = m
-        m, members = _restriction_step(m, members, k)
-    return Flag(chain, values), parent
+        candidates = (k,)
+    if level.dim == 1:
+        for k in candidates:
+            yield Flag(chain + (level.members[k],), values + (level.mult[k],)), parent
+        return
+    rows = enumerate(restriction_rows(level))
+    for k in candidates:
+        row = next(row for i, row in rows if i == k)
+        if row.heavy or cited is not None:
+            chain_k, values_k = chain + (level.members[k],), values + (level.mult[k],)
+            yield from _heavy_flags(level.restriction(k, row), cited, chain_k, values_k, row.heavy, level)
 
 
 def certify_flag(a: Multiarrangement, f: Flag) -> Verdict:
     """Decide freeness of a simple arrangement from a locally heavy flag,
-    re-walked along its cited chain only; its values must be the restriction
-    multiplicities met on the way."""
+    walked along its cited chain only (`_heavy_flags`); its values must be
+    the restriction multiplicities met on the way."""
     if not a.is_simple():
         raise ValueError("flags are defined for simple arrangements")
     if len(f.members_chain) != a.dim or len(f.values) != a.dim:
         raise ValueError("flag has wrong length")
-    walked, tail = _flag_search(a, f.members_chain)
+    walked, tail = next(_heavy_flags(Level.of(a), f.members_chain))
     if walked.values != f.values:
         raise ValueError("flag level multiplicity mismatch")
     return _flag_verdict(a, walked, tail)
 
 
-def _flag_verdict(a: Multiarrangement, f: Flag, tail: Multiarrangement | None) -> Verdict:
+def _flag_verdict(a: Multiarrangement, f: Flag, tail: Level | None) -> Verdict:
     """Both sides of the flag equality are computed exactly: equality proves
     freeness with exponents (1, v_1, ..., v_{l-1}); inequality disproves it.
-    `tail` is the flag's rank-2 level."""
+    `tail` is the flag's rank-2 level, whose b2 is d1*d2 with d1 + d2 = |m|;
+    the flag's hyperplane there is heavy, so `_closed_d1` fixes d1."""
     v = f.values
     l = a.dim
     lhs = b2_simple(a).total
@@ -261,7 +262,8 @@ def _flag_verdict(a: Multiarrangement, f: Flag, tail: Multiarrangement | None) -
     # rhs = sum_i v[i]*(v[i+1] + ... + v[l-1]), so the telescope holds
     # exactly when the tail's b2 is v[l-2]*v[l-1] and level 0's is lhs.
     if l >= 3:
-        assert b2_multi(tail).total == v[l - 2] * v[l - 1], "rank-2 tail must have the flag exponents"
+        d1 = _closed_d1(tail.mult)
+        assert d1 * (sum(tail.mult) - d1) == v[l - 2] * v[l - 1], "rank-2 tail must have the flag exponents"
         assert b2_multi(a).total == lhs, "away-quantity telescope failed"
 
     inputs = {"flag": f.to_dict()}
@@ -443,9 +445,9 @@ def _attempt_rank2(a: Multiarrangement, opts: CertifyOptions) -> Verdict | str |
 def _attempt_flag(a: Multiarrangement, opts: CertifyOptions) -> Verdict | str | None:
     if not a.is_simple():
         return "flag: input not simple"
-    # the least flag, decided by the verifier's own re-walk of its chain
+    # the least flag and its tail, as the verifier's walk of its chain yields them
     found = next(_heavy_flags(Level.of(a)), None)
-    return certify_flag(a, found) if found is not None else "flag: no locally heavy flag"
+    return _flag_verdict(a, *found) if found is not None else "flag: no locally heavy flag"
 
 
 def _attempt_locally_heavy(a: Multiarrangement, opts: CertifyOptions) -> Verdict | str | None:

@@ -11,11 +11,13 @@ None of this runs in `certify`, `verify_certificate` or the CLI:
   (`ref_span_flat`, `ref_span_lattice`), which `arrangement` replaced with
   one grouping of the residues against the flat's span (`_classes`);
 * the prover's flag search that restricted onto every candidate
-  (`ref_flag_search`), which `certify._heavy_flags` replaced with a walk
-  that reads each level from its parent's row
-  (`arrangement.restriction_rows`, `arrangement.Level`), descends only
-  where the restriction has a locally heavy hyperplane, and never
-  restricts;
+  (`ref_flag_search`, one `_restriction_step` per level), which
+  `certify._heavy_flags` replaced with a walk that reads each level from
+  its parent's row (`arrangement.restriction_rows`, `arrangement.Level`),
+  descends only where the restriction has a locally heavy hyperplane, and
+  never restricts; the verifier's walk of a cited flag restricted the same
+  way, once per level, until it became that walk with one candidate per
+  level;
 * the recursive list of exponent vectors (`ref_monomials`), which
   `exactalg.monomials` replaced with one over multisets of variables;
 * the rational Gauss-Jordan elimination and its kernel (`ref_rref`,
@@ -66,7 +68,7 @@ from arrfree.arrangement import (
     locally_heavy_indices,
     rank,
 )
-from arrfree.certify import Flag, _restriction_step
+from arrfree.certify import Flag
 from arrfree.dspace import derivation_dim, derivation_dims
 from arrfree.exactalg import Matrix, Polynomial, _pivot, integer_kernel, monomials, primitive_form, vec
 from arrfree.oracle import (
@@ -343,6 +345,12 @@ def derivation_from_polys(polys) -> Derivation:
 
 # ---------------------------------------------------------------------------
 # the unpruned flag search
+
+
+def _restriction_step(m: Multiarrangement, members, k: int):
+    """Restrict onto hyperplane k of m, composing original-member sets."""
+    restr = euler_ziegler_multiplicity(m, k)
+    return restr.arrangement, [frozenset().union(*(members[j] for j in tm)) for tm in restr.trace_members]
 
 
 def ref_flag_search(m: Multiarrangement, members, chain=(), values=(), parent=None):

@@ -13,6 +13,7 @@ from arrfree.arrangement import (
     Hyperplane,
     Multiarrangement,
     euler_ziegler_multiplicity,
+    intersection_lattice,
     is_locally_heavy,
     locally_heavy_indices,
     parse,
@@ -189,10 +190,13 @@ def test_certify_flag_boolean():
     assert v.certificate.numbers["b2"] == 3 == v.certificate.numbers["flag_rhs"]
 
 
+def split_arrangement():
+    """x, y, x - y, z: a rank-2 block and a line."""
+    return parse({"dim": 3, "hyperplanes": [[1, 0, 0], [0, 1, 0], [1, -1, 0], [0, 0, 1]], "mult": [1] * 4})
+
+
 def test_certify_flag_split_arrangement():
-    a = parse(
-        {"dim": 3, "hyperplanes": [[1, 0, 0], [0, 1, 0], [1, -1, 0], [0, 0, 1]], "mult": [1] * 4}
-    )
+    a = split_arrangement()
     flags = find_locally_heavy_flags(a)
     start_x = [f for f in flags if f.members_chain[0] == frozenset({0})]
     assert start_x
@@ -239,6 +243,58 @@ def test_flag_with_a_level_not_locally_heavy_is_refused():
         verify_certificate(a, {"kind": "Free", "exponents": [1, 2, 3], "certificate": node})
 
 
+def _cited_flag_mutations(a, payload):
+    """The payload with its FlagEquality node's cited flag changed at one
+    level: the member set replaced by each other member set met at that
+    level (the member sets of the flats of that codimension), or the value
+    moved by one."""
+    flag = payload["certificate"]["inputs"]["flag"]
+    lattice = intersection_lattice(a, a.dim)
+    for d, members in enumerate(flag["members_chain"]):
+        for other in lattice[d + 1]:
+            if sorted(other.members) != members:
+                yield "members_chain", d, sorted(other.members)
+        for step in (-1, 1):
+            yield "values", d, flag["values"][d] + step
+
+
+@pytest.mark.parametrize("make", [rank4_flag_example, boolean3, split_arrangement])
+def test_cited_flag_mutations_are_refused_or_re_derive(make):
+    # the walk of a cited chain refuses a level it cannot follow with a
+    # ValueError, which the verifier reports; no StopIteration,
+    # RuntimeError or IndexError comes out of the generator
+    a = make()
+    v = certify(a)
+    assert v.certificate.rule == "FlagEquality"
+    payload = v.to_dict()
+    refused = 0
+    for field, d, new in _cited_flag_mutations(a, payload):
+        bad = copy.deepcopy(payload)
+        bad["certificate"]["inputs"]["flag"][field][d] = new
+        try:
+            got = verify_certificate(a, bad)
+        except CertificateError as e:
+            assert e.__cause__ is None or type(e.__cause__) is ValueError, (field, d, new, e)
+            refused += 1
+            continue
+        assert (got.kind, got.exponents) == (v.kind, v.exponents), (field, d, new)
+    assert refused
+
+
+def test_a_flag_that_is_not_the_least_re_verifies():
+    # the paper's flag of rank4_flag_example: the verifier walks the chain a
+    # node cites, whichever flag the prover would have found
+    a = rank4_flag_example()
+    flag = Flag(
+        (frozenset({9}), frozenset({6, 7, 8, 9}), frozenset({3, 4, 5, 6, 7, 8, 9}), frozenset(range(10))),
+        (1, 3, 3, 3),
+    )
+    assert find_locally_heavy_flags(a)[0] != flag
+    node = {"rule": "FlagEquality", "inputs": {"flag": flag.to_dict()}, "numbers": {"b2": 36, "flag_rhs": 36, "level_values": [1, 3, 3, 3]}}
+    v = verify_certificate(a, {"kind": "Free", "exponents": [1, 3, 3, 3], "certificate": node})
+    assert (v.kind, v.exponents, v.certificate.to_dict()) == ("Free", (1, 3, 3, 3), node | {"children": []})
+
+
 # ---------------------------------------------------------------------------
 # locally heavy recursion
 
@@ -273,7 +329,7 @@ def test_flag_and_locally_heavy_agree():
     # simple arrangements where both routes apply must agree
     cases = [
         boolean3(),
-        parse({"dim": 3, "hyperplanes": [[1, 0, 0], [0, 1, 0], [1, -1, 0], [0, 0, 1]], "mult": [1] * 4}),
+        split_arrangement(),
     ]
     for a in cases:
         flags = find_locally_heavy_flags(a)

@@ -1,8 +1,8 @@
 """Every Euler-Ziegler restriction read from its parent's row
 (`arrangement.restriction_rows`, `Level.restriction`) against the
-restrictions themselves, level by level; and the prover's flag walk on those
-levels against the restricting, unpruned one it replaced
-(`reference.ref_flag_search`)."""
+restrictions themselves, level by level; and the flag walk on those levels,
+the prover's and the verifier's walk of a cited flag, against the
+restricting, unpruned one it replaced (`reference.ref_flag_search`)."""
 
 import importlib
 import itertools
@@ -22,13 +22,14 @@ from arrfree.arrangement import (
     rank,
     restriction_rows,
 )
-from arrfree.certify import CertifyOptions, certify
+from arrfree.certify import CertifyOptions, Flag, certify, verify_certificate
 from arrfree.fixtures import boolean3, braid3, generic4, rank4_flag_example
 
 from reference import ref_flag_search
 
 # the module, not the `certify` function the package exports under its name
 certify_mod = importlib.import_module("arrfree.certify")
+arrangement_mod = importlib.import_module("arrfree.arrangement")
 
 SMALL = st.integers(-2, 2)
 
@@ -76,7 +77,7 @@ def assert_level_is(level, m, depth):
     assert level.rows == tuple(tuple(f.members for f in row) for row in _codim2_table(m.hyperplanes)[1])
     if m.dim < 2:
         return
-    rows = restriction_rows(level)
+    rows = list(restriction_rows(level))
     assert len(rows) == m.size
     for k, row in enumerate(rows):
         r = euler_ziegler_multiplicity(m, k)
@@ -103,7 +104,7 @@ def test_restriction_rows_match_the_restrictions(a):
 
 def test_restriction_rows_need_a_restriction():
     with pytest.raises(ValueError, match="dimension >= 2"):
-        restriction_rows(Level.of(Multiarrangement(1, (Hyperplane((1,)),), (1,))))
+        list(restriction_rows(Level.of(Multiarrangement(1, (Hyperplane((1,)),), (1,)))))
 
 
 @st.composite
@@ -115,11 +116,20 @@ def simple_arrangements(draw):
     return a
 
 
+def _tail_mult(tail):
+    return None if tail is None else tuple(tail.mult)
+
+
 def assert_pruned_walk_is_the_reference(a):
-    # the walk yields flags only; the verifier's cited re-walk gives each tail
-    start = [frozenset({i}) for i in range(a.size)]
-    walked = [(f, certify_mod._flag_search(a, f.members_chain)) for f in certify_mod._heavy_flags(Level.of(a))]
-    assert walked == [(f, (f, tail)) for f, tail in ref_flag_search(a, start)]
+    # the walk's flags and their tails, a Level here and a Multiarrangement
+    # in the reference, compared by multiplicities; and the walk of each
+    # flag's cited chain yields exactly that flag and tail
+    top = Level.of(a)
+    walked = list(certify_mod._heavy_flags(top))
+    ref = ref_flag_search(a, [frozenset({i}) for i in range(a.size)])
+    assert [(f, _tail_mult(t)) for f, t in walked] == [(f, _tail_mult(t)) for f, t in ref]
+    for f, tail in walked:
+        assert list(certify_mod._heavy_flags(top, f.members_chain)) == [(f, tail)]
     return [f for f, _ in walked]
 
 
@@ -132,6 +142,33 @@ def test_pruned_flag_search_yields_the_reference_flags(a):
 @pytest.mark.parametrize("make", [rank4_flag_example, boolean3, braid3, generic4])
 def test_pruned_flag_search_on_fixtures(make):
     assert_pruned_walk_is_the_reference(make())
+
+
+@st.composite
+def nonessential_arrangements(draw):
+    """Simple, dimension 3-6, rank below the dimension: one coordinate of
+    every normal is a fixed combination of the others."""
+    dim = draw(st.integers(3, 6))
+    rows = draw(st.lists(st.lists(SMALL, min_size=dim - 1, max_size=dim - 1), min_size=1, max_size=9))
+    combo = draw(st.lists(SMALL, min_size=dim - 1, max_size=dim - 1))
+    pos = draw(st.integers(0, dim - 1))
+    rows = [r[:pos] + [sum(c * x for c, x in zip(combo, r))] + r[pos:] for r in rows]
+    a = _multiarrangement(dim, rows, [1] * len(rows))
+    assume(a.size >= 1)
+    return a
+
+
+@settings(max_examples=60, deadline=None)
+@given(nonessential_arrangements())
+def test_flag_walk_on_nonessential_inputs(a):
+    # a level of rank 1 has one hyperplane and no point, so no flag reaches
+    # the line; certify decides by the other rules, and its verdict
+    # re-verifies
+    assert rank(a) < a.dim
+    assert assert_pruned_walk_is_the_reference(a) == []
+    v = certify(a)
+    got = verify_certificate(a, v.to_dict())
+    assert (got.kind, got.exponents) == (v.kind, v.exponents)
 
 
 def _reflection(normals):
@@ -188,9 +225,27 @@ def test_rank4_flag_still_certifies_with_its_flag(monkeypatch):
     v = certify(rank4_flag_example())
     assert v.kind == "Free" and v.certificate.rule == "FlagEquality"
     assert v.exponents == (1, 3, 3, 3)
-    # the walk restricts nowhere: certify_flag's re-walk of the least flag
-    # restricts once per level above the line
-    assert len(calls) == 3
+    # the walk restricts nowhere, and the least flag is decided from the
+    # tail the walk yields with it, with no second walk
+    assert calls == []
+
+
+def test_cited_walk_builds_rows_only_up_to_its_hyperplanes(monkeypatch):
+    # on each level above the line, the walk of a cited chain builds rows
+    # 0..k, k the index of the cited hyperplane there, and no row past it
+    a = rank4_flag_example()
+    chain = next(certify_mod._heavy_flags(Level.of(a)))[0].members_chain
+    level, wanted, every = Level.of(a), 0, 0
+    for members in chain[:-1]:
+        k = level.members.index(members)
+        wanted, every = wanted + k + 1, every + len(level.members)
+        level = level.restriction(k, list(restriction_rows(level))[k])
+    assert wanted < every
+    built = []
+    real = arrangement_mod.RestrictionRow
+    monkeypatch.setattr(arrangement_mod, "RestrictionRow", lambda *row: built.append(row) or real(*row))
+    certify_mod.certify_flag(a, Flag(chain, (1, 3, 3, 3)))
+    assert len(built) == wanted
 
 
 def test_rank5_flag_walks_through_residue_normals():
