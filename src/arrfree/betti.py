@@ -1,8 +1,9 @@
 """Second Betti numbers of simple and multiarrangements.
 
 b2 of a multiarrangement sums the products of local exponents over the
-codimension-2 flats; the local exponents come from `rank2_exponents`,
-which solves only where the multiplicities do not fix them.
+codimension-2 flats; the local exponents come from `flat_exponents`,
+which reads them off the flat's multiplicities where they fix them and
+projects the flat to rank 2 and solves only where they do not.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .arrangement import Hyperplane, Multiarrangement, codim2_flats
-from .rank2 import project_to_rank2, rank2_exponents
+from .rank2 import flat_exponents
 
 
 @dataclass(frozen=True)
@@ -45,11 +46,11 @@ def b2_simple(a: Multiarrangement) -> BettiReport:
 
 @lru_cache(maxsize=2048)
 def b2_multi(a: Multiarrangement) -> BettiReport:
-    """Sum of d1*d2 over codim-2 flats, exponents from `rank2_exponents`."""
+    """Sum of d1*d2 over codim-2 flats, exponents from `flat_exponents`."""
     rows = []
     exps = []
     for f in codim2_flats(a):
-        d1, d2 = rank2_exponents(project_to_rank2(a, f))
+        d1, d2 = flat_exponents(a, f)
         rows.append((f.sorted_members(), d1 * d2))
         exps.append((d1, d2))
     return BettiReport(sum(c for _, c in rows), tuple(rows), tuple(exps))

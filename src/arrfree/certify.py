@@ -40,7 +40,7 @@ from .arrangement import (
     restriction_rows,
 )
 from .betti import b2_away, b2_multi, b2_simple
-from .rank2 import _closed_d1, project_to_rank2, rank2_exponents
+from .rank2 import _closed_d1, flat_exponents
 
 RULE_RANK2 = "Rank2Base"
 RULE_LOCALLY_HEAVY = "LocallyHeavyRestriction"
@@ -261,6 +261,8 @@ def _flag_verdict(a: Multiarrangement, f: Flag, tail: Level | None) -> Verdict:
     # levels above the rank-2 tail telescope.  The middle levels cancel and
     # rhs = sum_i v[i]*(v[i+1] + ... + v[l-1]), so the telescope holds
     # exactly when the tail's b2 is v[l-2]*v[l-1] and level 0's is lhs.
+    # Level 0 is simple, so `b2_multi` reads every flat's exponents
+    # (1, |X| - 1) off its multiplicities and projects no flat to rank 2.
     if l >= 3:
         d1 = _closed_d1(tail.mult)
         assert d1 * (sum(tail.mult) - d1) == v[l - 2] * v[l - 1], "rank-2 tail must have the flag exponents"
@@ -287,7 +289,7 @@ def _rank2_base(a: Multiarrangement) -> Verdict:
     elif r == 1:
         exps = (a.total_mult,)
     else:
-        exps = rank2_exponents(project_to_rank2(a, Flat(2, frozenset(range(a.size)))))
+        exps = flat_exponents(a, Flat(2, frozenset(range(a.size))))
     node = CertNode(
         RULE_RANK2,
         {"arrangement": a.to_dict()},

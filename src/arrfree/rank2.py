@@ -4,7 +4,9 @@ Rank-2 multiarrangements are always free (Ziegler 1989), so the smaller
 exponent d1 determines both.  Where the multiplicities alone fix d1 (a heavy
 line, three lines, or a simple arrangement) it is read off `_closed_d1`;
 otherwise it comes from the rank of a single exact linear system at a
-computed degree (see `_min_degree_basis`).
+computed degree (see `_min_degree_basis`).  `flat_exponents` asks
+`_closed_d1` before it projects a codim-2 flat to two variables, so only
+the flats that need that solve are projected.
 """
 
 from __future__ import annotations
@@ -134,6 +136,17 @@ def rank2_exponents(inst: Rank2Instance) -> tuple[int, int]:
     """Nondecreasing exponent pair (d1, d2) with d1 + d2 = |m|."""
     d1 = _min_degree_basis(inst.forms, inst.mult)
     return d1, inst.total_mult - d1
+
+
+def flat_exponents(a: Multiarrangement, x: Flat) -> tuple[int, int]:
+    """Local exponents (d1, d2) of a codim-2 flat: `_closed_d1` of its
+    members' multiplicities, else `rank2_exponents` of its projection
+    (`project_to_rank2`), which only then runs."""
+    mult = tuple(a.mult[k] for k in x.members)
+    d1 = _closed_d1(mult)
+    if d1 is None:
+        return rank2_exponents(project_to_rank2(a, x))
+    return d1, sum(mult) - d1
 
 
 def euler_multiplicity_at_flat(inst: Rank2Instance, h0: int) -> int:

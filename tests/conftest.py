@@ -2,9 +2,23 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from arrfree.arrangement import Hyperplane, Multiarrangement, is_locally_heavy, rank, restriction_flats
+
+
+# the bundled fixtures that parse as arrangements (not the sweep template)
+FIXTURES = ["boolean", "boolean_234", "braid", "example1_a1_m0_2", "example52", "generic4", "rank4_flag"]
+
+
+def type_b_normals(n: int) -> list[list[int]]:
+    """Normals of the Coxeter arrangement B_n: x_i and x_i -+ x_j."""
+    out = [[int(i == k) for k in range(n)] for i in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        for s in (-1, 1):
+            out.append([1 if k == i else s if k == j else 0 for k in range(n)])
+    return out
 
 
 def random_normals(rng: random.Random, dim: int, count: int, entry: int = 2) -> list[tuple]:

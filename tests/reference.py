@@ -37,6 +37,10 @@ None of this runs in `certify`, `verify_certificate` or the CLI:
   (`normalize_multiplicity_shift`, criterion C7);
 * the away-b2 as a sum of local b2 over the flats off h0
   (`b2_away_local_sum`, criterion C4);
+* b2 from the projection and `rank2_exponents` of every codim-2 flat
+  (`ref_b2_multi`), which `betti.b2_multi` and `certify._rank2_base`
+  replaced with `rank2.flat_exponents`, which projects only the flats whose
+  multiplicities do not fix their exponents;
 * Saito's criterion in Fraction polynomials (`ref_saito_check`,
   `ref_is_log_derivation`): theta(alpha) (`apply_form`), the lex
   division, the cofactor determinant and the defining polynomial Q(A,m)
@@ -68,6 +72,7 @@ from arrfree.arrangement import (
     locally_heavy_indices,
     rank,
 )
+from arrfree.betti import BettiReport
 from arrfree.certify import Flag
 from arrfree.dspace import derivation_dim, derivation_dims
 from arrfree.exactalg import Matrix, Polynomial, _pivot, integer_kernel, monomials, primitive_form, vec
@@ -408,6 +413,18 @@ def b2_away_local_sum(a: Multiarrangement, h0) -> int:
         d1, d2 = rank2_exponents(project_to_rank2(a, f))
         total += d1 * d2
     return total
+
+
+def ref_b2_multi(a: Multiarrangement) -> BettiReport:
+    """`b2_multi` with every codim-2 flat projected to rank 2 and solved by
+    `rank2_exponents`."""
+    rows = []
+    exps = []
+    for f in codim2_flats(a):
+        d1, d2 = rank2_exponents(project_to_rank2(a, f))
+        rows.append((f.sorted_members(), d1 * d2))
+        exps.append((d1, d2))
+    return BettiReport(sum(c for _, c in rows), tuple(rows), tuple(exps))
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,32 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from arrfree.arrangement import euler_ziegler_multiplicity, is_locally_heavy, parse, rank
+from arrfree.arrangement import (
+    Hyperplane,
+    Multiarrangement,
+    codim2_flats,
+    euler_ziegler_multiplicity,
+    is_locally_heavy,
+    localization,
+    parse,
+    rank,
+)
 from arrfree.betti import b2_away, b2_multi, b2_simple
-from arrfree.fixtures import boolean3, braid3, example_a3, rank4_flag_example
+from arrfree.certify import _rank2_base
+from arrfree.fixtures import boolean3, braid3, example_a3, load, rank4_flag_example
 
 from conftest import (
+    FIXTURES,
     euler_restriction,
     force_locally_heavy,
     random_multiarrangement,
     random_simple_rank3,
+    type_b_normals,
 )
-from reference import b2_away_local_sum
+from reference import b2_away_local_sum, ref_b2_multi
 
 
 def test_b2_simple_fixtures():
@@ -134,3 +148,45 @@ def test_report_totals_match_per_flat():
         assert report.total == sum(c for _, c in report.per_flat)
         for (_, c), (d1, d2) in zip(report.per_flat, report.exponents):
             assert c == d1 * d2
+
+
+# ---------------------------------------------------------------------------
+# exponents read off the multiplicities against the projection of every flat
+
+
+def assert_b2_matches_projection(a):
+    """b2_multi equals the projection of every flat, and the rank-2 base
+    case on each flat's localization has that flat's exponents."""
+    want = ref_b2_multi(a)
+    assert b2_multi(a) == want
+    for f, exps in zip(codim2_flats(a), want.exponents):
+        assert _rank2_base(localization(a, f)).exponents == exps
+
+
+@st.composite
+def b_subarrangements(draw):
+    """Rank-3 and rank-4 multiarrangements with multiplicities 1..5: a subset
+    of the normals of B_3 or B_4, whose 4-line flats {x, y, x + y, x - y}
+    are heavy or not with the drawn multiplicities, plus up to two drawn
+    normals."""
+    dim = draw(st.integers(3, 4))
+    normals = draw(st.lists(st.sampled_from(type_b_normals(dim)), min_size=dim, max_size=3 * dim, unique_by=tuple))
+    normals += draw(st.lists(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim), max_size=2))
+    planes = tuple(dict.fromkeys(Hyperplane.from_coeffs(v) for v in normals if any(v)))
+    mult = draw(st.lists(st.integers(1, 5), min_size=len(planes), max_size=len(planes)))
+    a = Multiarrangement(dim, planes, tuple(mult))
+    assume(rank(a) == dim)
+    return a
+
+
+@settings(max_examples=60, deadline=None)
+@given(b_subarrangements())
+def test_b2_multi_matches_projection_of_every_flat(a):
+    assert_b2_matches_projection(a)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_b2_multi_matches_projection_on_fixtures(name):
+    a = load(f"{name}.json")
+    assert_b2_matches_projection(a)
+    assert_b2_matches_projection(Multiarrangement(a.dim, a.hyperplanes, tuple(1 + i % 5 for i in range(a.size))))

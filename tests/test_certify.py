@@ -44,7 +44,7 @@ from arrfree.fixtures import (
     rank4_flag_example,
 )
 
-from conftest import cyclic_garbage, force_locally_heavy, random_multiarrangement
+from conftest import FIXTURES, cyclic_garbage, force_locally_heavy, random_multiarrangement, type_b_normals
 from reference import is_heavy, normalize_multiplicity_shift, ref_hilbert_freeness_test
 
 # the module, not the `certify` function of the same name
@@ -490,10 +490,10 @@ def test_free_exponents_sum_to_total_multiplicity():
 
 @pytest.mark.parametrize("forged", [(1, 3), (3,)])
 def test_free_invariant_rejects_forged_exponents(monkeypatch, forged):
-    # boolean (x, y) with m = (1, 2): the rank-2 solver is forged to claim
-    # exponents that do not sum to |m| = 3, or are not rank-many
+    # boolean (x, y) with m = (1, 2): the rank-2 exponents are forged to
+    # not sum to |m| = 3, or to be not rank-many
     a = parse({"dim": 2, "hyperplanes": [[1, 0], [0, 1]], "mult": [1, 2]})
-    monkeypatch.setattr(certify_mod, "rank2_exponents", lambda inst: forged)
+    monkeypatch.setattr(certify_mod, "flat_exponents", lambda a, x: forged)
     with pytest.raises(AssertionError, match="rank-many"):
         certify(a)
     forged_verdict = certify_mod._dispatch(a, CertifyOptions(), certify_mod.RULES)
@@ -536,6 +536,39 @@ def test_four_planes_at_400_need_no_graded_solve(monkeypatch):
     assert v.kind == "NonFree" and v.certificate.rule == "LocallyHeavyRestriction"
     assert v.witness["away_b2"] == 480000 and v.witness["restriction_b2"] == 360000
     assert verify_certificate(a, json.loads(json.dumps(v.to_dict()))).kind == "NonFree"
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fixtures_need_no_rank2_projection(monkeypatch, name):
+    # the multiplicities fix the exponents of every codim-2 flat of every
+    # fixture and of every restriction the prover recurses into
+    def never(*args):
+        raise AssertionError("project_to_rank2 must not run")
+
+    monkeypatch.setattr(rank2_mod, "project_to_rank2", never)
+    b2_multi.cache_clear()
+    a = load(f"{name}.json")
+    b2_multi(a)
+    v = certify(a)
+    assert verify_certificate(a, json.loads(json.dumps(v.to_dict()))).kind == v.kind
+
+
+def test_b3_at_two_projects_its_three_four_line_flats(monkeypatch):
+    # m = 2 on B_3: two-line flats are heavy, three-line flats are closed-form,
+    # and only the 4-line flats {x, y, x+y, x-y} and its images need a solve
+    projected = []
+    real = rank2_mod.project_to_rank2
+
+    def project(a, x):
+        projected.append(x.sorted_members())
+        return real(a, x)
+
+    monkeypatch.setattr(rank2_mod, "project_to_rank2", project)
+    b2_multi.cache_clear()
+    report = b2_multi(parse({"dim": 3, "hyperplanes": type_b_normals(3), "mult": [2] * 9}))
+    four_line = [m for m, _ in report.per_flat if len(m) == 4]
+    assert len(four_line) == 3 and sorted(projected) == sorted(four_line)
+    assert report.total == 108  # e_2(6, 6, 6), Terao's constant multiplicity theorem
 
 
 def _hilbert_must_not_run(monkeypatch):

@@ -14,7 +14,7 @@ from arrfree.certify import verify_certificate
 from arrfree.cli import eval_expr, main
 from arrfree.fixtures import fixture_path
 
-from conftest import cyclic_garbage
+from conftest import cyclic_garbage, type_b_normals
 
 BOOLEAN = fixture_path("boolean.json")
 BOOLEAN234 = fixture_path("boolean_234.json")
@@ -106,6 +106,18 @@ def test_b2_values(capsys, path, total):
     code, out, _ = run(capsys, "b2", path, "--json")
     assert code == 0
     assert json.loads(out)["b2"]["total"] == total
+
+
+def test_b2_solves_the_four_line_flats_of_b3_at_two(capsys, tmp_path):
+    # B_3 with every m = 2 has exponents (6, 6, 6) (Terao's constant
+    # multiplicity theorem), so b2 = 3 * 36; its three 4-line flats are the
+    # only ones whose exponents need a graded solve
+    path = tmp_path / "b3.json"
+    path.write_text(json.dumps({"dim": 3, "hyperplanes": type_b_normals(3), "mult": [2] * 9}), encoding="utf-8")
+    code, out, _ = run(capsys, "b2", str(path))
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == "b2 = 108"
+    assert len([line for line in lines if line.endswith(": exponents 4,4 -> 16")]) == 3
 
 
 # ---------------------------------------------------------------------------

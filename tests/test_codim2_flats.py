@@ -35,11 +35,13 @@ from arrfree.betti import b2_simple
 from arrfree.exactalg import Matrix, primitive_row
 from arrfree.fixtures import load
 from arrfree.rank2 import Rank2Instance, project_to_rank2
+from conftest import FIXTURES
 from reference import ref_codim2_table, ref_linear_change_to_coordinate, ref_span_lattice
 
 arrangement_mod = importlib.import_module("arrfree.arrangement")
 # the module, not the `certify` function the package exports under its name
 certify_mod = importlib.import_module("arrfree.certify")
+rank2_mod = importlib.import_module("arrfree.rank2")
 
 # ---------------------------------------------------------------------------
 # the Fraction-basis reference
@@ -314,15 +316,16 @@ def rank2_arrangements(draw):
 
 
 def assert_rank2_base_matches_essentialize(a):
-    """The instance the rank-2 base case solves is the one the essential
-    arrangement's normals gave."""
+    """The projection of the whole rank-2 arrangement is the instance the
+    essential arrangement's normals give, and the rank-2 base case projects
+    it exactly when the multiplicities do not fix its exponents."""
     ess, _ = essentialize(a)
     want = Rank2Instance(tuple(h.normal for h in ess.hyperplanes), ess.mult)
-    seen = []
-    with mock.patch.object(certify_mod, "rank2_exponents", side_effect=lambda inst: seen.append(inst) or (0, 0)):
+    got = project_to_rank2(a, Flat(2, frozenset(range(a.size))))
+    assert same_forms(got.forms, want.forms) and got.mult == want.mult
+    with mock.patch.object(rank2_mod, "project_to_rank2", wraps=project_to_rank2) as spy:
         certify_mod._rank2_base(a)
-    assert len(seen) == 1
-    assert same_forms(seen[0].forms, want.forms) and seen[0].mult == want.mult
+    assert spy.call_count == (rank2_mod._closed_d1(a.mult) is None)
 
 
 @settings(max_examples=80, deadline=None)
@@ -353,8 +356,6 @@ B4 = [_unit(i) for i in range(4)] + D4
 A4 = [_unit(i) for i in range(4)] + [
     [x - y for x, y in zip(_unit(i), _unit(j))] for i, j in itertools.combinations(range(4), 2)
 ]
-
-FIXTURES = ["boolean", "boolean_234", "braid", "example1_a1_m0_2", "example52", "generic4", "rank4_flag"]
 
 
 @pytest.mark.parametrize("name", FIXTURES)

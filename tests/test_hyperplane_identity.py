@@ -4,7 +4,6 @@ first nonzero entry), and a guard that the lattice and rank-2 layers never
 read the rational form.
 """
 
-import itertools
 from math import gcd
 from unittest import mock
 
@@ -19,6 +18,8 @@ from arrfree.certify import find_locally_heavy_flags
 from arrfree.exactalg import vec
 from arrfree.fixtures import rank4_flag_example
 from arrfree.rank2 import Rank2Instance
+
+from conftest import type_b_normals
 
 
 def ref_canonical(v):
@@ -96,14 +97,6 @@ def test_rank2_instance_accepts_what_the_former_check_accepted(f, g):
 # the lattice and rank-2 layers read the integer normal only
 
 
-def _type_b(n):
-    out = [[int(i == k) for k in range(n)] for i in range(n)]
-    for i, j in itertools.combinations(range(n), 2):
-        for s in (-1, 1):
-            out.append([1 if k == i else s if k == j else 0 for k in range(n)])
-    return out
-
-
 def _no_rational_normal(self):
     raise AssertionError("the rational normal was read")
 
@@ -114,9 +107,10 @@ def _clear_caches():
 
 
 def test_flag_search_and_b2_read_no_rational_normal():
-    b4 = Multiarrangement(4, tuple(Hyperplane.from_coeffs(v) for v in _type_b(4)), (1,) * 16)
+    b4 = Multiarrangement(4, tuple(Hyperplane.from_coeffs(v) for v in type_b_normals(4)), (1,) * 16)
     # a sweep-mult row: the B3 template at a = 2, m0 = 7
-    b3_row = Multiarrangement(3, tuple(Hyperplane.from_coeffs(v) for v in _type_b(3)), (2, 2, 7, 2, 2, 2, 2, 2, 2))
+    b3 = tuple(Hyperplane.from_coeffs(v) for v in type_b_normals(3))
+    b3_row = Multiarrangement(3, b3, (2, 2, 7, 2, 2, 2, 2, 2, 2))
     inputs = (b4, rank4_flag_example())
     _clear_caches()
     with mock.patch.object(Hyperplane, "normal", property(_no_rational_normal)):
