@@ -32,10 +32,11 @@ first.  There each chosen form only drops unknowns, leaving
 sum_i C(d-m_i+l-1, l-1), and only the other forms give rows; the rank
 comes from the forward pass of the elimination alone
 (`exactalg.integer_rank`).  It yields one dimension per degree: the
-primitive forms, the coordinates and each other form's chart with its
-powers N^e, up to the largest degree, are built once, before the first,
-and each degree builds only its monomials, unknowns and rows
-(`_reduced_systems`), so a caller may stop early.  `derivation_dim` is
+primitive forms, the coordinates and each other form's chart are built
+once, before the first; each degree extends the charts' powers N^e only
+up to itself and builds only its monomials, unknowns and rows
+(`_reduced_systems`), so a caller that stops early builds nothing for the
+degrees it never reads.  `derivation_dim` is
 its one-degree case; `derivation_basis` builds everything for its one
 degree.
 """
@@ -57,15 +58,20 @@ from .exactalg import (
 )
 
 
-def _chart(form: list[int], mult: int, top: int) -> tuple[int, list[dict]] | None:
+def _chart(
+    form: list[int], mult: int, top: int, chart: tuple[int, list[dict]] | None = None
+) -> tuple[int, list[dict]] | None:
     """The chart index q of the form and N^e for e = 0..top, as term dicts
     over the chart variables after y_1, indexed by e; None when no degree
-    up to top constrains the chart (mult > top)."""
+    up to top constrains the chart (mult > top).  `chart`, what an earlier
+    call returned for the same form, has its powers extended in place up to
+    top (`exactalg.linear_powers`), so no power is built twice; when
+    mult > top it is returned as it is."""
     if mult > top:
-        return None
+        return chart
     q = _chart_index(form)
     n_form = [-f for j, f in enumerate(form) if j != q]
-    return q, linear_powers(n_form, top)
+    return q, linear_powers(n_form, top, chart and chart[1])
 
 
 def _chart_rows(
@@ -211,14 +217,20 @@ def _reduced_systems(
 
     What does not depend on the degree is built once: the primitive forms,
     the coordinates with their Cramer determinants, and each other form's
-    chart with N^e up to the largest degree that needs it (a form whose
-    multiplicity passes every degree needs none).  Each degree builds its
-    monomials, unknowns and rows."""
+    chart.  A chart's powers N^e are built only as far as the degree being
+    built needs them, e <= degree, and kept for the next one (a form whose
+    multiplicity passes the degree needs none yet), so a caller that stops
+    at a low degree builds no higher power.  Each degree builds its
+    monomials, unknowns and rows.  A zero form that some degree constrains
+    has no chart, and is refused before the first degree."""
     fs = _primitive_forms(forms, mults)
     coords, others = _coordinates(fs, mults)
     top = max(degrees, default=-1)
-    charts = [_chart(form, mult, top) for form, mult in others]
+    if any(mult <= top and not any(form) for form, mult in others):
+        raise ValueError("zero form")
+    charts = [None] * len(others)
     for degree in degrees:
+        charts = [_chart(form, mult, degree, chart) for (form, mult), chart in zip(others, charts)]
         monos = monomials(len(fs[0]), degree)
         cols = [(i, k) for i, (_, m) in enumerate(coords) for k, mono in enumerate(monos) if mono[i] >= m]
         rows = [

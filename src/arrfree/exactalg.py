@@ -386,15 +386,21 @@ def _term_product(p: dict[Monomial, object], q: dict[Monomial, object]) -> dict[
     return {m: c for m, c in out.items() if c != 0}
 
 
-def linear_powers(row: Sequence[int], top: int) -> list[dict[Monomial, int]]:
+def linear_powers(
+    row: Sequence[int], top: int, powers: list[dict[Monomial, int]] | None = None
+) -> list[dict[Monomial, int]]:
     """The powers 0..top of the linear form with the given coefficients, as
     term dicts {exponent vector: nonzero coefficient}; integer coefficients
-    give integer powers."""
+    give integer powers.  `powers`, the list of the form's powers 0..k that
+    an earlier call returned, is extended in place up to top and returned
+    (as it is if k >= top), so a caller that raises top step by step builds
+    each power once."""
     form = linear_terms(row)
-    powers = [{(0,) * len(row): 1}, form]
+    if powers is None:
+        powers = [{(0,) * len(row): 1}]
     while len(powers) <= top:
         powers.append(_term_product(powers[-1], form))
-    return powers[: top + 1]
+    return powers
 
 
 def _term_combination(pairs: Iterable[tuple[int, dict[Monomial, int]]]) -> dict[Monomial, int]:

@@ -80,14 +80,6 @@ class Derivation:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def scale(self, c: int) -> "Derivation":
-        return Derivation(tuple({m: c * v for m, v in p.items()} for p in self.coeffs), self.den)
-
-    def add(self, other: "Derivation") -> "Derivation":
-        den = lcm(self.den, other.den)
-        a, b = den // self.den, den // other.den
-        return Derivation(tuple(_term_combination(((a, p), (b, q))) for p, q in zip(self.coeffs, other.coeffs)), den)
-
     def to_dict(self) -> dict:
         return {
             "nvars": self.nvars,
@@ -266,7 +258,9 @@ def free_module_dim(exps, d: int, nvars: int) -> int:
 @dataclass(frozen=True)
 class HilbertResult:
     """`dims` are the graded dimensions at degrees 0..degree_cap, the
-    degree the result cites."""
+    degree the result cites: for NonFreeProven the first degree that
+    leaves no exponent tuple, for FreeProven the degree at which the basis
+    was extracted (see `hilbert_freeness_test`), for Undetermined the cap."""
 
     kind: str  # "FreeProven" | "NonFreeProven" | "Undetermined"
     degree_cap: int
@@ -282,8 +276,9 @@ def extract_basis(
 ) -> tuple[Derivation, ...] | None:
     """Randomized Saito basis extraction at the given degrees.
 
-    Draws small integer combinations of the degree-slice bases; any success
-    is a proof, failure proves nothing.
+    Draws small integer combinations of the degree-slice bases
+    (`_combination`); any success is a proof, failure proves nothing.  A
+    slice basis is linearly independent, so no drawn combination is zero.
     """
     rng = random.Random(seed)
     bases = {}
@@ -295,24 +290,24 @@ def extract_basis(
     for _ in range(trials):
         thetas = []
         for d in exps:
-            basis = bases[d]
-            combo = None
-            coeffs = [rng.randint(-3, 3) for _ in basis]
-            if all(c == 0 for c in coeffs):
+            coeffs = [rng.randint(-3, 3) for _ in bases[d]]
+            if not any(coeffs):
                 coeffs[0] = 1
-            for c, t in zip(coeffs, basis):
-                if c == 0:
-                    continue
-                part = t.scale(c)
-                combo = part if combo is None else combo.add(part)
-            if combo is None or combo.is_zero():
-                break
-            thetas.append(combo)
-        if len(thetas) != len(tuple(exps)):
-            continue
+            thetas.append(_combination(coeffs, bases[d]))
         if saito_check(a, thetas).kind == "Basis":
             return tuple(thetas)
     return None
+
+
+def _combination(coeffs, basis) -> Derivation:
+    """sum_j coeffs[j] * basis[j] for integer coeffs, in one pass: each
+    coordinate is one integer combination of the numerators, brought over
+    the lcm of the basis denominators.  `Derivation` keeps it in lowest
+    terms, so it equals any other way of summing."""
+    den = lcm(*(t.den for t in basis))
+    scaled = [(c * (den // t.den), t.coeffs) for c, t in zip(coeffs, basis) if c]
+    nvars = basis[0].nvars
+    return Derivation(tuple(_term_combination((c, p[i]) for c, p in scaled) for i in range(nvars)), den)
 
 
 def hilbert_freeness_test(
@@ -324,12 +319,16 @@ def hilbert_freeness_test(
     """Match graded dimensions of D(A,m) against all free exponent tuples.
 
     The tuples are filtered one degree at a time, from one
-    `derivation_dims` set-up.  The first degree k >= 1 that leaves none
-    proves nonfreeness at every cap >= k, and the result cites k.
-    Otherwise every degree 0..cap is solved: a unique survivor plus a
-    successful randomized Saito extraction proves freeness, and anything
-    else is Undetermined.  Bases are solved only at the survivor's degrees
-    (`extract_basis`).  More than MAX_EXPONENT_TUPLES candidate tuples is a
+    `derivation_dims` set-up, and the test stops at the first degree that
+    decides it.  The first degree k >= 1 that leaves no tuple proves
+    nonfreeness at every cap >= k, and the result cites k.  At the first
+    degree k >= max(e) that leaves exactly one tuple e, or at the cap if it
+    comes first, a randomized Saito extraction (`extract_basis`, solving
+    bases only at e's degrees) is tried once: a basis proves freeness with
+    exponents e by itself (Saito's criterion), and the result cites k.  If
+    it fails, the filtering goes on to the cap with no second try, since
+    the draws depend only on e and the seed; anything not decided by then
+    is Undetermined.  More than MAX_EXPONENT_TUPLES candidate tuples is a
     ValueError, raised before any solve.
     """
     l = a.dim
@@ -344,17 +343,18 @@ def hilbert_freeness_test(
         raise ValueError(overflow)
     forms, mults = [h.coeffs for h in a.hyperplanes], list(a.mult)
     dims, survivors = [], exponent_candidates(total, l)
+    untried = trials > 0
     for d, dim in enumerate(derivation_dims(forms, mults, range(cap + 1))):
         dims.append(dim)
         survivors = [t for t in survivors if free_module_dim(t, d, l) == dim]
         if not survivors and d >= 1:
             return HilbertResult("NonFreeProven", d, tuple(dims), (), seed=seed)
-    dims, survivors = tuple(dims), tuple(survivors)
-    if len(survivors) == 1 and trials > 0:
-        exps = survivors[0]
-        basis = extract_basis(a, exps, seed=seed, trials=trials)
-        if basis is not None:
-            return HilbertResult(
-                "FreeProven", cap, dims, survivors, exponents=exps, basis=basis, seed=seed
-            )
-    return HilbertResult("Undetermined", cap, dims, survivors, seed=seed)
+        if untried and len(survivors) == 1 and (d >= max(survivors[0]) or d == cap):
+            untried = False
+            exps = survivors[0]
+            basis = extract_basis(a, exps, seed=seed, trials=trials)
+            if basis is not None:
+                return HilbertResult(
+                    "FreeProven", d, tuple(dims), tuple(survivors), exponents=exps, basis=basis, seed=seed
+                )
+    return HilbertResult("Undetermined", cap, tuple(dims), tuple(survivors), seed=seed)

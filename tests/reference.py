@@ -26,9 +26,16 @@ None of this runs in `certify`, `verify_certificate` or the CLI:
   Fraction rows through the inverse of the greedy chart
   (`ref_derivation_basis`), which `exactalg.integer_kernel` and `dspace`
   replaced with integer code;
+* the degree-d systems of `dspace.derivation_dims` with every chart's
+  powers N^e built up front, up to the largest degree asked for
+  (`ref_reduced_systems`), which `dspace._reduced_systems` replaced with
+  charts extended only as far as the degree being built;
 * converters between a `Derivation` (integer term dicts over one
   denominator) and a tuple of Fraction Polynomials
   (`derivation_from_polys`, `polys_from_terms`);
+* the pairwise fold of scaled derivations (`ref_combine`), which
+  `oracle._combination` replaced with one integer combination per
+  coordinate;
 * the greedy coordinate chart (`ref_linear_change_to_coordinate`), which
   probes `Matrix.rank()` once per candidate unit vector and inverts by an
   augmented RREF -- the one chart reference of the closed form that
@@ -51,9 +58,10 @@ None of this runs in `certify`, `verify_certificate` or the CLI:
   (`ref_rank2_exponents`), which `rank2._min_degree_basis` replaced with
   the closed forms of `rank2._closed_d1` where the multiplicities fix them;
 * the Hilbert test that solved every degree 0..cap before it filtered any
-  exponent tuple (`ref_hilbert_freeness_test`), which
+  exponent tuple or tried a basis (`ref_hilbert_freeness_test`), which
   `oracle.hilbert_freeness_test` replaced with a filter per degree that
-  stops at the first degree that leaves none;
+  stops at the first degree that leaves none, or at the first degree at or
+  above its top exponent that leaves one tuple whose basis it extracts;
 * the good summand of a Saito basis at a locally heavy hyperplane
   (`good_summand_check`) and the restriction of a derivation that
   annihilates its form (`restrict_derivation`).
@@ -74,8 +82,17 @@ from arrfree.arrangement import (
 )
 from arrfree.betti import BettiReport
 from arrfree.certify import Flag
-from arrfree.dspace import derivation_dim, derivation_dims
-from arrfree.exactalg import Matrix, Polynomial, _pivot, integer_kernel, monomials, primitive_form, vec
+from arrfree.dspace import _chart, _coordinates, _form_rows, _primitive_forms, derivation_dim, derivation_dims
+from arrfree.exactalg import (
+    Matrix,
+    Polynomial,
+    _pivot,
+    _term_combination,
+    integer_kernel,
+    monomials,
+    primitive_form,
+    vec,
+)
 from arrfree.oracle import (
     Derivation,
     HilbertResult,
@@ -329,6 +346,24 @@ def ref_derivation_basis(forms, mults, degree):
     ]
 
 
+def ref_reduced_systems(forms, mults, degrees):
+    """`dspace._reduced_systems` as it built every other form's chart with
+    N^e up to the largest degree before the first degree."""
+    fs = _primitive_forms(forms, mults)
+    coords, others = _coordinates(fs, mults)
+    top = max(degrees, default=-1)
+    charts = [_chart(form, mult, top) for form, mult in others]
+    for degree in degrees:
+        monos = monomials(len(fs[0]), degree)
+        cols = [(i, k) for i, (_, m) in enumerate(coords) for k, mono in enumerate(monos) if mono[i] >= m]
+        rows = [
+            row
+            for (form, mult), chart in zip(others, charts)
+            for row in _form_rows(form, mult, chart, monos, degree, cols)
+        ]
+        yield rows, len(cols)
+
+
 # ---------------------------------------------------------------------------
 # derivations as Fraction polynomials
 
@@ -346,6 +381,30 @@ def derivation_from_polys(polys) -> Derivation:
     Polynomials, one per coordinate."""
     den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
     return Derivation(tuple({m: c.numerator * (den // c.denominator) for m, c in p.terms.items()} for p in polys), den)
+
+
+def _scale(t: Derivation, c: int) -> Derivation:
+    return Derivation(tuple({m: c * v for m, v in p.items()} for p in t.coeffs), t.den)
+
+
+def _add(s: Derivation, t: Derivation) -> Derivation:
+    den = lcm(s.den, t.den)
+    a, b = den // s.den, den // t.den
+    return Derivation(tuple(_term_combination(((a, p), (b, q))) for p, q in zip(s.coeffs, t.coeffs)), den)
+
+
+def ref_combine(coeffs, basis) -> Derivation:
+    """sum_j coeffs[j] * basis[j] as `oracle.extract_basis` folded it:
+    each nonzero term scaled, then added to the running sum over the lcm
+    of the two denominators, one pair at a time; the zero derivation when
+    every coefficient is 0."""
+    combo = None
+    for c, t in zip(coeffs, basis):
+        if c == 0:
+            continue
+        part = _scale(t, c)
+        combo = part if combo is None else _add(combo, part)
+    return Derivation(({},) * basis[0].nvars) if combo is None else combo
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +577,8 @@ def ref_hilbert_freeness_test(
     trials: int = 20,
 ) -> HilbertResult:
     """`oracle.hilbert_freeness_test` as it solved every degree 0..cap and
-    then kept the tuples matching all of them; a NonFree result cites the
-    cap asked for."""
+    then kept the tuples matching all of them, and tried a basis only
+    then; every result cites the cap asked for."""
     l = a.dim
     if rank(a) != l:
         raise ValueError("non-essential input; essentialize first")

@@ -351,6 +351,9 @@ def test_oracle_braid_hilbert(capsys):
     assert code == 0
     h = json.loads(out)["hilbert"]
     assert h["kind"] == "FreeProven" and h["exponents"] == [1, 2, 3]
+    # the basis is extracted at degree 3, the top exponent, below the
+    # default cap 4, and the result cites that degree
+    assert (h["degree_cap"], h["graded_dims"]) == (3, [0, 1, 4, 10])
 
 
 def test_oracle_example52_cap8(capsys):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arrfree.dspace as dspace_mod
 from arrfree.arrangement import parse_file
 from arrfree.dspace import (
     _coordinates,
@@ -25,7 +26,10 @@ from arrfree.dspace import (
     derivation_dims,
 )
 from arrfree.exactalg import Matrix
-from arrfree.fixtures import fixture_path
+from arrfree.fixtures import braid3, example52, fixture_path
+from arrfree.oracle import hilbert_freeness_test
+
+from reference import ref_reduced_systems
 
 F = Fraction
 
@@ -176,8 +180,8 @@ def test_dims_over_a_degree_range_equal_kernel_sizes(system):
 
 
 def test_dims_refuse_a_bad_set_up_before_the_first_degree():
-    # degree -1 constrains nothing, but the zero form's chart is built up
-    # front for degree 2, so the first next() raises
+    # degree -1 constrains nothing, but degree 2 reaches the zero form's
+    # multiplicity, and the set-up refuses it, so the first next() raises
     dims = derivation_dims([(1, 0), (0, 0)], [1, 1], range(-1, 3))
     with pytest.raises(ValueError, match="zero form"):
         next(dims)
@@ -212,3 +216,66 @@ def test_reduced_system_work_counts_on_fixtures(name):
     a = parse_file(fixture_path(name))
     forms = [h.coeffs for h in a.hyperplanes]
     assert_work_counts(forms, list(a.mult), range(6))
+
+
+# ---------------------------------------------------------------------------
+# charts whose powers N^e grow with the degree, against charts built up front
+
+
+def systems_or_error(build, forms, mults, degrees):
+    try:
+        return list(build(forms, mults, degrees))
+    except ValueError as e:
+        return str(e)
+
+
+@st.composite
+def integer_systems(draw):
+    """1..6 forms in l = 2..4 variables with entries -2..2 (a zero form
+    may occur), multiplicities 0..3, and degrees 0..6 in any order, repeats
+    allowed."""
+    nvars = draw(st.integers(2, 4))
+    forms = draw(st.lists(st.lists(st.integers(-2, 2), min_size=nvars, max_size=nvars), min_size=1, max_size=6))
+    mults = draw(st.lists(st.integers(0, 3), min_size=len(forms), max_size=len(forms)))
+    degrees = draw(st.lists(st.integers(0, 6), min_size=1, max_size=4))
+    return forms, mults, degrees
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_systems())
+def test_lazy_charts_give_the_eager_systems(system):
+    forms, mults, degrees = system
+    assert systems_or_error(_reduced_systems, forms, mults, degrees) == systems_or_error(
+        ref_reduced_systems, forms, mults, degrees
+    )
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_lazy_charts_give_the_eager_systems_on_fixtures(name):
+    a = parse_file(fixture_path(name))
+    forms, mults = [h.coeffs for h in a.hyperplanes], list(a.mult)
+    for degrees in (range(7), [4, 1, 6, 0, 6]):
+        assert list(_reduced_systems(forms, mults, degrees)) == list(ref_reduced_systems(forms, mults, degrees))
+
+
+def chart_tops(monkeypatch):
+    """The top of every call of `dspace`'s linear_powers, as it runs."""
+    linear_powers, tops = dspace_mod.linear_powers, []
+
+    def recording(row, top, powers=None):
+        tops.append(top)
+        return linear_powers(row, top, powers)
+
+    monkeypatch.setattr(dspace_mod, "linear_powers", recording)
+    return tops
+
+
+def test_an_early_stop_builds_no_higher_chart_power(monkeypatch):
+    # Example 5.2 is decided at degree 2 of cap 8, and braid at degree 3
+    # of cap 8: no chart power above the last degree read is built
+    tops = chart_tops(monkeypatch)
+    assert hilbert_freeness_test(example52(), degree_cap=8).degree_cap == 2
+    assert max(tops) == 2
+    tops.clear()
+    assert hilbert_freeness_test(braid3(), degree_cap=8).degree_cap == 3
+    assert max(tops) == 3

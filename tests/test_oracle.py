@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 from fractions import Fraction
@@ -24,6 +25,7 @@ import arrfree.oracle as oracle_mod
 from arrfree.oracle import (
     MAX_EXPONENT_TUPLES,
     Derivation,
+    _combination,
     derivation_space_dim,
     exponent_candidates,
     exponent_tuple_count,
@@ -44,6 +46,7 @@ from reference import (
     good_summand_check,
     ref_defining_polynomial,
     ref_hilbert_freeness_test,
+    ref_combine,
     ref_poly_matrix_det,
     restrict_derivation,
 )
@@ -134,8 +137,9 @@ def test_derivation_is_kept_in_lowest_terms():
     same = Derivation(({(1, 0): 12}, {(0, 1): 8, (1, 0): 0}), 24)
     assert same == t and hash(same) == hash(t)
     assert (t.coeffs, t.den) == (({(1, 0): 3}, {(0, 1): 2}), 6)
-    assert t.scale(2).add(t.scale(-1)) == t
-    assert t.scale(0) == Derivation(({}, {})) and t.scale(0).den == 1
+    for combine in (ref_combine, _combination):
+        assert combine([2, -1], [t, t]) == t
+        assert combine([0], [t]) == Derivation(({}, {})) and combine([0], [t]).den == 1
     assert t.to_dict() == {"nvars": 2, "coeffs": [[[[1, 0], "1/2"]], [[[0, 1], "1/3"]]]}
 
 
@@ -211,14 +215,8 @@ def test_any_members_det_divisible_by_q():
         thetas = []
         for d in (3, 3, 4):
             basis = pools[d]
-            combo = None
-            for t in basis:
-                c = rng.randint(-2, 2)
-                if c == 0:
-                    continue
-                part = t.scale(c)
-                combo = part if combo is None else combo.add(part)
-            if combo is None:
+            combo = ref_combine([rng.randint(-2, 2) for _ in basis], basis)
+            if combo.is_zero():
                 combo = basis[0]
             thetas.append(combo)
         columns = [polys_from_terms(t.coeffs, t.den) for t in thetas]
@@ -446,21 +444,35 @@ def test_early_stopping_hilbert_test_leaves_no_cycles():
 # the early stop against the full-cap test it replaced
 
 
+def surviving(a, dims, k):
+    """The exponent tuples whose free-module dimensions match dims at
+    degrees 0..k."""
+    l = a.dim
+    return [
+        t for t in exponent_candidates(a.total_mult, l) if all(free_module_dim(t, d, l) == dims[d] for d in range(k + 1))
+    ]
+
+
 def assert_stops_where_the_reference_decides(a, cap):
     got, want = hilbert_freeness_test(a, degree_cap=cap), ref_hilbert_freeness_test(a, degree_cap=cap)
     assert got.kind == want.kind
-    if got.kind != "NonFreeProven":
+    if got.kind == "Undetermined":
         assert got == want
         return
     k = got.degree_cap
-    assert 1 <= k <= cap
-    assert got.dims == want.dims[: k + 1] and got.survivors == ()
+    assert got.dims == want.dims[: k + 1]
+    if got.kind == "FreeProven":
+        assert (got.exponents, got.survivors, got.basis, got.seed) == (want.exponents, want.survivors, want.basis, want.seed)
+        # the least degree at or above the top exponent whose dims leave one
+        # tuple, or the cap when the cap comes first
+        top = max(got.exponents)
+        assert k == next((d for d in range(top, cap + 1) if len(surviving(a, want.dims, d)) == 1), cap)
+        assert k <= cap
+        return
+    assert 1 <= k <= cap and got.survivors == ()
     # minimal: some tuple matches every degree below k (degree 0 alone
     # never decides, and k = 1 is the least degree cited)
-    l = a.dim
-    assert k == 1 or any(
-        all(free_module_dim(t, d, l) == want.dims[d] for d in range(k)) for t in exponent_candidates(a.total_mult, l)
-    )
+    assert k == 1 or surviving(a, want.dims, k - 1)
 
 
 @st.composite
@@ -495,3 +507,70 @@ def test_hilbert_early_stop_matches_the_full_cap_test_on_fixtures(name):
     a, _ = essentialize(load(name))
     for cap in range(1, 9):
         assert_stops_where_the_reference_decides(a, cap)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_hilbert_extracts_a_basis_at_most_once(monkeypatch, name):
+    extract, calls = oracle_mod.extract_basis, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return extract(*args, **kwargs)
+
+    monkeypatch.setattr(oracle_mod, "extract_basis", counting)
+    a, _ = essentialize(load(name))
+    for cap in range(1, 9):
+        calls.clear()
+        res = hilbert_freeness_test(a, degree_cap=cap)
+        assert len(calls) == 1 if res.kind == "FreeProven" else len(calls) <= 1
+        if name in ("example52.json", "generic4.json"):
+            assert not calls
+
+
+def test_hilbert_cites_the_degree_of_the_extraction():
+    # braid (exponents 1, 2, 3) and rank4_flag (1, 3, 3, 3) leave one tuple
+    # by degree 3, so the default caps 4 and 7 are never reached
+    res = hilbert_freeness_test(braid3())
+    assert (res.kind, res.degree_cap, res.dims) == ("FreeProven", 3, (0, 1, 4, 10))
+    res = hilbert_freeness_test(essentialize(load("rank4_flag.json"))[0])
+    assert (res.kind, res.exponents, res.degree_cap, res.dims) == ("FreeProven", (1, 3, 3, 3), 3, (0, 1, 4, 13))
+
+
+def test_a_failed_extraction_is_not_tried_again(monkeypatch):
+    # braid leaves one tuple from degree 1 on; with no basis found at
+    # degree 3 the test filters on to the cap and is Undetermined there
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(args)
+
+    monkeypatch.setattr(oracle_mod, "extract_basis", failing)
+    res = hilbert_freeness_test(braid3(), degree_cap=6)
+    assert (res.kind, res.degree_cap, res.survivors) == ("Undetermined", 6, ((1, 2, 3),))
+    assert res.dims == ref_hilbert_freeness_test(braid3(), degree_cap=6).dims
+    assert len(calls) == 1
+
+
+@functools.cache
+def degree_piece_bases():
+    """The nonempty bases of the essentialized fixtures' degree pieces at
+    degrees 0..4."""
+    pieces = (derivation_space_dim(essentialize(load(name))[0], d)[1] for name in FIXTURE_NAMES for d in range(5))
+    return [basis for basis in pieces if basis]
+
+
+@st.composite
+def derivation_bases(draw):
+    """A fixture's degree-piece basis, each element divided by a drawn
+    integer so that the denominators differ."""
+    basis = draw(st.sampled_from(degree_piece_bases()))
+    return [Derivation(t.coeffs, t.den * draw(st.integers(1, 6))) for t in basis]
+
+
+@settings(max_examples=100, deadline=None)
+@given(derivation_bases(), st.data())
+def test_one_pass_combination_equals_the_fold(basis, data):
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(basis), max_size=len(basis)))
+    got, want = _combination(coeffs, basis), ref_combine(coeffs, basis)
+    assert got == want and got.den == want.den
+    assert got.to_dict() == want.to_dict()

@@ -15,7 +15,7 @@ from arrfree.arrangement import Hyperplane, Multiarrangement, ParseError, rank
 from arrfree.exactalg import Polynomial
 from arrfree.oracle import Derivation, SaitoResult, derivation_space_dim, is_log_derivation, saito_check
 
-from reference import derivation_from_polys, polys_from_terms, ref_is_log_derivation, ref_saito_check
+from reference import derivation_from_polys, polys_from_terms, ref_combine, ref_is_log_derivation, ref_saito_check
 
 F = Fraction
 
@@ -83,9 +83,7 @@ def test_integer_saito_matches_fraction_reference(drawn, data):
         basis = pools[data.draw(st.sampled_from(degrees))]
         coeffs = [data.draw(st.integers(-2, 2)) for _ in basis]
         coeffs[0] = coeffs[0] or 1
-        combo = Derivation(({},) * a.dim)
-        for c, t in zip(coeffs, basis):
-            combo = combo.add(t.scale(c))
+        combo = ref_combine(coeffs, basis)
         assume(not combo.is_zero())
         thetas.append(_times(combo, F(data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5)))))
 
