@@ -6,7 +6,6 @@ from .arrangement import (
     Hyperplane,
     Multiarrangement,
     ParseError,
-    Restriction,
     deletion,
     essentialize,
     euler_ziegler_multiplicity,

@@ -32,9 +32,9 @@ down, each codim-3 flat grouped once, in the row of its least member.  A
 `Level` is such a restriction held as member sets, multiplicities and a
 codim-2 table, built from its parent's row; its rows' residues serve as its
 children's normals, so the flag walk goes down any number of levels without
-building a `Restriction` or a second table.  The rows come one at a time, in
-index order, so the walk builds a level's rows only up to the hyperplane it
-visits.
+building a restricted arrangement (`euler_ziegler_multiplicity`) or a second
+table.  The rows come one at a time, in index order, so the walk builds a
+level's rows only up to the hyperplane it visits.
 """
 
 from __future__ import annotations
@@ -395,26 +395,14 @@ def restriction_flats(a: Multiarrangement, h0: Hyperplane | int) -> list[Flat]:
     return list(_codim2_table(a.hyperplanes)[1][a.index_of(h0)])
 
 
-@dataclass(frozen=True)
-class Restriction:
-    """Euler-Ziegler restriction onto the hyperplane h0.
-
-    Restricted hyperplanes live in the coordinates (y_2, ..., y_l) of the
-    chart of `exactalg.scaled_chart_image` for the normal of h0, in which
-    h0 is {y_1 = 0}.  trace_members[k] is the set of input-arrangement
-    indices of hyperplanes containing the k-th restricted hyperplane
-    (including h0 itself).
-    """
-
-    arrangement: Multiarrangement
-    trace_members: tuple[frozenset[int], ...]
-
-
-def euler_ziegler_multiplicity(a: Multiarrangement, h0: Hyperplane | int) -> Restriction:
+def euler_ziegler_multiplicity(a: Multiarrangement, h0: Hyperplane | int) -> Multiarrangement:
     """Restrict onto h0 with multiplicities m(X) = |m_X| - m(h0).
 
-    The value only depends on the multiplicities away from h0, so it is
-    unchanged by shifting m(h0).
+    The k-th restricted hyperplane is the k-th flat of
+    `restriction_flats(a, h0)`, in the coordinates (y_2, ..., y_l) of the
+    chart of `exactalg.scaled_chart_image` for the normal of h0, in which
+    h0 is {y_1 = 0}.  The value only depends on the multiplicities away
+    from h0, so it is unchanged by shifting m(h0).
     """
     i0 = a.index_of(h0)
     if a.dim < 2:
@@ -430,8 +418,7 @@ def euler_ziegler_multiplicity(a: Multiarrangement, h0: Hyperplane | int) -> Res
         alpha = a.hyperplanes[next(k for k in f.members if k != i0)].coeffs
         planes.append(Hyperplane(primitive_form(scaled_chart_image(normal, alpha)[1:])))
     mults = tuple(sum(a.mult[k] for k in f.members) - a.mult[i0] for f in flats)
-    restricted = Multiarrangement(a.dim - 1, tuple(planes), mults)
-    return Restriction(restricted, tuple(f.members for f in flats))
+    return Multiarrangement(a.dim - 1, tuple(planes), mults)
 
 
 def deletion(a: Multiarrangement, h0: Hyperplane | int) -> Multiarrangement:
@@ -549,13 +536,14 @@ def _ones(mask: int) -> list[int]:
 @dataclass(frozen=True)
 class Level:
     """One level of iterated Euler-Ziegler restrictions of an input, as the
-    flag walk reads it, with no `Restriction` built: per hyperplane, its
-    member set (the input's hyperplanes containing it), its multiplicity and
-    its row of the codim-2 table (the codim-2 flats through it, as sets of
-    this level's indices, in member order).  At dimension >= 4 it also
-    holds integer normals, which only `restriction_rows` reads, to group the
-    codim-3 flats; they are the input's normals, or residues that a parent
-    of dimension >= 5 handed down."""
+    flag walk reads it, with no restricted arrangement built: per
+    hyperplane, its member set (the input's hyperplanes containing it), its
+    multiplicity and its row of the codim-2 table (the codim-2 flats
+    through it, as sets of this level's indices, in member order).  At
+    dimension >= 4 it also holds integer normals, which only
+    `restriction_rows` reads, to group the codim-3 flats; they are the
+    input's normals, or residues that a parent of dimension >= 5 handed
+    down."""
 
     dim: int
     members: tuple[frozenset[int], ...]
@@ -602,8 +590,7 @@ class RestrictionRow(NamedTuple):
 def restriction_rows(level: Level) -> Iterator[RestrictionRow]:
     """Per hyperplane H of the level, in index order, its Euler-Ziegler
     restriction A^H as read from row H, without building A^H: the heavy
-    points are what
-    `locally_heavy_indices(euler_ziegler_multiplicity(a, H).arrangement)`
+    points are what `locally_heavy_indices(euler_ziegler_multiplicity(a, H))`
     returns, the multiplicities are that restriction's, and the lines are
     its codim-2 flats.
 

@@ -93,10 +93,6 @@ class Verdict:
             raise ValueError(f"bad verdict kind {self.kind}")
 
     @property
-    def is_free(self) -> bool:
-        return self.kind == "Free"
-
-    @property
     def decisive(self) -> bool:
         return self.kind != "Inconclusive"
 
@@ -315,7 +311,7 @@ def certify_locally_heavy(
     i0 = a.index_of(h0)
     if not is_locally_heavy(a, i0):
         raise ValueError(f"hyperplane {a.label(i0)} is not locally heavy")
-    restr = euler_ziegler_multiplicity(a, i0).arrangement
+    restr = euler_ziegler_multiplicity(a, i0)
     away, rb2 = b2_away(a, i0), b2_multi(restr).total
     assert away >= rb2, "away-b2 inequality violated"
     inputs = {

@@ -28,8 +28,10 @@ cited in certificates (`oracle.extract_basis`), as integer term dicts over
 one denominator (`exactalg.integer_kernel`).  `derivation_dims` needs
 only dimensions, which a linear change of coordinates does not move, so
 it solves in the coordinates of l independent forms, chosen heaviest
-first.  There each chosen form only drops unknowns, leaving
-sum_i C(d-m_i+l-1, l-1), and only the other forms give rows; the rank
+first; one elimination of the forms (`exactalg._gauss_jordan`, in
+`_coordinates`) chooses them and writes every other form in them.  There
+each chosen form only drops unknowns, leaving sum_i C(d-m_i+l-1, l-1),
+and only the other forms give rows; the rank
 comes from the forward pass of the elimination alone
 (`exactalg.integer_rank`).  It yields one dimension per degree: the
 primitive forms, the coordinates and each other form's chart are built
@@ -43,13 +45,15 @@ degree.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, lcm
 from operator import add
 from typing import Iterator, Sequence
 
 from .exactalg import (
     Monomial,
     _chart_index,
+    _forward,
+    _gauss_jordan,
     integer_kernel,
     integer_rank,
     linear_powers,
@@ -143,25 +147,6 @@ def _derivation_rows(
     return rows, monos
 
 
-def _int_det(m: list[list[int]]) -> int:
-    """Determinant of a square integer matrix, by fraction-free (Bareiss)
-    elimination, whose divisions are exact."""
-    m = [list(r) for r in m]
-    n, sign, prev = len(m), 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pr = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if pr is None:
-                return 0
-            m[k], m[pr] = m[pr], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1]
-
-
 def _coordinates(
     fs: list[list[int]], mults: Sequence[int]
 ) -> tuple[list[tuple[list[int], int]], list[tuple[list[int], int]]]:
@@ -169,41 +154,33 @@ def _coordinates(
     every other form in those coordinates, as (primitive integer form,
     mult) in input order.
 
-    The forms are taken in (-mult, index) order, and each one independent
-    of those already kept is kept, until there are l of them.  A form is
-    reduced by the residues of the kept forms in the order kept, each
-    clearing its pivot (first nonzero entry), and is independent when what
-    is left, its residue, is nonzero: a residue is zero at the earlier
-    pivots, so a nonzero combination of residues is nonzero at the pivot
-    of its first term.  For the same reason the unit vectors at the columns
-    with no pivot, with multiplicity 0, complete a rank below l.  A form
-    alpha = sum_j b_j*c_j has b_j = det(C with row j replaced by alpha) /
-    det(C) (Cramer's rule), so the numerators, made primitive, are alpha in
-    the coordinates.
+    One elimination (`exactalg._gauss_jordan`) of the matrix whose columns
+    are the forms in (-mult, index) order: its pivot columns are the forms
+    kept, each independent of those before it, at most l of them, as in
+    `arrangement.reducibility`.  Row r divided by its entry at pivot r is
+    row r of the RREF, so at a non-pivot column it is the coefficient of
+    the r-th kept form in that column's form, over the lcm of the pivot
+    entries in integers.  Below rank l, the unit vectors at the columns
+    with no pivot in the echelon form of the kept forms
+    (`exactalg._forward`), with multiplicity 0, complete the coordinates,
+    and the other forms have coefficient 0 on them.
     """
     nvars = len(fs[0])
-    kept: list[int] = []
-    residues: list[tuple[int, list[int]]] = []
-    for k in sorted(range(len(fs)), key=lambda k: (-mults[k], k)):
-        if len(kept) == nvars:
-            break
-        v = fs[k]
-        for p, r in residues:
-            if v[p]:
-                v = [r[p] * a - v[p] * b for a, b in zip(v, r)]
-        p = next((j for j, x in enumerate(v) if x), None)
-        if p is not None:
-            residues.append((p, v))
-            kept.append(k)
-    pivots = {p for p, _ in residues}
-    units = [[int(i == j) for i in range(nvars)] for j in range(nvars) if j not in pivots]
+    order = sorted(range(len(fs)), key=lambda k: (-mults[k], k))
+    rows = [[fs[k][i] for k in order] for i in range(nvars)]
+    pivots = _gauss_jordan(rows, len(order))
+    kept = [order[p] for p in pivots]
+    den = lcm(*(row[p] for row, p in zip(rows, pivots)))
+    pad = [0] * (nvars - len(kept))
+    coefficients = {
+        order[c]: primitive_row([row[c] * (den // row[p]) for row, p in zip(rows, pivots)] + pad)
+        for c in range(len(order))
+        if c not in pivots
+    }
+    filled = _forward([list(fs[k]) for k in kept], nvars)
+    units = [[int(i == j) for i in range(nvars)] for j in range(nvars) if j not in filled]
     coords = [(fs[k], mults[k]) for k in kept] + [(u, 0) for u in units]
-    c = [f for f, _ in coords]
-    others = [
-        (primitive_row([_int_det(c[:j] + [fs[k]] + c[j + 1 :]) for j in range(nvars)]), mults[k])
-        for k in range(len(fs))
-        if k not in kept
-    ]
+    others = [(coefficients[k], mults[k]) for k in range(len(fs)) if k in coefficients]
     return coords, others
 
 
@@ -216,11 +193,11 @@ def _reduced_systems(
     the rows are those of the non-coordinate forms over them.
 
     What does not depend on the degree is built once: the primitive forms,
-    the coordinates with their Cramer determinants, and each other form's
-    chart.  A chart's powers N^e are built only as far as the degree being
-    built needs them, e <= degree, and kept for the next one (a form whose
-    multiplicity passes the degree needs none yet), so a caller that stops
-    at a low degree builds no higher power.  Each degree builds its
+    the coordinates with every other form in them (one elimination), and
+    each other form's chart.  A chart's powers N^e are built only as far
+    as the degree being built needs them, e <= degree, and kept for the
+    next one (a form whose multiplicity passes the degree needs none yet),
+    so a caller that stops at a low degree builds no higher power.  Each degree builds its
     monomials, unknowns and rows.  A zero form that some degree constrains
     has no chart, and is refused before the first degree."""
     fs = _primitive_forms(forms, mults)
@@ -271,7 +248,8 @@ def derivation_dim(forms: Sequence[Sequence], mults: Sequence[int], degree: int)
     """Dimension of the degree-d piece of the module, len(`derivation_basis`).
 
     It is solved in the coordinates y = C x of l independent forms, chosen
-    heaviest first (`_coordinates`).  C is invertible, so x -> C x is an
+    heaviest first, and every other form alpha is written as b C, both by
+    one elimination (`_coordinates`).  C is invertible, so x -> C x is an
     automorphism of S that keeps degrees, and theta -> (theta(y_1), ...,
     theta(y_l)) maps the degree-d derivations isomorphically onto l-tuples
     of degree-d polynomials in y.  A form alpha = b C is the polynomial

@@ -4,11 +4,16 @@ Every decision runs in Python ints; Fractions are made only at the edges.
 Elimination is one fraction-free kernel of two phases: a forward pass
 (`_forward`) that eliminates below each pivot, and a back-reduction that
 clears above it.  A rank needs the forward pass only (`integer_rank`); the
-kernel (`integer_kernel`) needs both (`_gauss_jordan`).  Polynomials are
-integer term dicts {exponent vector: int} (`linear_powers`,
-`_term_quotient`, `poly_matrix_det`).  No other module uses the Fraction
-classes `Matrix` and `Polynomial`: the tests keep them as references, and
-the benchmark's tracer wraps `Matrix.rref` and `Polynomial.divmod_by`.
+kernel (`integer_kernel`) needs both (`_gauss_jordan`).  Every other
+module that eliminates calls this kernel: `arrangement` for the echelon
+bases of its flats, its blocks and its essentialization, `dspace` for
+its heavy coordinates (`_gauss_jordan`) and its graded pieces, and
+`rank2` for the pivots of a codim-2 flat's member normals (`_forward`).
+Polynomials are integer term dicts {exponent vector: int}
+(`linear_powers`, `_term_quotient`, `poly_matrix_det`).  No other module
+uses the Fraction classes `Matrix` and `Polynomial`: the tests keep them
+as references, and the benchmark's tracer wraps `Matrix.rref` and
+`Polynomial.divmod_by`.
 Everything in this module is a pure value; same input gives bit-identical
 output.
 """

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .arrangement import Flat, Multiarrangement
 from .dspace import derivation_basis, derivation_dim
-from .exactalg import _pivot, _term_quotient, linear_terms, primitive_form, primitive_row
+from .exactalg import _forward, _term_quotient, linear_terms, primitive_form, primitive_row
 
 
 @dataclass(frozen=True)
@@ -53,17 +53,12 @@ class Rank2Instance:
 def project_to_rank2(a: Multiarrangement, x: Flat) -> Rank2Instance:
     """Quotient the members of a codim-2 flat down to two variables.
 
-    The member normals span a plane whose RREF basis (w1, w2) has pivot
-    columns p1 < p2, and each member normal n is n[p1]*w1 + n[p2]*w2, so
-    (n[p1], n[p2]) is its projected form, read off the integer normals and
-    made primitive (`primitive_form`), so that one line always gives the
-    same form.  Two member normals u, v give the pivots: the residue
-    u[p1]*v - v[p1]*u, with p1 the earlier of their pivots, vanishes up to
-    p1 and has pivot p2.  When the pivots of u and v differ, that is the
-    later one.  Every further member normal n must lie
-    in the span of u and v: with D = u[p1]*v[p2] - u[p2]*v[p1], which is
-    nonzero, Cramer's rule gives D*n = s*u + t*v, and a ValueError reports a
-    member for which that identity fails.
+    As in `arrangement.essentialize`, with p1 < p2 the pivot columns of the
+    member normals' forward elimination (`exactalg._forward`), each member
+    normal n is n[p1]*w1 + n[p2]*w2 in the RREF basis (w1, w2) of their
+    span, so (n[p1], n[p2]) is its projected form, made primitive
+    (`primitive_form`), so that one line always gives the same form.  A
+    ValueError reports members whose normals do not span a plane.
     """
     if x.codim != 2:
         raise ValueError("flat must have codimension 2")
@@ -73,15 +68,10 @@ def project_to_rank2(a: Multiarrangement, x: Flat) -> Rank2Instance:
     if idx[0] < 0 or idx[-1] >= a.size:
         raise ValueError("flat member out of range")
     normals = [a.hyperplanes[k].coeffs for k in idx]
-    u, v = normals[:2]
-    p1, p2 = sorted((_pivot(u), _pivot(v)))
-    if p1 == p2:
-        p2 = next(j for j in range(p1 + 1, len(u)) if u[p1] * v[j] != v[p1] * u[j])
-    d = u[p1] * v[p2] - u[p2] * v[p1]
-    for n in normals[2:]:
-        s, t = n[p1] * v[p2] - n[p2] * v[p1], u[p1] * n[p2] - u[p2] * n[p1]
-        if any(d * x != s * y + t * z for x, y, z in zip(n, u, v)):
-            raise ValueError("flat members do not span a plane")
+    pivots = _forward([list(n) for n in normals], a.dim)
+    if len(pivots) != 2:
+        raise ValueError("flat members do not span a plane")
+    p1, p2 = pivots
     forms = tuple(primitive_form((n[p1], n[p2])) for n in normals)
     return Rank2Instance(forms, tuple(a.mult[k] for k in idx), idx)
 

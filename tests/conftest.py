@@ -82,11 +82,9 @@ def euler_restriction(a: Multiarrangement, i0: int) -> Multiarrangement:
     from arrfree.arrangement import euler_ziegler_multiplicity
     from arrfree.rank2 import euler_multiplicity_at_flat, project_to_rank2
 
-    r = euler_ziegler_multiplicity(a, i0)
-    flats = {f.members: f for f in restriction_flats(a, i0)}
-    out = r.arrangement
-    for k, mem in enumerate(r.trace_members):
-        inst = project_to_rank2(a, flats[mem])
+    out = euler_ziegler_multiplicity(a, i0)
+    for k, flat in enumerate(restriction_flats(a, i0)):
+        inst = project_to_rank2(a, flat)
         h0pos = inst.source.index(i0)
         out = out.with_mult(k, euler_multiplicity_at_flat(inst, h0pos))
     return out

@@ -30,6 +30,13 @@ None of this runs in `certify`, `verify_certificate` or the CLI:
   powers N^e built up front, up to the largest degree asked for
   (`ref_reduced_systems`), which `dspace._reduced_systems` replaced with
   charts extended only as far as the degree being built;
+* the heavy coordinates of `dspace.derivation_dims` by a residue
+  reduction and Cramer's rule over Bareiss determinants (`ref_coordinates`,
+  `ref_int_det`), and the rank-2 projection whose pivots came from two
+  member normals and whose plane was checked by a Cramer identity
+  (`ref_project_to_rank2`), which `dspace._coordinates` and
+  `rank2.project_to_rank2` replaced with the eliminations of
+  `exactalg._gauss_jordan` and `exactalg._forward`;
 * converters between a `Derivation` (integer term dicts over one
   denominator) and a tuple of Fraction Polynomials
   (`derivation_from_polys`, `polys_from_terms`);
@@ -69,6 +76,7 @@ None of this runs in `certify`, `verify_certificate` or the CLI:
 
 from fractions import Fraction
 from math import lcm
+from typing import Sequence
 
 from arrfree.arrangement import (
     Flat,
@@ -79,6 +87,7 @@ from arrfree.arrangement import (
     is_locally_heavy,
     locally_heavy_indices,
     rank,
+    restriction_flats,
 )
 from arrfree.betti import BettiReport
 from arrfree.certify import Flag
@@ -91,6 +100,7 @@ from arrfree.exactalg import (
     integer_kernel,
     monomials,
     primitive_form,
+    primitive_row,
     vec,
 )
 from arrfree.oracle import (
@@ -105,7 +115,7 @@ from arrfree.oracle import (
     is_log_derivation,
     saito_check,
 )
-from arrfree.rank2 import project_to_rank2, rank2_exponents
+from arrfree.rank2 import Rank2Instance, project_to_rank2, rank2_exponents
 
 F = Fraction
 
@@ -365,6 +375,111 @@ def ref_reduced_systems(forms, mults, degrees):
 
 
 # ---------------------------------------------------------------------------
+# heavy coordinates by residues and Cramer's rule, and the rank-2 projection
+# by a Cramer identity
+
+
+def ref_int_det(m: list[list[int]]) -> int:
+    """Determinant of a square integer matrix, by fraction-free (Bareiss)
+    elimination, whose divisions are exact."""
+    m = [list(r) for r in m]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pr = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if pr is None:
+                return 0
+            m[k], m[pr] = m[pr], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
+def ref_coordinates(
+    fs: list[list[int]], mults: Sequence[int]
+) -> tuple[list[tuple[list[int], int]], list[tuple[list[int], int]]]:
+    """The coordinate forms of `derivation_dim`, as (form, mult) pairs, and
+    every other form in those coordinates, as (primitive integer form,
+    mult) in input order.
+
+    The forms are taken in (-mult, index) order, and each one independent
+    of those already kept is kept, until there are l of them.  A form is
+    reduced by the residues of the kept forms in the order kept, each
+    clearing its pivot (first nonzero entry), and is independent when what
+    is left, its residue, is nonzero: a residue is zero at the earlier
+    pivots, so a nonzero combination of residues is nonzero at the pivot
+    of its first term.  For the same reason the unit vectors at the columns
+    with no pivot, with multiplicity 0, complete a rank below l.  A form
+    alpha = sum_j b_j*c_j has b_j = det(C with row j replaced by alpha) /
+    det(C) (Cramer's rule), so the numerators, made primitive, are alpha in
+    the coordinates.
+    """
+    nvars = len(fs[0])
+    kept: list[int] = []
+    residues: list[tuple[int, list[int]]] = []
+    for k in sorted(range(len(fs)), key=lambda k: (-mults[k], k)):
+        if len(kept) == nvars:
+            break
+        v = fs[k]
+        for p, r in residues:
+            if v[p]:
+                v = [r[p] * a - v[p] * b for a, b in zip(v, r)]
+        p = next((j for j, x in enumerate(v) if x), None)
+        if p is not None:
+            residues.append((p, v))
+            kept.append(k)
+    pivots = {p for p, _ in residues}
+    units = [[int(i == j) for i in range(nvars)] for j in range(nvars) if j not in pivots]
+    coords = [(fs[k], mults[k]) for k in kept] + [(u, 0) for u in units]
+    c = [f for f, _ in coords]
+    others = [
+        (primitive_row([ref_int_det(c[:j] + [fs[k]] + c[j + 1 :]) for j in range(nvars)]), mults[k])
+        for k in range(len(fs))
+        if k not in kept
+    ]
+    return coords, others
+
+
+def ref_project_to_rank2(a: Multiarrangement, x: Flat) -> Rank2Instance:
+    """Quotient the members of a codim-2 flat down to two variables.
+
+    The member normals span a plane whose RREF basis (w1, w2) has pivot
+    columns p1 < p2, and each member normal n is n[p1]*w1 + n[p2]*w2, so
+    (n[p1], n[p2]) is its projected form, read off the integer normals and
+    made primitive (`primitive_form`), so that one line always gives the
+    same form.  Two member normals u, v give the pivots: the residue
+    u[p1]*v - v[p1]*u, with p1 the earlier of their pivots, vanishes up to
+    p1 and has pivot p2.  When the pivots of u and v differ, that is the
+    later one.  Every further member normal n must lie
+    in the span of u and v: with D = u[p1]*v[p2] - u[p2]*v[p1], which is
+    nonzero, Cramer's rule gives D*n = s*u + t*v, and a ValueError reports a
+    member for which that identity fails.
+    """
+    if x.codim != 2:
+        raise ValueError("flat must have codimension 2")
+    idx = x.sorted_members()
+    if len(idx) < 2:
+        raise ValueError("a codimension-2 flat has at least two members")
+    if idx[0] < 0 or idx[-1] >= a.size:
+        raise ValueError("flat member out of range")
+    normals = [a.hyperplanes[k].coeffs for k in idx]
+    u, v = normals[:2]
+    p1, p2 = sorted((_pivot(u), _pivot(v)))
+    if p1 == p2:
+        p2 = next(j for j in range(p1 + 1, len(u)) if u[p1] * v[j] != v[p1] * u[j])
+    d = u[p1] * v[p2] - u[p2] * v[p1]
+    for n in normals[2:]:
+        s, t = n[p1] * v[p2] - n[p2] * v[p1], u[p1] * n[p2] - u[p2] * n[p1]
+        if any(d * x != s * y + t * z for x, y, z in zip(n, u, v)):
+            raise ValueError("flat members do not span a plane")
+    forms = tuple(primitive_form((n[p1], n[p2])) for n in normals)
+    return Rank2Instance(forms, tuple(a.mult[k] for k in idx), idx)
+
+
+# ---------------------------------------------------------------------------
 # derivations as Fraction polynomials
 
 
@@ -413,8 +528,8 @@ def ref_combine(coeffs, basis) -> Derivation:
 
 def _restriction_step(m: Multiarrangement, members, k: int):
     """Restrict onto hyperplane k of m, composing original-member sets."""
-    restr = euler_ziegler_multiplicity(m, k)
-    return restr.arrangement, [frozenset().union(*(members[j] for j in tm)) for tm in restr.trace_members]
+    traces = [f.members for f in restriction_flats(m, k)]
+    return euler_ziegler_multiplicity(m, k), [frozenset().union(*(members[j] for j in tm)) for tm in traces]
 
 
 def ref_flag_search(m: Multiarrangement, members, chain=(), values=(), parent=None):
@@ -699,6 +814,6 @@ def restrict_derivation(a: Multiarrangement, h0, theta: Derivation) -> Derivatio
                     terms[m[1:]] = terms.get(m[1:], 0) + c * v
         new_coeffs.append(Polynomial(a.dim - 1, terms))
     out = derivation_from_polys(new_coeffs)
-    if not is_log_derivation(restr.arrangement, out):
+    if not is_log_derivation(restr, out):
         raise RuntimeError("restricted derivation left the restriction module")
     return out

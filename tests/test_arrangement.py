@@ -294,7 +294,7 @@ def test_restriction_flats_braid():
 
 
 def _restriction_profile(r):
-    return sorted(zip((h.normal for h in r.arrangement.hyperplanes), r.arrangement.mult))
+    return sorted(zip((h.normal for h in r.hyperplanes), r.mult))
 
 
 def test_euler_ziegler_example1():
@@ -302,9 +302,9 @@ def test_euler_ziegler_example1():
         arr = example_a3(a_, 2 * a_)
         r = euler_ziegler_multiplicity(arr, 5)
         # Q of the restriction is x^{2a} y^{2a} (x-y)^a
-        assert sorted(r.arrangement.mult) == sorted([2 * a_, 2 * a_, a_])
-        assert r.arrangement.dim == 2
-        assert sum(r.arrangement.mult) == arr.total_mult - arr.mult[5]
+        assert sorted(r.mult) == sorted([2 * a_, 2 * a_, a_])
+        assert r.dim == 2
+        assert sum(r.mult) == arr.total_mult - arr.mult[5]
 
 
 def test_euler_ziegler_boolean():
@@ -314,7 +314,7 @@ def test_euler_ziegler_boolean():
 
 def test_euler_ziegler_braid_simple():
     r = euler_ziegler_multiplicity(braid3(), 3)  # x-y
-    assert sorted(r.arrangement.mult) == [1, 2, 2]
+    assert sorted(r.mult) == [1, 2, 2]
 
 
 def test_euler_ziegler_independent_of_h0_multiplicity():
@@ -324,14 +324,13 @@ def test_euler_ziegler_independent_of_h0_multiplicity():
         i0 = rng.randrange(a.size)
         r1 = euler_ziegler_multiplicity(a, i0)
         r2 = euler_ziegler_multiplicity(a.with_mult(i0, a.mult[i0] + 3), i0)
-        assert r1.arrangement == r2.arrangement
-        assert all(m >= 1 for m in r1.arrangement.mult)
+        assert r1 == r2
+        assert all(m >= 1 for m in r1.mult)
 
 
 def test_euler_ziegler_members_include_h0():
     a = example_a3(1, 2)
-    r = euler_ziegler_multiplicity(a, 5)
-    assert all(5 in mem for mem in r.trace_members)
+    assert all(5 in f.members for f in restriction_flats(a, 5))
 
 
 # ---------------------------------------------------------------------------

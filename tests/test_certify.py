@@ -18,6 +18,7 @@ from arrfree.arrangement import (
     locally_heavy_indices,
     parse,
     rank,
+    restriction_flats,
 )
 from arrfree.betti import b2_multi
 from arrfree.certify import (
@@ -134,8 +135,9 @@ def ref_flags(a):
             if m.dim == 1:
                 flags.append(Flag(c, v))
                 continue
-            r = euler_ziegler_multiplicity(m, k)
-            walk(r.arrangement, [frozenset().union(*(members[j] for j in tm)) for tm in r.trace_members], c, v)
+            traces = [f.members for f in restriction_flats(m, k)]
+            below = [frozenset().union(*(members[j] for j in tm)) for tm in traces]
+            walk(euler_ziegler_multiplicity(m, k), below, c, v)
 
     walk(a, [frozenset({i}) for i in range(a.size)], (), ())
     return sorted(flags, key=_flag_key)

@@ -148,7 +148,8 @@ def ref_locally_heavy_indices(a):
 
 
 def ref_euler_ziegler(a, i0):
-    """(restricted arrangement, trace_members): every normal through the chart."""
+    """(restricted arrangement, member set of each restricted hyperplane):
+    every normal through the chart."""
     _, tinv = ref_linear_change_to_coordinate(a.hyperplanes[i0].normal)
     groups = {}
     for k in range(a.size):
@@ -179,8 +180,8 @@ def assert_matches_reference(a):
     assert locally_heavy_indices(a) == lh
     assert [i for i in range(a.size) if is_locally_heavy(a, i)] == lh
     for i in range(a.size):
-        r = euler_ziegler_multiplicity(a, i)
-        assert (r.arrangement, r.trace_members) == ref_euler_ziegler(a, i)
+        members = tuple(f.members for f in restriction_flats(a, i))
+        assert (euler_ziegler_multiplicity(a, i), members) == ref_euler_ziegler(a, i)
 
 
 def assert_projections_match_reference(a):

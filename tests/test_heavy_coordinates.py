@@ -4,11 +4,14 @@ Differential tests against len(`derivation_basis`), which still solves the
 full system in the input coordinates, at one degree and (`derivation_dims`)
 over a range of degrees from one set-up, and work counts of the reduced
 system: sum_i C(d - m_i + l - 1, l - 1) unknowns over the coordinate forms,
-and the full system's rows less the rows of those forms.
+and the full system's rows less the rows of those forms.  The coordinates
+themselves are compared with the residue-and-Cramer construction that
+one elimination replaced (`reference.ref_coordinates`).
 """
 
 from fractions import Fraction
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -25,11 +28,11 @@ from arrfree.dspace import (
     derivation_dim,
     derivation_dims,
 )
-from arrfree.exactalg import Matrix
+from arrfree.exactalg import Matrix, primitive_form
 from arrfree.fixtures import braid3, example52, fixture_path
 from arrfree.oracle import hilbert_freeness_test
 
-from reference import ref_reduced_systems
+from reference import ref_coordinates, ref_reduced_systems
 
 F = Fraction
 
@@ -200,6 +203,28 @@ def test_heaviest_independent_forms_are_the_coordinates():
     coords, others = _coordinates([[0, 2, 1], [0, -4, -2]], [1, 4])
     assert coords == [([0, -4, -2], 4), ([1, 0, 0], 0), ([0, 0, 1], 0)]
     assert others == [([-1, 0, 0], 1)]
+
+
+def up_to_sign(pairs):
+    return [(primitive_form(f) if any(f) else tuple(f), m) for f, m in pairs]
+
+
+@settings(max_examples=250, deadline=None)
+@given(systems())
+def test_coordinates_match_the_cramer_reference(system):
+    # the same coordinate forms, the other forms up to sign (Cramer's
+    # numerators carry the sign of the coordinates' determinant), and so
+    # the same dimensions
+    forms, mults, _ = system
+    fs = _primitive_forms(forms, mults)
+    coords, others = _coordinates(fs, mults)
+    ref_coords, ref_others = ref_coordinates(fs, mults)
+    assert coords == ref_coords
+    assert up_to_sign(others) == up_to_sign(ref_others)
+    degrees = range(6)
+    with mock.patch.object(dspace_mod, "_coordinates", ref_coordinates):
+        want = outcome(lambda *a: list(derivation_dims(*a)), forms, mults, degrees)
+    assert outcome(lambda *a: list(derivation_dims(*a)), forms, mults, degrees) == want
 
 
 @settings(max_examples=200, deadline=None)

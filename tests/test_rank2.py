@@ -16,7 +16,8 @@ from arrfree.rank2 import (
     project_to_rank2,
     rank2_exponents,
 )
-from reference import ref_euler_multiplicity_at_flat, ref_rank2_exponents
+from conftest import random_multiarrangement
+from reference import ref_euler_multiplicity_at_flat, ref_project_to_rank2, ref_rank2_exponents
 
 F = Fraction
 
@@ -98,9 +99,28 @@ def test_project_needs_codim2():
     ],
 )
 def test_project_rejects_foreign_flat(hyperplanes, members, codim):
+    # with the same message as the projection by a Cramer identity
     a = braid3() if hyperplanes is None else parse({"dim": 3, "hyperplanes": hyperplanes, "mult": [1] * 3})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as got:
         project_to_rank2(a, Flat(codim, frozenset(members)))
+    with pytest.raises(ValueError) as want:
+        ref_project_to_rank2(a, Flat(codim, frozenset(members)))
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_project_matches_the_cramer_reference(dim):
+    # every codim-2 flat of random arrangements; entries in -1..1 give
+    # flats of 3 and more members, whose further normals the reference
+    # checks against the plane, in every dimension
+    rng = random.Random(dim)
+    members = []
+    for _ in range(40):
+        a = random_multiarrangement(rng, dim=dim, max_planes=8, entry=1)
+        for f in codim2_flats(a):
+            assert project_to_rank2(a, f) == ref_project_to_rank2(a, f)
+            members.append(len(f.members))
+    assert max(members) >= 3
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from arrfree.arrangement import (
     euler_ziegler_multiplicity,
     locally_heavy_indices,
     rank,
+    restriction_flats,
     restriction_rows,
 )
 from arrfree.certify import CertifyOptions, Flag, certify, verify_certificate
@@ -81,17 +82,18 @@ def assert_level_is(level, m, depth):
     assert len(rows) == m.size
     for k, row in enumerate(rows):
         r = euler_ziegler_multiplicity(m, k)
-        assert row.mult == list(r.arrangement.mult)
-        assert row.heavy == locally_heavy_indices(r.arrangement)
-        assert row.lines == [list(f.sorted_members()) for f in codim2_flats(r.arrangement)]
+        assert row.mult == list(r.mult)
+        assert row.heavy == locally_heavy_indices(r)
+        assert row.lines == [list(f.sorted_members()) for f in codim2_flats(r)]
         child = level.restriction(k, row)
-        assert child.members == tuple(frozenset().union(*(level.members[j] for j in tm)) for tm in r.trace_members)
+        traces = [f.members for f in restriction_flats(m, k)]
+        assert child.members == tuple(frozenset().union(*(level.members[j] for j in tm)) for tm in traces)
         assert (child.normals is not None) == (child.dim >= 4)
         if depth:
-            assert_level_is(child, r.arrangement, depth - 1)
+            assert_level_is(child, r, depth - 1)
         else:
-            assert child.mult == r.arrangement.mult
-            assert child.rows == tuple(tuple(f.members for f in row) for row in _codim2_table(r.arrangement.hyperplanes)[1])
+            assert child.mult == r.mult
+            assert child.rows == tuple(tuple(f.members for f in row) for row in _codim2_table(r.hyperplanes)[1])
 
 
 @settings(max_examples=300, deadline=None)
