@@ -32,16 +32,12 @@ class BettiReport:
 
 
 def b2_simple(a: Multiarrangement) -> BettiReport:
-    """Sum of |A_X| - 1 over codim-2 flats; demands a simple arrangement."""
+    """Sum of |A_X| - 1 over codim-2 flats; demands a simple arrangement.
+    There `flat_exponents` gives every flat X the exponents (1, |X| - 1)
+    (`rank2._closed_d1`), so this is `b2_multi`."""
     if not a.is_simple():
         raise ValueError("b2_simple needs all multiplicities equal to 1")
-    rows = []
-    exps = []
-    for f in codim2_flats(a):
-        n = len(f.members)
-        rows.append((f.sorted_members(), n - 1))
-        exps.append((1, n - 1))
-    return BettiReport(sum(c for _, c in rows), tuple(rows), tuple(exps))
+    return b2_multi(a)
 
 
 @lru_cache(maxsize=2048)

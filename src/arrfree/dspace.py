@@ -21,26 +21,22 @@ constrained, and N has no y_1, so each image is expanded only that far
 (`_chart_rows`): x^a -> F_q^(d-a_q) * y'^a' * sum_{k<m} C(a_q, k) * y_1^k *
 N^(a_q-k), where a' is a without a_q and y' the chart variables after y_1.
 
-Two front doors share one row builder (`_form_rows`).  `derivation_basis`
-solves the full system, l*C(d+l-1, l-1) unknowns in l variables and rows
-for every form, in the input coordinates, because its echelon basis is
-cited in certificates (`oracle.extract_basis`), as integer term dicts over
-one denominator (`exactalg.integer_kernel`).  `derivation_dims` needs
-only dimensions, which a linear change of coordinates does not move, so
-it solves in the coordinates of l independent forms, chosen heaviest
-first; one elimination of the forms (`exactalg._gauss_jordan`, in
-`_coordinates`) chooses them and writes every other form in them.  There
-each chosen form only drops unknowns, leaving sum_i C(d-m_i+l-1, l-1),
-and only the other forms give rows; the rank
-comes from the forward pass of the elimination alone
-(`exactalg.integer_rank`).  It yields one dimension per degree: the
-primitive forms, the coordinates and each other form's chart are built
-once, before the first; each degree extends the charts' powers N^e only
-up to itself and builds only its monomials, unknowns and rows
-(`_reduced_systems`), so a caller that stops early builds nothing for the
-degrees it never reads.  `derivation_dim` is
-its one-degree case; `derivation_basis` builds everything for its one
-degree.
+Two front doors share one system builder (`_systems`): l coordinates, each
+with a multiplicity m_i below which its y_i-degree drops unknowns, and the
+forms that give rows.  `derivation_basis` solves the full system in the
+input coordinates, each at multiplicity 0, with rows for every form,
+because its echelon basis is cited in certificates
+(`oracle.extract_basis`), as integer term dicts over one denominator
+(`exactalg.integer_kernel`).  `derivation_dims` needs only dimensions,
+which a linear change of coordinates does not move, so it solves in the
+coordinates of l independent forms, chosen heaviest first by one
+elimination (`exactalg._gauss_jordan`, in `_coordinates`) that also writes
+every other form in them.  Each chosen form then only drops unknowns,
+leaving sum_i C(d-m_i+l-1, l-1), and only the other forms give rows; the
+rank comes from the forward pass alone (`exactalg.integer_rank`).  Over a
+range of degrees all but the monomials, unknowns and rows is built once,
+and the charts' powers N^e only up to the degree being built, so a caller
+that stops early builds nothing for the degrees it never reads.
 """
 
 from __future__ import annotations
@@ -130,23 +126,6 @@ def _primitive_forms(forms: Sequence[Sequence], mults: Sequence[int]) -> list[li
     return fs
 
 
-def _derivation_rows(
-    forms: Sequence[Sequence], mults: Sequence[int], degree: int
-) -> tuple[list[list[int]], list[Monomial]]:
-    """The integer linear system of the degree-d piece and its monomials:
-    unknown i*len(monos) + k is the coefficient of monos[k] in
-    theta(x_{i+1}).  A negative degree has no monomials and no rows."""
-    fs = _primitive_forms(forms, mults)
-    monos = monomials(len(fs[0]), degree)
-    cols = [(i, k) for i in range(len(fs[0])) for k in range(len(monos))]
-    rows = [
-        row
-        for form, mult in zip(fs, mults)
-        for row in _form_rows(form, mult, _chart(form, mult, degree), monos, degree, cols)
-    ]
-    return rows, monos
-
-
 def _coordinates(
     fs: list[list[int]], mults: Sequence[int]
 ) -> tuple[list[tuple[list[int], int]], list[tuple[list[int], int]]]:
@@ -184,38 +163,43 @@ def _coordinates(
     return coords, others
 
 
-def _reduced_systems(
-    forms: Sequence[Sequence], mults: Sequence[int], degrees: Sequence[int]
-) -> Iterator[tuple[list[list[int]], int]]:
-    """The system of `derivation_dim` and its number of unknowns, for each
-    degree in turn: in the coordinates y_i = c_i(x) of `_coordinates`, the
-    unknowns are the coefficients of y^a in theta(y_i) with a_i >= m_i, and
-    the rows are those of the non-coordinate forms over them.
-
-    What does not depend on the degree is built once: the primitive forms,
-    the coordinates with every other form in them (one elimination), and
-    each other form's chart.  A chart's powers N^e are built only as far
-    as the degree being built needs them, e <= degree, and kept for the
-    next one (a form whose multiplicity passes the degree needs none yet),
-    so a caller that stops at a low degree builds no higher power.  Each degree builds its
-    monomials, unknowns and rows.  A zero form that some degree constrains
-    has no chart, and is refused before the first degree."""
-    fs = _primitive_forms(forms, mults)
-    coords, others = _coordinates(fs, mults)
+def _systems(
+    coord_mults: Sequence[int], others: list[tuple[list[int], int]], degrees: Sequence[int]
+) -> Iterator[tuple[list[list[int]], list[Monomial], int]]:
+    """Each degree's system, monomials and unknown count in coordinates
+    y_1, ..., y_l of multiplicities `coord_mults`: the unknowns are the
+    coefficients of y^a in theta(y_i) with a_i >= m_i, in (i, monomial)
+    order, and the rows are those of `others`, (primitive integer form in
+    y, mult) pairs.  Each chart's powers N^e are built as far as the
+    degree being built needs them and kept for the next.  A zero form that
+    some degree constrains has no chart, and is refused before the first
+    degree."""
     top = max(degrees, default=-1)
     if any(mult <= top and not any(form) for form, mult in others):
         raise ValueError("zero form")
     charts = [None] * len(others)
     for degree in degrees:
         charts = [_chart(form, mult, degree, chart) for (form, mult), chart in zip(others, charts)]
-        monos = monomials(len(fs[0]), degree)
-        cols = [(i, k) for i, (_, m) in enumerate(coords) for k, mono in enumerate(monos) if mono[i] >= m]
+        monos = monomials(len(coord_mults), degree)
+        cols = [(i, k) for i, m in enumerate(coord_mults) for k, mono in enumerate(monos) if mono[i] >= m]
         rows = [
             row
             for (form, mult), chart in zip(others, charts)
             for row in _form_rows(form, mult, chart, monos, degree, cols)
         ]
-        yield rows, len(cols)
+        yield rows, monos, len(cols)
+
+
+def _reduced_systems(
+    forms: Sequence[Sequence], mults: Sequence[int], degrees: Sequence[int]
+) -> Iterator[tuple[list[list[int]], int]]:
+    """The system of `derivation_dim` and its number of unknowns, for each
+    degree in turn: `_systems` in the coordinates of `_coordinates`, with
+    the non-coordinate forms giving rows."""
+    fs = _primitive_forms(forms, mults)
+    coords, others = _coordinates(fs, mults)
+    for rows, _, ncols in _systems([m for _, m in coords], others, degrees):
+        yield rows, ncols
 
 
 def derivation_basis(
@@ -226,9 +210,11 @@ def derivation_basis(
     Returns (coefficient tuple (theta(x_1), ..., theta(x_n)) as integer term
     dicts, positive denominator) pairs; deterministic for fixed input order.
     """
-    rows, monos = _derivation_rows(forms, mults, degree)
-    nvars, nm = len(forms[0]), len(monos)
-    _, kernel = integer_kernel(rows, nvars * nm)
+    fs = _primitive_forms(forms, mults)
+    nvars = len(fs[0])
+    rows, monos, ncols = next(_systems([0] * nvars, list(zip(fs, mults)), (degree,)))
+    nm = len(monos)
+    _, kernel = integer_kernel(rows, ncols)
     return [
         (tuple({monos[k]: v[i * nm + k] for k in range(nm) if v[i * nm + k]} for i in range(nvars)), den)
         for v, den in kernel

@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import comb, gcd, lcm
 
 from .arrangement import Multiarrangement, ParseError, _entry, rank
@@ -203,35 +204,12 @@ def cap_is_reasonable(dim: int, cap: int) -> bool:
 MAX_EXPONENT_TUPLES = 10_000
 
 
-def exponent_tuple_count(total: int, parts: int) -> int:
-    """The number of `exponent_candidates(total, parts)`, the partitions of
-    total into `parts` positive parts, or any number above
-    MAX_EXPONENT_TUPLES once the count is known to pass it.
-
-    By dynamic programming over n = 0, 1, ..., total:
-    p(n, k) = p(n - 1, k - 1) + p(n - k, k), since a partition either has
-    a part 1 or is one of n - k with every part raised by 1.  p(n, k) never
-    falls as n grows (raise the largest part), so the table stops at the
-    first n whose p(n, parts) passes the bound; with two or more parts that
-    happens by n = parts + 2*MAX_EXPONENT_TUPLES, so the work is bounded
-    whatever total is.
-    """
-    if parts < 1 or total < parts:
-        return 0
-    if parts == 1:
-        return 1
-    cols = [[1] + [0] * parts]  # cols[n][k] = p(n, k)
-    for n in range(1, total + 1):
-        cols.append([0] + [cols[n - 1][k - 1] + (cols[n - k][k] if k <= n else 0) for k in range(1, parts + 1)])
-        if cols[n][parts] > MAX_EXPONENT_TUPLES:
-            break
-    return cols[-1][parts]
-
-
 def exponent_tuple_overflow(total: int, parts: int) -> str | None:
     """Desk-scale guard on the Hilbert test's candidate list: None for at
-    most MAX_EXPONENT_TUPLES exponent tuples, else the reason to refuse."""
-    if exponent_tuple_count(total, parts) <= MAX_EXPONENT_TUPLES:
+    most MAX_EXPONENT_TUPLES exponent tuples, else the reason to refuse.
+    Every branch of the enumeration yields, so asking it for one tuple past
+    the bound takes bounded work whatever total is."""
+    if next(islice(_nondecreasing_tuples(total, parts, 1), MAX_EXPONENT_TUPLES, None), None) is None:
         return None
     return f"more than {MAX_EXPONENT_TUPLES} exponent tuples of length {parts} sum to |m| = {total}"
 
@@ -328,7 +306,8 @@ def hilbert_freeness_test(
     exponents e by itself (Saito's criterion), and the result cites k.  If
     it fails, the filtering goes on to the cap with no second try, since
     the draws depend only on e and the seed; anything not decided by then
-    is Undetermined.  More than MAX_EXPONENT_TUPLES candidate tuples is a
+    is Undetermined.  The candidates come from one enumeration, cut after
+    MAX_EXPONENT_TUPLES + 1 tuples; more than MAX_EXPONENT_TUPLES is a
     ValueError, raised before any solve.
     """
     l = a.dim
@@ -338,11 +317,11 @@ def hilbert_freeness_test(
     if cap < 1:
         raise ValueError("degree cap must be at least 1")
     total = a.total_mult
-    overflow = exponent_tuple_overflow(total, l)
-    if overflow:
-        raise ValueError(overflow)
+    survivors = list(islice(_nondecreasing_tuples(total, l, 1), MAX_EXPONENT_TUPLES + 1))
+    if len(survivors) > MAX_EXPONENT_TUPLES:
+        raise ValueError(exponent_tuple_overflow(total, l))
     forms, mults = [h.coeffs for h in a.hyperplanes], list(a.mult)
-    dims, survivors = [], exponent_candidates(total, l)
+    dims = []
     untried = trials > 0
     for d, dim in enumerate(derivation_dims(forms, mults, range(cap + 1))):
         dims.append(dim)

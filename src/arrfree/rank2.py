@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arrangement import Flat, Multiarrangement
+from .arrangement import Flat, Multiarrangement, _codim2_table
 from .dspace import derivation_basis, derivation_dim
 from .exactalg import _forward, _term_quotient, linear_terms, primitive_form, primitive_row
 
@@ -58,7 +58,9 @@ def project_to_rank2(a: Multiarrangement, x: Flat) -> Rank2Instance:
     normal n is n[p1]*w1 + n[p2]*w2 in the RREF basis (w1, w2) of their
     span, so (n[p1], n[p2]) is its projected form, made primitive
     (`primitive_form`), so that one line always gives the same form.  A
-    ValueError reports members whose normals do not span a plane.
+    ValueError reports members whose normals do not span a plane, or that
+    are not all the hyperplanes through it: x must be a codim-2 flat of
+    `a`, a row entry of the cached table `arrangement._codim2_table`.
     """
     if x.codim != 2:
         raise ValueError("flat must have codimension 2")
@@ -71,6 +73,8 @@ def project_to_rank2(a: Multiarrangement, x: Flat) -> Rank2Instance:
     pivots = _forward([list(n) for n in normals], a.dim)
     if len(pivots) != 2:
         raise ValueError("flat members do not span a plane")
+    if x not in _codim2_table(a.hyperplanes)[1][idx[0]]:
+        raise ValueError("not a flat of this arrangement")
     p1, p2 = pivots
     forms = tuple(primitive_form((n[p1], n[p2])) for n in normals)
     return Rank2Instance(forms, tuple(a.mult[k] for k in idx), idx)

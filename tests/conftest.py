@@ -1,4 +1,4 @@
-"""Shared random generators for arrangement test suites."""
+"""Shared random generators and helpers for arrangement test suites."""
 
 from __future__ import annotations
 
@@ -6,10 +6,20 @@ import itertools
 import random
 
 from arrfree.arrangement import Hyperplane, Multiarrangement, is_locally_heavy, rank, restriction_flats
+from arrfree.dspace import _primitive_forms, _systems
 
 
 # the bundled fixtures that parse as arrangements (not the sweep template)
 FIXTURES = ["boolean", "boolean_234", "braid", "example1_a1_m0_2", "example52", "generic4", "rank4_flag"]
+
+
+def full_system(forms, mults, degree):
+    """The rows and monomials of `derivation_basis`'s system, from the one
+    builder `dspace._systems`: every input coordinate at multiplicity 0,
+    every form giving rows."""
+    fs = _primitive_forms(forms, mults)
+    rows, monos, _ = next(_systems([0] * len(fs[0]), list(zip(fs, mults)), (degree,)))
+    return rows, monos
 
 
 def type_b_normals(n: int) -> list[list[int]]:

@@ -30,6 +30,10 @@ None of this runs in `certify`, `verify_certificate` or the CLI:
   powers N^e built up front, up to the largest degree asked for
   (`ref_reduced_systems`), which `dspace._reduced_systems` replaced with
   charts extended only as far as the degree being built;
+* the full system of `dspace.derivation_basis` from a builder of its own
+  (`ref_full_system`), which `dspace._systems`, the builder of the reduced
+  systems too, replaced with every input coordinate at multiplicity 0 and
+  every form giving rows;
 * the heavy coordinates of `dspace.derivation_dims` by a residue
   reduction and Cramer's rule over Bareiss determinants (`ref_coordinates`,
   `ref_int_det`), and the rank-2 projection whose pivots came from two
@@ -55,6 +59,9 @@ None of this runs in `certify`, `verify_certificate` or the CLI:
   (`ref_b2_multi`), which `betti.b2_multi` and `certify._rank2_base`
   replaced with `rank2.flat_exponents`, which projects only the flats whose
   multiplicities do not fix their exponents;
+* the b2 of a simple arrangement as its own sum of |X| - 1
+  (`ref_b2_simple`), which `betti.b2_simple` replaced with `b2_multi`,
+  whose flats all get (1, |X| - 1) from `rank2._closed_d1`;
 * Saito's criterion in Fraction polynomials (`ref_saito_check`,
   `ref_is_log_derivation`): theta(alpha) (`apply_form`), the lex
   division, the cofactor determinant and the defining polynomial Q(A,m)
@@ -64,6 +71,10 @@ None of this runs in `certify`, `verify_certificate` or the CLI:
 * the rank-2 exponents from one graded dimension on every instance
   (`ref_rank2_exponents`), which `rank2._min_degree_basis` replaced with
   the closed forms of `rank2._closed_d1` where the multiplicities fix them;
+* the count of exponent tuples by a partition table
+  (`ref_exponent_tuple_count`), which `oracle.exponent_tuple_overflow` and
+  `oracle.hilbert_freeness_test` replaced with the enumeration of
+  `oracle.exponent_candidates`, cut one tuple past the bound;
 * the Hilbert test that solved every degree 0..cap before it filtered any
   exponent tuple or tried a basis (`ref_hilbert_freeness_test`), which
   `oracle.hilbert_freeness_test` replaced with a filter per degree that
@@ -94,6 +105,7 @@ from arrfree.certify import Flag
 from arrfree.dspace import _chart, _coordinates, _form_rows, _primitive_forms, derivation_dim, derivation_dims
 from arrfree.exactalg import (
     Matrix,
+    Monomial,
     Polynomial,
     _pivot,
     _term_combination,
@@ -104,6 +116,7 @@ from arrfree.exactalg import (
     vec,
 )
 from arrfree.oracle import (
+    MAX_EXPONENT_TUPLES,
     Derivation,
     HilbertResult,
     SaitoResult,
@@ -374,6 +387,23 @@ def ref_reduced_systems(forms, mults, degrees):
         yield rows, len(cols)
 
 
+def ref_full_system(
+    forms: Sequence[Sequence], mults: Sequence[int], degree: int
+) -> tuple[list[list[int]], list[Monomial]]:
+    """The integer linear system of the degree-d piece and its monomials:
+    unknown i*len(monos) + k is the coefficient of monos[k] in
+    theta(x_{i+1}).  A negative degree has no monomials and no rows."""
+    fs = _primitive_forms(forms, mults)
+    monos = monomials(len(fs[0]), degree)
+    cols = [(i, k) for i in range(len(fs[0])) for k in range(len(monos))]
+    rows = [
+        row
+        for form, mult in zip(fs, mults)
+        for row in _form_rows(form, mult, _chart(form, mult, degree), monos, degree, cols)
+    ]
+    return rows, monos
+
+
 # ---------------------------------------------------------------------------
 # heavy coordinates by residues and Cramer's rule, and the rank-2 projection
 # by a Cramer identity
@@ -601,6 +631,19 @@ def ref_b2_multi(a: Multiarrangement) -> BettiReport:
     return BettiReport(sum(c for _, c in rows), tuple(rows), tuple(exps))
 
 
+def ref_b2_simple(a: Multiarrangement) -> BettiReport:
+    """Sum of |A_X| - 1 over codim-2 flats; demands a simple arrangement."""
+    if not a.is_simple():
+        raise ValueError("b2_simple needs all multiplicities equal to 1")
+    rows = []
+    exps = []
+    for f in codim2_flats(a):
+        n = len(f.members)
+        rows.append((f.sorted_members(), n - 1))
+        exps.append((1, n - 1))
+    return BettiReport(sum(c for _, c in rows), tuple(rows), tuple(exps))
+
+
 # ---------------------------------------------------------------------------
 # Saito's criterion in Fraction polynomials
 
@@ -683,6 +726,31 @@ def ref_rank2_exponents(inst) -> tuple[int, int]:
     d = min((total + 1) // 2 - 1, total - max(inst.mult))
     d1 = d + 1 - derivation_dim(inst.forms, inst.mult, d)
     return d1, total - d1
+
+
+def ref_exponent_tuple_count(total: int, parts: int) -> int:
+    """The number of `exponent_candidates(total, parts)`, the partitions of
+    total into `parts` positive parts, or any number above
+    MAX_EXPONENT_TUPLES once the count is known to pass it.
+
+    By dynamic programming over n = 0, 1, ..., total:
+    p(n, k) = p(n - 1, k - 1) + p(n - k, k), since a partition either has
+    a part 1 or is one of n - k with every part raised by 1.  p(n, k) never
+    falls as n grows (raise the largest part), so the table stops at the
+    first n whose p(n, parts) passes the bound; with two or more parts that
+    happens by n = parts + 2*MAX_EXPONENT_TUPLES, so the work is bounded
+    whatever total is.
+    """
+    if parts < 1 or total < parts:
+        return 0
+    if parts == 1:
+        return 1
+    cols = [[1] + [0] * parts]  # cols[n][k] = p(n, k)
+    for n in range(1, total + 1):
+        cols.append([0] + [cols[n - 1][k - 1] + (cols[n - k][k] if k <= n else 0) for k in range(1, parts + 1)])
+        if cols[n][parts] > MAX_EXPONENT_TUPLES:
+            break
+    return cols[-1][parts]
 
 
 def ref_hilbert_freeness_test(

@@ -26,7 +26,7 @@ from conftest import (
     random_simple_rank3,
     type_b_normals,
 )
-from reference import b2_away_local_sum, ref_b2_multi
+from reference import b2_away_local_sum, ref_b2_multi, ref_b2_simple
 
 
 def test_b2_simple_fixtures():
@@ -52,11 +52,39 @@ def test_b2_multi_example1():
     assert sorted(c for _, c in report.per_flat) == [1, 1, 2, 2, 2, 4, 4]
 
 
+def assert_simple_b2_agrees(a):
+    """b2_simple, the sum of |X| - 1 it had of its own, and b2_multi give
+    one report: total, flats and exponents."""
+    want = ref_b2_simple(a)
+    assert b2_simple(a) == want
+    assert b2_multi(a) == want
+
+
 def test_b2_multi_agrees_with_simple():
     rng = random.Random(31)
     for _ in range(12):
-        a = random_multiarrangement(rng, max_mult=1)
-        assert b2_multi(a).total == b2_simple(a).total
+        assert_simple_b2_agrees(random_multiarrangement(rng, max_mult=1))
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_simple_b2_reports_agree_on_fixtures(name):
+    assert_simple_b2_agrees(load(f"{name}.json").underlying_simple())
+
+
+@st.composite
+def simple_arrangements(draw):
+    """Simple arrangements of 1..8 distinct hyperplanes in l = 2..4
+    variables, entries -2..2, of any rank."""
+    dim = draw(st.integers(2, 4))
+    normals = draw(st.lists(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).filter(any), min_size=1, max_size=8))
+    planes = tuple(dict.fromkeys(Hyperplane.from_coeffs(v) for v in normals))
+    return Multiarrangement(dim, planes, (1,) * len(planes))
+
+
+@settings(max_examples=100, deadline=None)
+@given(simple_arrangements())
+def test_simple_b2_reports_agree(a):
+    assert_simple_b2_agrees(a)
 
 
 def test_b2_away_example1_formula():

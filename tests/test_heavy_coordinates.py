@@ -21,7 +21,6 @@ import arrfree.dspace as dspace_mod
 from arrfree.arrangement import parse_file
 from arrfree.dspace import (
     _coordinates,
-    _derivation_rows,
     _primitive_forms,
     _reduced_systems,
     derivation_basis,
@@ -32,7 +31,8 @@ from arrfree.exactalg import Matrix, primitive_form
 from arrfree.fixtures import braid3, example52, fixture_path
 from arrfree.oracle import hilbert_freeness_test
 
-from reference import ref_coordinates, ref_reduced_systems
+from conftest import full_system
+from reference import ref_coordinates, ref_full_system, ref_reduced_systems
 
 F = Fraction
 
@@ -79,8 +79,8 @@ def assert_work_counts(forms, mults, degrees):
         want_cols = sum(n_monomials(nvars, degree - mults[k]) for k in kept)
         want_cols += (nvars - len(kept)) * n_monomials(nvars, degree)
         assert ncols == want_cols
-        full = len(_derivation_rows(forms, mults, degree)[0])
-        assert len(rows) == full - sum(len(_derivation_rows([forms[k]], [mults[k]], degree)[0]) for k in kept)
+        full = len(full_system(forms, mults, degree)[0])
+        assert len(rows) == full - sum(len(full_system([forms[k]], [mults[k]], degree)[0]) for k in kept)
         assert all(len(row) == ncols for row in rows)
 
 
@@ -225,6 +225,15 @@ def test_coordinates_match_the_cramer_reference(system):
     with mock.patch.object(dspace_mod, "_coordinates", ref_coordinates):
         want = outcome(lambda *a: list(derivation_dims(*a)), forms, mults, degrees)
     assert outcome(lambda *a: list(derivation_dims(*a)), forms, mults, degrees) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems())
+def test_one_builder_gives_the_full_system_of_its_own_builder(system):
+    # zero forms and ranks below l included; a refusal must be alike
+    forms, mults, degree = system
+    for d in range(-1, degree + 1):
+        assert outcome(full_system, forms, mults, d) == outcome(ref_full_system, forms, mults, d)
 
 
 @settings(max_examples=200, deadline=None)

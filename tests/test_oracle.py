@@ -1,6 +1,7 @@
 import functools
 import json
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +29,6 @@ from arrfree.oracle import (
     _combination,
     derivation_space_dim,
     exponent_candidates,
-    exponent_tuple_count,
     exponent_tuple_overflow,
     extract_basis,
     free_module_dim,
@@ -45,6 +45,7 @@ from reference import (
     polys_from_terms,
     good_summand_check,
     ref_defining_polynomial,
+    ref_exponent_tuple_count,
     ref_hilbert_freeness_test,
     ref_combine,
     ref_poly_matrix_det,
@@ -256,23 +257,58 @@ def test_hilbert_requires_essential():
 
 @pytest.mark.parametrize("parts", range(1, 6))
 def test_exponent_tuple_count_matches_the_list(parts):
+    # the partition table that the enumeration replaced, and the guard
     for total in range(0, 31):
-        assert exponent_tuple_count(total, parts) == len(exponent_candidates(total, parts))
+        count = ref_exponent_tuple_count(total, parts)
+        assert count == len(exponent_candidates(total, parts))
+        assert (exponent_tuple_overflow(total, parts) is None) == (count <= MAX_EXPONENT_TUPLES)
 
 
 def test_exponent_tuple_bound_is_exact():
     # p(n, 3) is the integer nearest n^2/12; n = 346 is the last one within the bound
-    assert exponent_tuple_count(346, 3) == 9976 <= MAX_EXPONENT_TUPLES
+    assert ref_exponent_tuple_count(346, 3) == len(exponent_candidates(346, 3)) == 9976 <= MAX_EXPONENT_TUPLES
     assert exponent_tuple_overflow(346, 3) is None
-    assert exponent_tuple_count(347, 3) == 10034
+    assert ref_exponent_tuple_count(347, 3) == len(exponent_candidates(347, 3)) == 10034
     assert exponent_tuple_overflow(347, 3) == "more than 10000 exponent tuples of length 3 sum to |m| = 347"
+    # p(n, 2) = floor(n/2) meets the bound itself: 10000 tuples pass, 10001 do not
+    assert ref_exponent_tuple_count(20001, 2) == MAX_EXPONENT_TUPLES
+    assert exponent_tuple_overflow(20001, 2) is None
+    assert ref_exponent_tuple_count(20002, 2) == MAX_EXPONENT_TUPLES + 1
+    assert exponent_tuple_overflow(20002, 2) == "more than 10000 exponent tuples of length 2 sum to |m| = 20002"
 
 
 @pytest.mark.parametrize("parts", [1, 2, 3, 5])
 def test_exponent_tuple_count_stops_early_on_huge_totals(parts):
-    # the table stops once the count passes the limit, whatever |m| is
-    got = exponent_tuple_count(10**12, parts)
-    assert got == 1 if parts == 1 else got > MAX_EXPONENT_TUPLES
+    # the enumeration stops one tuple past the limit, whatever |m| is
+    start = time.perf_counter()
+    got = exponent_tuple_overflow(10**12, parts)
+    assert time.perf_counter() - start < 0.5
+    assert got is None if parts == 1 else got.startswith("more than 10000 exponent tuples")
+    count = ref_exponent_tuple_count(10**12, parts)
+    assert count == 1 if parts == 1 else count > MAX_EXPONENT_TUPLES
+
+
+@pytest.mark.parametrize(
+    "normals, total, refused",
+    [
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], 346, False),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], 347, True),
+        ([[1, 0], [0, 1], [1, 1]], 20001, False),
+        ([[1, 0], [0, 1], [1, 1]], 20002, True),
+    ],
+)
+def test_hilbert_refuses_past_the_bound_before_any_solve(monkeypatch, normals, total, refused):
+    # within the bound the first solve is reached
+    def never(*args, **kwargs):
+        raise AssertionError("no graded dimension may be solved")
+
+    monkeypatch.setattr(oracle_mod, "derivation_dims", never)
+    n = len(normals)
+    mult = [total // n + (i < total % n) for i in range(n)]
+    a = parse({"dim": len(normals[0]), "hyperplanes": normals, "mult": mult})
+    assert a.total_mult == total
+    with pytest.raises(ValueError if refused else AssertionError):
+        hilbert_freeness_test(a, degree_cap=2)
 
 
 def test_hilbert_refuses_too_many_exponent_tuples_before_any_solve(monkeypatch):

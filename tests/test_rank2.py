@@ -108,6 +108,31 @@ def test_project_rejects_foreign_flat(hyperplanes, members, codim):
     assert str(got.value) == str(want.value)
 
 
+def test_project_rejects_part_of_a_flat():
+    # braid's flat {0, 1, 3} has exponents (1, 2); its part {0, 1} spans
+    # the same plane but is not a flat, and would project to (1, 1)
+    a = braid3()
+    assert rank2_exponents(project_to_rank2(a, Flat(2, frozenset({0, 1, 3})))) == (1, 2)
+    with pytest.raises(ValueError, match="^not a flat of this arrangement$"):
+        project_to_rank2(a, Flat(2, frozenset({0, 1})))
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_project_rejects_every_part_of_a_flat(dim):
+    # every proper part of at least two members of a flat of 3 or more
+    rng = random.Random(100 + dim)
+    parts = 0
+    for _ in range(20):
+        a = random_multiarrangement(rng, dim=dim, max_planes=8, entry=1)
+        for f in codim2_flats(a):
+            for k in range(2, len(f.members)):
+                for part in itertools.combinations(f.sorted_members(), k):
+                    with pytest.raises(ValueError, match="^not a flat of this arrangement$"):
+                        project_to_rank2(a, Flat(2, frozenset(part)))
+                    parts += 1
+    assert parts
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
 def test_project_matches_the_cramer_reference(dim):
     # every codim-2 flat of random arrangements; entries in -1..1 give

@@ -7,7 +7,10 @@ The references are the row builder that expanded every chart image in full
 the greedy chart of `reference`, and then kept the coefficients of y_1-degree below
 the multiplicity, exactly as `dspace` had it before, and
 len(`derivation_basis`), the kernel the dimension used to be counted from.
-Rows must be equal, not merely equivalent.
+The full system comes from `dspace._systems`, the builder of the reduced
+systems too, and is also compared with the builder of its own that it
+replaced (`reference.ref_full_system`).  Rows must be equal, not merely
+equivalent.
 """
 
 from fractions import Fraction
@@ -16,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrfree.dspace import _derivation_rows, derivation_basis, derivation_dim
+from arrfree.dspace import derivation_basis, derivation_dim
 from arrfree.exactalg import (
     Matrix,
     _gauss_jordan,
@@ -25,7 +28,8 @@ from arrfree.exactalg import (
     primitive_row,
     vec,
 )
-from reference import ref_scaled_chart_inverse, ref_substitute_monomials
+from conftest import full_system
+from reference import ref_full_system, ref_scaled_chart_inverse, ref_substitute_monomials
 
 F = Fraction
 
@@ -100,9 +104,18 @@ def systems(draw, max_degree=6, max_forms=3):
 @given(systems())
 def test_truncated_rows_equal_full_expansion(system):
     forms, mults, degree = system
-    rows, monos = _derivation_rows(forms, mults, degree)
+    rows, monos = full_system(forms, mults, degree)
     assert monos == monomials(len(forms[0]), degree)
     assert rows == ref_derivation_rows(forms, mults, degree)
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems())
+def test_one_builder_gives_the_full_system_of_its_own_builder(system):
+    # `derivation_basis`'s system from `dspace._systems`, against the
+    # builder it had before the reduced systems shared theirs
+    forms, mults, degree = system
+    assert full_system(forms, mults, degree) == ref_full_system(forms, mults, degree)
 
 
 @settings(max_examples=40, deadline=None)
@@ -118,13 +131,13 @@ def test_every_chart_index_at_degree_six(q):
     form = [F(1, 2), F(0), F(-3)][:q] + [F(2)] + [F(0)] * (3 - q)
     forms = [form, (1, 1, 1, 1)]
     for mult in (1, 3, 6, 8):
-        rows, _ = _derivation_rows(forms, [mult, 2], 6)
+        rows, _ = full_system(forms, [mult, 2], 6)
         assert rows == ref_derivation_rows(forms, [mult, 2], 6)
     assert derivation_dim(forms, [3, 2], 6) == len(derivation_basis(forms, [3, 2], 6))
 
 
 def test_negative_degree_has_no_rows():
-    assert _derivation_rows([(1, 0), (0, 1)], [1, 1], -1) == ([], [])
+    assert full_system([(1, 0), (0, 1)], [1, 1], -1) == ([], [])
     assert derivation_dim([(1, 0), (0, 1)], [1, 1], -1) == 0
     assert derivation_basis([(1, 0), (0, 1)], [1, 1], -1) == []
 
@@ -172,7 +185,7 @@ def test_forward_rank_equals_sympy_rank(sympy, entries):
 @given(systems(max_degree=3, max_forms=2))
 def test_derivation_rank_equals_sympy_rank(sympy, system):
     forms, mults, degree = system
-    rows, monos = _derivation_rows(forms, mults, degree)
+    rows, monos = full_system(forms, mults, degree)
     ncols = len(forms[0]) * len(monos)
     want = sympy.Matrix(rows).rank() if rows else 0
     assert ncols - derivation_dim(forms, mults, degree) == want
