@@ -488,12 +488,14 @@ def _hilbert_verdict(a: Multiarrangement, ess: Multiarrangement, dropped, res) -
     return Verdict("NonFree", witness={"graded_dims": list(res.dims)}, certificate=node)
 
 
-def _oracle_refusal(ess: Multiarrangement, cap: int, name: str = "degree cap") -> str | None:
-    """Why the Hilbert test on `ess` at this degree cap is refused before
-    any solve, or None; the prover and the verifier both ask."""
-    if cap < 1 or not oracle.cap_is_reasonable(ess.dim, cap):
+def _cap_refusal(dim: int, cap: int, name: str = "degree cap") -> str | None:
+    """Why the Hilbert test in `dim` variables at this degree cap is refused
+    before it lists any exponent tuple, or None; the prover and the
+    verifier both ask.  Too many tuples is the test's own refusal
+    (`oracle.ExponentTupleOverflow`)."""
+    if cap < 1 or not oracle.cap_is_reasonable(dim, cap):
         return f"{name} {cap} is out of range"
-    return oracle.exponent_tuple_overflow(ess.total_mult, ess.dim)
+    return None
 
 
 def _attempt_oracle(a: Multiarrangement, opts: CertifyOptions) -> Verdict | str | None:
@@ -505,10 +507,13 @@ def _attempt_oracle(a: Multiarrangement, opts: CertifyOptions) -> Verdict | str 
     ess, dropped = essentialize(a)
     default = opts.oracle_cap is None
     cap = oracle.default_degree_cap(ess) if default else opts.oracle_cap
-    refusal = _oracle_refusal(ess, cap, "default degree cap" if default else "degree cap")
+    refusal = _cap_refusal(ess.dim, cap, "default degree cap" if default else "degree cap")
     if refusal:
         return f"oracle: {refusal}"
-    res = oracle.hilbert_freeness_test(ess, degree_cap=cap, seed=opts.seed)
+    try:
+        res = oracle.hilbert_freeness_test(ess, degree_cap=cap, seed=opts.seed)
+    except oracle.ExponentTupleOverflow as e:
+        return f"oracle: {e}"
     if res.kind == "FreeProven":
         return _saito_verdict(a, dropped, res.basis, res.exponents, opts.seed)
     if res.kind == "NonFreeProven":
@@ -532,10 +537,13 @@ def _recheck_saito(a: Multiarrangement, node: CertNode) -> Verdict:
 def _recheck_hilbert(a: Multiarrangement, node: CertNode) -> Verdict:
     ess, dropped = essentialize(a)
     cap = node.inputs["degree_cap"]
-    refusal = _oracle_refusal(ess, cap)
+    refusal = _cap_refusal(ess.dim, cap)
     if refusal:
         raise CertificateError(refusal)
-    res = oracle.hilbert_freeness_test(ess, degree_cap=cap, seed=0, trials=0)
+    try:
+        res = oracle.hilbert_freeness_test(ess, degree_cap=cap, seed=0, trials=0)
+    except oracle.ExponentTupleOverflow as e:
+        raise CertificateError(str(e)) from None
     if res.kind != "NonFreeProven":
         raise CertificateError("Hilbert obstruction does not re-verify")
     return _hilbert_verdict(a, ess, dropped, res)

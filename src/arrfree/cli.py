@@ -417,11 +417,11 @@ def cmd_oracle(args) -> int:
     cap = args.cap if args.cap is not None else oracle_mod.default_degree_cap(a)
     if _cap_too_large(cap, a.dim):
         return EXIT_CAP
-    overflow = oracle_mod.exponent_tuple_overflow(a.total_mult, a.dim)
-    if overflow:
-        print(f"error: {overflow}; the Hilbert test would list every one", file=sys.stderr)
+    try:
+        res = oracle_mod.hilbert_freeness_test(a, degree_cap=cap, seed=seed)
+    except oracle_mod.ExponentTupleOverflow as e:
+        print(f"error: {e}; the Hilbert test would list every one", file=sys.stderr)
         return EXIT_CAP
-    res = oracle_mod.hilbert_freeness_test(a, degree_cap=cap, seed=seed)
     out["hilbert"] = {
         "kind": res.kind,
         "degree_cap": res.degree_cap,

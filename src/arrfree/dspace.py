@@ -23,20 +23,23 @@ N^(a_q-k), where a' is a without a_q and y' the chart variables after y_1.
 
 Two front doors share one system builder (`_systems`): l coordinates, each
 with a multiplicity m_i below which its y_i-degree drops unknowns, and the
-forms that give rows.  `derivation_basis` solves the full system in the
-input coordinates, each at multiplicity 0, with rows for every form,
-because its echelon basis is cited in certificates
+forms that give rows.  A coordinate form y_i of multiplicity m_i asks only
+that theta(y_i) have no monomial of y_i-degree below m_i, so it drops those
+unknowns and adds no row.  `derivation_basis` solves in the input
+coordinates, because its echelon basis is cited in certificates
 (`oracle.extract_basis`), as integer term dicts over one denominator
-(`exactalg.integer_kernel`).  `derivation_dims` needs only dimensions,
-which a linear change of coordinates does not move, so it solves in the
-coordinates of l independent forms, chosen heaviest first by one
-elimination (`exactalg._gauss_jordan`, in `_coordinates`) that also writes
-every other form in them.  Each chosen form then only drops unknowns,
-leaving sum_i C(d-m_i+l-1, l-1), and only the other forms give rows; the
-rank comes from the forward pass alone (`exactalg.integer_rank`).  Over a
-range of degrees all but the monomials, unknowns and rows is built once,
-and the charts' powers N^e only up to the degree being built, so a caller
-that stops early builds nothing for the degrees it never reads.
+(`exactalg.integer_kernel`): each coordinate hyperplane +-x_i drops
+unknowns at the largest multiplicity it has, and the other forms give
+rows.  `derivation_dims` needs only dimensions, which a linear change of
+coordinates does not move, so it solves in the coordinates of l
+independent forms, chosen heaviest first by one elimination
+(`exactalg._gauss_jordan`, in `_coordinates`) that also writes every other
+form in them.  Each chosen form then only drops unknowns, leaving
+sum_i C(d-m_i+l-1, l-1), and only the other forms give rows; the rank
+comes from the forward pass alone (`exactalg.integer_rank`).  Over a range
+of degrees all but the monomials, unknowns and rows is built once, and the
+charts' powers N^e only up to the degree being built, so a caller that
+stops early builds nothing for the degrees it never reads.
 """
 
 from __future__ import annotations
@@ -165,15 +168,15 @@ def _coordinates(
 
 def _systems(
     coord_mults: Sequence[int], others: list[tuple[list[int], int]], degrees: Sequence[int]
-) -> Iterator[tuple[list[list[int]], list[Monomial], int]]:
-    """Each degree's system, monomials and unknown count in coordinates
+) -> Iterator[tuple[list[list[int]], list[Monomial], list[tuple[int, int]]]]:
+    """Each degree's system, monomials and unknowns in coordinates
     y_1, ..., y_l of multiplicities `coord_mults`: the unknowns are the
-    coefficients of y^a in theta(y_i) with a_i >= m_i, in (i, monomial)
-    order, and the rows are those of `others`, (primitive integer form in
-    y, mult) pairs.  Each chart's powers N^e are built as far as the
-    degree being built needs them and kept for the next.  A zero form that
-    some degree constrains has no chart, and is refused before the first
-    degree."""
+    coefficients of y^a in theta(y_i) with a_i >= m_i, as (i, index into
+    the monomials) pairs in that order, and the rows are those of `others`,
+    (primitive integer form in y, mult) pairs.  Each chart's powers N^e are
+    built as far as the degree being built needs them and kept for the
+    next.  A zero form that some degree constrains has no chart, and is
+    refused before the first degree."""
     top = max(degrees, default=-1)
     if any(mult <= top and not any(form) for form, mult in others):
         raise ValueError("zero form")
@@ -187,7 +190,7 @@ def _systems(
             for (form, mult), chart in zip(others, charts)
             for row in _form_rows(form, mult, chart, monos, degree, cols)
         ]
-        yield rows, monos, len(cols)
+        yield rows, monos, cols
 
 
 def _reduced_systems(
@@ -198,8 +201,8 @@ def _reduced_systems(
     the non-coordinate forms giving rows."""
     fs = _primitive_forms(forms, mults)
     coords, others = _coordinates(fs, mults)
-    for rows, _, ncols in _systems([m for _, m in coords], others, degrees):
-        yield rows, ncols
+    for rows, _, cols in _systems([m for _, m in coords], others, degrees):
+        yield rows, len(cols)
 
 
 def derivation_basis(
@@ -209,14 +212,32 @@ def derivation_basis(
 
     Returns (coefficient tuple (theta(x_1), ..., theta(x_n)) as integer term
     dicts, positive denominator) pairs; deterministic for fixed input order.
+
+    It is solved in the input coordinates.  A form +-x_i asks only that
+    theta(x_i) have no monomial of x_i-degree below its multiplicity, so
+    coordinate i gets the largest multiplicity of the forms +-x_i (0 if
+    there are none) and drops those unknowns; only the other forms give
+    rows.  In the full system each dropped unknown has a unit row, so it is
+    a pivot column whose reduced row is that unit vector: the other pivots,
+    the free columns, each kernel vector and its denominator are the same,
+    with 0 at the dropped unknowns.
     """
     fs = _primitive_forms(forms, mults)
     nvars = len(fs[0])
-    rows, monos, ncols = next(_systems([0] * nvars, list(zip(fs, mults)), (degree,)))
-    nm = len(monos)
-    _, kernel = integer_kernel(rows, ncols)
+    coord_mults = [0] * nvars
+    others = []
+    for form, mult in zip(fs, mults):
+        support = [i for i, f in enumerate(form) if f]
+        if len(support) == 1:
+            # a primitive form with one nonzero entry is +-x_i
+            i = support[0]
+            coord_mults[i] = max(coord_mults[i], mult)
+        else:
+            others.append((form, mult))
+    rows, monos, cols = next(_systems(coord_mults, others, (degree,)))
+    _, kernel = integer_kernel(rows, len(cols))
     return [
-        (tuple({monos[k]: v[i * nm + k] for k in range(nm) if v[i * nm + k]} for i in range(nvars)), den)
+        (tuple({monos[k]: c for (j, k), c in zip(cols, v) if j == i and c} for i in range(nvars)), den)
         for v, den in kernel
     ]
 
@@ -247,7 +268,8 @@ def derivation_dim(forms: Sequence[Sequence], mults: Sequence[int], degree: int)
     sum_i C(d-m_i+l-1, l-1) (a term is 0 when m_i > d), and adds no row.
     The rows of the other forms are `_form_rows` over the unknowns kept,
     and the dimension is the unknown count minus their rank.
-    `derivation_basis` keeps the full system in the input coordinates,
-    because its echelon basis is read there and cited in certificates.
+    `derivation_basis` stays in the input coordinates, because its echelon
+    basis is read there and cited in certificates; only its coordinate
+    hyperplanes drop unknowns.
     """
     return next(derivation_dims(forms, mults, (degree,)))

@@ -204,19 +204,12 @@ def cap_is_reasonable(dim: int, cap: int) -> bool:
 MAX_EXPONENT_TUPLES = 10_000
 
 
-def exponent_tuple_overflow(total: int, parts: int) -> str | None:
-    """Desk-scale guard on the Hilbert test's candidate list: None for at
-    most MAX_EXPONENT_TUPLES exponent tuples, else the reason to refuse.
-    Every branch of the enumeration yields, so asking it for one tuple past
-    the bound takes bounded work whatever total is."""
-    if next(islice(_nondecreasing_tuples(total, parts, 1), MAX_EXPONENT_TUPLES, None), None) is None:
-        return None
-    return f"more than {MAX_EXPONENT_TUPLES} exponent tuples of length {parts} sum to |m| = {total}"
+class ExponentTupleOverflow(ValueError):
+    """The Hilbert test's desk-scale refusal: more than MAX_EXPONENT_TUPLES
+    exponent tuples of length `parts` sum to `total`."""
 
-
-def exponent_candidates(total: int, parts: int) -> list[tuple[int, ...]]:
-    """Nondecreasing positive tuples of the given length summing to total."""
-    return list(_nondecreasing_tuples(total, parts, 1))
+    def __init__(self, total: int, parts: int):
+        super().__init__(f"more than {MAX_EXPONENT_TUPLES} exponent tuples of length {parts} sum to |m| = {total}")
 
 
 def _nondecreasing_tuples(remaining: int, parts_left: int, minimum: int):
@@ -307,8 +300,9 @@ def hilbert_freeness_test(
     it fails, the filtering goes on to the cap with no second try, since
     the draws depend only on e and the seed; anything not decided by then
     is Undetermined.  The candidates come from one enumeration, cut after
-    MAX_EXPONENT_TUPLES + 1 tuples; more than MAX_EXPONENT_TUPLES is a
-    ValueError, raised before any solve.
+    MAX_EXPONENT_TUPLES + 1 tuples; more than MAX_EXPONENT_TUPLES is an
+    `ExponentTupleOverflow`, raised before any solve, which callers report
+    as the refusal.
     """
     l = a.dim
     if rank(a) != l:
@@ -319,7 +313,7 @@ def hilbert_freeness_test(
     total = a.total_mult
     survivors = list(islice(_nondecreasing_tuples(total, l, 1), MAX_EXPONENT_TUPLES + 1))
     if len(survivors) > MAX_EXPONENT_TUPLES:
-        raise ValueError(exponent_tuple_overflow(total, l))
+        raise ExponentTupleOverflow(total, l)
     forms, mults = [h.coeffs for h in a.hyperplanes], list(a.mult)
     dims = []
     untried = trials > 0

@@ -14,9 +14,11 @@ FIXTURES = ["boolean", "boolean_234", "braid", "example1_a1_m0_2", "example52", 
 
 
 def full_system(forms, mults, degree):
-    """The rows and monomials of `derivation_basis`'s system, from the one
-    builder `dspace._systems`: every input coordinate at multiplicity 0,
-    every form giving rows."""
+    """The rows and monomials of the full system in the input coordinates,
+    from the one builder `dspace._systems` with every coordinate at
+    multiplicity 0 and every form giving rows.  It is not the system that
+    `derivation_basis` solves, where the coordinate hyperplanes drop
+    unknowns in place of their rows."""
     fs = _primitive_forms(forms, mults)
     rows, monos, _ = next(_systems([0] * len(fs[0]), list(zip(fs, mults)), (degree,)))
     return rows, monos

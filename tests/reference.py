@@ -34,6 +34,10 @@ None of this runs in `certify`, `verify_certificate` or the CLI:
   (`ref_full_system`), which `dspace._systems`, the builder of the reduced
   systems too, replaced with every input coordinate at multiplicity 0 and
   every form giving rows;
+* `dspace.derivation_basis` on that full system (`ref_full_derivation_basis`),
+  which `derivation_basis` replaced with one where each coordinate
+  hyperplane +-x_i drops the unknowns of x_i-degree below its largest
+  multiplicity and only the other forms give rows;
 * the heavy coordinates of `dspace.derivation_dims` by a residue
   reduction and Cramer's rule over Bareiss determinants (`ref_coordinates`,
   `ref_int_det`), and the rank-2 projection whose pivots came from two
@@ -72,9 +76,14 @@ None of this runs in `certify`, `verify_certificate` or the CLI:
   (`ref_rank2_exponents`), which `rank2._min_degree_basis` replaced with
   the closed forms of `rank2._closed_d1` where the multiplicities fix them;
 * the count of exponent tuples by a partition table
-  (`ref_exponent_tuple_count`), which `oracle.exponent_tuple_overflow` and
-  `oracle.hilbert_freeness_test` replaced with the enumeration of
-  `oracle.exponent_candidates`, cut one tuple past the bound;
+  (`ref_exponent_tuple_count`), which `oracle.hilbert_freeness_test`
+  replaced with the enumeration `oracle._nondecreasing_tuples`, cut one
+  tuple past the bound;
+* the whole list of exponent tuples (`exponent_candidates`) and the
+  Hilbert test's guard asked on its own (`exponent_tuple_overflow`), a
+  walk of the enumeration that the prover, the verifier and the CLI made
+  before the test walked it again; they now catch the test's own
+  `oracle.ExponentTupleOverflow`;
 * the Hilbert test that solved every degree 0..cap before it filtered any
   exponent tuple or tried a basis (`ref_hilbert_freeness_test`), which
   `oracle.hilbert_freeness_test` replaced with a filter per degree that
@@ -86,6 +95,7 @@ None of this runs in `certify`, `verify_certificate` or the CLI:
 """
 
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 from typing import Sequence
 
@@ -102,7 +112,15 @@ from arrfree.arrangement import (
 )
 from arrfree.betti import BettiReport
 from arrfree.certify import Flag
-from arrfree.dspace import _chart, _coordinates, _form_rows, _primitive_forms, derivation_dim, derivation_dims
+from arrfree.dspace import (
+    _chart,
+    _coordinates,
+    _form_rows,
+    _primitive_forms,
+    _systems,
+    derivation_dim,
+    derivation_dims,
+)
 from arrfree.exactalg import (
     Matrix,
     Monomial,
@@ -121,8 +139,8 @@ from arrfree.oracle import (
     HilbertResult,
     SaitoResult,
     default_degree_cap,
-    exponent_candidates,
-    exponent_tuple_overflow,
+    ExponentTupleOverflow,
+    _nondecreasing_tuples,
     extract_basis,
     free_module_dim,
     is_log_derivation,
@@ -402,6 +420,26 @@ def ref_full_system(
         for row in _form_rows(form, mult, _chart(form, mult, degree), monos, degree, cols)
     ]
     return rows, monos
+
+
+def ref_full_derivation_basis(
+    forms: Sequence[Sequence], mults: Sequence[int], degree: int
+) -> list[tuple[tuple[dict[Monomial, int], ...], int]]:
+    """Echelon-normalized basis of the degree-d piece of the module.
+
+    Returns (coefficient tuple (theta(x_1), ..., theta(x_n)) as integer term
+    dicts, positive denominator) pairs; deterministic for fixed input order.
+    """
+    fs = _primitive_forms(forms, mults)
+    nvars = len(fs[0])
+    rows, monos, cols = next(_systems([0] * nvars, list(zip(fs, mults)), (degree,)))
+    ncols = len(cols)
+    nm = len(monos)
+    _, kernel = integer_kernel(rows, ncols)
+    return [
+        (tuple({monos[k]: v[i * nm + k] for k in range(nm) if v[i * nm + k]} for i in range(nvars)), den)
+        for v, den in kernel
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -726,6 +764,21 @@ def ref_rank2_exponents(inst) -> tuple[int, int]:
     d = min((total + 1) // 2 - 1, total - max(inst.mult))
     d1 = d + 1 - derivation_dim(inst.forms, inst.mult, d)
     return d1, total - d1
+
+
+def exponent_candidates(total: int, parts: int) -> list[tuple[int, ...]]:
+    """Nondecreasing positive tuples of the given length summing to total."""
+    return list(_nondecreasing_tuples(total, parts, 1))
+
+
+def exponent_tuple_overflow(total: int, parts: int) -> str | None:
+    """Desk-scale guard on the Hilbert test's candidate list: None for at
+    most MAX_EXPONENT_TUPLES exponent tuples, else the reason to refuse.
+    Every branch of the enumeration yields, so asking it for one tuple past
+    the bound takes bounded work whatever total is."""
+    if next(islice(_nondecreasing_tuples(total, parts, 1), MAX_EXPONENT_TUPLES, None), None) is None:
+        return None
+    return str(ExponentTupleOverflow(total, parts))
 
 
 def ref_exponent_tuple_count(total: int, parts: int) -> int:

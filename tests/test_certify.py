@@ -574,12 +574,13 @@ def test_b3_at_two_projects_its_three_four_line_flats(monkeypatch):
 
 
 def _hilbert_must_not_run(monkeypatch):
+    # the Hilbert test refuses its candidate list before it solves a degree
     import arrfree.oracle as oracle_mod
 
     def never(*args, **kwargs):
-        raise AssertionError("hilbert_freeness_test must not run")
+        raise AssertionError("no graded dimension may be solved")
 
-    monkeypatch.setattr(oracle_mod, "hilbert_freeness_test", never)
+    monkeypatch.setattr(oracle_mod, "derivation_dims", never)
 
 
 def test_oracle_exponent_tuples_bounded(monkeypatch):

@@ -1,12 +1,15 @@
-"""`derivation_dim` solves in the coordinates of the heaviest forms.
+"""`derivation_dim` solves in the coordinates of the heaviest forms, and
+`derivation_basis` lets its coordinate hyperplanes drop unknowns.
 
-Differential tests against len(`derivation_basis`), which still solves the
-full system in the input coordinates, at one degree and (`derivation_dims`)
+Differential tests against len(`derivation_basis`), which solves in the
+input coordinates, at one degree and (`derivation_dims`)
 over a range of degrees from one set-up, and work counts of the reduced
 system: sum_i C(d - m_i + l - 1, l - 1) unknowns over the coordinate forms,
 and the full system's rows less the rows of those forms.  The coordinates
 themselves are compared with the residue-and-Cramer construction that
-one elimination replaced (`reference.ref_coordinates`).
+one elimination replaced (`reference.ref_coordinates`).  The basis itself
+is compared with the one solved on the full system, where every form gives
+rows (`reference.ref_full_derivation_basis`), and its system is counted.
 """
 
 from fractions import Fraction
@@ -32,7 +35,7 @@ from arrfree.fixtures import braid3, example52, fixture_path
 from arrfree.oracle import hilbert_freeness_test
 
 from conftest import full_system
-from reference import ref_coordinates, ref_full_system, ref_reduced_systems
+from reference import ref_coordinates, ref_full_derivation_basis, ref_full_system, ref_reduced_systems
 
 F = Fraction
 
@@ -313,3 +316,92 @@ def test_an_early_stop_builds_no_higher_chart_power(monkeypatch):
     tops.clear()
     assert hilbert_freeness_test(braid3(), degree_cap=8).degree_cap == 3
     assert max(tops) == 3
+
+
+# ---------------------------------------------------------------------------
+# coordinate hyperplanes drop unknowns in derivation_basis
+
+
+def basis_or_error(fn, forms, mults, degree):
+    """The basis with each term dict as its items in order, so that the
+    order of the terms is compared too; or the refusal."""
+    try:
+        return [(tuple(list(c.items()) for c in coeffs), den) for coeffs, den in fn(forms, mults, degree)]
+    except ValueError as e:
+        return str(e)
+
+
+@st.composite
+def coordinate_systems(draw):
+    """1..5 coordinate hyperplanes, repeats allowed, each as +-x_i, 2 x_i
+    or a Fraction multiple, mixed in any order with 0..3 other integer
+    forms, in l = 2..4 variables; multiplicities 0..degree + 2, so that 0
+    and values above the degree occur; degrees -1..6."""
+    nvars = draw(st.integers(2, 4))
+    degree = draw(st.integers(-1, {2: 6, 3: 4, 4: 3}[nvars]))
+    scales = st.sampled_from([1, -1, 2, -2, F(1, 2), F(-3, 2)])
+    units = draw(st.lists(st.tuples(st.integers(0, nvars - 1), scales), min_size=1, max_size=5))
+    forms = [tuple(c if j == i else 0 for j in range(nvars)) for i, c in units]
+    vectors = st.lists(st.integers(-2, 2), min_size=nvars, max_size=nvars).filter(any)
+    forms += [tuple(v) for v in draw(st.lists(vectors, max_size=3))]
+    forms = draw(st.permutations(forms))
+    mults = draw(st.lists(st.integers(0, max(degree, 0) + 2), min_size=len(forms), max_size=len(forms)))
+    return forms, mults, degree
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(coordinate_systems(), systems()))
+def test_coordinate_hyperplanes_give_the_full_system_basis(system):
+    # the same vectors, in the same order, over the same denominators, and
+    # refusals alike
+    forms, mults, degree = system
+    want = basis_or_error(ref_full_derivation_basis, forms, mults, degree)
+    assert basis_or_error(derivation_basis, forms, mults, degree) == want
+
+
+def test_the_largest_multiplicity_of_a_repeated_coordinate_wins():
+    # y at m = 1 and again at m = 0: y divides theta(y), so in degree 0
+    # theta(y) = 0 and only theta(x) = 1 is left; letting the last copy's
+    # multiplicity win would keep theta(y) too
+    forms, mults = [(0, 1), (0, 1)], [1, 0]
+    basis = derivation_basis(forms, mults, 0)
+    assert basis == ref_full_derivation_basis(forms, mults, 0) == [(({(0, 0): 1}, {}), 1)]
+    assert derivation_dim(forms, mults, 0) == 1
+    # and in either order
+    assert derivation_basis(forms[::-1], mults[::-1], 0) == basis
+
+
+def basis_system_shapes(monkeypatch, forms, mults, degree):
+    """(rows, unknowns) of the one elimination of `derivation_basis`."""
+    kernel, shapes = dspace_mod.integer_kernel, []
+
+    def recording(rows, ncols):
+        shapes.append((len(rows), ncols))
+        return kernel(rows, ncols)
+
+    monkeypatch.setattr(dspace_mod, "integer_kernel", recording)
+    basis = derivation_basis(forms, mults, degree)
+    assert basis == ref_full_derivation_basis(forms, mults, degree)
+    assert len(shapes) == 1
+    return shapes[0]
+
+
+def test_basis_system_of_an_oracle_input_with_two_coordinate_hyperplanes(monkeypatch):
+    # the oracle-hilbert input `n=4 doubled=4 #2` in its seed-0 presentation,
+    # Free with exponents (2, 3, 3): z and x at m = 2 drop the unknowns of
+    # z-degree and x-degree below 2, and only x + y + z and x - z give rows,
+    # 7 each; the full system has 28 rows over 3 * 10 unknowns
+    forms, mults = [(0, 0, 1), (1, 1, 1), (1, 0, 0), (1, 0, -1)], [2, 2, 2, 2]
+    assert basis_system_shapes(monkeypatch, forms, mults, 3) == (14, 16)
+    assert len(ref_full_system(forms, mults, 3)[0]) == 28
+
+
+@pytest.mark.parametrize("degree", range(-1, 7))
+def test_basis_system_of_boolean_234_has_no_rows(monkeypatch, degree):
+    # every form is a coordinate hyperplane, so only unknowns are dropped:
+    # theta(x_i) is x_i^{m_i} times any form of degree d - m_i
+    a = parse_file(fixture_path("boolean_234.json"))
+    forms, mults = [h.coeffs for h in a.hyperplanes], list(a.mult)
+    nvars = len(forms[0])
+    unknowns = sum(n_monomials(nvars, degree - m) for m in mults)
+    assert basis_system_shapes(monkeypatch, forms, mults, degree) == (0, unknowns)

@@ -28,8 +28,6 @@ from arrfree.oracle import (
     Derivation,
     _combination,
     derivation_space_dim,
-    exponent_candidates,
-    exponent_tuple_overflow,
     extract_basis,
     free_module_dim,
     hilbert_freeness_test,
@@ -42,6 +40,8 @@ from conftest import cyclic_garbage, force_locally_heavy, random_multiarrangemen
 from reference import (
     apply_form,
     derivation_from_polys,
+    exponent_candidates,
+    exponent_tuple_overflow,
     polys_from_terms,
     good_summand_check,
     ref_defining_polynomial,

@@ -112,8 +112,9 @@ def test_truncated_rows_equal_full_expansion(system):
 @settings(max_examples=150, deadline=None)
 @given(systems())
 def test_one_builder_gives_the_full_system_of_its_own_builder(system):
-    # `derivation_basis`'s system from `dspace._systems`, against the
-    # builder it had before the reduced systems shared theirs
+    # the full system from `dspace._systems`, every coordinate at
+    # multiplicity 0, against the builder it had before the reduced
+    # systems shared theirs
     forms, mults, degree = system
     assert full_system(forms, mults, degree) == ref_full_system(forms, mults, degree)
 
