@@ -10,7 +10,7 @@ import pytest
 import arrfree
 import arrfree.oracle as oracle_mod
 from arrfree.arrangement import parse_file
-from arrfree.certify import CertificateError, CertifyOptions, certify, verify_certificate
+from arrfree.certify import verify_certificate
 from arrfree.cli import eval_expr, main
 from arrfree.fixtures import fixture_path
 
@@ -451,62 +451,6 @@ def test_oracle_exponent_tuples_exit_3(tmp_path, capsys):
     code, out, err = run(capsys, "oracle", _four_planes_at_400(tmp_path), "--hilbert", "--cap", "2", "--json")
     assert code == 3 and out == ""
     assert err.startswith("error: more than 10000 exponent tuples of length 3 sum to |m| = 1600")
-
-
-class Solved(Exception):
-    """Raised in place of the first graded solve: the Hilbert test ran."""
-
-
-@pytest.mark.parametrize(
-    "normals, total, refused",
-    [
-        ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], 346, False),
-        ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], 347, True),
-        ([[1, 0], [0, 1], [1, 1]], 20001, False),
-        ([[1, 0], [0, 1], [1, 1]], 20002, True),
-    ],
-)
-def test_exponent_tuple_refusals_at_the_bound(tmp_path, capsys, monkeypatch, normals, total, refused):
-    # the prover's reason, the verifier's CertificateError and the CLI's
-    # exit 3 and message, each from one walk of the enumeration; within the
-    # bound the first solve is reached
-    def solved(*args, **kwargs):
-        raise Solved
-
-    top_walks = []
-    walk = oracle_mod._nondecreasing_tuples
-
-    def counting(remaining, parts_left, minimum):
-        if parts_left == len(normals[0]):
-            top_walks.append(remaining)
-        return walk(remaining, parts_left, minimum)
-
-    monkeypatch.setattr(oracle_mod, "derivation_dims", solved)
-    monkeypatch.setattr(oracle_mod, "_nondecreasing_tuples", counting)
-    n, dim = len(normals), len(normals[0])
-    mult = [total // n + (i < total % n) for i in range(n)]
-    p = tmp_path / "a.json"
-    p.write_text(json.dumps({"dim": dim, "hyperplanes": normals, "mult": mult}), encoding="utf-8")
-    a = parse_file(str(p))
-    message = f"more than 10000 exponent tuples of length {dim} sum to |m| = {total}"
-    node = {"rule": "HilbertObstruction", "inputs": {"degree_cap": 2, "essentialized_from_dim": None}, "numbers": {}}
-    opts = CertifyOptions(use_oracle=True, oracle_cap=2, only_rule="oracle")
-    if refused:
-        v = certify(a, opts)
-        assert (v.kind, v.reason) == ("Inconclusive", f"oracle: {message}")
-        with pytest.raises(CertificateError) as e:
-            verify_certificate(a, {"kind": "NonFree", "certificate": node})
-        assert str(e.value) == message
-        code, out, err = run(capsys, "oracle", str(p), "--hilbert", "--cap", "2", "--json")
-        assert (code, out, err) == (3, "", f"error: {message}; the Hilbert test would list every one\n")
-    else:
-        with pytest.raises(Solved):
-            certify(a, opts)
-        with pytest.raises(Solved):
-            verify_certificate(a, {"kind": "NonFree", "certificate": node})
-        with pytest.raises(Solved):
-            main(["oracle", str(p), "--hilbert", "--cap", "2", "--json"])
-    assert top_walks == [total] * 3
 
 
 def test_sweep_oracle_exponent_tuples_inconclusive(tmp_path, capsys, monkeypatch):

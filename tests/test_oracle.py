@@ -41,7 +41,6 @@ from reference import (
     apply_form,
     derivation_from_polys,
     exponent_candidates,
-    exponent_tuple_overflow,
     polys_from_terms,
     good_summand_check,
     ref_defining_polynomial,
@@ -255,35 +254,64 @@ def test_hilbert_requires_essential():
         hilbert_freeness_test(a)
 
 
+class Solved(Exception):
+    """Raised in place of the first graded solve: the Hilbert test got past its guard."""
+
+
+def _solved(*args, **kwargs):
+    raise Solved
+
+
+def _coordinate_arrangement(parts, total):
+    # the coordinate hyperplanes of rank `parts`, with |m| = total split evenly
+    normals = [[int(i == j) for j in range(parts)] for i in range(parts)]
+    mult = [total // parts + (i < total % parts) for i in range(parts)]
+    return parse({"dim": parts, "hyperplanes": normals, "mult": mult})
+
+
 @pytest.mark.parametrize("parts", range(1, 6))
-def test_exponent_tuple_count_matches_the_list(parts):
-    # the partition table that the enumeration replaced, and the guard
+def test_exponent_tuple_count_matches_the_list(monkeypatch, parts):
+    # the partition table that the enumeration replaced, and the Hilbert
+    # test's own guard, with the bound lowered to 10: p(n, 2), p(n, 3) and
+    # p(n, 5) each meet it exactly for some n <= 30, and every count crosses it
+    bound = 10
+    monkeypatch.setattr(oracle_mod, "MAX_EXPONENT_TUPLES", bound)
+    monkeypatch.setattr(oracle_mod, "derivation_dims", _solved)
     for total in range(0, 31):
         count = ref_exponent_tuple_count(total, parts)
         assert count == len(exponent_candidates(total, parts))
-        assert (exponent_tuple_overflow(total, parts) is None) == (count <= MAX_EXPONENT_TUPLES)
+        if total < parts:
+            continue
+        a = _coordinate_arrangement(parts, total)
+        if count <= bound:
+            with pytest.raises(Solved):
+                hilbert_freeness_test(a, degree_cap=2)
+        else:
+            with pytest.raises(oracle_mod.ExponentTupleOverflow) as e:
+                hilbert_freeness_test(a, degree_cap=2)
+            assert str(e.value) == f"more than {bound} exponent tuples of length {parts} sum to |m| = {total}"
 
 
 def test_exponent_tuple_bound_is_exact():
     # p(n, 3) is the integer nearest n^2/12; n = 346 is the last one within the bound
     assert ref_exponent_tuple_count(346, 3) == len(exponent_candidates(346, 3)) == 9976 <= MAX_EXPONENT_TUPLES
-    assert exponent_tuple_overflow(346, 3) is None
     assert ref_exponent_tuple_count(347, 3) == len(exponent_candidates(347, 3)) == 10034
-    assert exponent_tuple_overflow(347, 3) == "more than 10000 exponent tuples of length 3 sum to |m| = 347"
     # p(n, 2) = floor(n/2) meets the bound itself: 10000 tuples pass, 10001 do not
     assert ref_exponent_tuple_count(20001, 2) == MAX_EXPONENT_TUPLES
-    assert exponent_tuple_overflow(20001, 2) is None
     assert ref_exponent_tuple_count(20002, 2) == MAX_EXPONENT_TUPLES + 1
-    assert exponent_tuple_overflow(20002, 2) == "more than 10000 exponent tuples of length 2 sum to |m| = 20002"
 
 
 @pytest.mark.parametrize("parts", [1, 2, 3, 5])
-def test_exponent_tuple_count_stops_early_on_huge_totals(parts):
-    # the enumeration stops one tuple past the limit, whatever |m| is
+def test_exponent_tuple_count_stops_early_on_huge_totals(monkeypatch, parts):
+    # the Hilbert test's enumeration stops one tuple past the limit, whatever |m| is
+    monkeypatch.setattr(oracle_mod, "derivation_dims", _solved)
+    a = _coordinate_arrangement(parts, 10**12)
     start = time.perf_counter()
-    got = exponent_tuple_overflow(10**12, parts)
+    with pytest.raises(Solved if parts == 1 else oracle_mod.ExponentTupleOverflow) as e:
+        hilbert_freeness_test(a, degree_cap=2)
     assert time.perf_counter() - start < 0.5
-    assert got is None if parts == 1 else got.startswith("more than 10000 exponent tuples")
+    if parts > 1:
+        assert str(e.value) == f"more than 10000 exponent tuples of length {parts} sum to |m| = {10**12}"
     count = ref_exponent_tuple_count(10**12, parts)
     assert count == 1 if parts == 1 else count > MAX_EXPONENT_TUPLES
 
@@ -297,18 +325,58 @@ def test_exponent_tuple_count_stops_early_on_huge_totals(parts):
         ([[1, 0], [0, 1], [1, 1]], 20002, True),
     ],
 )
-def test_hilbert_refuses_past_the_bound_before_any_solve(monkeypatch, normals, total, refused):
-    # within the bound the first solve is reached
-    def never(*args, **kwargs):
-        raise AssertionError("no graded dimension may be solved")
+def test_hilbert_refuses_past_the_bound_before_any_solve(tmp_path, capsys, monkeypatch, normals, total, refused):
+    # the Hilbert test's ExponentTupleOverflow, the prover's reason, the
+    # verifier's CertificateError and the CLI's exit 3 and message, each
+    # from one walk of the enumeration; within the bound the first solve is
+    # reached
+    from arrfree.certify import CertificateError, CertifyOptions, certify, verify_certificate
+    from arrfree.cli import EXIT_CAP, main
 
-    monkeypatch.setattr(oracle_mod, "derivation_dims", never)
-    n = len(normals)
+    top_walks = []
+    walk = oracle_mod._nondecreasing_tuples
+
+    def counting(remaining, parts_left, minimum):
+        if parts_left == len(normals[0]):
+            top_walks.append(remaining)
+        return walk(remaining, parts_left, minimum)
+
+    monkeypatch.setattr(oracle_mod, "derivation_dims", _solved)
+    monkeypatch.setattr(oracle_mod, "_nondecreasing_tuples", counting)
+    n, dim = len(normals), len(normals[0])
     mult = [total // n + (i < total % n) for i in range(n)]
-    a = parse({"dim": len(normals[0]), "hyperplanes": normals, "mult": mult})
+    data = {"dim": dim, "hyperplanes": normals, "mult": mult}
+    a = parse(data)
     assert a.total_mult == total
-    with pytest.raises(ValueError if refused else AssertionError):
-        hilbert_freeness_test(a, degree_cap=2)
+    p = tmp_path / "a.json"
+    p.write_text(json.dumps(data), encoding="utf-8")
+    message = f"more than 10000 exponent tuples of length {dim} sum to |m| = {total}"
+    node = {"rule": "HilbertObstruction", "inputs": {"degree_cap": 2, "essentialized_from_dim": None}, "numbers": {}}
+    opts = CertifyOptions(use_oracle=True, oracle_cap=2, only_rule="oracle")
+    cli = ["oracle", str(p), "--hilbert", "--cap", "2", "--json"]
+    if refused:
+        with pytest.raises(oracle_mod.ExponentTupleOverflow) as e:
+            hilbert_freeness_test(a, degree_cap=2)
+        assert str(e.value) == message
+        v = certify(a, opts)
+        assert (v.kind, v.reason) == ("Inconclusive", f"oracle: {message}")
+        with pytest.raises(CertificateError) as e:
+            verify_certificate(a, {"kind": "NonFree", "certificate": node})
+        assert str(e.value) == message
+        capsys.readouterr()
+        assert main(cli) == EXIT_CAP == 3
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"error: {message}; the Hilbert test would list every one\n")
+    else:
+        with pytest.raises(Solved):
+            hilbert_freeness_test(a, degree_cap=2)
+        with pytest.raises(Solved):
+            certify(a, opts)
+        with pytest.raises(Solved):
+            verify_certificate(a, {"kind": "NonFree", "certificate": node})
+        with pytest.raises(Solved):
+            main(cli)
+    assert top_walks == [total] * 4
 
 
 def test_hilbert_refuses_too_many_exponent_tuples_before_any_solve(monkeypatch):
