@@ -14,7 +14,8 @@ The codimension-2 flats -- the elements of each restriction A^H, which local
 heaviness, the Euler-Ziegler restriction and b2 all read -- come from one
 table per tuple of hyperplanes (`_codim2_table`, lru-cached), in integer
 arithmetic: each flat is grouped once, from its least member, over the
-unordered pairs not yet on a flat, so a table costs sum(|X| - 1) residues
+unordered pairs not yet on a flat (a bitmask per hyperplane of the later
+ones already on a flat with it), so a table costs sum(|X| - 1) residues
 over its flats X (b2 of the simple arrangement).
 
 Every flat is found by one step (`_classes`): normals are grouped by their
@@ -28,7 +29,12 @@ the members of Y other than H are split among its X, so their m^H sum to
 |m_Y| - m_H.  So every A^H is read off its parent's row H
 (`restriction_rows`): its multiplicities, its local heaviness, and its
 codim-2 flats, the lines of the row, found by the same grouping one level
-down, each codim-3 flat grouped once, in the row of its least member.  A
+down, each codim-3 flat grouped once, in the row of its least member, and
+handed to the rows of its later members.  A row tracks its points as
+bitmasks: one list per level maps each hyperplane to the bit of its point
+in the current row, filled in the one pass over each point's members that
+also sums m^H and picks the member whose residue represents the point,
+and a received line is the union of its members' bits.  A
 `Level` is such a restriction held as member sets, multiplicities and a
 codim-2 table, built from its parent's row; its rows' residues serve as its
 children's normals, so the flag walk goes down any number of levels without
@@ -273,6 +279,16 @@ def rank(a: Multiarrangement) -> int:
     return integer_rank([list(h.coeffs) for h in a.hyperplanes], a.dim)
 
 
+def _ones(mask: int) -> list[int]:
+    """The positions of the set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _classes(
     basis: Sequence[tuple[int, Sequence[int]]], ints: Sequence[Sequence[int]], idx: Sequence[int]
 ) -> dict[tuple[int, ...], list[int]]:
@@ -288,9 +304,16 @@ def _classes(
     for k in idx:
         v = ints[k]
         for p, b in basis:
-            if v[p]:
-                v = [b[p] * y - v[p] * x for x, y in zip(b, v)]
-        groups.setdefault(primitive_form(v) if any(v) else (), []).append(k)
+            c = v[p]
+            if c:
+                bp = b[p]
+                v = [bp * y - c * x for x, y in zip(b, v)]
+        key = primitive_form(v) if any(v) else ()
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [k]
+        else:
+            group.append(k)
     return groups
 
 
@@ -315,7 +338,10 @@ def _codim2_table(
     through i share only i, so row i skips the later hyperplanes already on
     a flat through i (built in an earlier row); a build thus reduces
     sum(|X| - 1) residues over the flats X, which is b2 of the simple
-    arrangement.
+    arrangement.  Those hyperplanes are a bitmask per hyperplane, `done`,
+    which a flat with three or more members sets on each member past i:
+    i is done, and a two-member flat {i, k} has no pair left that row k
+    would group.
     Row i holds the flats of earlier rows in the order of their least
     member, then its own groups in the order of their least member after
     i: member order.  Keyed on the hyperplanes alone, so that arrangements
@@ -324,15 +350,23 @@ def _codim2_table(
     ints = [h.coeffs for h in hyperplanes]
     flats = []
     rows: list[list[Flat]] = [[] for _ in ints]
+    done = [0] * len(ints)  # per hyperplane, a bitmask of the later ones already on a flat with it
     for i, u in enumerate(ints):
-        done = set().union(*(f.members for f in rows[i]))
-        todo = [k for k in range(i + 1, len(ints)) if k not in done]
-        for ks in _classes([(_pivot(u), u)], ints, todo).values():
+        todo = ((1 << len(ints)) - (2 << i)) & ~done[i]
+        if not todo:
+            continue
+        for ks in _classes([(_pivot(u), u)], ints, _ones(todo)).values():
             members = (i, *ks)
             f = Flat(2, frozenset(members))
             flats.append(f)
             for k in members:
                 rows[k].append(f)
+            if len(ks) > 1:  # i is done, and k skips only hyperplanes after k
+                bits = 0
+                for k in ks:
+                    bits |= 1 << k
+                for k in ks:
+                    done[k] |= bits
     return tuple(flats), tuple(map(tuple, rows))
 
 
@@ -523,16 +557,6 @@ def locally_heavy_indices(a: Multiarrangement) -> list[int]:
     return [i for i in range(a.size) if _heavy_in(a, i, table[i])]
 
 
-def _ones(mask: int) -> list[int]:
-    """The positions of the set bits of mask, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 @dataclass(frozen=True)
 class Level:
     """One level of iterated Euler-Ziegler restrictions of an input, as the
@@ -614,8 +638,19 @@ def restriction_rows(level: Level) -> Iterator[RestrictionRow]:
     through x are grouped by their reductions against x's residue
     (`_classes`), and proportional reductions share a line.  Each codim-3
     flat is grouped once, in the row of its least member; the rows of its
-    later members receive it and skip its pairs of points.  The sets of
-    points a row tracks while it groups are bitmasks.
+    later members receive it and skip its pairs of points.
+
+    A row tracks its points as bitmasks.  One pass over each point's
+    members sums m^H, finds the least member other than H (the one whose
+    residue represents the point) and writes the point's bit into `where`,
+    one list per level from hyperplane to the bit of its point in the
+    current row, written over row by row; a received line's points are the
+    union of its members' bits (H's bit is cleared, as H is on every
+    point).  `paired[x]` holds the points known to share a line with x, so
+    x groups only the later points outside it.  A received line marks all
+    its points; an own line grouped at x marks only its later points, and
+    only when there are two or more of them, since x is done and a later
+    point z groups only the points after z.
 
     The lines come out in member order.  A received line Y starts at the
     point through its least member j, which precedes the row's own points
@@ -629,26 +664,43 @@ def restriction_rows(level: Level) -> Iterator[RestrictionRow]:
         raise ValueError("restriction needs ambient dimension >= 2")
     ints = level.normals
     mult = level.mult
+    size = len(level.rows)
     given: list[list[frozenset[int]]] = [[] for _ in level.rows]  # codim-3 flats grouped in earlier rows
-    out = []
+    where = [0] * size  # per hyperplane, the bit of its point in the current row
+    grouped = level.dim >= 4
     for i, points in enumerate(level.rows):
         n = len(points)
-        res = None
-        if level.dim >= 4:
+        if grouped:
             u = ints[i]
             p = _pivot(u)
-            bit = {k: 1 << x for x, f in enumerate(points) for k in f}
+            up = u[p]
             res = []
-            for f in points:
-                v = ints[min(f - {i})]
-                res.append([u[p] * t - v[p] * s for s, t in zip(u, v)])
+        else:
+            res = None
+        mi = mult[i]
+        ms = []
+        for x, f in enumerate(points):
+            b = 1 << x
+            m = -mi
+            lo = size
+            for k in f:
+                m += mult[k]
+                where[k] = b
+                if k < lo and k != i:
+                    lo = k
+            ms.append(m)
+            if grouped:
+                v = ints[lo]
+                vp = v[p]
+                res.append([up * t - vp * s for s, t in zip(u, v)])
+        if grouped:
+            where[i] = 0
             paired = [0] * n  # per point, the points known to share a line with it
             lines = []
             for y in given[i]:
                 xs = 0
                 for k in y:
-                    if k != i:
-                        xs |= bit[k]
+                    xs |= where[k]
                 on = _ones(xs)
                 lines.append(on)
                 for x in on:
@@ -660,21 +712,26 @@ def restriction_rows(level: Level) -> Iterator[RestrictionRow]:
                 for zs in _classes([(_pivot(w), w)], res, _ones(todo)).values():
                     on = [x, *zs]
                     lines.append(on)
-                    xs = 0
-                    for z in on:
-                        xs |= 1 << z
-                    for z in on:
-                        paired[z] |= xs
-                    y = frozenset().union(*(points[z] for z in on))
+                    ys = set(points[x])
+                    for z in zs:
+                        ys |= points[z]
+                    if len(zs) > 1:  # x is done, and z groups only points after z
+                        xs = 0
+                        for z in zs:
+                            xs |= 1 << z
+                        for z in zs:
+                            paired[z] |= xs
+                    y = frozenset(ys)
                     for j in y:
                         if j > i:
                             given[j].append(y)
         else:
             lines = [list(range(n))] if level.dim == 3 and n >= 2 else []
-        ms = [sum(mult[k] for k in f) - mult[i] for f in points]
-        light = set()
+        ok = [True] * n
         for on in lines:
             if len(on) >= 3:
                 total = sum(ms[x] for x in on)
-                light.update(x for x in on if 2 * ms[x] < total)
-        yield RestrictionRow([x for x in range(n) if x not in light], ms, lines, res)
+                for x in on:
+                    if 2 * ms[x] < total:
+                        ok[x] = False
+        yield RestrictionRow([x for x in range(n) if ok[x]], ms, lines, res)

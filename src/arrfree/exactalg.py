@@ -101,9 +101,12 @@ def primitive_form(row: Sequence[int]) -> tuple[int, ...]:
     g = gcd(*row)
     if g == 0:
         raise ValueError("zero form")
-    if next(x for x in row if x) < 0:
-        g = -g
-    return tuple(x // g for x in row)
+    for x in row:
+        if x:
+            if x < 0:
+                g = -g
+            break
+    return tuple(row) if g == 1 else tuple(x // g for x in row)
 
 
 def _pivot(v: Sequence) -> int:

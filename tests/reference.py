@@ -18,6 +18,13 @@ None of this runs in `certify`, `verify_certificate` or the CLI:
   never restricts; the verifier's walk of a cited flag restricted the same
   way, once per level, until it became that walk with one candidate per
   level;
+* the row step that built its bookkeeping afresh for every row
+  (`ref_restriction_rows`): a dict from hyperplane to point bit per row, a
+  set difference per point, every own line marked as paired and the light
+  points in a set, which `arrangement.restriction_rows` replaced with one
+  list per level and one pass over each point's members; and
+  `primitive_form` with its sign from a generator and a division by a gcd
+  of 1 (`ref_primitive_form`);
 * the recursive list of exponent vectors (`ref_monomials`), which
   `exactalg.monomials` replaced with one over multisets of variables;
 * the rational Gauss-Jordan elimination and its kernel (`ref_rref`,
@@ -96,13 +103,17 @@ None of this runs in `certify`, `verify_certificate` or the CLI:
 
 from fractions import Fraction
 from itertools import islice
-from math import lcm
-from typing import Sequence
+from math import gcd, lcm
+from typing import Iterator, Sequence
 
 from arrfree.arrangement import (
     Flat,
     Hyperplane,
+    Level,
     Multiarrangement,
+    RestrictionRow,
+    _classes,
+    _ones,
     codim2_flats,
     euler_ziegler_multiplicity,
     is_locally_heavy,
@@ -614,6 +625,83 @@ def ref_flag_search(m: Multiarrangement, members, chain=(), values=(), parent=No
             yield Flag(chain_k, values_k), parent
         else:
             yield from ref_flag_search(*_restriction_step(m, members, k), chain_k, values_k, m)
+
+
+# ---------------------------------------------------------------------------
+# the row step and the primitive form before their bookkeeping was cut
+
+
+def ref_primitive_form(row: Sequence[int]) -> tuple[int, ...]:
+    """The primitive multiple of a nonzero integer row whose first nonzero
+    entry is positive: every nonzero multiple of the row gives the same
+    tuple (a rational row goes through `primitive_row` first)."""
+    g = gcd(*row)
+    if g == 0:
+        raise ValueError("zero form")
+    if next(x for x in row if x) < 0:
+        g = -g
+    return tuple(x // g for x in row)
+
+
+def ref_restriction_rows(level: Level) -> Iterator[RestrictionRow]:
+    """`arrangement.restriction_rows` as it was before its bookkeeping was
+    cut: the same rows, the same hand-down of each codim-3 flat from the
+    row of its least member, but a dict from hyperplane to point bit built
+    for every row, one set difference per point for its least member other
+    than H, every own line marked in `paired`, each line's member set a
+    union of frozensets, and the light points gathered in a set."""
+    if level.dim < 2:
+        raise ValueError("restriction needs ambient dimension >= 2")
+    ints = level.normals
+    mult = level.mult
+    given: list[list[frozenset[int]]] = [[] for _ in level.rows]  # codim-3 flats grouped in earlier rows
+    for i, points in enumerate(level.rows):
+        n = len(points)
+        res = None
+        if level.dim >= 4:
+            u = ints[i]
+            p = _pivot(u)
+            bit = {k: 1 << x for x, f in enumerate(points) for k in f}
+            res = []
+            for f in points:
+                v = ints[min(f - {i})]
+                res.append([u[p] * t - v[p] * s for s, t in zip(u, v)])
+            paired = [0] * n  # per point, the points known to share a line with it
+            lines = []
+            for y in given[i]:
+                xs = 0
+                for k in y:
+                    if k != i:
+                        xs |= bit[k]
+                on = _ones(xs)
+                lines.append(on)
+                for x in on:
+                    paired[x] |= xs
+            for x, w in enumerate(res):
+                todo = ((1 << n) - (2 << x)) & ~paired[x]  # the later points not yet on a line with x
+                if not todo:
+                    continue
+                for zs in _classes([(_pivot(w), w)], res, _ones(todo)).values():
+                    on = [x, *zs]
+                    lines.append(on)
+                    xs = 0
+                    for z in on:
+                        xs |= 1 << z
+                    for z in on:
+                        paired[z] |= xs
+                    y = frozenset().union(*(points[z] for z in on))
+                    for j in y:
+                        if j > i:
+                            given[j].append(y)
+        else:
+            lines = [list(range(n))] if level.dim == 3 and n >= 2 else []
+        ms = [sum(mult[k] for k in f) - mult[i] for f in points]
+        light = set()
+        for on in lines:
+            if len(on) >= 3:
+                total = sum(ms[x] for x in on)
+                light.update(x for x in on if 2 * ms[x] < total)
+        yield RestrictionRow([x for x in range(n) if x not in light], ms, lines, res)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from arrfree.arrangement import (
     Flat,
     Hyperplane,
+    Level,
     Multiarrangement,
     codim2_flats,
     essentialize,
@@ -30,6 +31,7 @@ from arrfree.arrangement import (
     locally_heavy_indices,
     rank,
     restriction_flats,
+    restriction_rows,
 )
 from arrfree.betti import b2_simple
 from arrfree.exactalg import Matrix, primitive_row
@@ -404,11 +406,12 @@ SMALL = st.integers(-3, 3)
 
 
 @st.composite
-def pencil_arrangements(draw):
-    """Hyperplanes in dimension 1-5, often non-essential: some drawn normals,
-    plus pencils of three to five normals in the span of two drawn vectors,
-    so that codim-2 flats with four or more members are common."""
-    dim = draw(st.integers(1, 5))
+def pencil_arrangements(draw, dims=st.integers(1, 5)):
+    """Hyperplanes in dimension 1-5 (or as `dims` draws), often
+    non-essential: some drawn normals, plus pencils of three to five normals
+    in the span of two drawn vectors, so that codim-2 flats with four or
+    more members are common."""
+    dim = draw(dims)
     vectors = st.lists(SMALL, min_size=dim, max_size=dim)
     rows = draw(st.lists(vectors, max_size=7))
     for _ in range(draw(st.integers(0, 2))):
@@ -439,6 +442,24 @@ def assert_table_work_is_b2(a):
     assert spy.call_count == want
 
 
+def assert_row_work_is_hand_down(a):
+    """One pass of the row step over a's top level (dimension >= 4) reduces
+    sum(p_Y - 1) residues over the codim-3 flats Y, p_Y being the number of
+    codim-2 flats through min(Y) inside Y: each Y is grouped once, in the
+    row of its least member, and the rows of its later members receive it.
+    Grouping every row on its own gives the same rows with more work."""
+    assert a.dim >= 4
+    level = Level.of(a)
+    flats = codim2_flats(a)
+    want = 0
+    for y in intersection_lattice(a, 3)[3]:
+        least = min(y.members)
+        want += sum(1 for f in flats if least in f.members and f.members <= y.members) - 1
+    with mock.patch.object(arrangement_mod, "primitive_form", wraps=arrangement_mod.primitive_form) as spy:
+        list(restriction_rows(level))
+    assert spy.call_count == want
+
+
 @settings(max_examples=200, deadline=None)
 @given(pencil_arrangements())
 def test_codim2_table_matches_ordered_pair_reference(a):
@@ -451,6 +472,12 @@ def test_codim2_table_reduces_b2_residues(a):
     assert_table_work_is_b2(a)
 
 
+@settings(max_examples=200, deadline=None)
+@given(pencil_arrangements(dims=st.integers(4, 5)))
+def test_restriction_rows_group_each_codim3_flat_once(a):
+    assert_row_work_is_hand_down(a)
+
+
 def test_codim2_table_on_fixtures_and_reflection_arrangements():
     inputs = [load(f"{name}.json") for name in FIXTURES] + [_reflection(n) for n in (B4, D4, A4)]
     # B4 padded by a zero coordinate: a non-essential input
@@ -461,3 +488,5 @@ def test_codim2_table_on_fixtures_and_reflection_arrangements():
     for a in inputs:
         assert_table_matches_reference(a.hyperplanes)
         assert_table_work_is_b2(a)
+        if a.dim >= 4:
+            assert_row_work_is_hand_down(a)

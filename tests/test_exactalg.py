@@ -5,7 +5,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import arrfree
@@ -17,10 +17,11 @@ from arrfree.exactalg import (
     monomials,
     integer_kernel,
     poly_matrix_det,
+    primitive_form,
     scaled_chart_image,
 )
 
-from reference import ref_monomials
+from reference import ref_monomials, ref_primitive_form
 
 F = Fraction
 
@@ -367,3 +368,25 @@ def test_only_exactalg_names_the_fraction_classes():
         (1, "Polynomial"),
         (2, "Matrix"),
     ]
+
+
+# ---------------------------------------------------------------------------
+# primitive_form against the reference it replaced
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-6, 6), min_size=1, max_size=6), st.integers(1, 12), st.sampled_from([1, -1]))
+@example([0, 0, 0], 1, 1)
+@example([0, -2, 4, 0], 3, 1)
+def test_primitive_form_matches_reference(row, scale, sign):
+    # the drawn row times a signed scale: gcd 1 and above, either sign first,
+    # zeros anywhere (all of them included); a list or a tuple
+    row = [sign * scale * x for x in row]
+    for given_row in (row, tuple(row)):
+        if any(row):
+            got = primitive_form(given_row)
+            assert got == ref_primitive_form(given_row) and type(got) is tuple
+        else:
+            for f in (primitive_form, ref_primitive_form):
+                with pytest.raises(ValueError, match="zero form"):
+                    f(given_row)

@@ -26,7 +26,7 @@ from arrfree.arrangement import (
 from arrfree.certify import CertifyOptions, Flag, certify, verify_certificate
 from arrfree.fixtures import boolean3, braid3, generic4, rank4_flag_example
 
-from reference import ref_flag_search
+from reference import ref_flag_search, ref_restriction_rows
 
 # the module, not the `certify` function the package exports under its name
 certify_mod = importlib.import_module("arrfree.certify")
@@ -44,12 +44,13 @@ def _multiarrangement(dim, rows, mult):
 
 
 @st.composite
-def arrangements(draw):
-    """Dimension 2-5 and multiplicities 1-3: drawn normals, plus normals in
-    the span of three drawn vectors, so that codim-3 flats with many points
-    are common.  One or two hyperplanes give rows with no flat or one.  Some
-    are non-essential: one coordinate is a fixed combination of the others."""
-    dim = draw(st.integers(2, 5))
+def arrangements(draw, dims=st.integers(2, 5)):
+    """Dimension 2-5 (or as `dims` draws) and multiplicities 1-3: drawn
+    normals, plus normals in the span of three drawn vectors, so that
+    codim-3 flats with many points are common.  One or two hyperplanes give
+    rows with no flat or one.  Some are non-essential: one coordinate is a
+    fixed combination of the others."""
+    dim = draw(dims)
     vectors = st.lists(SMALL, min_size=dim, max_size=dim)
     rows = draw(st.lists(vectors, min_size=1, max_size=6))
     if draw(st.booleans()):
@@ -102,6 +103,42 @@ def test_restriction_rows_match_the_restrictions(a):
     top = Level.of(a)
     assert top.members == tuple(frozenset({i}) for i in range(a.size))
     assert_level_is(top, a, a.dim)
+
+
+def assert_rows_are_the_reference(level, depth):
+    """The level's rows equal, whole, those of the row step it replaced
+    (`reference.ref_restriction_rows`): heavy points, multiplicities, lines
+    and residues; then the same on every child level the walk builds from
+    them, `depth` levels further down."""
+    rows = list(restriction_rows(level))
+    assert rows == list(ref_restriction_rows(level))
+    if depth and level.dim >= 3:
+        for k, row in enumerate(rows):
+            assert_rows_are_the_reference(level.restriction(k, row), depth - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrangements())
+def test_restriction_rows_match_the_reference_row_step(a):
+    assert_rows_are_the_reference(Level.of(a), a.dim)
+
+
+@settings(max_examples=40, deadline=None)
+@given(arrangements(dims=st.just(6)))
+def test_restriction_rows_match_the_reference_row_step_in_dimension_6(a):
+    # levels 6, 5 and 4: the dimension-4 level groups its lines on residues
+    # handed down twice, by the dimension-6 and the dimension-5 rows
+    assert_rows_are_the_reference(Level.of(a), 2)
+
+
+def test_restriction_rows_match_the_reference_row_step_on_braid_a5():
+    # the 15 hyperplanes x_i - x_j of K^6 (rank 5): every row has 10 points,
+    # on lines of 2 and 3 points
+    normals = [[int(k == i) - int(k == j) for k in range(6)] for i, j in itertools.combinations(range(6), 2)]
+    a = Multiarrangement(6, tuple(Hyperplane.from_coeffs(v) for v in normals), (1,) * len(normals))
+    top = Level.of(a)
+    assert {len(row) for row in top.rows} == {10}
+    assert_rows_are_the_reference(top, 2)
 
 
 def test_restriction_rows_need_a_restriction():
