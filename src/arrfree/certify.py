@@ -1,19 +1,19 @@
 """Freeness and nonfreeness certification with machine-checkable proof trees.
 
-Rules, in the order of the table RULES: rank-2 base case, flag equality for
-simple arrangements, locally-heavy restriction recursion, the generic
-totally-nonfree rule, the two-locally-heavy rule, and (opt-in) the
-brute-force oracle.  The same table, in the same order, certifies the input
-and every Euler-Ziegler restriction the locally-heavy rule recurses into.
-Verdicts are three-valued; the engine never guesses where no rule applies.
+Every rule is one record of the table RULES, in dispatch order: its
+dispatch name, its attempt, and the re-derivation of each certificate rule
+it emits.  The same table, in the same order, certifies the input and every
+Euler-Ziegler restriction the locally-heavy rule recurses into.  Verdicts
+are three-valued; the engine never guesses where no rule applies.
 
-The verifier keeps no second copy of the rules: RECHECKS maps each
-certificate rule to the function that proved it, which re-derives the node
-from the arrangement and the choices the node cites (a flag, a hyperplane,
-a Saito basis, a degree cap); the re-derived node must equal the cited one.
-Flags have one walk (`_heavy_flags`): the prover decides the first flag it
-yields, and the verifier walks the chain a node cites, with one candidate
-per level, and decides that flag by the same `_flag_verdict`.
+The verifier keeps no second copy of the rules: RECHECKS, read off RULES,
+maps each certificate rule to the function that proved it, which re-derives
+the node from the arrangement and the choices the node cites (a flag, a
+hyperplane, a Saito basis, a degree cap); the re-derived node must equal
+the cited one.  Flags have one walk (`_heavy_flags`): the prover decides
+the first flag it yields, and the verifier walks the chain a node cites,
+with one candidate per level, and decides that flag by the same
+`_flag_verdict`.
 """
 
 from __future__ import annotations
@@ -384,7 +384,7 @@ def nonfree_two_locally_heavy(a: Multiarrangement) -> Verdict:
     """
     lh = locally_heavy_indices(a)
     if len(lh) < 2:
-        raise ValueError("need at least two locally heavy hyperplanes")
+        return Verdict("Inconclusive", reason="fewer than two locally heavy hyperplanes")
     r = rank(a)
     if r < 3:
         return Verdict("Inconclusive", reason="rank below 3")
@@ -470,8 +470,6 @@ def _attempt_generic(a: Multiarrangement, opts: CertifyOptions) -> Verdict | str
 
 
 def _attempt_two_locally_heavy(a: Multiarrangement, opts: CertifyOptions) -> Verdict | str | None:
-    if len(locally_heavy_indices(a)) < 2:
-        return "two-locally-heavy: fewer than two locally heavy hyperplanes"
     v = nonfree_two_locally_heavy(a)
     return v if v.decisive else f"two-locally-heavy: {v.reason}"
 
@@ -482,9 +480,9 @@ def _saito_verdict(a: Multiarrangement, dropped, basis, exponents, seed) -> Verd
     return Verdict("Free", tuple(exponents), certificate=node)
 
 
-def _hilbert_verdict(a: Multiarrangement, ess: Multiarrangement, dropped, res) -> Verdict:
+def _hilbert_verdict(a: Multiarrangement, dropped, res) -> Verdict:
     inputs = {"degree_cap": res.degree_cap, "essentialized_from_dim": a.dim if dropped else None}
-    node = CertNode(RULE_HILBERT, inputs, {"graded_dims": list(res.dims), "total_mult": ess.total_mult})
+    node = CertNode(RULE_HILBERT, inputs, {"graded_dims": list(res.dims), "total_mult": a.total_mult})
     return Verdict("NonFree", witness={"graded_dims": list(res.dims)}, certificate=node)
 
 
@@ -517,8 +515,13 @@ def _attempt_oracle(a: Multiarrangement, opts: CertifyOptions) -> Verdict | str 
     if res.kind == "FreeProven":
         return _saito_verdict(a, dropped, res.basis, res.exponents, opts.seed)
     if res.kind == "NonFreeProven":
-        return _hilbert_verdict(a, ess, dropped, res)
+        return _hilbert_verdict(a, dropped, res)
     return "oracle: undetermined"
+
+
+def _recheck_locally_heavy(a: Multiarrangement, node: CertNode) -> Verdict:
+    # the restriction is decided by re-verifying the node's one child
+    return certify_locally_heavy(a, node.inputs["h0"], decide=lambda r: _reverify_node(r, node.children[0]))
 
 
 def _recheck_saito(a: Multiarrangement, node: CertNode) -> Verdict:
@@ -546,38 +549,25 @@ def _recheck_hilbert(a: Multiarrangement, node: CertNode) -> Verdict:
         raise CertificateError(str(e)) from None
     if res.kind != "NonFreeProven":
         raise CertificateError("Hilbert obstruction does not re-verify")
-    return _hilbert_verdict(a, ess, dropped, res)
+    return _hilbert_verdict(a, dropped, res)
 
 
+# A record: (dispatch name, attempt, {certificate rule it emits: re-derivation})
 RULES = (
-    ("rank2", _attempt_rank2),
-    ("flag", _attempt_flag),
-    ("locally-heavy", _attempt_locally_heavy),
-    ("generic", _attempt_generic),
-    ("two-locally-heavy", _attempt_two_locally_heavy),
-    ("oracle", _attempt_oracle),
+    ("rank2", _attempt_rank2, {RULE_RANK2: lambda a, node: _rank2_base(a)}),
+    ("flag", _attempt_flag, {RULE_FLAG: lambda a, node: certify_flag(a, Flag.from_dict(node.inputs["flag"]))}),
+    ("locally-heavy", _attempt_locally_heavy, {RULE_LOCALLY_HEAVY: _recheck_locally_heavy}),
+    ("generic", _attempt_generic, {RULE_GENERIC: lambda a, node: nonfree_generic(a, node.inputs["h"])}),
+    ("two-locally-heavy", _attempt_two_locally_heavy, {RULE_TWO_LH: lambda a, node: nonfree_two_locally_heavy(a)}),
+    ("oracle", _attempt_oracle, {RULE_SAITO: _recheck_saito, RULE_HILBERT: _recheck_hilbert}),
 )
-
-# Certificate rule -> re-derivation of a node from the arrangement and the
-# choices the node cites, by the function that proved it; the verifier
-# requires the re-derived node to equal the cited one.
-RECHECKS = {
-    RULE_RANK2: lambda a, node: _rank2_base(a),
-    RULE_FLAG: lambda a, node: certify_flag(a, Flag.from_dict(node.inputs["flag"])),
-    RULE_LOCALLY_HEAVY: lambda a, node: certify_locally_heavy(
-        a, node.inputs["h0"], decide=lambda r: _reverify_node(r, node.children[0])
-    ),
-    RULE_GENERIC: lambda a, node: nonfree_generic(a, node.inputs["h"]),
-    RULE_TWO_LH: lambda a, node: nonfree_two_locally_heavy(a),
-    RULE_SAITO: _recheck_saito,
-    RULE_HILBERT: _recheck_hilbert,
-}
-DISPATCH_ORDER = tuple(name for name, _ in RULES)
+DISPATCH_ORDER = tuple(name for name, _, _ in RULES)
+RECHECKS = {rule: recheck for _, _, rechecks in RULES for rule, recheck in rechecks.items()}
 
 
 def _dispatch(a: Multiarrangement, opts: CertifyOptions, rules: Sequence) -> Verdict:
     reasons = []
-    for _, attempt in rules:
+    for _, attempt, _ in rules:
         got = attempt(a, opts)
         if isinstance(got, Verdict):
             return got
@@ -593,7 +583,10 @@ def _free_exponents_fit(a: Multiarrangement, exps: Sequence[int]) -> bool:
 
 def certify(a: Multiarrangement, opts: CertifyOptions = CertifyOptions()) -> Verdict:
     """Run the rules in dispatch order; first decision wins.  `opts.only_rule`
-    keeps only the named rule, at this level only."""
+    keeps only the named rule, at this level only; it must be a dispatch
+    name, else ValueError."""
+    if opts.only_rule not in (None, *DISPATCH_ORDER):
+        raise ValueError(f"unknown rule {opts.only_rule!r}; dispatch names are {', '.join(DISPATCH_ORDER)}")
     v = _dispatch(a, opts, [r for r in RULES if opts.only_rule in (None, r[0])])
     assert v.kind != "Free" or _free_exponents_fit(a, v.exponents), (
         f"Free exponents {v.exponents} are not rank-many or do not sum to |m|"

@@ -92,7 +92,7 @@ _BINOPS = {
     ast.Sub: operator.sub,
     ast.Mult: operator.mul,
     ast.Div: operator.truediv,
-    ast.FloorDiv: operator.floordiv,
+    ast.FloorDiv: lambda x, y: Fraction(x // y),  # Fraction // Fraction is an int
     ast.Mod: operator.mod,
 }
 _CMPOPS = {

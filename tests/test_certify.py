@@ -2,6 +2,7 @@ import copy
 import importlib
 import json
 import random
+import re
 import time
 
 import pytest
@@ -444,8 +445,9 @@ def test_two_locally_heavy_rank4_embedding():
 
 
 def test_two_locally_heavy_needs_two():
-    with pytest.raises(ValueError):
-        nonfree_two_locally_heavy(braid3())
+    # like nonfree_generic, a failed hypothesis is Inconclusive, not an error
+    v = nonfree_two_locally_heavy(braid3())
+    assert v.kind == "Inconclusive" and v.reason == "fewer than two locally heavy hyperplanes"
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +477,12 @@ def test_certify_only_rule_isolation():
     assert v.kind == "Inconclusive"
     v = certify(braid3(), CertifyOptions(only_rule="oracle", use_oracle=True))
     assert v.kind == "Free" and v.exponents == (1, 2, 3)
+
+
+def test_certify_rejects_an_unknown_only_rule():
+    names = ", ".join(name for name, _, _ in certify_mod.RULES)
+    with pytest.raises(ValueError, match=re.escape(f"dispatch names are {names}")):
+        certify(example52(), CertifyOptions(only_rule="two_locally_heavy"))
 
 
 def test_oracle_alone_on_no_hyperplanes_is_inconclusive():
@@ -802,6 +810,35 @@ def test_rechecks_cover_exactly_the_emitted_rules():
     for name in FIXTURES:
         _, verdict, _ = _decisive_payload(name)
         assert set(_node_rules(verdict.certificate)) <= set(RECHECKS)
+
+
+# (input, --only-rule, oracle on, verdict kind, certificate rule of the top node)
+ONE_RULE_CASES = (
+    ("rank4_flag.json", "flag", False, "Free", "FlagEquality"),
+    ("example52.json", "two-locally-heavy", False, "NonFree", "TwoLocallyHeavy"),
+    ("generic4.json", "generic", False, "NonFree", "GenericTotallyNonfree"),
+    ("example1_a1_m0_2.json", "locally-heavy", False, "Free", "LocallyHeavyRestriction"),
+    ("example52.json", "oracle", True, "NonFree", "HilbertObstruction"),
+    ("braid.json", "oracle", True, "Free", "SaitoBasis"),
+    ("boolean_234.json", "oracle", True, "Free", "SaitoBasis"),
+    ({"dim": 2, "hyperplanes": [[1, 0], [0, 1], [1, 1], [1, -1]], "mult": [2, 3, 1, 2]},
+     "rank2", False, "Free", "Rank2Base"),
+)
+
+
+def test_one_rule_cases_cover_every_record():
+    assert {case[1] for case in ONE_RULE_CASES} == set(certify_mod.DISPATCH_ORDER)
+    assert {case[4] for case in ONE_RULE_CASES} == set(EMITTED_RULES)
+    assert len(set(certify_mod.DISPATCH_ORDER)) == len(certify_mod.RULES)
+
+
+@pytest.mark.parametrize("source, only_rule, use_oracle, kind, node_rule", ONE_RULE_CASES)
+def test_a_rule_emits_the_certificate_rules_of_its_record(source, only_rule, use_oracle, kind, node_rule):
+    a = parse(source) if isinstance(source, dict) else load(source)
+    v = certify(a, CertifyOptions(use_oracle=use_oracle, only_rule=only_rule))
+    (rechecks,) = [rechecks for name, _, rechecks in certify_mod.RULES if name == only_rule]
+    assert v.kind == kind and v.certificate.rule == node_rule and node_rule in rechecks
+    assert verify_certificate(a, json.loads(json.dumps(v.to_dict()))).to_dict() == v.to_dict()
 
 
 @st.composite

@@ -337,6 +337,25 @@ def test_sweep_require_short_circuits(tmp_path, capsys):
     assert [r["status"] for r in rows] == ["ok", "ok", "ok", "ok", "ok", "rejected"]
 
 
+@pytest.mark.parametrize(
+    "mult0, params",
+    [("m0", ["--param", "m0=a // 2"]), ("a // 2", [])],
+)
+def test_sweep_floor_division_is_an_integer(tmp_path, capsys, mult0, params):
+    # Fraction // Fraction is an int; a floor quotient must still be read
+    # as an integer parameter or multiplicity
+    template = json.loads(Path(BRAID).read_text(encoding="utf-8"))
+    template["mult"] = [mult0, 1, 1, 1, 1, 1]
+    p = tmp_path / "template.json"
+    p.write_text(json.dumps(template), encoding="utf-8")
+    code, out, _ = run(capsys, "sweep", str(p), "--param", "a=3..4", *params, "--json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [r["status"] for r in rows] == ["ok", "ok"]
+    assert [r["verdict"] for r in rows] == ["Inconclusive", "Free"]
+    assert rows[1]["exponents"] == [2, 2, 3]
+
+
 def test_eval_expr_leaves_no_cycles():
     env = {"a": Fraction(3)}
     assert cyclic_garbage(lambda: eval_expr("a == 0 or -a + 4 // a >= -2", env)) == []
