@@ -10,37 +10,35 @@ values.
 
 A flat is its codimension and the set of hyperplanes containing it; every
 criterion reads a flat only through its members and their multiplicities.
-The codimension-2 flats -- the elements of each restriction A^H, which local
-heaviness, the Euler-Ziegler restriction and b2 all read -- come from one
-table per tuple of hyperplanes (`_codim2_table`, lru-cached), in integer
-arithmetic: each flat is grouped once, from its least member, over the
-unordered pairs not yet on a flat (a bitmask per hyperplane of the later
-ones already on a flat with it), so a table costs sum(|X| - 1) residues
-over its flats X (b2 of the simple arrangement).
 
 Every flat is found by one step (`_classes`): normals are grouped by their
-residues against an echelon basis of a flat's span, which is one normal for
-the codim-2 table and the forward elimination of a flat's member normals for
-codimension 3 and more; `localization` checks a flat by the same step.
+residues against an echelon basis of a flat's span, which is the forward
+elimination of a flat's member normals for codimension 3 and more;
+`localization` checks a flat by the same step.  The codim-2 flats are found
+by one pair walk over a list of integer vectors (`_pair_groups`): at each
+vector x in turn, the later vectors not yet on a flat with x are grouped by
+their residues against x, so each flat is grouped once, from its least
+member, at a cost of sum(|X| - 1) residues over its flats X.  One test reads
+those flats (`_heavy`): x is locally heavy when 2*m(x) >= |m_X| on every
+flat X through x with three or more members.
 
-The restriction A^H has the codim-2 flats X through H as hyperplanes, with
-m^H(X) = |m_X| - m_H, and the codim-3 flats Y through H as codim-2 flats;
-the members of Y other than H are split among its X, so their m^H sum to
-|m_Y| - m_H.  So every A^H is read off its parent's row H
-(`restriction_rows`): its multiplicities, its local heaviness, and its
-codim-2 flats, the lines of the row, found by the same grouping one level
-down, each codim-3 flat grouped once, in the row of its least member, and
-handed to the rows of its later members.  A row tracks its points as
-bitmasks: one list per level maps each hyperplane to the bit of its point
-in the current row, filled in the one pass over each point's members that
-also sums m^H and picks the member whose residue represents the point,
-and a received line is the union of its members' bits.  A
-`Level` is such a restriction held as member sets, multiplicities and a
-codim-2 table, built from its parent's row; its rows' residues serve as its
-children's normals, so the flag walk goes down any number of levels without
-building a restricted arrangement (`euler_ziegler_multiplicity`) or a second
-table.  The rows come one at a time, in index order, so the walk builds a
-level's rows only up to the hyperplane it visits.
+The input's level walks its normals once per tuple of hyperplanes
+(`_codim2_table`, lru-cached), which local heaviness, the Euler-Ziegler
+restriction and b2 all read.  The restriction A^H has the codim-2 flats X
+through H as hyperplanes, with m^H(X) = |m_X| - m_H, and the codim-3 flats
+Y through H as its codim-2 flats, the lines of row H; the members of Y
+other than H are split among its X, so their m^H sum to |m_Y| - m_H.  So
+every A^H is read off its parent's row H (`restriction_rows`) by the same
+walk and the same test one level down: the walk runs over the residues of
+the row's points against the normal of H, and each codim-3 flat is grouped
+once, in the row of its least member, and handed to the rows of its later
+members, which start the walk with its pairs marked.  A `Level` is such a
+restriction held as member sets, multiplicities and a codim-2 table, built
+from its parent's row; its rows' residues serve as its children's normals,
+so the flag walk goes down any number of levels without building a
+restricted arrangement (`euler_ziegler_multiplicity`) or a second table.
+The rows come one at a time, in index order, so the walk builds a level's
+rows only up to the hyperplane it visits.
 """
 
 from __future__ import annotations
@@ -323,6 +321,29 @@ def _echelon(normals: Sequence[Sequence[int]], dim: int) -> list[tuple[int, list
     return list(zip(_forward(rows, dim), rows))
 
 
+def _pair_groups(vecs: Sequence[Sequence[int]], paired: list[int]) -> Iterator[list[int]]:
+    """The groups [x, *later] of the pair walk over integer vectors: at
+    ascending x, the later indices outside the bitmask paired[x] grouped by
+    their residues against vecs[x] (`_classes`), so that two of them share a
+    group exactly when, with x, their vectors span a plane.  A group of three
+    or more sets its later members' bits in `paired`, as two of them share
+    no second plane; x needs no mark, since the walk has passed it, and a
+    two-member group leaves no pair behind."""
+    n = len(vecs)
+    for x, u in enumerate(vecs):
+        todo = ((1 << n) - (2 << x)) & ~paired[x]
+        if not todo:
+            continue
+        for later in _classes([(_pivot(u), u)], vecs, _ones(todo)).values():
+            if len(later) > 1:
+                bits = 0
+                for z in later:
+                    bits |= 1 << z
+                for z in later:
+                    paired[z] |= bits
+            yield [x, *later]
+
+
 @lru_cache(maxsize=1024)
 def _codim2_table(
     hyperplanes: tuple[Hyperplane, ...],
@@ -330,43 +351,26 @@ def _codim2_table(
     """All codimension-2 flats in member order, and per hyperplane i the
     flats that contain i, in member order.
 
-    Each flat is built once, in the row of its least member i, in integers:
-    the later normals are grouped by their residues against the normal u of
-    i (`_classes`), and two hyperplanes lie on one codim-2 flat with i
-    exactly when their residues are proportional.  Each group, with i,
-    becomes a flat appended to the row of every member.  Distinct flats
-    through i share only i, so row i skips the later hyperplanes already on
-    a flat through i (built in an earlier row); a build thus reduces
-    sum(|X| - 1) residues over the flats X, which is b2 of the simple
-    arrangement.  Those hyperplanes are a bitmask per hyperplane, `done`,
-    which a flat with three or more members sets on each member past i:
-    i is done, and a two-member flat {i, k} has no pair left that row k
-    would group.
-    Row i holds the flats of earlier rows in the order of their least
-    member, then its own groups in the order of their least member after
-    i: member order.  Keyed on the hyperplanes alone, so that arrangements
-    differing only in multiplicities share one table.
+    Each flat is one group of the pair walk (`_pair_groups`) over the
+    integer normals, built in the row of its least member i: two later
+    hyperplanes lie on one codim-2 flat with i exactly when their residues
+    against the normal of i are proportional.  Distinct flats through i
+    share only i, so the walk skips the pairs already on a flat, and a build
+    reduces sum(|X| - 1) residues over the flats X, which is b2 of the
+    simple arrangement.  Each group becomes a flat appended to the row of
+    every member.  Row i holds the flats of earlier rows in the order of
+    their least member, then its own groups in the order of their least
+    member after i: member order.  Keyed on the hyperplanes alone, so that
+    arrangements differing only in multiplicities share one table.
     """
     ints = [h.coeffs for h in hyperplanes]
     flats = []
     rows: list[list[Flat]] = [[] for _ in ints]
-    done = [0] * len(ints)  # per hyperplane, a bitmask of the later ones already on a flat with it
-    for i, u in enumerate(ints):
-        todo = ((1 << len(ints)) - (2 << i)) & ~done[i]
-        if not todo:
-            continue
-        for ks in _classes([(_pivot(u), u)], ints, _ones(todo)).values():
-            members = (i, *ks)
-            f = Flat(2, frozenset(members))
-            flats.append(f)
-            for k in members:
-                rows[k].append(f)
-            if len(ks) > 1:  # i is done, and k skips only hyperplanes after k
-                bits = 0
-                for k in ks:
-                    bits |= 1 << k
-                for k in ks:
-                    done[k] |= bits
+    for members in _pair_groups(ints, [0] * len(ints)):
+        f = Flat(2, frozenset(members))
+        flats.append(f)
+        for k in members:
+            rows[k].append(f)
     return tuple(flats), tuple(map(tuple, rows))
 
 
@@ -541,20 +545,28 @@ def essentialize(a: Multiarrangement) -> tuple[Multiarrangement, int]:
 # local heaviness
 
 
-def _heavy_in(a: Multiarrangement, i0: int, flats: Sequence[Flat]) -> bool:
-    m0 = a.mult[i0]
-    return all(m0 >= sum(a.mult[k] for k in f.members) - m0 for f in flats if len(f.members) >= 3)
+def _heavy(mult: Sequence[int], lines) -> list[int]:
+    """The indices x, ascending, with 2*mult[x] >= the sum of mult over
+    every line through x with three or more members: the locally heavy
+    hyperplanes, when the lines are the codim-2 flats as member sets."""
+    ok = [True] * len(mult)
+    for on in lines:
+        if len(on) >= 3:
+            total = sum(mult[x] for x in on)
+            for x in on:
+                if 2 * mult[x] < total:
+                    ok[x] = False
+    return [x for x, good in enumerate(ok) if good]
 
 
 def is_locally_heavy(a: Multiarrangement, h0: Hyperplane | int) -> bool:
     """Heavy inside every codim-2 localization through h0 with >= 3 members."""
     i0 = a.index_of(h0)
-    return _heavy_in(a, i0, _codim2_table(a.hyperplanes)[1][i0])
+    return i0 in _heavy(a.mult, [f.members for f in _codim2_table(a.hyperplanes)[1][i0]])
 
 
 def locally_heavy_indices(a: Multiarrangement) -> list[int]:
-    table = _codim2_table(a.hyperplanes)[1]
-    return [i for i in range(a.size) if _heavy_in(a, i, table[i])]
+    return _heavy(a.mult, [f.members for f in codim2_flats(a)])
 
 
 @dataclass(frozen=True)
@@ -629,28 +641,23 @@ def restriction_rows(level: Level) -> Iterator[RestrictionRow]:
     A level of dimension 2 has no lines, and in dimension 3 the points of a
     row all lie on one line, the origin.  From dimension 4 the lines are
     grouped.  A point is represented by the residue of one of its members v
-    against the normal u of H (pivot p), u[p]*v - v[p]*u, as in
-    `_codim2_table`: a representative of v modulo u, so points lie on one
-    line exactly when their residues are linearly dependent, and the
-    residues are normals of A^H (which `Level.restriction` hands down from
-    dimension 5).  A row's lines are grouped as `_codim2_table` groups flats
-    one level down: at each point x, the later points not yet on a line
-    through x are grouped by their reductions against x's residue
-    (`_classes`), and proportional reductions share a line.  Each codim-3
-    flat is grouped once, in the row of its least member; the rows of its
-    later members receive it and skip its pairs of points.
+    against the normal u of H (pivot p), u[p]*v - v[p]*u: a representative
+    of v modulo u, so points lie on one line exactly when their residues are
+    linearly dependent, and the residues are normals of A^H (which
+    `Level.restriction` hands down from dimension 5).  The lines are the
+    groups of the pair walk over the residues (`_pair_groups`), as the
+    input's flats are the groups of the walk over its normals
+    (`_codim2_table`), and the heavy points are the input's test (`_heavy`)
+    on them.  Each codim-3 flat is grouped once, in the row of its least
+    member; the rows of its later members receive it, and mark all its
+    points as paired before their walk, so that they skip its pairs.
 
-    A row tracks its points as bitmasks.  One pass over each point's
-    members sums m^H, finds the least member other than H (the one whose
-    residue represents the point) and writes the point's bit into `where`,
-    one list per level from hyperplane to the bit of its point in the
-    current row, written over row by row; a received line's points are the
-    union of its members' bits (H's bit is cleared, as H is on every
-    point).  `paired[x]` holds the points known to share a line with x, so
-    x groups only the later points outside it.  A received line marks all
-    its points; an own line grouped at x marks only its later points, and
-    only when there are two or more of them, since x is done and a later
-    point z groups only the points after z.
+    One pass over each point's members sums m^H, finds the least member
+    other than H (the one whose residue represents the point) and writes
+    the point's bit into `where`, one list per level from hyperplane to the
+    bit of its point in the current row, written over row by row; a
+    received line's points are the union of its members' bits (H's bit is
+    cleared, as H is on every point).
 
     The lines come out in member order.  A received line Y starts at the
     point through its least member j, which precedes the row's own points
@@ -705,33 +712,15 @@ def restriction_rows(level: Level) -> Iterator[RestrictionRow]:
                 lines.append(on)
                 for x in on:
                     paired[x] |= xs
-            for x, w in enumerate(res):
-                todo = ((1 << n) - (2 << x)) & ~paired[x]  # the later points not yet on a line with x
-                if not todo:
-                    continue
-                for zs in _classes([(_pivot(w), w)], res, _ones(todo)).values():
-                    on = [x, *zs]
-                    lines.append(on)
-                    ys = set(points[x])
-                    for z in zs:
-                        ys |= points[z]
-                    if len(zs) > 1:  # x is done, and z groups only points after z
-                        xs = 0
-                        for z in zs:
-                            xs |= 1 << z
-                        for z in zs:
-                            paired[z] |= xs
-                    y = frozenset(ys)
-                    for j in y:
-                        if j > i:
-                            given[j].append(y)
+            for on in _pair_groups(res, paired):
+                lines.append(on)
+                ys = set()
+                for z in on:
+                    ys |= points[z]
+                y = frozenset(ys)
+                for j in y:
+                    if j > i:
+                        given[j].append(y)
         else:
             lines = [list(range(n))] if level.dim == 3 and n >= 2 else []
-        ok = [True] * n
-        for on in lines:
-            if len(on) >= 3:
-                total = sum(ms[x] for x in on)
-                for x in on:
-                    if 2 * ms[x] < total:
-                        ok[x] = False
-        yield RestrictionRow([x for x in range(n) if ok[x]], ms, lines, res)
+        yield RestrictionRow(_heavy(ms, lines), ms, lines, res)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import io
 import itertools
 import json
 import operator
@@ -29,7 +30,6 @@ from .arrangement import (
     essentialize,
     intersection_lattice,
     parse,
-    parse_file,
     rank,
 )
 from .betti import b2_multi
@@ -47,13 +47,22 @@ MAX_SWEEP_ROWS = 10_000
 CERT_FORMAT = "arrfree-certificate/1"
 
 
-def _digest(path: str) -> str:
+def _read(path: str) -> tuple[str, bytes]:
+    """The input file's text and the bytes it decodes from, read once, so
+    that a command parses and hashes the same bytes: a file rewritten while
+    a command runs cannot get an `input_digest` of bytes it never read."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    # UTF-8 with universal newlines, as a text-mode open reads the file
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read(), raw
+
+
+def _digest(raw: bytes) -> str:
     # imported here: loading hashlib (OpenSSL) adds about 3 MB to the peak
     # RSS of every process that imports this module
     import hashlib
 
-    with open(path, "rb") as fh:
-        return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
+    return "sha256:" + hashlib.sha256(raw).hexdigest()
 
 
 def _emit_json(obj) -> None:
@@ -165,7 +174,8 @@ def _as_int(value, what: str) -> int:
 
 
 def cmd_lattice(args) -> int:
-    a = parse_file(args.file)
+    text, raw = _read(args.file)
+    a = parse(text)
     max_codim = args.max_codim if args.max_codim is not None else min(3, a.dim)
     if not 1 <= max_codim <= a.dim:
         print(f"error: --max-codim {max_codim} is not between 1 and dimension {a.dim}", file=sys.stderr)
@@ -175,7 +185,7 @@ def cmd_lattice(args) -> int:
         _emit_json(
             {
                 "command": "lattice",
-                "input_digest": _digest(args.file),
+                "input_digest": _digest(raw),
                 "max_codim": max_codim,
                 "levels": {
                     str(r): [
@@ -200,13 +210,14 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_b2(args) -> int:
-    a = parse_file(args.file)
+    text, raw = _read(args.file)
+    a = parse(text)
     report = b2_multi(a)
     if args.json:
         _emit_json(
             {
                 "command": "b2",
-                "input_digest": _digest(args.file),
+                "input_digest": _digest(raw),
                 "b2": report.to_dict(),
             }
         )
@@ -235,7 +246,8 @@ def _certificate_payload(v: Verdict, seed: int, digest: str) -> dict:
 
 def cmd_certify(args) -> int:
     t0 = time.perf_counter()
-    a = parse_file(args.file)
+    text, raw = _read(args.file)
+    a = parse(text)
     # certify and the verifier check the cap against the essentialized
     # dimension, which is the rank
     if args.oracle and _cap_too_large(args.max_degree, rank(a)):
@@ -248,7 +260,7 @@ def cmd_certify(args) -> int:
         only_rule=args.only_rule,
     )
     v = certify(a, opts)
-    digest = _digest(args.file)
+    digest = _digest(raw)
     payload = _certificate_payload(v, seed, digest)
     if args.cert:
         with open(args.cert, "w", encoding="utf-8") as fh:
@@ -300,11 +312,11 @@ def _list_of(value, types: tuple) -> bool:
 
 
 def cmd_sweep(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        try:
-            template = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"malformed JSON: {e}") from None
+    text, raw = _read(args.file)
+    try:
+        template = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"malformed JSON: {e}") from None
     if not isinstance(template, dict) or "mult" not in template:
         raise ParseError("sweep template must be an arrangement object with a mult list")
     if not _list_of(template["mult"], (int, str)):
@@ -365,7 +377,7 @@ def cmd_sweep(args) -> int:
         _emit_json(
             {
                 "command": "sweep",
-                "input_digest": _digest(args.file),
+                "input_digest": _digest(raw),
                 "seed": seed,
                 "rows": rows,
             }
@@ -384,7 +396,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    a = parse_file(args.file)
+    text, raw = _read(args.file)
+    a = parse(text)
     dropped = 0
     if rank(a) != a.dim:
         if not args.essentialize:
@@ -397,7 +410,7 @@ def cmd_oracle(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     out: dict = {
         "command": "oracle",
-        "input_digest": _digest(args.file),
+        "input_digest": _digest(raw),
         "seed": seed,
         "nonessential_dims": dropped,
     }

@@ -25,6 +25,10 @@ None of this runs in `certify`, `verify_certificate` or the CLI:
   list per level and one pass over each point's members; and
   `primitive_form` with its sign from a generator and a division by a gcd
   of 1 (`ref_primitive_form`);
+* local heaviness as a test per hyperplane over its row of the codim-2
+  table (`ref_locally_heavy_indices`, `ref_is_locally_heavy`, one
+  `_heavy_in` each), which `arrangement._heavy` replaced with one pass over
+  the flats that the row step's lines share;
 * the recursive list of exponent vectors (`ref_monomials`), which
   `exactalg.monomials` replaced with one over multisets of variables;
 * the rational Gauss-Jordan elimination and its kernel (`ref_rref`,
@@ -113,6 +117,7 @@ from arrfree.arrangement import (
     Multiarrangement,
     RestrictionRow,
     _classes,
+    _codim2_table,
     _ones,
     codim2_flats,
     euler_ziegler_multiplicity,
@@ -702,6 +707,27 @@ def ref_restriction_rows(level: Level) -> Iterator[RestrictionRow]:
                 total = sum(ms[x] for x in on)
                 light.update(x for x in on if 2 * ms[x] < total)
         yield RestrictionRow([x for x in range(n) if x not in light], ms, lines, res)
+
+
+# ---------------------------------------------------------------------------
+# local heaviness per hyperplane, before the row step and the input shared
+# one test
+
+
+def _heavy_in(a: Multiarrangement, i0: int, flats: Sequence[Flat]) -> bool:
+    m0 = a.mult[i0]
+    return all(m0 >= sum(a.mult[k] for k in f.members) - m0 for f in flats if len(f.members) >= 3)
+
+
+def ref_is_locally_heavy(a: Multiarrangement, h0) -> bool:
+    """Heavy inside every codim-2 localization through h0 with >= 3 members."""
+    i0 = a.index_of(h0)
+    return _heavy_in(a, i0, _codim2_table(a.hyperplanes)[1][i0])
+
+
+def ref_locally_heavy_indices(a: Multiarrangement) -> list[int]:
+    table = _codim2_table(a.hyperplanes)[1]
+    return [i for i in range(a.size) if _heavy_in(a, i, table[i])]
 
 
 # ---------------------------------------------------------------------------

@@ -444,6 +444,20 @@ def test_two_locally_heavy_rank4_embedding():
     assert set(v.witness["flat"]) == {0, 1, 2, 3, 4, 5}
 
 
+def test_two_locally_heavy_rank4_needs_an_irreducible_rank3_flat():
+    # x, y, z, w: every hyperplane is locally heavy, and every rank-3 flat
+    # under two of them is reducible, so the rank >= 4 branch finds no
+    # witness; the input is free, as the whole rule table proves
+    a = parse({"dim": 4, "hyperplanes": [[int(i == k) for k in range(4)] for i in range(4)], "mult": [1] * 4})
+    assert locally_heavy_indices(a) == [0, 1, 2, 3]
+    v = certify(a, CertifyOptions(only_rule="two-locally-heavy"))
+    assert (v.kind, v.reason) == (
+        "Inconclusive",
+        "two-locally-heavy: no essentially irreducible rank-3 flat under two locally heavy hyperplanes",
+    )
+    assert certify(a).kind == "Free"
+
+
 def test_two_locally_heavy_needs_two():
     # like nonfree_generic, a failed hypothesis is Inconclusive, not an error
     v = nonfree_two_locally_heavy(braid3())
@@ -604,6 +618,18 @@ def test_verifier_refuses_too_many_exponent_tuples(monkeypatch):
     node = {"rule": "HilbertObstruction", "inputs": {"degree_cap": 2, "essentialized_from_dim": None}, "numbers": {}}
     with pytest.raises(CertificateError, match="more than 10000 exponent tuples"):
         verify_certificate(_four_planes_at_400(), {"kind": "NonFree", "certificate": node})
+
+
+def test_verifier_refuses_an_out_of_range_cap_before_any_solve(monkeypatch):
+    # a HilbertObstruction node citing cap 30 on Example 5.2 (rank 3) is
+    # refused by the cap check, before the Hilbert test solves any degree
+    a = example52()
+    payload = certify(a, CertifyOptions(use_oracle=True, only_rule="oracle")).to_dict()
+    assert payload["certificate"]["rule"] == "HilbertObstruction"
+    payload["certificate"]["inputs"]["degree_cap"] = 30
+    _hilbert_must_not_run(monkeypatch)
+    with pytest.raises(CertificateError, match="degree cap 30 is out of range"):
+        verify_certificate(a, payload)
 
 
 def test_verifier_refuses_a_hilbert_obstruction_past_its_stopping_degree():
@@ -1029,6 +1055,10 @@ def test_verifier_mutation_fuzz(name, data):
     except CertificateError:
         return
     assert (got.kind, got.exponents) == (verdict.kind, verdict.exponents)
+    # and the mutated payload claims no more than what re-derives
+    assert mutated["kind"] == got.kind
+    if mutated.get("exponents") is not None:
+        assert mutated["exponents"] == list(got.exponents)
 
 
 # ---------------------------------------------------------------------------

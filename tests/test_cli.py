@@ -191,6 +191,31 @@ def test_certify_json_golden(capsys, monkeypatch, path, oracle):
     assert out == golden.read_text(encoding="utf-8")
 
 
+def test_certify_digests_the_bytes_it_certified(tmp_path, capsys, monkeypatch):
+    # the input is rewritten while the proof runs; the certificate's
+    # input_digest is that of the bytes the proof read, not of the new file
+    import hashlib
+
+    import arrfree.cli as cli_mod
+
+    path = tmp_path / "rank4.json"
+    original = Path(RANK4).read_bytes()
+    path.write_bytes(original)
+    real = cli_mod.certify
+
+    def rewriting(a, opts):
+        path.write_bytes(Path(BRAID).read_bytes())
+        return real(a, opts)
+
+    monkeypatch.setattr(cli_mod, "certify", rewriting)
+    code, out, _ = run(capsys, "certify", str(path), "--json", "--cert", str(tmp_path / "cert.json"))
+    assert code == 0
+    want = "sha256:" + hashlib.sha256(original).hexdigest()
+    assert json.loads(out)["input_digest"] == want
+    header = json.loads((tmp_path / "cert.json").read_text(encoding="utf-8"))["header"]
+    assert header["input_digest"] == want
+
+
 def test_certify_seed_env_default(capsys, monkeypatch):
     monkeypatch.setenv("ARRFREE_SEED", "42")
     code, out, _ = run(capsys, "certify", EX1, "--json")

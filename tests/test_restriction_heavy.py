@@ -18,15 +18,17 @@ from arrfree.arrangement import (
     _codim2_table,
     codim2_flats,
     euler_ziegler_multiplicity,
+    is_locally_heavy,
     locally_heavy_indices,
     rank,
     restriction_flats,
     restriction_rows,
 )
 from arrfree.certify import CertifyOptions, Flag, certify, verify_certificate
-from arrfree.fixtures import boolean3, braid3, generic4, rank4_flag_example
+from arrfree.fixtures import boolean3, braid3, generic4, load, rank4_flag_example
 
-from reference import ref_flag_search, ref_restriction_rows
+from conftest import FIXTURES
+from reference import ref_flag_search, ref_is_locally_heavy, ref_locally_heavy_indices, ref_restriction_rows
 
 # the module, not the `certify` function the package exports under its name
 certify_mod = importlib.import_module("arrfree.certify")
@@ -144,6 +146,32 @@ def test_restriction_rows_match_the_reference_row_step_on_braid_a5():
 def test_restriction_rows_need_a_restriction():
     with pytest.raises(ValueError, match="dimension >= 2"):
         list(restriction_rows(Level.of(Multiarrangement(1, (Hyperplane((1,)),), (1,)))))
+
+
+def assert_heaviness_is_the_reference(a):
+    # one test over all the flats (`arrangement._heavy`) against the test
+    # per hyperplane over its own row of the table that it replaced
+    lh = ref_locally_heavy_indices(a)
+    assert locally_heavy_indices(a) == lh
+    assert [i for i in range(a.size) if is_locally_heavy(a, i)] == lh
+    assert [i for i in range(a.size) if ref_is_locally_heavy(a, a.hyperplanes[i])] == lh
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrangements(), st.data())
+def test_local_heaviness_matches_the_reference(a, data):
+    # multiplicities 1-6 make 2*m(H) = |m_X| common, the boundary case
+    mult = data.draw(st.lists(st.integers(1, 6), min_size=a.size, max_size=a.size))
+    assert_heaviness_is_the_reference(Multiarrangement(a.dim, a.hyperplanes, tuple(mult)))
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_local_heaviness_matches_the_reference_on_fixtures(name):
+    a = load(f"{name}.json")
+    assert_heaviness_is_the_reference(a)
+    for i in range(a.size):
+        for m in (1, a.mult[i] + 1, a.total_mult):
+            assert_heaviness_is_the_reference(a.with_mult(i, m))
 
 
 @st.composite
