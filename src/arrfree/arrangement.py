@@ -12,15 +12,20 @@ A flat is its codimension and the set of hyperplanes containing it; every
 criterion reads a flat only through its members and their multiplicities.
 
 Every flat is found by one step (`_classes`): normals are grouped by their
-residues against an echelon basis of a flat's span, which is the forward
-elimination of a flat's member normals for codimension 3 and more;
-`localization` checks a flat by the same step.  The codim-2 flats are found
-by one pair walk over a list of integer vectors (`_pair_groups`): at each
-vector x in turn, the later vectors not yet on a flat with x are grouped by
-their residues against x, so each flat is grouped once, from its least
-member, at a cost of sum(|X| - 1) residues over its flats X.  One test reads
-those flats (`_heavy`): x is locally heavy when 2*m(x) >= |m_X| on every
-flat X through x with three or more members.
+residues against an echelon basis.  One use of it goes from a flat to the
+flats one codimension deeper inside it (`_over`, `_flats_over`): the basis
+is the forward elimination of the flat's member normals, and each group of
+the other hyperplanes, with the members, is one flat.  That is the one step
+behind the levels of `intersection_lattice` from codim 3 on, the check of
+`localization` (the members' rank, and no other normal in their span) and
+the rank-3 flats that the two-locally-heavy rule tries over the codim-2
+flat of a pair.  The codim-2 flats are found by one pair walk over a list
+of integer vectors (`_pair_groups`): at each vector x in turn, the later
+vectors not yet on a flat with x are grouped by their residues against x,
+so each flat is grouped once, from its least member, at a cost of
+sum(|X| - 1) residues over its flats X.  One test reads those flats
+(`_heavy`): x is locally heavy when 2*m(x) >= |m_X| on every flat X through
+x with three or more members.
 
 The input's level walks its normals once per tuple of hyperplanes
 (`_codim2_table`, lru-cached), which local heaviness, the Euler-Ziegler
@@ -315,10 +320,26 @@ def _classes(
     return groups
 
 
-def _echelon(normals: Sequence[Sequence[int]], dim: int) -> list[tuple[int, list[int]]]:
-    """The (pivot, row) pairs of the normals' forward elimination."""
-    rows = [list(n) for n in normals]
-    return list(zip(_forward(rows, dim), rows))
+def _over(a: Multiarrangement, members: frozenset[int]) -> tuple[int, dict[tuple[int, ...], list[int]]]:
+    """The rank of the members' normals, and the other hyperplanes grouped
+    by their residues against the echelon basis of the members' forward
+    elimination (`_classes`): each group, with the members, spans one more
+    dimension, and the group () lies in the members' span."""
+    ints = [h.coeffs for h in a.hyperplanes]
+    rows = [list(ints[k]) for k in sorted(members)]
+    basis = list(zip(_forward(rows, a.dim), rows))
+    return len(basis), _classes(basis, ints, [k for k in range(a.size) if k not in members])
+
+
+def _flats_over(a: Multiarrangement, x: Flat) -> list[Flat]:
+    """The flats one codimension deeper inside the flat x, in member order:
+    x meet H for the hyperplanes H of each group of `_over`.
+
+    No sort is needed.  The groups come in the order of their least members,
+    and every flat holds all of x's members, so the sorted member tuples of
+    two flats agree up to the least member of the earlier group, where the
+    later flat has a larger entry."""
+    return [Flat(x.codim + 1, x.members.union(g)) for g in _over(a, x.members)[1].values()]
 
 
 def _pair_groups(vecs: Sequence[Sequence[int]], paired: list[int]) -> Iterator[list[int]]:
@@ -379,8 +400,8 @@ def intersection_lattice(a: Multiarrangement, max_codim: int) -> dict[int, tuple
 
     Codimension 2 comes from the grouping table of `_codim2_table`.  A
     flat one level up is f meet H for a flat f and a hyperplane H outside
-    it, so each group of the hyperplanes outside f (`_classes` against f's
-    member normals), with the members of f, is a flat of the next level.
+    it, so each level is the union of `_flats_over` its flats at the level
+    before, a flat reached from several of them listed once.
     """
     if max_codim > a.dim:
         raise ValueError("max_codim exceeds dimension")
@@ -389,14 +410,9 @@ def intersection_lattice(a: Multiarrangement, max_codim: int) -> dict[int, tuple
         levels[1] = tuple(Flat(1, frozenset({i})) for i in range(a.size))
     if max_codim >= 2:
         levels[2] = codim2_flats(a)
-    ints = [h.coeffs for h in a.hyperplanes]
     for r in range(2, max_codim):
-        nxt: set[frozenset[int]] = set()
-        for f in levels[r]:
-            basis = _echelon([ints[k] for k in f.sorted_members()], a.dim)
-            outside = [k for k in range(a.size) if k not in f.members]
-            nxt.update(f.members.union(ks) for ks in _classes(basis, ints, outside).values())
-        levels[r + 1] = tuple(sorted((Flat(r + 1, m) for m in nxt), key=Flat.sorted_members))
+        nxt = {f for x in levels[r] for f in _flats_over(a, x)}
+        levels[r + 1] = tuple(sorted(nxt, key=Flat.sorted_members))
     return levels
 
 
@@ -410,14 +426,12 @@ def localization(a: Multiarrangement, x: Flat) -> Multiarrangement:
 
     Raises ValueError unless x names a flat of a: in-range members whose
     normals span x.codim dimensions, and no normal outside x in that span
-    (a zero residue in `_classes`)."""
+    (the group () of `_over`)."""
     idx = x.sorted_members()
     if idx and (idx[0] < 0 or idx[-1] >= a.size):
         raise ValueError("not a flat of this arrangement")
-    ints = [h.coeffs for h in a.hyperplanes]
-    basis = _echelon([ints[k] for k in idx], a.dim)
-    outside = [k for k in range(a.size) if k not in x.members]
-    if len(basis) != x.codim or () in _classes(basis, ints, outside):
+    r, groups = _over(a, x.members)
+    if r != x.codim or () in groups:
         raise ValueError("not a flat of this arrangement")
     return Multiarrangement(
         a.dim,

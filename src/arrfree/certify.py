@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Sequence
 
 from . import oracle
@@ -28,9 +29,9 @@ from .arrangement import (
     Hyperplane,
     Level,
     Multiarrangement,
+    _flats_over,
     essentialize,
     euler_ziegler_multiplicity,
-    intersection_lattice,
     is_locally_heavy,
     localization,
     locally_heavy_indices,
@@ -380,7 +381,9 @@ def nonfree_two_locally_heavy(a: Multiarrangement) -> Verdict:
     Rank 3: irreducible implies nonfree (the reducible case is free but no
     exponents are derived here, so it stays inconclusive).  Rank > 3: look
     for a rank-3 flat under both hyperplanes whose localization is
-    irreducible apart from its non-essential part.
+    irreducible apart from its non-essential part.  Those flats are the
+    rank-3 flats over the codim-2 flat that holds both (`_flats_over`), and
+    each pair tries them in member order.
     """
     lh = locally_heavy_indices(a)
     if len(lh) < 2:
@@ -401,28 +404,24 @@ def nonfree_two_locally_heavy(a: Multiarrangement) -> Verdict:
             "Inconclusive",
             reason="reducible rank-3 case: rule only proves nonfreeness",
         )
-    flats3 = intersection_lattice(a, 3).get(3, ())
-    for hi in range(len(lh)):
-        for li in range(hi + 1, len(lh)):
-            h, l = lh[hi], lh[li]
-            for f in flats3:
-                if h not in f.members or l not in f.members:
-                    continue
-                loc = localization(a, f)
-                if reducibility(loc).irreducible:
-                    node = CertNode(
-                        RULE_TWO_LH,
-                        {
-                            "locally_heavy": [h, l],
-                            "flat_members": sorted(f.members),
-                        },
-                        {"rank": r, "localization_rank": rank(loc)},
-                    )
-                    return Verdict(
-                        "NonFree",
-                        witness={"locally_heavy": [h, l], "flat": sorted(f.members)},
-                        certificate=node,
-                    )
+    for h, l in combinations(lh, 2):
+        x = next(f for f in restriction_flats(a, h) if l in f.members)
+        for f in _flats_over(a, x):
+            loc = localization(a, f)
+            if reducibility(loc).irreducible:
+                node = CertNode(
+                    RULE_TWO_LH,
+                    {
+                        "locally_heavy": [h, l],
+                        "flat_members": sorted(f.members),
+                    },
+                    {"rank": r, "localization_rank": rank(loc)},
+                )
+                return Verdict(
+                    "NonFree",
+                    witness={"locally_heavy": [h, l], "flat": sorted(f.members)},
+                    certificate=node,
+                )
     return Verdict(
         "Inconclusive",
         reason="no essentially irreducible rank-3 flat under two locally heavy hyperplanes",

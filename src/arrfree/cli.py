@@ -118,7 +118,8 @@ def eval_expr(expr: str, env: dict[str, Fraction]):
     """Evaluate integer arithmetic / comparisons over named parameters.
 
     `and` and `or` short-circuit from left to right, as in Python, so
-    `a == 0 or 4 // a >= 2` is true at a = 0; their value is a bool."""
+    `a == 0 or 4 // a >= 2` is true at a = 0; their value is a bool, as is a
+    comparison's.  Arithmetic reads a bool as 0 or 1 and yields a Fraction."""
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError:
@@ -135,11 +136,11 @@ def _eval_node(n, env: dict[str, Fraction], expr: str):
         return env[n.id]
     if isinstance(n, ast.BinOp) and type(n.op) in _BINOPS:
         try:
-            return _BINOPS[type(n.op)](_eval_node(n.left, env, expr), _eval_node(n.right, env, expr))
+            return _BINOPS[type(n.op)](_operand(n.left, env, expr), _operand(n.right, env, expr))
         except ZeroDivisionError:
             raise ValueError(f"division by zero in {expr!r}") from None
     if isinstance(n, ast.UnaryOp) and isinstance(n.op, (ast.USub, ast.UAdd)):
-        v = _eval_node(n.operand, env, expr)
+        v = _operand(n.operand, env, expr)
         return -v if isinstance(n.op, ast.USub) else v
     if isinstance(n, ast.Compare):
         left = _eval_node(n.left, env, expr)
@@ -159,6 +160,13 @@ def _eval_node(n, env: dict[str, Fraction], expr: str):
                 return stop
         return not stop
     raise ValueError(f"unsupported expression {expr!r}")
+
+
+def _operand(n, env: dict[str, Fraction], expr: str) -> Fraction:
+    """An operand of arithmetic, as a Fraction: a comparison's bool counts
+    as 0 or 1, and no int or float comes out of the operators."""
+    v = _eval_node(n, env, expr)
+    return v if isinstance(v, Fraction) else Fraction(v)
 
 
 def _as_int(value, what: str) -> int:
@@ -327,6 +335,10 @@ def cmd_sweep(args) -> int:
     # the arrangement with every multiplicity 1; rows replace only mult
     base = parse({**template, "mult": [1] * len(template["mult"])})
     params = [_parse_param(s) for s in args.param or []]
+    names = [n for n, _ in params]
+    for n in names:
+        if names.count(n) > 1:
+            raise ParseError(f"--param {n} is given more than once")
     grid = [(n, v) for n, v in params if isinstance(v, range)]
     exprs = [(n, v) for n, v in params if not isinstance(v, range)]
     if not grid:

@@ -64,6 +64,31 @@ MUTANTS = (
         "if True:",
         "tests/test_certify.py::test_two_locally_heavy_rank4_needs_an_irreducible_rank3_flat",
     ),
+    # the rank >= 4 branch of the two-locally-heavy rule reads the first
+    # codim-2 flat through h, not the one that also holds l, and tries the
+    # rank-3 flats over it
+    Mutant(
+        "src/arrfree/certify.py",
+        "x = next(f for f in restriction_flats(a, h) if l in f.members)",
+        "x = restriction_flats(a, h)[0]",
+        "tests/test_certify.py::test_two_locally_heavy_matches_the_whole_level_search",
+    ),
+    # the same branch tries only the first rank-3 flat over the pair's
+    # codim-2 flat, and misses an irreducible one after a reducible one
+    Mutant(
+        "src/arrfree/certify.py",
+        "for f in _flats_over(a, x):",
+        "for f in _flats_over(a, x)[:1]:",
+        "tests/test_certify.py::test_two_locally_heavy_matches_the_whole_level_search",
+    ),
+    # localization accepts a member set whose normals span fewer or more
+    # dimensions than the flat's codimension, as long as it is closed
+    Mutant(
+        "src/arrfree/arrangement.py",
+        "if r != x.codim or () in groups:",
+        "if () in groups:",
+        "tests/test_arrangement.py::test_localization_rejects_foreign_flat",
+    ),
     # the verifier accepts a Free payload whose top-level exponents differ
     # from the re-derived ones
     Mutant(

@@ -29,6 +29,11 @@ None of this runs in `certify`, `verify_certificate` or the CLI:
   table (`ref_locally_heavy_indices`, `ref_is_locally_heavy`, one
   `_heavy_in` each), which `arrangement._heavy` replaced with one pass over
   the flats that the row step's lines share;
+* the rank >= 4 search of the two-locally-heavy rule over the whole codim-3
+  level of `intersection_lattice`, keeping the flats that hold both
+  hyperplanes of a pair (`ref_nonfree_two_locally_heavy`), which
+  `certify.nonfree_two_locally_heavy` replaced with the rank-3 flats over
+  the pair's codim-2 flat (`arrangement._flats_over`);
 * the recursive list of exponent vectors (`ref_monomials`), which
   `exactalg.monomials` replaced with one over multisets of variables;
 * the rational Gauss-Jordan elimination and its kernel (`ref_rref`,
@@ -121,13 +126,16 @@ from arrfree.arrangement import (
     _ones,
     codim2_flats,
     euler_ziegler_multiplicity,
+    intersection_lattice,
     is_locally_heavy,
+    localization,
     locally_heavy_indices,
     rank,
+    reducibility,
     restriction_flats,
 )
 from arrfree.betti import BettiReport
-from arrfree.certify import Flag
+from arrfree.certify import RULE_TWO_LH, CertNode, Flag, Verdict, nonfree_two_locally_heavy
 from arrfree.dspace import (
     _chart,
     _coordinates,
@@ -728,6 +736,47 @@ def ref_is_locally_heavy(a: Multiarrangement, h0) -> bool:
 def ref_locally_heavy_indices(a: Multiarrangement) -> list[int]:
     table = _codim2_table(a.hyperplanes)[1]
     return [i for i in range(a.size) if _heavy_in(a, i, table[i])]
+
+
+# ---------------------------------------------------------------------------
+# the two-locally-heavy rule over the whole codim-3 level
+
+
+def ref_nonfree_two_locally_heavy(a: Multiarrangement) -> Verdict:
+    """`certify.nonfree_two_locally_heavy` with its rank >= 4 search over
+    every codim-3 flat of the lattice: for each pair of locally heavy
+    hyperplanes, the flats that hold both, in member order.  Below rank 4,
+    or with fewer than two locally heavy hyperplanes, it is the rule."""
+    lh = locally_heavy_indices(a)
+    r = rank(a)
+    if len(lh) < 2 or r < 4:
+        return nonfree_two_locally_heavy(a)
+    flats3 = intersection_lattice(a, 3).get(3, ())
+    for hi in range(len(lh)):
+        for li in range(hi + 1, len(lh)):
+            h, l = lh[hi], lh[li]
+            for f in flats3:
+                if h not in f.members or l not in f.members:
+                    continue
+                loc = localization(a, f)
+                if reducibility(loc).irreducible:
+                    node = CertNode(
+                        RULE_TWO_LH,
+                        {
+                            "locally_heavy": [h, l],
+                            "flat_members": sorted(f.members),
+                        },
+                        {"rank": r, "localization_rank": rank(loc)},
+                    )
+                    return Verdict(
+                        "NonFree",
+                        witness={"locally_heavy": [h, l], "flat": sorted(f.members)},
+                        certificate=node,
+                    )
+    return Verdict(
+        "Inconclusive",
+        reason="no essentially irreducible rank-3 flat under two locally heavy hyperplanes",
+    )
 
 
 # ---------------------------------------------------------------------------

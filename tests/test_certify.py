@@ -13,6 +13,8 @@ import arrfree.rank2 as rank2_mod
 from arrfree.arrangement import (
     Hyperplane,
     Multiarrangement,
+    _flats_over,
+    codim2_flats,
     euler_ziegler_multiplicity,
     intersection_lattice,
     is_locally_heavy,
@@ -47,7 +49,13 @@ from arrfree.fixtures import (
 )
 
 from conftest import FIXTURES, cyclic_garbage, force_locally_heavy, random_multiarrangement, type_b_normals
-from reference import is_heavy, normalize_multiplicity_shift, ref_hilbert_freeness_test
+from reference import (
+    is_heavy,
+    normalize_multiplicity_shift,
+    ref_hilbert_freeness_test,
+    ref_nonfree_two_locally_heavy,
+    ref_span_lattice,
+)
 
 # the module, not the `certify` function of the same name
 certify_mod = importlib.import_module("arrfree.certify")
@@ -456,6 +464,33 @@ def test_two_locally_heavy_rank4_needs_an_irreducible_rank3_flat():
         "two-locally-heavy: no essentially irreducible rank-3 flat under two locally heavy hyperplanes",
     )
     assert certify(a).kind == "Free"
+
+
+@st.composite
+def two_locally_heavy_arrangements(draw):
+    """Rank-4 and rank-5 multiarrangements, normals with entries -1..1, with
+    at least two locally heavy hyperplanes."""
+    dim = draw(st.integers(4, 5))
+    rows = draw(st.lists(st.lists(st.integers(-1, 1), min_size=dim, max_size=dim), min_size=dim, max_size=9))
+    planes = tuple({Hyperplane.from_coeffs(r): None for r in rows if any(r)})
+    mult = draw(st.lists(st.sampled_from([1, 1, 2, 3, 5]), min_size=len(planes), max_size=len(planes)))
+    a = Multiarrangement(dim, planes, tuple(mult))
+    assume(rank(a) == dim and len(locally_heavy_indices(a)) >= 2)
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(two_locally_heavy_arrangements())
+def test_two_locally_heavy_matches_the_whole_level_search(a):
+    v = nonfree_two_locally_heavy(a)
+    assert v.to_dict() == ref_nonfree_two_locally_heavy(a).to_dict()
+    if v.decisive:
+        assert verify_certificate(a, v.to_dict()).to_dict() == v.to_dict()
+    # the rank-3 flats over each codim-2 flat are those of the lattice
+    # spanned afresh, in the member order of its level
+    flats3 = ref_span_lattice(a, 3)[3]
+    for x in codim2_flats(a):
+        assert _flats_over(a, x) == [f for f in flats3 if x.members <= f.members]
 
 
 def test_two_locally_heavy_needs_two():

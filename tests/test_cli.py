@@ -381,6 +381,24 @@ def test_sweep_floor_division_is_an_integer(tmp_path, capsys, mult0, params):
     assert rows[1]["exponents"] == [2, 2, 3]
 
 
+@pytest.mark.parametrize("expr, value", [("-(a < 2)", -1), ("(a > 0) * (a > 0)", 1), ("(a > 0) / (a > 0)", 1)])
+def test_eval_expr_arithmetic_on_comparisons_is_a_fraction(expr, value):
+    # a comparison is a bool, which arithmetic reads as 0 or 1; the result
+    # is a Fraction, never an int, a bool or a float
+    got = eval_expr(expr, {"a": Fraction(1)})
+    assert type(got) is Fraction and got == value
+
+
+def test_sweep_parameter_from_a_negated_comparison(capsys):
+    code, out, _ = run(
+        capsys, "sweep", EX1_TEMPLATE, "--param", "a=1..2", "--param", "b=-(a < 2)", "--param", "m0=2*a", "--json"
+    )
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [r["status"] for r in rows] == ["ok", "ok"]
+    assert [r["params"]["b"] for r in rows] == [-1, 0]
+
+
 def test_eval_expr_leaves_no_cycles():
     env = {"a": Fraction(3)}
     assert cyclic_garbage(lambda: eval_expr("a == 0 or -a + 4 // a >= -2", env)) == []
@@ -541,6 +559,20 @@ def test_sweep_bad_param_exits_2(capsys, spec):
     code, out, err = run(capsys, "sweep", EX1_TEMPLATE, "--param", spec, "--param", "m0=2")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        # a second range would be lost, yet double the rows
+        ["a=1..2", "a=3..3", "m0=2*a"],
+        # an expression would overwrite the grid value
+        ["a=1..2", "m0=2*a", "a=2*a"],
+    ],
+)
+def test_sweep_repeated_parameter_exits_2(capsys, params):
+    code, out, err = run(capsys, "sweep", EX1_TEMPLATE, *(x for p in params for x in ("--param", p)))
+    assert (code, out, err) == (2, "", "error: --param a is given more than once\n")
 
 
 @pytest.mark.parametrize(
