@@ -737,4 +737,5 @@ def restriction_rows(level: Level) -> Iterator[RestrictionRow]:
                         given[j].append(y)
         else:
             lines = [list(range(n))] if level.dim == 3 and n >= 2 else []
-        yield RestrictionRow(_heavy(ms, lines), ms, lines, res)
+        # with no lines every point is heavy
+        yield RestrictionRow(_heavy(ms, lines) if lines else list(range(n)), ms, lines, res)

@@ -383,7 +383,8 @@ def nonfree_two_locally_heavy(a: Multiarrangement) -> Verdict:
     for a rank-3 flat under both hyperplanes whose localization is
     irreducible apart from its non-essential part.  Those flats are the
     rank-3 flats over the codim-2 flat that holds both (`_flats_over`), and
-    each pair tries them in member order.
+    each pair tries them in member order, skipping a flat that an earlier
+    pair rejected: whether a flat qualifies does not depend on the pair.
     """
     lh = locally_heavy_indices(a)
     if len(lh) < 2:
@@ -404,9 +405,13 @@ def nonfree_two_locally_heavy(a: Multiarrangement) -> Verdict:
             "Inconclusive",
             reason="reducible rank-3 case: rule only proves nonfreeness",
         )
+    tried = set()  # member sets of the flats tried so far, all rejected
     for h, l in combinations(lh, 2):
         x = next(f for f in restriction_flats(a, h) if l in f.members)
         for f in _flats_over(a, x):
+            if f.members in tried:
+                continue
+            tried.add(f.members)
             loc = localization(a, f)
             if reducibility(loc).irreducible:
                 node = CertNode(

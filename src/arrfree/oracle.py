@@ -12,7 +12,11 @@ made only where a certificate is read or printed.  Saito's criterion
 multiple of the derivation, and each hyperplane's primitive integer
 normal.  By Gauss's lemma a primitive polynomial divides an integer
 polynomial over Q exactly when it does over Z, so the exact divisions
-(`exactalg._term_quotient`) need no Fraction.
+(`exactalg._term_quotient`) need no Fraction.  When the degrees of the
+derivations sum to |m|, Saito's lemma (Q(A,m) divides det M(theta) for
+members) leaves det M(theta) = c*Q(A,m) with c an integer, and
+`saito_check` reads c != 0 off one integer determinant at a point off
+every hyperplane.
 """
 
 from __future__ import annotations
@@ -20,8 +24,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from math import comb, gcd, lcm
+from itertools import count, islice
+from math import comb, gcd, lcm, prod
+from operator import mul
 
 from .arrangement import Multiarrangement, ParseError, _entry, rank
 from .dspace import derivation_basis, derivation_dims
@@ -153,6 +158,39 @@ class SaitoResult:
     exponents: tuple[int, ...] | None = None
 
 
+def _point_off(a: Multiarrangement) -> tuple[list[int], int]:
+    """The first point p = (1, t, ..., t^(l-1)), t = 1, 2, ..., off every
+    hyperplane, and Q(A,m)(p).  Each alpha_H(p) is a nonzero polynomial of
+    degree <= l-1 in t, so only finitely many t fail and the loop ends."""
+    for t in count(1):
+        point = [t**i for i in range(a.dim)]
+        values = [sum(map(mul, h.coeffs, point)) for h in a.hyperplanes]
+        if all(values):
+            return point, prod(map(pow, values, a.mult))
+
+
+def _integer_det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix, by fraction-free Bareiss
+    elimination in place: entry (i, j) after step k is a minor of the
+    input, so the division by the previous pivot is exact."""
+    n = len(rows)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not rows[k][k]:
+            pr = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if pr is None:
+                return 0
+            rows[k], rows[pr] = rows[pr], rows[k]
+            sign = -sign
+        pivot, top = rows[k][k], rows[k]
+        for row in rows[k + 1 :]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - f * top[j]) // prev
+        prev = pivot
+    return sign * rows[n - 1][n - 1]
+
+
 def saito_check(a: Multiarrangement, thetas) -> SaitoResult:
     """Compare det M(theta_1..theta_l) with the defining polynomial.
 
@@ -164,6 +202,16 @@ def saito_check(a: Multiarrangement, thetas) -> SaitoResult:
     nonzero constant only.  Q(A,m), the product of the primitive normals' powers, is
     primitive, so by Gauss's lemma it divides the integer determinant over
     Q exactly when it does over Z.
+
+    When the degrees sum to |m|, the case of every basis that the prover
+    draws and the verifier accepts, one integer matrix decides.  Saito's
+    lemma: Q(A,m) divides det M(theta) for members of D(A,m), which are
+    re-tested here.  Both are homogeneous of degree |m|, so det M = c*Q
+    with c an integer (Gauss's lemma), and at a point p off every
+    hyperplane (`_point_off`) det M(theta)(p) = c*Q(p) with Q(p) != 0:
+    theta is a basis exactly when that integer is nonzero.  The point's
+    determinant not divisible by Q(p) would refute the membership test.
+    Other degree sums expand det M(theta) as a polynomial.
     """
     thetas = list(thetas)
     if len(thetas) != a.dim:
@@ -172,6 +220,28 @@ def saito_check(a: Multiarrangement, thetas) -> SaitoResult:
     for t in thetas:
         if not is_log_derivation(a, t, powers):
             raise ValueError("derivation outside D(A,m)")
+    degrees = [t.pdeg for t in thetas]
+    if sum(degrees) == a.total_mult:
+        point, q_at = _point_off(a)
+        values: dict[Monomial, int] = {}  # monomial -> its value at the point
+        rows = []
+        for i in range(a.dim):
+            row = []
+            for t in thetas:
+                s = 0
+                for mono, c in t.coeffs[i].items():
+                    v = values.get(mono)
+                    if v is None:
+                        v = values[mono] = prod(map(pow, point, mono))
+                    s += c * v
+                row.append(s)
+            rows.append(row)
+        det = _integer_det(rows)
+        if det % q_at:
+            raise RuntimeError("determinant not divisible by Q(A,m); membership bug")
+        if not det:
+            return SaitoResult("Dependent")
+        return SaitoResult("Basis", exponents=tuple(sorted(degrees)))
     det = poly_matrix_det([[t.coeffs[i] for t in thetas] for i in range(a.dim)])
     if not det:
         return SaitoResult("Dependent")
@@ -183,7 +253,7 @@ def saito_check(a: Multiarrangement, thetas) -> SaitoResult:
         raise RuntimeError("determinant not divisible by Q(A,m); membership bug")
     factor_degree = sum(next(iter(quotient)))
     if factor_degree == 0:
-        return SaitoResult("Basis", exponents=tuple(sorted(t.pdeg for t in thetas)))
+        return SaitoResult("Basis", exponents=tuple(sorted(degrees)))
     return SaitoResult("DetIsMultiple", factor_degree=factor_degree)
 
 

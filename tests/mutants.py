@@ -105,6 +105,48 @@ MUTANTS = (
         "refusal = None\n",
         "tests/test_certify.py::test_verifier_refuses_an_out_of_range_cap_before_any_solve",
     ),
+    # the two-locally-heavy rule forgets the flats it rejected and
+    # localizes a flat again for every pair above it
+    Mutant(
+        "src/arrfree/certify.py",
+        "tried.add(f.members)",
+        "pass",
+        "tests/test_certify.py::test_two_locally_heavy_localizes_each_flat_once",
+    ),
+    # a restriction row with no lines calls none of its points heavy
+    Mutant(
+        "src/arrfree/arrangement.py",
+        "if lines else list(range(n))",
+        "if lines else []",
+        "tests/test_restriction_heavy.py::test_restriction_rows_match_the_reference_row_step",
+    ),
+    # Saito's point test takes (1, ..., 1) even where it lies on a
+    # hyperplane, so Q(p) = 0 there
+    Mutant(
+        "src/arrfree/oracle.py",
+        "if all(values):",
+        "if True:",
+        "tests/test_saito_integer.py::test_point_lies_off_every_hyperplane",
+    ),
+    # the point test calls a nonzero determinant dependent and a zero one
+    # a basis
+    Mutant(
+        "src/arrfree/oracle.py",
+        "        if not det:",
+        "        if det:",
+        "tests/test_saito_integer.py::test_a4_power_sums_are_a_basis",
+    ),
+    # the point test drops its guard.  On members of D(A,m) it is
+    # equivalent: by Saito's lemma det M = c*Q with c an integer (Gauss's
+    # lemma), so Q(p) divides det M(p) at every point.  Only a membership
+    # test that accepts a non-member can tell, so the killing test makes it
+    # accept one
+    Mutant(
+        "src/arrfree/oracle.py",
+        "if det % q_at:",
+        "if False:",
+        "tests/test_saito_integer.py::test_point_guard_refutes_a_non_member",
+    ),
 )
 
 # Mutants that change no behaviour, with the argument; listed so that they

@@ -4,6 +4,8 @@ import json
 import random
 import re
 import time
+from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -466,6 +468,21 @@ def test_two_locally_heavy_rank4_needs_an_irreducible_rank3_flat():
     assert certify(a).kind == "Free"
 
 
+def _localizations_per_flat(a):
+    """`nonfree_two_locally_heavy`'s verdict, and how many times it
+    localized at each flat, by member set."""
+    calls = Counter()
+    real = certify_mod.localization
+
+    def counted(b, f):
+        calls[f.members] += 1
+        return real(b, f)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certify_mod, "localization", counted)
+        return nonfree_two_locally_heavy(a), calls
+
+
 @st.composite
 def two_locally_heavy_arrangements(draw):
     """Rank-4 and rank-5 multiarrangements, normals with entries -1..1, with
@@ -482,8 +499,10 @@ def two_locally_heavy_arrangements(draw):
 @settings(max_examples=300, deadline=None)
 @given(two_locally_heavy_arrangements())
 def test_two_locally_heavy_matches_the_whole_level_search(a):
-    v = nonfree_two_locally_heavy(a)
+    v, calls = _localizations_per_flat(a)
     assert v.to_dict() == ref_nonfree_two_locally_heavy(a).to_dict()
+    # a flat rejected for one pair is not localized again for another
+    assert max(calls.values(), default=0) <= 1
     if v.decisive:
         assert verify_certificate(a, v.to_dict()).to_dict() == v.to_dict()
     # the rank-3 flats over each codim-2 flat are those of the lattice
@@ -491,6 +510,15 @@ def test_two_locally_heavy_matches_the_whole_level_search(a):
     flats3 = ref_span_lattice(a, 3)[3]
     for x in codim2_flats(a):
         assert _flats_over(a, x) == [f for f in flats3 if x.members <= f.members]
+
+
+def test_two_locally_heavy_localizes_each_flat_once():
+    # x, y, z, w: every pair's rank-3 flats are the {h, l, k}, each shared
+    # by three pairs; every one is reducible, and each is localized once
+    a = parse({"dim": 4, "hyperplanes": [[int(i == k) for k in range(4)] for i in range(4)], "mult": [1] * 4})
+    v, calls = _localizations_per_flat(a)
+    assert v.kind == "Inconclusive"
+    assert calls == {frozenset(f): 1 for f in combinations(range(4), 3)}
 
 
 def test_two_locally_heavy_needs_two():

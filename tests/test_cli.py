@@ -150,6 +150,28 @@ def test_certify_braid_with_oracle(capsys):
     assert verdict["exponents"] == [1, 2, 3]
 
 
+@pytest.mark.parametrize(
+    "path, extra, exponents",
+    [(BRAID, (), [1, 2, 3]), (RANK4, ("--only-rule", "oracle", "--max-degree", "3"), [1, 3, 3, 3])],
+    ids=["braid", "rank4_flag"],
+)
+def test_saito_basis_needs_no_polynomial_determinant(tmp_path, capsys, monkeypatch, path, extra, exponents):
+    # every derivation tuple that the prover draws, and every one that the
+    # verifier accepts, has degrees summing to |m|: Saito's criterion is
+    # decided at one point, with no polynomial determinant
+    def never(grid):
+        raise AssertionError("poly_matrix_det must not run")
+
+    monkeypatch.setattr(oracle_mod, "poly_matrix_det", never)
+    cert = tmp_path / "cert.json"
+    code, _, _ = run(capsys, "certify", path, "--oracle", *extra, "--cert", str(cert))
+    assert code == 0
+    payload = json.loads(cert.read_text(encoding="utf-8"))
+    assert (payload["kind"], payload["exponents"], payload["certificate"]["rule"]) == ("Free", exponents, "SaitoBasis")
+    v = verify_certificate(parse_file(path), payload)
+    assert (v.kind, list(v.exponents), v.certificate.rule) == ("Free", exponents, "SaitoBasis")
+
+
 def test_certify_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"dim": 2}', encoding="utf-8")

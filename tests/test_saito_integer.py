@@ -3,17 +3,23 @@
 (`reference.ref_saito_check`, `reference.ref_is_log_derivation`).
 Rational multiples and perturbations of a derivation are made in Fraction
 polynomials and read back (`reference.polys_from_terms`,
-`reference.derivation_from_polys`)."""
+`reference.derivation_from_polys`).  Degree sums equal to |m| are decided
+at one point off every hyperplane (`oracle._point_off`), the others by the
+polynomial determinant."""
 
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import arrfree.oracle as oracle_mod
 from arrfree.arrangement import Hyperplane, Multiarrangement, ParseError, rank
 from arrfree.exactalg import Polynomial
-from arrfree.oracle import Derivation, SaitoResult, derivation_space_dim, is_log_derivation, saito_check
+from arrfree.fixtures import boolean3, braid3
+from arrfree.oracle import Derivation, SaitoResult, _point_off, derivation_space_dim, is_log_derivation, saito_check
 
 from reference import derivation_from_polys, polys_from_terms, ref_combine, ref_is_log_derivation, ref_saito_check
 
@@ -169,3 +175,92 @@ def test_a4_rejects_non_member():
     assert not is_log_derivation(a, shifted)
     with pytest.raises(ValueError, match="outside D"):
         saito_check(a, [shifted] + thetas[1:])
+
+
+# ---------------------------------------------------------------------------
+# the point test: degrees summing to |m|
+
+
+def _result(check, a, thetas):
+    """The SaitoResult of a check, or the type and message of its error."""
+    try:
+        return check(a, thetas)
+    except (ValueError, RuntimeError) as e:
+        return type(e).__name__, str(e)
+
+
+def _member(data, basis) -> Derivation:
+    """A nonzero rational multiple of a nonzero combination of a slice
+    basis, which is linearly independent."""
+    coeffs = [data.draw(st.integers(-2, 2)) for _ in basis]
+    coeffs[0] = coeffs[0] or 1
+    factor = F(data.draw(st.sampled_from((-3, -1, 1, 4))), data.draw(st.integers(1, 5)))
+    return _times(ref_combine(coeffs, basis), factor)
+
+
+@settings(max_examples=150, deadline=None)
+@given(arrangements(), st.booleans(), st.data())
+def test_point_test_matches_fraction_reference(drawn, equal, data):
+    """Members at degrees summing to |m| (`equal`) or not, then one theta
+    repeated and one made proportional to another: the kind, exponents,
+    factor degree and refusal agree with the Fraction reference."""
+    a = drawn[0]
+    top = 2 if a.dim == 4 else 3
+    pools = {d: basis for d in range(top + 1) if (basis := derivation_space_dim(a, d)[1])}
+    fits = [t for t in product(pools, repeat=a.dim) if (sum(t) == a.total_mult) == equal]
+    assume(fits)
+    degrees = data.draw(st.sampled_from(fits))
+    thetas = [_member(data, pools[d]) for d in degrees]
+
+    res = _result(saito_check, a, thetas)
+    assert res == _result(ref_saito_check, a, thetas)
+    if equal:
+        assert res in (SaitoResult("Dependent"), SaitoResult("Basis", exponents=tuple(sorted(degrees))))
+
+    i, j = data.draw(st.permutations(range(a.dim)))[:2]
+    factor = F(data.draw(st.sampled_from((-3, -1, 2))), data.draw(st.integers(1, 3)))
+    for copy in (thetas[i], _times(thetas[i], factor)):
+        variant = thetas[:j] + [copy] + thetas[j + 1 :]
+        got = _result(saito_check, a, variant)
+        assert got == _result(ref_saito_check, a, variant)
+        assert got == SaitoResult("Dependent")
+
+    # theta_j's coefficient k plus a monomial of its degree: mostly a
+    # non-member, refused alike
+    k = data.draw(st.integers(0, a.dim - 1))
+    t = thetas[j]
+    mono = tuple(t.pdeg if v == (k + 1) % a.dim else 0 for v in range(a.dim))
+    bump = Polynomial(a.dim, {mono: F(1, 7)})
+    bumped = derivation_from_polys(
+        tuple(p + bump if v == k else p for v, p in enumerate(polys_from_terms(t.coeffs, t.den)))
+    )
+    variant = thetas[:j] + [bumped] + thetas[j + 1 :]
+    got = _result(saito_check, a, variant)
+    assert got == _result(ref_saito_check, a, variant)
+
+
+def test_point_lies_off_every_hyperplane():
+    # (1, 1, 1) lies on x - y, so the braid arrangement and A4 take t = 2
+    a4, _ = _a4()
+    for a, point in ((boolean3((2, 3, 4)), [1, 1, 1]), (braid3(), [1, 2, 4]), (a4, [1, 2, 4, 8])):
+        got, q_at = _point_off(a)
+        assert got == point
+        values = [sum(c * x for c, x in zip(h.coeffs, point)) for h in a.hyperplanes]
+        assert all(values)
+        assert q_at == prod(v**m for v, m in zip(values, a.mult))
+
+
+def test_point_guard_refutes_a_non_member():
+    # d_x, d_y, z^3 d_z are not tangent to x - y, y - z, x - z, whose Q is
+    # -6 at (1, 2, 4), while det M = z^3 is 64 there; with the membership
+    # test made to accept them, the point's determinant refutes it
+    planes = tuple(Hyperplane.from_coeffs(v) for v in ((1, -1, 0), (1, 0, -1), (0, 1, -1)))
+    a = Multiarrangement(3, planes, (1, 1, 1))
+    one = {(0, 0, 0): 1}
+    thetas = [Derivation((one, {}, {})), Derivation(({}, one, {})), Derivation(({}, {}, {(0, 0, 3): 1}))]
+    assert sum(t.pdeg for t in thetas) == a.total_mult
+    assert not any(is_log_derivation(a, t) for t in thetas)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle_mod, "is_log_derivation", lambda *args: True)
+        with pytest.raises(RuntimeError, match="membership bug"):
+            saito_check(a, thetas)
