@@ -433,6 +433,12 @@ def localization(a: Multiarrangement, x: Flat) -> Multiarrangement:
     r, groups = _over(a, x.members)
     if r != x.codim or () in groups:
         raise ValueError("not a flat of this arrangement")
+    return _select(a, idx)
+
+
+def _select(a: Multiarrangement, idx: Sequence[int]) -> Multiarrangement:
+    """The hyperplanes of a at the indices idx, in that order, with their
+    multiplicities and labels; no check that they make a flat."""
     return Multiarrangement(
         a.dim,
         tuple(a.hyperplanes[i] for i in idx),
@@ -477,13 +483,7 @@ def deletion(a: Multiarrangement, h0: Hyperplane | int) -> Multiarrangement:
     """Remove h0 when its multiplicity is 1, else decrement it."""
     i0 = a.index_of(h0)
     if a.mult[i0] == 1:
-        keep = [i for i in range(a.size) if i != i0]
-        return Multiarrangement(
-            a.dim,
-            tuple(a.hyperplanes[i] for i in keep),
-            tuple(a.mult[i] for i in keep),
-            tuple(a.label(i) for i in keep),
-        )
+        return _select(a, [i for i in range(a.size) if i != i0])
     return a.with_mult(i0, a.mult[i0] - 1)
 
 

@@ -30,10 +30,10 @@ from .arrangement import (
     Level,
     Multiarrangement,
     _flats_over,
+    _select,
     essentialize,
     euler_ziegler_multiplicity,
     is_locally_heavy,
-    localization,
     locally_heavy_indices,
     rank,
     reducibility,
@@ -412,7 +412,9 @@ def nonfree_two_locally_heavy(a: Multiarrangement) -> Verdict:
             if f.members in tried:
                 continue
             tried.add(f.members)
-            loc = localization(a, f)
+            # `_flats_over` built f, so f needs no check as a flat
+            # (`localization`'s), and its member normals have rank f.codim
+            loc = _select(a, f.sorted_members())
             if reducibility(loc).irreducible:
                 node = CertNode(
                     RULE_TWO_LH,
@@ -420,7 +422,7 @@ def nonfree_two_locally_heavy(a: Multiarrangement) -> Verdict:
                         "locally_heavy": [h, l],
                         "flat_members": sorted(f.members),
                     },
-                    {"rank": r, "localization_rank": rank(loc)},
+                    {"rank": r, "localization_rank": f.codim},
                 )
                 return Verdict(
                     "NonFree",
@@ -532,7 +534,8 @@ def _recheck_saito(a: Multiarrangement, node: CertNode) -> Verdict:
     ess, dropped = essentialize(a)
     thetas = [oracle.Derivation.from_dict(d) for d in node.inputs["derivations"]]
     # Saito's criterion needs deg det = |m|, so a basis of dim derivations
-    # has degrees summing to |m|; checked before any polynomial work
+    # has degrees summing to |m|; refused here as a CertificateError,
+    # before `saito_check`, which would refuse it with a ValueError
     if len(thetas) != ess.dim or sum(t.pdeg for t in thetas) != ess.total_mult:
         raise CertificateError(f"need {ess.dim} derivations with degrees summing to {ess.total_mult}")
     res = oracle.saito_check(ess, thetas)

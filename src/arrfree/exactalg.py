@@ -10,10 +10,11 @@ bases of its flats, its blocks and its essentialization, `dspace` for
 its heavy coordinates (`_gauss_jordan`) and its graded pieces, and
 `rank2` for the pivots of a codim-2 flat's member normals (`_forward`).
 Polynomials are integer term dicts {exponent vector: int}
-(`linear_powers`, `_term_quotient`, `poly_matrix_det`).  No other module
-uses the Fraction classes `Matrix` and `Polynomial`: the tests keep them
-as references, and the benchmark's tracer wraps `Matrix.rref` and
-`Polynomial.divmod_by`.
+(`linear_powers`, `_term_quotient`).  No other module uses the Fraction
+classes `Matrix` and `Polynomial`, nor `poly_matrix_det`, one Bareiss
+path over term dicts: the tests keep them as references, and the
+benchmark's tracer wraps `Matrix.rref`, `Polynomial.divmod_by` and
+`poly_matrix_det`.
 Everything in this module is a pure value; same input gives bit-identical
 output.
 """
@@ -460,32 +461,18 @@ def _term_quotient(f: dict[Monomial, int], g: dict[Monomial, int]) -> dict[Monom
     return q
 
 
-def _cofactor_det(grid: list[list[dict[Monomial, int]]]) -> dict[Monomial, int]:
-    if len(grid) == 1:
-        return grid[0][0]
-    return _term_combination(
-        (-1 if j % 2 else 1, _term_product(entry, _cofactor_det([row[:j] + row[j + 1 :] for row in grid[1:]])))
-        for j, entry in enumerate(grid[0])
-        if entry
-    )
-
-
 def poly_matrix_det(grid: Sequence[Sequence[dict[Monomial, int]]]) -> dict[Monomial, int]:
-    """Determinant of a square matrix of integer term dicts, as a term dict.
-
-    Cofactor expansion up to 3x3; fraction-free Bareiss elimination above
-    that.  Bareiss's entry (i, j) after step k is a minor of the input, an
-    integer polynomial, times the previous pivot, so its division by that
-    pivot (`_term_quotient`) is exact in Z[x].
+    """Determinant of a square matrix of integer term dicts, as a term dict,
+    by fraction-free Bareiss elimination at every size.  Entry (i, j) after
+    step k is a minor of the input, an integer polynomial, times the
+    previous pivot, so its division by that pivot (`_term_quotient`) is
+    exact in Z[x].  No `src` module calls it (see the module docstring).
     """
     n = len(grid)
     if n == 0:
         raise ValueError("empty matrix")
     if any(len(row) != n for row in grid):
         raise ValueError("non-square input")
-    if n <= 3:
-        return _cofactor_det([list(r) for r in grid])
-
     m = [list(row) for row in grid]
     sign = 1
     prev = None

@@ -12,11 +12,13 @@ made only where a certificate is read or printed.  Saito's criterion
 multiple of the derivation, and each hyperplane's primitive integer
 normal.  By Gauss's lemma a primitive polynomial divides an integer
 polynomial over Q exactly when it does over Z, so the exact divisions
-(`exactalg._term_quotient`) need no Fraction.  When the degrees of the
-derivations sum to |m|, Saito's lemma (Q(A,m) divides det M(theta) for
-members) leaves det M(theta) = c*Q(A,m) with c an integer, and
+(`exactalg._term_quotient`) need no Fraction.  `saito_check` takes only
+derivations whose degrees sum to |m|, the degree of Q(A,m), as no other
+tuple is a basis.  Saito's lemma (Q(A,m) divides det M(theta) for
+members) then leaves det M(theta) = c*Q(A,m) with c an integer, and
 `saito_check` reads c != 0 off one integer determinant at a point off
-every hyperplane.
+every hyperplane, with no polynomial determinant: `exactalg`'s
+`poly_matrix_det` serves only the tests and the benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -33,11 +35,9 @@ from .dspace import derivation_basis, derivation_dims
 from .exactalg import (
     Monomial,
     _term_combination,
-    _term_product,
     _term_quotient,
     linear_powers,
     monomials,
-    poly_matrix_det,
 )
 
 
@@ -153,8 +153,7 @@ def derivation_space_dim(a: Multiarrangement, d: int) -> tuple[int, list[Derivat
 
 @dataclass(frozen=True)
 class SaitoResult:
-    kind: str  # "Basis" | "Dependent" | "DetIsMultiple"
-    factor_degree: int | None = None
+    kind: str  # "Basis" | "Dependent", for degrees summing to |m|
     exponents: tuple[int, ...] | None = None
 
 
@@ -192,69 +191,55 @@ def _integer_det(rows: list[list[int]]) -> int:
 
 
 def saito_check(a: Multiarrangement, thetas) -> SaitoResult:
-    """Compare det M(theta_1..theta_l) with the defining polynomial.
+    """Saito's criterion: whether theta_1..theta_l, members of D(A,m) whose
+    degrees sum to |m|, are a basis.
 
-    A nonzero constant quotient certifies a basis; zero means dependence;
-    a positive-degree quotient reports its degree.
+    det M(theta) is homogeneous of degree the sum of the degrees, and a
+    basis has det M(theta) = c*Q(A,m) with c a nonzero constant, so any
+    other degree sum is never a basis: it is refused with a ValueError,
+    before the membership test.
 
     In integer term dicts: each theta's numerators are a positive multiple
     of it, which keeps its membership and multiplies the determinant by a
-    nonzero constant only.  Q(A,m), the product of the primitive normals' powers, is
-    primitive, so by Gauss's lemma it divides the integer determinant over
-    Q exactly when it does over Z.
-
-    When the degrees sum to |m|, the case of every basis that the prover
-    draws and the verifier accepts, one integer matrix decides.  Saito's
-    lemma: Q(A,m) divides det M(theta) for members of D(A,m), which are
-    re-tested here.  Both are homogeneous of degree |m|, so det M = c*Q
-    with c an integer (Gauss's lemma), and at a point p off every
-    hyperplane (`_point_off`) det M(theta)(p) = c*Q(p) with Q(p) != 0:
-    theta is a basis exactly when that integer is nonzero.  The point's
-    determinant not divisible by Q(p) would refute the membership test.
-    Other degree sums expand det M(theta) as a polynomial.
+    nonzero constant only.  Saito's lemma: Q(A,m) divides det M(theta) for
+    members of D(A,m), which are re-tested here.  Both are homogeneous of
+    degree |m|, and Q(A,m), the product of the primitive normals' powers,
+    is primitive, so det M = c*Q with c an integer (Gauss's lemma).  At a
+    point p off every hyperplane (`_point_off`) det M(theta)(p) = c*Q(p)
+    with Q(p) != 0: theta is a basis exactly when that integer is nonzero.
+    The point's determinant not divisible by Q(p) would refute the
+    membership test.
     """
     thetas = list(thetas)
     if len(thetas) != a.dim:
         raise ValueError(f"need exactly {a.dim} derivations")
+    degrees = [t.pdeg for t in thetas]
+    if sum(degrees) != a.total_mult:
+        raise ValueError(f"need degrees summing to |m| = {a.total_mult}")
     powers = _normal_powers(a)
     for t in thetas:
         if not is_log_derivation(a, t, powers):
             raise ValueError("derivation outside D(A,m)")
-    degrees = [t.pdeg for t in thetas]
-    if sum(degrees) == a.total_mult:
-        point, q_at = _point_off(a)
-        values: dict[Monomial, int] = {}  # monomial -> its value at the point
-        rows = []
-        for i in range(a.dim):
-            row = []
-            for t in thetas:
-                s = 0
-                for mono, c in t.coeffs[i].items():
-                    v = values.get(mono)
-                    if v is None:
-                        v = values[mono] = prod(map(pow, point, mono))
-                    s += c * v
-                row.append(s)
-            rows.append(row)
-        det = _integer_det(rows)
-        if det % q_at:
-            raise RuntimeError("determinant not divisible by Q(A,m); membership bug")
-        if not det:
-            return SaitoResult("Dependent")
-        return SaitoResult("Basis", exponents=tuple(sorted(degrees)))
-    det = poly_matrix_det([[t.coeffs[i] for t in thetas] for i in range(a.dim)])
+    point, q_at = _point_off(a)
+    values: dict[Monomial, int] = {}  # monomial -> its value at the point
+    rows = []
+    for i in range(a.dim):
+        row = []
+        for t in thetas:
+            s = 0
+            for mono, c in t.coeffs[i].items():
+                v = values.get(mono)
+                if v is None:
+                    v = values[mono] = prod(map(pow, point, mono))
+                s += c * v
+            row.append(s)
+        rows.append(row)
+    det = _integer_det(rows)
+    if det % q_at:
+        raise RuntimeError("determinant not divisible by Q(A,m); membership bug")
     if not det:
         return SaitoResult("Dependent")
-    q = {(0,) * a.dim: 1}
-    for _, power in powers:
-        q = _term_product(q, power)
-    quotient = _term_quotient(det, q)
-    if quotient is None:
-        raise RuntimeError("determinant not divisible by Q(A,m); membership bug")
-    factor_degree = sum(next(iter(quotient)))
-    if factor_degree == 0:
-        return SaitoResult("Basis", exponents=tuple(sorted(degrees)))
-    return SaitoResult("DetIsMultiple", factor_degree=factor_degree)
+    return SaitoResult("Basis", exponents=tuple(sorted(degrees)))
 
 
 # ---------------------------------------------------------------------------

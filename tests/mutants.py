@@ -132,8 +132,8 @@ MUTANTS = (
     # a basis
     Mutant(
         "src/arrfree/oracle.py",
-        "        if not det:",
-        "        if det:",
+        "    if not det:",
+        "    if det:",
         "tests/test_saito_integer.py::test_a4_power_sums_are_a_basis",
     ),
     # the point test drops its guard.  On members of D(A,m) it is
@@ -146,6 +146,23 @@ MUTANTS = (
         "if det % q_at:",
         "if False:",
         "tests/test_saito_integer.py::test_point_guard_refutes_a_non_member",
+    ),
+    # Saito's criterion takes any degree sum.  Unsound: x_1*theta_1 with
+    # A4's other power sums are members whose determinant x_1*Q(A,m) is
+    # nonzero at the point, so the point test calls them a basis
+    Mutant(
+        "src/arrfree/oracle.py",
+        "if sum(degrees) != a.total_mult:",
+        "if False:",
+        "tests/test_saito_integer.py::test_a4_det_is_multiple",
+    ),
+    # the member selection behind `localization`, `deletion` and the
+    # two-locally-heavy rule takes the first hyperplanes, not the chosen ones
+    Mutant(
+        "src/arrfree/arrangement.py",
+        "tuple(a.hyperplanes[i] for i in idx),",
+        "a.hyperplanes[: len(idx)],",
+        "tests/test_arrangement.py::test_localization_example1_triple",
     ),
 )
 

@@ -85,7 +85,10 @@ None of this runs in `certify`, `verify_certificate` or the CLI:
 * Saito's criterion in Fraction polynomials (`ref_saito_check`,
   `ref_is_log_derivation`): theta(alpha) (`apply_form`), the lex
   division, the cofactor determinant and the defining polynomial Q(A,m)
-  that `oracle.saito_check` replaced with integer term dicts, and the
+  that `oracle.saito_check` replaced with integer term dicts and then
+  with one integer determinant at a point (the reference takes any
+  degree sum, and reports Q(A,m) times a polynomial of positive degree as
+  `DetIsMultiple`, a sum past |m| that `saito_check` refuses), and the
   divisibility test of `rank2.euler_multiplicity_at_flat`
   (`ref_euler_multiplicity_at_flat`);
 * the rank-2 exponents from one graded dimension on every instance
@@ -110,6 +113,7 @@ None of this runs in `certify`, `verify_certificate` or the CLI:
   annihilates its form (`restrict_derivation`).
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
@@ -900,7 +904,18 @@ def ref_is_log_derivation(a: Multiarrangement, theta: Derivation) -> bool:
     return True
 
 
-def ref_saito_check(a: Multiarrangement, thetas) -> SaitoResult:
+@dataclass(frozen=True)
+class DetIsMultiple:
+    """`ref_saito_check`'s result for members whose determinant is Q(A,m)
+    times a polynomial of positive degree `factor_degree`.  Their degrees
+    sum past |m|, which `oracle.saito_check` refuses, so its `SaitoResult`
+    has no such kind."""
+
+    factor_degree: int
+    kind: str = "DetIsMultiple"
+
+
+def ref_saito_check(a: Multiarrangement, thetas) -> SaitoResult | DetIsMultiple:
     """`oracle.saito_check` in Fraction polynomials."""
     thetas = list(thetas)
     if len(thetas) != a.dim:
@@ -917,7 +932,7 @@ def ref_saito_check(a: Multiarrangement, thetas) -> SaitoResult:
         raise RuntimeError("determinant not divisible by Q(A,m); membership bug")
     if q.degree() == 0:
         return SaitoResult("Basis", exponents=tuple(sorted(t.pdeg for t in thetas)))
-    return SaitoResult("DetIsMultiple", factor_degree=q.degree())
+    return DetIsMultiple(factor_degree=q.degree())
 
 
 def ref_rank2_exponents(inst) -> tuple[int, int]:

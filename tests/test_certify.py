@@ -3,6 +3,7 @@ import importlib
 import json
 import random
 import re
+import sys
 import time
 from collections import Counter
 from itertools import combinations
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import arrfree.arrangement as arrangement_mod
 import arrfree.rank2 as rank2_mod
 from arrfree.arrangement import (
     Hyperplane,
@@ -469,18 +471,24 @@ def test_two_locally_heavy_rank4_needs_an_irreducible_rank3_flat():
 
 
 def _localizations_per_flat(a):
-    """`nonfree_two_locally_heavy`'s verdict, and how many times it
-    localized at each flat, by member set."""
-    calls = Counter()
-    real = certify_mod.localization
+    """`nonfree_two_locally_heavy`'s verdict, how many times it localized
+    at each flat, by member set, and how many times each function called
+    `arrangement._over`, the elimination over a flat's members."""
+    calls, over_callers = Counter(), Counter()
+    real_select, real_over = certify_mod._select, arrangement_mod._over
 
-    def counted(b, f):
-        calls[f.members] += 1
-        return real(b, f)
+    def counted(b, idx):
+        calls[frozenset(idx)] += 1
+        return real_select(b, idx)
+
+    def traced(b, members):
+        over_callers[sys._getframe(1).f_code.co_name] += 1
+        return real_over(b, members)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(certify_mod, "localization", counted)
-        return nonfree_two_locally_heavy(a), calls
+        mp.setattr(certify_mod, "_select", counted)
+        mp.setattr(arrangement_mod, "_over", traced)
+        return nonfree_two_locally_heavy(a), calls, over_callers
 
 
 @st.composite
@@ -499,10 +507,12 @@ def two_locally_heavy_arrangements(draw):
 @settings(max_examples=300, deadline=None)
 @given(two_locally_heavy_arrangements())
 def test_two_locally_heavy_matches_the_whole_level_search(a):
-    v, calls = _localizations_per_flat(a)
+    v, calls, over_callers = _localizations_per_flat(a)
     assert v.to_dict() == ref_nonfree_two_locally_heavy(a).to_dict()
-    # a flat rejected for one pair is not localized again for another
+    # a flat rejected for one pair is not localized again for another, and
+    # no localization eliminates again over the flat `_flats_over` built
     assert max(calls.values(), default=0) <= 1
+    assert set(over_callers) <= {"_flats_over"}
     if v.decisive:
         assert verify_certificate(a, v.to_dict()).to_dict() == v.to_dict()
     # the rank-3 flats over each codim-2 flat are those of the lattice
@@ -514,11 +524,14 @@ def test_two_locally_heavy_matches_the_whole_level_search(a):
 
 def test_two_locally_heavy_localizes_each_flat_once():
     # x, y, z, w: every pair's rank-3 flats are the {h, l, k}, each shared
-    # by three pairs; every one is reducible, and each is localized once
+    # by three pairs; every one is reducible, and each is localized once.
+    # The flats come from `_flats_over`, once per pair's codim-2 flat, and
+    # their localizations eliminate nothing again
     a = parse({"dim": 4, "hyperplanes": [[int(i == k) for k in range(4)] for i in range(4)], "mult": [1] * 4})
-    v, calls = _localizations_per_flat(a)
+    v, calls, over_callers = _localizations_per_flat(a)
     assert v.kind == "Inconclusive"
     assert calls == {frozenset(f): 1 for f in combinations(range(4), 3)}
+    assert over_callers == {"_flats_over": 6}
 
 
 def test_two_locally_heavy_needs_two():

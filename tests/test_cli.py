@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import arrfree
+import arrfree.exactalg as exactalg_mod
 import arrfree.oracle as oracle_mod
 from arrfree.arrangement import parse_file
 from arrfree.certify import verify_certificate
@@ -157,12 +158,14 @@ def test_certify_braid_with_oracle(capsys):
 )
 def test_saito_basis_needs_no_polynomial_determinant(tmp_path, capsys, monkeypatch, path, extra, exponents):
     # every derivation tuple that the prover draws, and every one that the
-    # verifier accepts, has degrees summing to |m|: Saito's criterion is
-    # decided at one point, with no polynomial determinant
+    # verifier accepts, has degrees summing to |m|, the only sum that
+    # `saito_check` takes: Saito's criterion is decided at one point, and
+    # `oracle` does not even import the polynomial determinant
     def never(grid):
         raise AssertionError("poly_matrix_det must not run")
 
-    monkeypatch.setattr(oracle_mod, "poly_matrix_det", never)
+    assert not hasattr(oracle_mod, "poly_matrix_det")
+    monkeypatch.setattr(exactalg_mod, "poly_matrix_det", never)
     cert = tmp_path / "cert.json"
     code, _, _ = run(capsys, "certify", path, "--oracle", *extra, "--cert", str(cert))
     assert code == 0

@@ -38,6 +38,7 @@ from arrfree.rank2 import euler_multiplicity_at_flat, project_to_rank2
 
 from conftest import cyclic_garbage, force_locally_heavy, random_multiarrangement
 from reference import (
+    DetIsMultiple,
     apply_form,
     derivation_from_polys,
     exponent_candidates,
@@ -48,6 +49,7 @@ from reference import (
     ref_hilbert_freeness_test,
     ref_combine,
     ref_poly_matrix_det,
+    ref_saito_check,
     restrict_derivation,
 )
 
@@ -179,17 +181,21 @@ def test_saito_dependent():
 
 
 def test_saito_det_is_multiple():
+    # x^2 d_x and y d_y are members whose determinant x^2*y is Q = xy times
+    # x: degrees summing to 3 = |m| + 1 make no basis, and are refused
     a = parse({"dim": 2, "hyperplanes": [[1, 0], [0, 1]], "mult": [1, 1]})
     t1 = derivation_from_polys((Polynomial(2, {(2, 0): F(1)}), Z := Polynomial.zero(2)))
     t2 = derivation_from_polys((Z, Polynomial.variable(2, 1)))
-    res = saito_check(a, [t1, t2])
-    assert res.kind == "DetIsMultiple" and res.factor_degree == 1
+    with pytest.raises(ValueError, match=r"^need degrees summing to \|m\| = 2$"):
+        saito_check(a, [t1, t2])
+    assert ref_saito_check(a, [t1, t2]) == DetIsMultiple(factor_degree=1)
 
 
 def test_saito_rejects_non_member():
     a = boolean3((2, 3, 4))
-    bad = euler(3)  # degree-1 cannot satisfy multiplicity 2
-    with pytest.raises(ValueError):
+    # y^3 d_x: x^2 does not divide y^3; three of degree 3 sum to |m| = 9
+    bad = derivation_from_polys((mono3((0, 3, 0)), Z3, Z3))
+    with pytest.raises(ValueError, match="outside D"):
         saito_check(a, [bad, bad, bad])
 
 

@@ -4,8 +4,9 @@
 Rational multiples and perturbations of a derivation are made in Fraction
 polynomials and read back (`reference.polys_from_terms`,
 `reference.derivation_from_polys`).  Degree sums equal to |m| are decided
-at one point off every hyperplane (`oracle._point_off`), the others by the
-polynomial determinant."""
+at one point off every hyperplane (`oracle._point_off`); `saito_check`
+refuses the others, and the reference, which expands the determinant,
+finds no basis there."""
 
 from fractions import Fraction
 from itertools import product
@@ -21,27 +22,41 @@ from arrfree.exactalg import Polynomial
 from arrfree.fixtures import boolean3, braid3
 from arrfree.oracle import Derivation, SaitoResult, _point_off, derivation_space_dim, is_log_derivation, saito_check
 
-from reference import derivation_from_polys, polys_from_terms, ref_combine, ref_is_log_derivation, ref_saito_check
+from reference import (
+    DetIsMultiple,
+    derivation_from_polys,
+    polys_from_terms,
+    ref_combine,
+    ref_is_log_derivation,
+    ref_saito_check,
+)
 
 F = Fraction
 
 
-def _outcome(check, a, thetas):
-    """The SaitoResult of a check, or the message of its ValueError."""
+def _result(check, a, thetas):
+    """The result of a check, or the type and message of its error."""
     try:
         return check(a, thetas)
-    except ValueError as e:
-        return f"ValueError: {e}"
+    except (ValueError, RuntimeError) as e:
+        return type(e).__name__, str(e)
 
 
 def _agree(a, thetas):
-    """Both checks give the same result or refuse with the same message;
-    returns the result."""
+    """Both membership tests agree on each theta.  Where the degrees sum to
+    |m|, both checks give the same result or error; elsewhere
+    `saito_check` refuses the degree sum, and the reference finds no basis.
+    Returns the reference's outcome."""
     for t in thetas:
         assert is_log_derivation(a, t) == ref_is_log_derivation(a, t)
-    out = _outcome(saito_check, a, thetas)
-    assert out == _outcome(ref_saito_check, a, thetas)
-    return out
+    got = _result(saito_check, a, thetas)
+    ref = _result(ref_saito_check, a, thetas)
+    if sum(t.pdeg for t in thetas) == a.total_mult:
+        assert got == ref
+    else:
+        assert got == ("ValueError", f"need degrees summing to |m| = {a.total_mult}")
+        assert getattr(ref, "kind", None) != "Basis"
+    return ref
 
 
 def _times(theta: Derivation, factor) -> Derivation:
@@ -94,18 +109,21 @@ def test_integer_saito_matches_fraction_reference(drawn, data):
         thetas.append(_times(combo, F(data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5)))))
 
     res = _agree(a, thetas)
-    assert isinstance(res, SaitoResult)
+    assert isinstance(res, (SaitoResult, DetIsMultiple))
 
     # Dependent: theta_2 a multiple of theta_1
     dependent = [thetas[0], _times(thetas[0], F(-2, 3))] + thetas[2:]
     assert _agree(a, dependent) == SaitoResult("Dependent")
 
     if res.kind != "Dependent":
-        # D(A,m) is a module: x_k * theta_1 is a member, and det gains x_k
+        # D(A,m) is a module: x_k * theta_1 is a member, and det gains x_k.
+        # Its degrees sum past |m|, so `saito_check` refuses it, and the
+        # reference finds a multiple of Q(A,m), no basis
         k = data.draw(st.integers(0, a.dim - 1))
         multiple = [_times_variable(thetas[0], k)] + thetas[1:]
-        extra = res.factor_degree or 0
-        assert _agree(a, multiple) == SaitoResult("DetIsMultiple", factor_degree=extra + 1)
+        assert sum(t.pdeg for t in multiple) > a.total_mult
+        extra = getattr(res, "factor_degree", 0)
+        assert _agree(a, multiple) == DetIsMultiple(factor_degree=extra + 1)
 
     # a non-member, or a member again: one coefficient perturbed by a monomial
     j = data.draw(st.integers(0, a.dim - 1))
@@ -118,7 +136,7 @@ def test_integer_saito_matches_fraction_reference(drawn, data):
     )
     out = _agree(a, thetas[:j] + [perturbed] + thetas[j + 1 :])
     if not is_log_derivation(a, perturbed):
-        assert out == "ValueError: derivation outside D(A,m)"
+        assert out == ("ValueError", "derivation outside D(A,m)")
 
 
 def test_non_primitive_normal_keeps_members():
@@ -136,7 +154,7 @@ def test_non_primitive_normal_keeps_members():
 
 
 # ---------------------------------------------------------------------------
-# rank 4: the Bareiss branch of the determinant
+# rank 4: A4 and its power sums
 
 
 def _a4():
@@ -162,11 +180,16 @@ def test_a4_dependent():
 
 
 def test_a4_det_is_multiple():
+    # x_1*theta_1 with the other power sums: members whose determinant is
+    # x_1*Q(A,m), of degree |m| + 1 = 11, so no basis.  The degree sum is
+    # refused before anything else; the determinant at the point alone,
+    # x_1*Q(p) != 0, would call them a basis
     a, thetas = _a4()
     raised = [_times_variable(thetas[0], 0)] + thetas[1:]
-    res = saito_check(a, raised)
-    assert res == SaitoResult("DetIsMultiple", factor_degree=1)
-    assert ref_saito_check(a, raised) == res
+    assert all(is_log_derivation(a, t) for t in raised)
+    with pytest.raises(ValueError, match=r"^need degrees summing to \|m\| = 10$"):
+        saito_check(a, raised)
+    assert ref_saito_check(a, raised) == DetIsMultiple(factor_degree=1)
 
 
 def test_a4_rejects_non_member():
@@ -179,14 +202,6 @@ def test_a4_rejects_non_member():
 
 # ---------------------------------------------------------------------------
 # the point test: degrees summing to |m|
-
-
-def _result(check, a, thetas):
-    """The SaitoResult of a check, or the type and message of its error."""
-    try:
-        return check(a, thetas)
-    except (ValueError, RuntimeError) as e:
-        return type(e).__name__, str(e)
 
 
 def _member(data, basis) -> Derivation:
@@ -202,8 +217,10 @@ def _member(data, basis) -> Derivation:
 @given(arrangements(), st.booleans(), st.data())
 def test_point_test_matches_fraction_reference(drawn, equal, data):
     """Members at degrees summing to |m| (`equal`) or not, then one theta
-    repeated and one made proportional to another: the kind, exponents,
-    factor degree and refusal agree with the Fraction reference."""
+    repeated and one made proportional to another, then one coefficient
+    bumped.  Where the degrees sum to |m|, the kind, exponents and refusal
+    agree with the Fraction reference; elsewhere `saito_check` refuses the
+    degree sum and the reference finds no basis (`_agree`)."""
     a = drawn[0]
     top = 2 if a.dim == 4 else 3
     pools = {d: basis for d in range(top + 1) if (basis := derivation_space_dim(a, d)[1])}
@@ -212,8 +229,7 @@ def test_point_test_matches_fraction_reference(drawn, equal, data):
     degrees = data.draw(st.sampled_from(fits))
     thetas = [_member(data, pools[d]) for d in degrees]
 
-    res = _result(saito_check, a, thetas)
-    assert res == _result(ref_saito_check, a, thetas)
+    res = _agree(a, thetas)
     if equal:
         assert res in (SaitoResult("Dependent"), SaitoResult("Basis", exponents=tuple(sorted(degrees))))
 
@@ -221,9 +237,7 @@ def test_point_test_matches_fraction_reference(drawn, equal, data):
     factor = F(data.draw(st.sampled_from((-3, -1, 2))), data.draw(st.integers(1, 3)))
     for copy in (thetas[i], _times(thetas[i], factor)):
         variant = thetas[:j] + [copy] + thetas[j + 1 :]
-        got = _result(saito_check, a, variant)
-        assert got == _result(ref_saito_check, a, variant)
-        assert got == SaitoResult("Dependent")
+        assert _agree(a, variant) == SaitoResult("Dependent")
 
     # theta_j's coefficient k plus a monomial of its degree: mostly a
     # non-member, refused alike
@@ -234,9 +248,7 @@ def test_point_test_matches_fraction_reference(drawn, equal, data):
     bumped = derivation_from_polys(
         tuple(p + bump if v == k else p for v, p in enumerate(polys_from_terms(t.coeffs, t.den)))
     )
-    variant = thetas[:j] + [bumped] + thetas[j + 1 :]
-    got = _result(saito_check, a, variant)
-    assert got == _result(ref_saito_check, a, variant)
+    _agree(a, thetas[:j] + [bumped] + thetas[j + 1 :])
 
 
 def test_point_lies_off_every_hyperplane():
