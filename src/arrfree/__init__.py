@@ -38,6 +38,6 @@ from .oracle import (
     hilbert_freeness_test,
     saito_check,
 )
-from .rank2 import Rank2Instance, euler_multiplicity_at_flat, project_to_rank2, rank2_exponents
+from .rank2 import euler_multiplicity_at_flat, project_to_rank2, rank2_exponents
 
 __version__ = "0.1.0"

@@ -438,12 +438,13 @@ def localization(a: Multiarrangement, x: Flat) -> Multiarrangement:
 
 def _select(a: Multiarrangement, idx: Sequence[int]) -> Multiarrangement:
     """The hyperplanes of a at the indices idx, in that order, with their
-    multiplicities and labels; no check that they make a flat."""
+    multiplicities and labels (none when a has none); no check that they
+    make a flat."""
     return Multiarrangement(
         a.dim,
         tuple(a.hyperplanes[i] for i in idx),
         tuple(a.mult[i] for i in idx),
-        tuple(a.label(i) for i in idx),
+        None if a.labels is None else tuple(a.labels[i] for i in idx),
     )
 
 

@@ -605,15 +605,15 @@ def certify(a: Multiarrangement, opts: CertifyOptions = CertifyOptions()) -> Ver
 # certificate re-verification
 
 
-def _as_json(node: CertNode) -> str:
-    return json.dumps(node.to_dict(), sort_keys=True)
+def _as_json(data) -> str:
+    return json.dumps(data, sort_keys=True)
 
 
 def _reverify_node(a: Multiarrangement, node: CertNode) -> Verdict:
     if node.rule not in RECHECKS:
         raise CertificateError(f"unknown certificate rule {node.rule}")
     v = RECHECKS[node.rule](a, node)
-    if v.certificate is None or _as_json(v.certificate) != _as_json(node):
+    if v.certificate is None or _as_json(v.certificate.to_dict()) != _as_json(node.to_dict()):
         raise CertificateError(f"{node.rule} node does not re-derive from the arrangement")
     return v
 
@@ -623,7 +623,8 @@ def verify_certificate(a: Multiarrangement, payload: dict) -> Verdict:
 
     Re-derives every node with the rule that proved it and returns the
     re-derived verdict; raises CertificateError when a re-derived node
-    differs from the cited one in any rule, input, number or child, when a
+    differs from the cited one in any rule, input, number or child, when the
+    payload cites a witness other than the re-derived verdict's, when a
     re-derived Free verdict does not have rank-many exponents summing to
     |m|, or when the payload is malformed.
     """
@@ -637,6 +638,8 @@ def verify_certificate(a: Multiarrangement, payload: dict) -> Verdict:
         v = _reverify_node(a, CertNode.from_dict(cert))
         if v.kind != kind:
             raise CertificateError(f"certificate yields {v.kind}, payload says {kind}")
+        if "witness" in payload and _as_json(payload["witness"]) != _as_json(v.witness):
+            raise CertificateError("witness does not re-verify")
         if kind == "Free":
             if not _free_exponents_fit(a, v.exponents):
                 raise CertificateError(

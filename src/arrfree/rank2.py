@@ -1,83 +1,39 @@
 """Exponents of rank-2 multiarrangements and the Euler multiplicity.
 
 Rank-2 multiarrangements are always free (Ziegler 1989), so the smaller
-exponent d1 determines both.  Where the multiplicities alone fix d1 (a heavy
-line, three lines, or a simple arrangement) it is read off `_closed_d1`;
+exponent d1 determines both.  A rank-2 multiarrangement here is a
+`Multiarrangement` of two or more lines in two variables; the one at a
+codim-2 flat X is its localization (A_X, m_X), essentialized
+(`project_to_rank2`).  Where the multiplicities alone fix d1 (a heavy line,
+three lines, or a simple arrangement) it is read off `_closed_d1`;
 otherwise it comes from the rank of a single exact linear system at a
 computed degree (see `_min_degree_basis`).  `flat_exponents` asks
-`_closed_d1` before it projects a codim-2 flat to two variables, so only
+`_closed_d1` before it localizes and essentializes a codim-2 flat, so only
 the flats that need that solve are projected.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .arrangement import Flat, Multiarrangement, _codim2_table
+from .arrangement import Flat, Multiarrangement, _codim2_table, _select, essentialize
 from .dspace import derivation_basis, derivation_dim
-from .exactalg import _forward, _term_quotient, linear_terms, primitive_form, primitive_row
+from .exactalg import _term_quotient, linear_terms
 
 
-@dataclass(frozen=True)
-class Rank2Instance:
-    """Pairwise non-proportional linear forms in two variables, with
-    rational (int or Fraction) entries, and positive multiplicities."""
+def project_to_rank2(a: Multiarrangement, x: Flat) -> Multiarrangement:
+    """(A_X, m_X) of a codim-2 flat x, essentialized to two variables:
+    `essentialize` of the members (`arrangement._select`), in member order.
 
-    forms: tuple[tuple, ...]
-    mult: tuple[int, ...]
-    source: tuple[int, ...] = ()  # originating hyperplane indices, when known
-
-    def __post_init__(self):
-        if len(self.forms) < 2:
-            raise ValueError("rank-2 instance needs at least two forms")
-        if len(self.mult) != len(self.forms):
-            raise ValueError("one multiplicity per form required")
-        for m in self.mult:
-            if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-                raise ValueError(f"multiplicities must be positive ints, got {m!r}")
-        seen = set()
-        for f in self.forms:
-            if len(f) != 2 or all(x == 0 for x in f):
-                raise ValueError(f"bad form {f}")
-            canon = primitive_form(primitive_row(f))
-            if canon in seen:
-                raise ValueError("proportional forms")
-            seen.add(canon)
-
-    @property
-    def total_mult(self) -> int:
-        return sum(self.mult)
-
-
-def project_to_rank2(a: Multiarrangement, x: Flat) -> Rank2Instance:
-    """Quotient the members of a codim-2 flat down to two variables.
-
-    As in `arrangement.essentialize`, with p1 < p2 the pivot columns of the
-    member normals' forward elimination (`exactalg._forward`), each member
-    normal n is n[p1]*w1 + n[p2]*w2 in the RREF basis (w1, w2) of their
-    span, so (n[p1], n[p2]) is its projected form, made primitive
-    (`primitive_form`), so that one line always gives the same form.  A
-    ValueError reports members whose normals do not span a plane, or that
-    are not all the hyperplanes through it: x must be a codim-2 flat of
-    `a`, a row entry of the cached table `arrangement._codim2_table`.
+    A ValueError reports any x that is not a codim-2 flat of `a`, an entry
+    of row min(x) of the cached table `arrangement._codim2_table`.  The
+    check needs no elimination, and it is the one check: past it the
+    members' normals span a plane, so the quotient has two variables.
     """
-    if x.codim != 2:
-        raise ValueError("flat must have codimension 2")
     idx = x.sorted_members()
-    if len(idx) < 2:
-        raise ValueError("a codimension-2 flat has at least two members")
-    if idx[0] < 0 or idx[-1] >= a.size:
-        raise ValueError("flat member out of range")
-    normals = [a.hyperplanes[k].coeffs for k in idx]
-    pivots = _forward([list(n) for n in normals], a.dim)
-    if len(pivots) != 2:
-        raise ValueError("flat members do not span a plane")
-    if x not in _codim2_table(a.hyperplanes)[1][idx[0]]:
+    if not (idx and 0 <= idx[0] < a.size and x in _codim2_table(a.hyperplanes)[1][idx[0]]):
         raise ValueError("not a flat of this arrangement")
-    p1, p2 = pivots
-    forms = tuple(primitive_form((n[p1], n[p2])) for n in normals)
-    return Rank2Instance(forms, tuple(a.mult[k] for k in idx), idx)
+    return essentialize(_select(a, idx))[0]
 
 
 def _closed_d1(mult: tuple[int, ...]) -> int | None:
@@ -126,10 +82,17 @@ def _min_degree_basis(forms: tuple[tuple, ...], mult: tuple[int, ...]) -> int:
     return d + 1 - derivation_dim(forms, mult, d)
 
 
-def rank2_exponents(inst: Rank2Instance) -> tuple[int, int]:
-    """Nondecreasing exponent pair (d1, d2) with d1 + d2 = |m|."""
-    d1 = _min_degree_basis(inst.forms, inst.mult)
-    return d1, inst.total_mult - d1
+def _forms(a: Multiarrangement) -> tuple[tuple[int, ...], ...]:
+    return tuple(h.coeffs for h in a.hyperplanes)
+
+
+def rank2_exponents(a: Multiarrangement) -> tuple[int, int]:
+    """Nondecreasing exponent pair (d1, d2) with d1 + d2 = |m| of a
+    multiarrangement of two or more lines in two variables."""
+    if a.dim != 2 or a.size < 2:
+        raise ValueError("rank-2 exponents need two or more lines in two variables")
+    d1 = _min_degree_basis(_forms(a), a.mult)
+    return d1, a.total_mult - d1
 
 
 def flat_exponents(a: Multiarrangement, x: Flat) -> tuple[int, int]:
@@ -143,19 +106,20 @@ def flat_exponents(a: Multiarrangement, x: Flat) -> tuple[int, int]:
     return d1, sum(mult) - d1
 
 
-def euler_multiplicity_at_flat(inst: Rank2Instance, h0: int) -> int:
+def euler_multiplicity_at_flat(a: Multiarrangement, h0: int) -> int:
     """Euler multiplicity m*: degree of a local basis derivation that is not
     divisible by the distinguished form.
 
     m* = d1 when some degree-d1 solution lies outside alpha0*Der, else d2.
-    alpha0 is taken primitive, so by Gauss's lemma it divides an integer
-    basis coefficient over Q exactly when it does over Z (`_term_quotient`).
+    alpha0, the normal of hyperplane h0, is primitive, so by Gauss's lemma
+    it divides an integer basis coefficient over Q exactly when it does over
+    Z (`_term_quotient`).
     """
-    if not 0 <= h0 < len(inst.forms):
+    if not 0 <= h0 < a.size:
         raise ValueError("distinguished form index out of range")
-    d1, d2 = rank2_exponents(inst)
-    alpha0 = linear_terms(primitive_row(inst.forms[h0]))
-    for coeffs, _ in derivation_basis(inst.forms, inst.mult, d1):
+    d1, d2 = rank2_exponents(a)
+    alpha0 = linear_terms(a.hyperplanes[h0].coeffs)
+    for coeffs, _ in derivation_basis(_forms(a), a.mult, d1):
         if any(c and _term_quotient(c, alpha0) is None for c in coeffs):
             return d1
     return d2

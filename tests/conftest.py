@@ -24,6 +24,12 @@ def full_system(forms, mults, degree):
     return rows, monos
 
 
+def lines(forms, mult) -> Multiarrangement:
+    """The multiarrangement of the lines with the given normals in two
+    variables, with the given multiplicities."""
+    return Multiarrangement(2, tuple(Hyperplane.from_coeffs(f) for f in forms), tuple(mult))
+
+
 def type_b_normals(n: int) -> list[list[int]]:
     """Normals of the Coxeter arrangement B_n: x_i and x_i -+ x_j."""
     out = [[int(i == k) for k in range(n)] for i in range(n)]
@@ -96,9 +102,8 @@ def euler_restriction(a: Multiarrangement, i0: int) -> Multiarrangement:
 
     out = euler_ziegler_multiplicity(a, i0)
     for k, flat in enumerate(restriction_flats(a, i0)):
-        inst = project_to_rank2(a, flat)
-        h0pos = inst.source.index(i0)
-        out = out.with_mult(k, euler_multiplicity_at_flat(inst, h0pos))
+        h0pos = flat.sorted_members().index(i0)
+        out = out.with_mult(k, euler_multiplicity_at_flat(project_to_rank2(a, flat), h0pos))
     return out
 
 

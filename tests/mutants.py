@@ -156,13 +156,36 @@ MUTANTS = (
         "if False:",
         "tests/test_saito_integer.py::test_a4_det_is_multiple",
     ),
-    # the member selection behind `localization`, `deletion` and the
-    # two-locally-heavy rule takes the first hyperplanes, not the chosen ones
+    # the member selection behind `localization`, `deletion`,
+    # `project_to_rank2` and the two-locally-heavy rule takes the first
+    # hyperplanes, not the chosen ones
     Mutant(
         "src/arrfree/arrangement.py",
         "tuple(a.hyperplanes[i] for i in idx),",
         "a.hyperplanes[: len(idx)],",
         "tests/test_arrangement.py::test_localization_example1_triple",
+    ),
+    # the same selection labels the chosen hyperplanes with the first labels
+    Mutant(
+        "src/arrfree/arrangement.py",
+        "tuple(a.labels[i] for i in idx)",
+        "a.labels[: len(idx)]",
+        "tests/test_arrangement.py::test_selection_keeps_the_members_labels",
+    ),
+    # the rank-2 projection takes any member set, and quotients a part of a
+    # flat, which spans the same plane, as if it were the flat
+    Mutant(
+        "src/arrfree/rank2.py",
+        "if not (idx and 0 <= idx[0] < a.size and x in _codim2_table(a.hyperplanes)[1][idx[0]]):",
+        "if not idx:",
+        "tests/test_rank2.py::test_project_rejects_part_of_a_flat",
+    ),
+    # the verifier accepts whatever witness a payload cites
+    Mutant(
+        "src/arrfree/certify.py",
+        'if "witness" in payload and _as_json(payload["witness"]) != _as_json(v.witness):',
+        "if False:",
+        "tests/test_certify.py::test_verifier_refuses_a_forged_witness",
     ),
 )
 

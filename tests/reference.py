@@ -58,9 +58,10 @@ None of this runs in `certify`, `verify_certificate` or the CLI:
   reduction and Cramer's rule over Bareiss determinants (`ref_coordinates`,
   `ref_int_det`), and the rank-2 projection whose pivots came from two
   member normals and whose plane was checked by a Cramer identity
-  (`ref_project_to_rank2`), which `dspace._coordinates` and
-  `rank2.project_to_rank2` replaced with the eliminations of
-  `exactalg._gauss_jordan` and `exactalg._forward`;
+  (`ref_project_to_rank2`), which `dspace._coordinates` replaced with the
+  elimination of `exactalg._gauss_jordan` and `rank2.project_to_rank2`
+  with `arrangement.essentialize` of the flat's members, whose pivots come
+  from `exactalg._forward`;
 * converters between a `Derivation` (integer term dicts over one
   denominator) and a tuple of Fraction Polynomials
   (`derivation_from_polys`, `polys_from_terms`);
@@ -174,7 +175,7 @@ from arrfree.oracle import (
     is_log_derivation,
     saito_check,
 )
-from arrfree.rank2 import Rank2Instance, project_to_rank2, rank2_exponents
+from arrfree.rank2 import project_to_rank2, rank2_exponents
 
 F = Fraction
 
@@ -539,8 +540,9 @@ def ref_coordinates(
     return coords, others
 
 
-def ref_project_to_rank2(a: Multiarrangement, x: Flat) -> Rank2Instance:
-    """Quotient the members of a codim-2 flat down to two variables.
+def ref_project_to_rank2(a: Multiarrangement, x: Flat) -> Multiarrangement:
+    """Quotient the members of a codim-2 flat down to two variables, with
+    their multiplicities.
 
     The member normals span a plane whose RREF basis (w1, w2) has pivot
     columns p1 < p2, and each member normal n is n[p1]*w1 + n[p2]*w2, so
@@ -571,8 +573,8 @@ def ref_project_to_rank2(a: Multiarrangement, x: Flat) -> Rank2Instance:
         s, t = n[p1] * v[p2] - n[p2] * v[p1], u[p1] * n[p2] - u[p2] * n[p1]
         if any(d * x != s * y + t * z for x, y, z in zip(n, u, v)):
             raise ValueError("flat members do not span a plane")
-    forms = tuple(primitive_form((n[p1], n[p2])) for n in normals)
-    return Rank2Instance(forms, tuple(a.mult[k] for k in idx), idx)
+    forms = tuple(Hyperplane(primitive_form((n[p1], n[p2]))) for n in normals)
+    return Multiarrangement(2, forms, tuple(a.mult[k] for k in idx))
 
 
 # ---------------------------------------------------------------------------
@@ -935,12 +937,13 @@ def ref_saito_check(a: Multiarrangement, thetas) -> SaitoResult | DetIsMultiple:
     return DetIsMultiple(factor_degree=q.degree())
 
 
-def ref_rank2_exponents(inst) -> tuple[int, int]:
-    """(d1, d2) from dim D_d at d = min(ceil(|m|/2) - 1, |m| - max m), the
-    one graded solve that `rank2._min_degree_basis` ran on every instance."""
-    total = inst.total_mult
-    d = min((total + 1) // 2 - 1, total - max(inst.mult))
-    d1 = d + 1 - derivation_dim(inst.forms, inst.mult, d)
+def ref_rank2_exponents(a: Multiarrangement) -> tuple[int, int]:
+    """(d1, d2) of lines in two variables from dim D_d at
+    d = min(ceil(|m|/2) - 1, |m| - max m), the one graded solve that
+    `rank2._min_degree_basis` ran on every instance."""
+    total = a.total_mult
+    d = min((total + 1) // 2 - 1, total - max(a.mult))
+    d1 = d + 1 - derivation_dim([h.coeffs for h in a.hyperplanes], a.mult, d)
     return d1, total - d1
 
 
@@ -1022,12 +1025,13 @@ def ref_hilbert_freeness_test(
     return HilbertResult("Undetermined", cap, dims, survivors, seed=seed)
 
 
-def ref_euler_multiplicity_at_flat(inst, h0: int) -> int:
-    """`rank2.euler_multiplicity_at_flat` on the Fraction basis, by lex
-    division by the distinguished form (`Polynomial.divisible_by`)."""
-    d1, d2 = rank2_exponents(inst)
-    alpha0 = Polynomial.linear_form(inst.forms[h0])
-    for coeffs in ref_derivation_basis(inst.forms, inst.mult, d1):
+def ref_euler_multiplicity_at_flat(a: Multiarrangement, h0: int) -> int:
+    """`rank2.euler_multiplicity_at_flat` on the Fraction basis of the
+    rational normals (first nonzero entry 1), by lex division by the
+    distinguished one (`Polynomial.divisible_by`)."""
+    d1, d2 = rank2_exponents(a)
+    alpha0 = Polynomial.linear_form(a.hyperplanes[h0].normal)
+    for coeffs in ref_derivation_basis([h.normal for h in a.hyperplanes], a.mult, d1):
         if any(not c.is_zero() and not c.divisible_by(alpha0) for c in coeffs):
             return d1
     return d2

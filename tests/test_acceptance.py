@@ -28,9 +28,9 @@ from arrfree.fixtures import (
     rank4_flag_example,
 )
 from arrfree.oracle import derivation_space_dim, extract_basis, hilbert_freeness_test, saito_check
-from arrfree.rank2 import Rank2Instance, rank2_exponents
+from arrfree.rank2 import rank2_exponents
 
-from conftest import force_locally_heavy, random_multiarrangement, random_simple_rank3
+from conftest import force_locally_heavy, lines, random_multiarrangement, random_simple_rank3
 from reference import b2_away_local_sum, normalize_multiplicity_shift, ref_rank2_exponents
 
 
@@ -208,7 +208,7 @@ def test_c8_rank2_solver_suite():
     # the closed forms that rank2_exponents returns, against the graded solve
     # every two-form instance: exponents are the multiplicities
     for m1, m2 in itertools.product(range(1, 7), repeat=2):
-        inst = Rank2Instance(forms2(2), (m1, m2))
+        inst = lines(forms2(2), (m1, m2))
         ok &= rank2_exponents(inst) == ref_rank2_exponents(inst) == tuple(sorted((m1, m2)))
 
     # 50 random heavy instances
@@ -216,7 +216,7 @@ def test_c8_rank2_solver_suite():
         fs = forms2(rng.randint(3, 4))
         rest = [rng.randint(1, 4) for _ in fs[1:]]
         m0 = sum(rest) + rng.randint(0, 3)
-        inst = Rank2Instance(fs, (m0, *rest))
+        inst = lines(fs, (m0, *rest))
         ok &= rank2_exponents(inst) == ref_rank2_exponents(inst) == tuple(sorted((m0, sum(rest))))
 
     # 50 random balanced three-form instances
@@ -227,7 +227,7 @@ def test_c8_rank2_solver_suite():
         if 2 * max(mult) > sum(mult):
             continue
         total = sum(mult)
-        inst = Rank2Instance(fs, mult)
+        inst = lines(fs, mult)
         ok &= rank2_exponents(inst) == ref_rank2_exponents(inst) == (total // 2, (total + 1) // 2)
         done += 1
     _report(8, "rank-2 solver suite", ok)

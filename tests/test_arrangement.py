@@ -356,6 +356,19 @@ def test_deletion_example1():
     assert d.total_mult == a.total_mult - 1
 
 
+def test_selection_keeps_the_members_labels():
+    # both paths of deletion, and localization, carry the labels of the
+    # hyperplanes they keep; of an unlabeled input they carry none, and
+    # serialize without them
+    a = braid3()
+    assert deletion(a, 1).labels == ("x", "z", "x-y", "x-z", "y-z")
+    assert deletion(a.with_mult(1, 2), 1).labels == a.labels
+    assert localization(a, Flat(2, frozenset({1, 2, 5}))).labels == ("y", "z", "y-z")
+    a = parse({"dim": 3, "hyperplanes": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]], "mult": [1, 2, 1, 1]})
+    for b in (deletion(a, 0), deletion(a, 1), localization(a, Flat(2, frozenset({0, 1, 3})))):
+        assert b.labels is None and "labels" not in b.to_dict()
+
+
 def test_deletion_readdition_identity():
     a = boolean3((2, 3, 4))
     d = deletion(a, 2)

@@ -897,6 +897,20 @@ def _node_rules(node):
         yield from _node_rules(child)
 
 
+@pytest.mark.parametrize("name", ["example52.json", "generic4.json"])
+def test_verifier_refuses_a_forged_witness(name):
+    # a payload that cites a witness must cite the re-derived verdict's; one
+    # that cites none re-verifies
+    a, verdict, payload = _decisive_payload(name)
+    assert verify_certificate(a, payload).witness == verdict.witness == payload["witness"]
+    key = sorted(payload["witness"])[0]
+    for forged in ({"bogus": 1}, {**payload["witness"], key: payload["witness"][key] + 1}, None):
+        with pytest.raises(CertificateError, match="^witness does not re-verify$"):
+            verify_certificate(a, {**payload, "witness": forged})
+    unwitnessed = {k: v for k, v in payload.items() if k != "witness"}
+    assert verify_certificate(a, unwitnessed).witness == verdict.witness
+
+
 def test_verifier_rejects_deep_payload_with_certificate_error():
     # deeper than the interpreter's recursion limit; JSON text cannot nest
     # this deep, but an in-memory payload can
@@ -1135,6 +1149,8 @@ def test_verifier_mutation_fuzz(name, data):
     assert mutated["kind"] == got.kind
     if mutated.get("exponents") is not None:
         assert mutated["exponents"] == list(got.exponents)
+    if "witness" in mutated:
+        assert json.dumps(mutated["witness"], sort_keys=True) == json.dumps(got.witness, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

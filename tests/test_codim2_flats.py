@@ -36,9 +36,9 @@ from arrfree.arrangement import (
 from arrfree.betti import b2_simple
 from arrfree.exactalg import Matrix, primitive_row
 from arrfree.fixtures import load
-from arrfree.rank2 import Rank2Instance, project_to_rank2
+from arrfree.rank2 import project_to_rank2
 from conftest import FIXTURES
-from reference import ref_codim2_table, ref_linear_change_to_coordinate, ref_span_lattice
+from reference import ref_codim2_table, ref_linear_change_to_coordinate, ref_project_to_rank2, ref_span_lattice
 
 arrangement_mod = importlib.import_module("arrfree.arrangement")
 # the module, not the `certify` function the package exports under its name
@@ -119,7 +119,7 @@ def ref_localization(a, x):
         a.dim,
         tuple(a.hyperplanes[i] for i in idx),
         tuple(a.mult[i] for i in idx),
-        tuple(a.label(i) for i in idx),
+        None if a.labels is None else tuple(a.labels[i] for i in idx),
     )
 
 
@@ -190,8 +190,7 @@ def assert_projections_match_reference(a):
     for members, rows in ref_codim2_bases(a).items():
         inst = project_to_rank2(a, Flat(2, members))
         forms, mult = ref_projection(a, members, rows)
-        assert same_forms(inst.forms, forms) and inst.mult == mult
-        assert inst.source == tuple(sorted(members))
+        assert inst.dim == 2 and same_forms([h.coeffs for h in inst.hyperplanes], forms) and inst.mult == mult
 
 
 def _outcome(fn, *args):
@@ -259,6 +258,21 @@ def test_projection_matches_basis_pivots(a):
     assert_projections_match_reference(a)
 
 
+@settings(max_examples=80, deadline=None)
+@given(arrangements())
+def test_projection_is_the_essentialized_localization(a):
+    # the members of each codim-2 flat, quotiented to two variables, have
+    # the hyperplanes and multiplicities of the projection by a Cramer
+    # identity and of the localization, essentialized
+    for x in codim2_flats(a):
+        got = project_to_rank2(a, x)
+        want = ref_project_to_rank2(a, x)
+        loc, _ = essentialize(localization(a, x))
+        assert got.dim == want.dim == loc.dim == 2
+        assert got.hyperplanes == want.hyperplanes == loc.hyperplanes
+        assert got.mult == want.mult == loc.mult
+
+
 @settings(max_examples=20, deadline=None)
 @given(arrangements())
 def test_lattice_and_localization_match_reference(a):
@@ -319,13 +333,10 @@ def rank2_arrangements(draw):
 
 
 def assert_rank2_base_matches_essentialize(a):
-    """The projection of the whole rank-2 arrangement is the instance the
-    essential arrangement's normals give, and the rank-2 base case projects
-    it exactly when the multiplicities do not fix its exponents."""
-    ess, _ = essentialize(a)
-    want = Rank2Instance(tuple(h.normal for h in ess.hyperplanes), ess.mult)
-    got = project_to_rank2(a, Flat(2, frozenset(range(a.size))))
-    assert same_forms(got.forms, want.forms) and got.mult == want.mult
+    """The projection of the whole rank-2 arrangement is its essential
+    arrangement, and the rank-2 base case projects it exactly when the
+    multiplicities do not fix its exponents."""
+    assert project_to_rank2(a, Flat(2, frozenset(range(a.size)))) == essentialize(a)[0]
     with mock.patch.object(rank2_mod, "project_to_rank2", wraps=project_to_rank2) as spy:
         certify_mod._rank2_base(a)
     assert spy.call_count == (rank2_mod._closed_d1(a.mult) is None)

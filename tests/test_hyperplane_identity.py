@@ -17,9 +17,8 @@ from arrfree.betti import b2_multi
 from arrfree.certify import find_locally_heavy_flags
 from arrfree.exactalg import vec
 from arrfree.fixtures import rank4_flag_example
-from arrfree.rank2 import Rank2Instance
 
-from conftest import type_b_normals
+from conftest import lines, type_b_normals
 
 
 def ref_canonical(v):
@@ -77,16 +76,18 @@ INT_FACTORS = st.integers(-9, 9).filter(bool)
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(st.tuples(INT_PAIRS, INT_FACTORS), st.tuples(vectors(st.just(2)), NONZERO)))
 def test_rank2_instance_rejects_proportional_forms(case):
+    # a multiarrangement of lines in two variables refuses proportional
+    # forms as one hyperplane given twice
     f, c = case
-    with pytest.raises(ValueError, match="proportional"):
-        Rank2Instance((tuple(f), (1, 0), tuple(c * x for x in f)), (1, 1, 1))
+    with pytest.raises(ValueError, match="^duplicate hyperplane"):
+        lines((tuple(f), (1, 0), tuple(c * x for x in f)), (1, 1, 1))
 
 
 @settings(max_examples=200, deadline=None)
 @given(vectors(st.just(2)), vectors(st.just(2)))
 def test_rank2_instance_accepts_what_the_former_check_accepted(f, g):
     try:
-        Rank2Instance((tuple(f), tuple(g)), (1, 1))
+        lines((tuple(f), tuple(g)), (1, 1))
         accepted = True
     except ValueError:
         accepted = False

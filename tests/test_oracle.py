@@ -522,8 +522,7 @@ def test_euler_multiplicity_matches_euler_ziegler_when_locally_heavy():
         from arrfree.arrangement import restriction_flats
 
         for k, flat in enumerate(restriction_flats(a, i0)):
-            inst = project_to_rank2(a, flat)
-            mstar = euler_multiplicity_at_flat(inst, inst.source.index(i0))
+            mstar = euler_multiplicity_at_flat(project_to_rank2(a, flat), flat.sorted_members().index(i0))
             assert mstar == r.mult[k]
         cases += 1
 
